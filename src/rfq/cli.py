@@ -42,14 +42,12 @@ def _read_input(path: str, fmt: str):
 def _assemble_config(args) -> IndexConfig:
     cfg = space_preset() if args.space_preset else IndexConfig()
     overrides = {}
-    for name in ("trade", "chunk_len", "verify_mode", "arity", "family_min_n", "build_check"):
+    for name in ("trade", "chunk_len", "verify_mode", "family_min_n", "build_check"):
         v = getattr(args, name)
         if v is not None:
             overrides[name] = v
     if args.compressed:
         overrides["compressed"] = True
-    if args.full_family_range:
-        overrides["full_family_range"] = True
     return cfg.with_(**overrides) if overrides else cfg
 
 
@@ -196,8 +194,7 @@ def _cmd_info(args) -> int:
     cfg = bundle.config
     rep["config"] = {
         "trade": cfg.trade, "chunk_len": cfg.chunk_len, "verify_mode": cfg.verify_mode,
-        "compressed": cfg.compressed, "arity": cfg.arity,
-        "family_min_n": cfg.family_min_n, "full_family_range": cfg.full_family_range,
+        "compressed": cfg.compressed, "family_min_n": cfg.family_min_n,
     }
     rep["majority_families"] = len(bundle.majority.candidate_flags)
     rep["minority_families"] = len(bundle.minority.distinct_flags)
@@ -233,9 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--chunk-len", type=int, default=None)
     b.add_argument("--verify-mode", choices=("check_lemma", "rank"), default=None)
     b.add_argument("--compressed", action="store_true")
-    b.add_argument("--arity", type=int, default=None)
     b.add_argument("--family-min-n", type=int, default=None)
-    b.add_argument("--full-family-range", action="store_true")
     b.add_argument("--build-check", choices=("auto", "always", "never"), default=None)
     b.add_argument("--space-preset", action="store_true",
                    help="start from the small-footprint configuration")

@@ -16,17 +16,18 @@ class IndexConfig:
     scales with g**2.  chunk_len is the anchor spacing c inside each
     symbol's occurrence list.  verify_mode picks how candidate occurrences
     are confirmed: "check_lemma" uses one partial rank plus one select,
-    "rank" uses two general ranks.  compressed switches the sequence levels
-    to the sparse encoding when that is smaller.
+    "rank" uses two general ranks.  compressed stores each level of the
+    binary wavelet matrix in the sparse encoding when that is smaller.
+    family_min_n is the shortest input that gets flag families, and
+    build_check decides when the fast flag builders are checked against
+    the slow reference ones.
     """
 
     trade: int = 1
     chunk_len: int = 1024
     verify_mode: str = "check_lemma"
     compressed: bool = False
-    arity: int = 2
     family_min_n: int = 64  # skip the flag families for shorter inputs
-    full_family_range: bool = False  # build every (tier, scale), tests only
     build_check: str = "auto"  # "auto" | "always" | "never"
 
     def __post_init__(self):
@@ -38,8 +39,6 @@ class IndexConfig:
             raise ConfigError(f"unknown verify_mode {self.verify_mode!r}")
         if self.build_check not in ("auto", "always", "never"):
             raise ConfigError(f"unknown build_check {self.build_check!r}")
-        if self.arity < 2 or self.arity > 64 or self.arity & (self.arity - 1):
-            raise ConfigError(f"arity must be a power of two in [2, 64], got {self.arity}")
 
     @property
     def blowup(self) -> int:

@@ -37,17 +37,3 @@ def uniform_string(n: int, sigma: int, seed: int = 0) -> np.ndarray:
     dense, _ = densify(raw)
     return dense
 
-
-def runs_string(n: int, sigma: int, mean_run: int = 8, seed: int = 0) -> np.ndarray:
-    """String of geometric runs, a friendly case for the sparse encoding."""
-    rng = np.random.default_rng(seed)
-    out = np.empty(n, dtype=np.int64)
-    i = 0
-    while i < n:
-        sym = int(rng.integers(0, sigma))
-        run = 1 + int(rng.geometric(1.0 / mean_run))
-        j = min(n, i + run)
-        out[i:j] = sym
-        i = j
-    dense, _ = densify(out)
-    return dense

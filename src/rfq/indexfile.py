@@ -23,7 +23,7 @@ from .listing import ListingIndex
 from .majority import MajorityIndex, build_majority_index
 from .minority import MinorityIndex, build_minority_index
 from .sequence import WaveletSequence
-from .serial import MAGIC_INDEX, ByteReader, ByteWriter
+from .serial import FORMAT_VERSION, MAGIC_INDEX, ByteReader, ByteWriter
 
 _VERIFY_CODES = {"check_lemma": 0, "rank": 1}
 _CHECK_CODES = {"auto": 0, "always": 1, "never": 2}
@@ -70,7 +70,7 @@ class IndexBundle:
     @classmethod
     def _build(cls, dense, config, originals, tokens) -> "IndexBundle":
         config = config or IndexConfig()
-        seq = WaveletSequence.build(dense, arity=config.arity, compressed=config.compressed)
+        seq = WaveletSequence.build(dense, compressed=config.compressed)
         listing = ListingIndex.for_sequence(seq, config.trade)
         maj = build_majority_index(dense, config, seq=seq, listing=listing)
         mino = build_minority_index(dense, config, seq=seq, listing=listing)
@@ -125,15 +125,13 @@ class IndexBundle:
     def to_bytes(self) -> bytes:
         w = ByteWriter()
         w.raw(MAGIC_INDEX)
-        w.u16(1)
+        w.u16(FORMAT_VERSION)
         cfg = self.config
         w.u32(cfg.trade)
         w.u32(cfg.chunk_len)
         w.u8(_VERIFY_CODES[cfg.verify_mode])
         w.u8(int(cfg.compressed))
-        w.u8(cfg.arity)
         w.u32(cfg.family_min_n)
-        w.u8(int(cfg.full_family_range))
         w.u8(_CHECK_CODES[cfg.build_check])
         if self.tokens is not None:
             w.u8(_REMAP_TOKENS)
@@ -161,9 +159,7 @@ class IndexBundle:
             chunk_len=r.u32(),
             verify_mode=by_code[r.u8()],
             compressed=bool(r.u8()),
-            arity=r.u8(),
             family_min_n=r.u32(),
-            full_family_range=bool(r.u8()),
             build_check=check_by_code[r.u8()],
         )
         kind = r.u8()

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bits import RmqIndex
-from .errors import DomainError, RangeError
+from .errors import DomainError, LogicError, RangeError
 from .serial import ByteReader, ByteWriter
 
 _SENTINEL = np.iinfo(np.int64).max
@@ -155,7 +155,8 @@ class ListingIndex:
                 report(m)
                 stack.append((m + 1, r))
                 stack.append((l, m - 1))
-            assert self.last_stats["steps"] <= 4 * limit + 4
+            if self.last_stats["steps"] > 4 * limit + 4:
+                raise LogicError(f"listing took {self.last_stats['steps']} steps for limit {limit}")
         else:
             b_lo = (lo - 1) // g
             b_hi = (hi - 1) // g

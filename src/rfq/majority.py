@@ -160,66 +160,6 @@ class MajorityIndex:
         self.diagnostics = diag
         return best
 
-    # -- public candidate-level operations ---------------------------------
-
-    def chunk_successor(self, anchor: int, lo: int) -> int | None:
-        """First occurrence of the symbol at ``anchor`` that is >= lo, if it
-        falls inside the same occurrence chunk as the anchor.
-
-        Occurrences of each symbol are cut into chunks of ``chunk_len`` by
-        global rank.  Returns None when the chunk starts at or after lo (a
-        predecessor chunk may hold the real leftmost) or when the whole
-        chunk ends before lo.
-        """
-        seq = self.seq
-        self._check_pos(anchor)
-        a, r_k = seq.locate(anchor)
-        c = self.config.chunk_len
-        q = (r_k + c - 1) // c
-        base = (q - 1) * c
-        if q >= 2:
-            i_l = seq.select(a, base)
-            if i_l is None:
-                raise LogicError("occurrence rank inconsistent with chunk base")
-            if i_l >= lo:
-                return None
-        r_hi = min(q * c, seq.symbol_count(a))
-        if r_hi == r_k and anchor >= lo:
-            p_hi = anchor
-        else:
-            p_hi = seq.select(a, r_hi)
-            if p_hi is None or p_hi < lo:
-                return None
-        r_lo = base + 1
-        if r_lo == r_hi:
-            return p_hi
-        p_lo = anchor if r_lo == r_k else seq.select(a, r_lo)
-        if p_lo >= lo:
-            return p_lo
-        while r_hi - r_lo > 1:
-            mid = (r_lo + r_hi) // 2
-            p = seq.select(a, mid)
-            if p >= lo:
-                r_hi, p_hi = mid, p
-            else:
-                r_lo = mid
-        return p_hi
-
-    def check_candidate(self, anchor: int, lo: int, hi: int, tau: float):
-        """Certify the symbol occurring at ``anchor`` against [lo..hi].
-
-        The anchor is taken as the symbol's leftmost in-range occurrence.
-        Returns (symbol, count) when it clears the threshold, else
-        (symbol, None).
-        """
-        self._check_range(lo, hi)
-        self._check_pos(anchor)
-        seq = self.seq
-        a, r = seq.locate(anchor)
-        thr = threshold_count(tau, hi - lo + 1)
-        occ = self._certify(a, r, hi, thr)
-        return a, occ
-
     # -- dispatch targets ---------------------------------------------------
 
     def _small_threshold(self, lo, hi, thr, mode, out, diag):
@@ -466,10 +406,6 @@ class MajorityIndex:
         if lo > hi:
             raise RangeError(f"empty range [{lo}, {hi}]")
 
-    def _check_pos(self, k):
-        if not (1 <= k <= self.seq.n):
-            raise RangeError(f"position {k} outside 1..{self.seq.n}")
-
     # -- space and serialization ---------------------------------------------
 
     def family_keys(self) -> list[tuple[int, int]]:
@@ -522,7 +458,7 @@ def build_majority_index(
     """Build the majority side of the index: sequence, listing, families."""
     config = config or IndexConfig()
     if seq is None:
-        seq = WaveletSequence.build(data, arity=config.arity, compressed=config.compressed)
+        seq = WaveletSequence.build(data, compressed=config.compressed)
     if listing is None:
         listing = ListingIndex.for_sequence(seq, config.trade)
     raw = seq.to_array()
@@ -538,8 +474,7 @@ def build_majority_index(
         b_max = seq.n.bit_length() - 1
         # tier 0 would serve only tau = 1.0, which the empty path already settles
         for t in range(1, t_max + 1):
-            b_lo = max(t, 1) if config.full_family_range else max(config.scale_cutoff(t), 1)
-            for b in range(b_lo, b_max + 1):
+            for b in range(config.scale_cutoff(t), b_max + 1):
                 qual = ws.window_qualifies(1 << (b + 1), 1 << (b - t))
                 gbits = ws.candidate_bits(t, b, qual=qual)
                 jbits = ws.anchor_bits(t, b, config.chunk_len, qual=qual)

@@ -197,7 +197,7 @@ def build_minority_index(
 ) -> MinorityIndex:
     config = config or IndexConfig()
     if seq is None:
-        seq = WaveletSequence.build(data, arity=config.arity, compressed=config.compressed)
+        seq = WaveletSequence.build(data, compressed=config.compressed)
     if listing is None:
         listing = ListingIndex.for_sequence(seq, config.trade)
     flags: dict = {}
@@ -210,8 +210,7 @@ def build_minority_index(
         t_max = (seq.sigma - 1).bit_length()
         b_max = seq.n.bit_length() - 1
         for t in range(t_max + 1):
-            b_lo = max(t, 1) if config.full_family_range else max(config.scale_cutoff(t), 1)
-            for b in range(b_lo, b_max + 1):
+            for b in range(config.scale_cutoff(t), b_max + 1):
                 bits = ws.distinct_bits(t, b)
                 if check and not np.array_equal(bits, distinct_flag_bits_slow(raw, t, b)):
                     raise LogicError(f"distinct flags self-check failed at {(t, b)}")

@@ -1,36 +1,34 @@
-"""Wavelet-tree sequence with rank, select, access, and partial rank.
+"""Binary wavelet matrix with rank, select, access, and partial rank.
 
-The tree is stored level-wise: all node bitvectors of one depth are
-concatenated into a single bitvector, and node boundaries are recomputed
-from the symbol counts, so the persisted form carries no pointers.  The
-alphabet must be dense (every value in 1..sigma occurs).  A node whose
-symbol range has shrunk to a single value stops contributing bits, which
-keeps the total at most n * ceil(lg sigma) payload bits.
+Symbols are 1..sigma, and the alphabet must be dense (every value
+occurs).  Inside, symbol a is the code a - 1 in L = ceil(lg sigma) bits,
+most significant bit first.  Level l holds one bit per position, bit
+L - 1 - l of the code, listed in the order the level above leaves the
+positions; the next level's order is the stable partition of this one,
+zeros first.  A level is therefore one bitvector plus its zero count, and
+a position maps one level down with a single rank (Claude, Navarro and
+Ordonez, "The wavelet matrix", Inf. Syst. 2015).
 
-Two storage variants exist per level in binary mode: plain, or the sparse
-positional encoding when that is smaller (compressed mode picks whichever
-wins).  Arities 4..64 replace the per-level bitvector with a packed digit
-array; block counting inside digit levels goes through the tiny-alphabet
-kernel when the arity fits it.
+Below the last level each symbol's occurrences form one block, in text
+order.  Where each block starts follows from the symbol counts, so rank
+costs one rank1 per level, select walks bottom-up with one select per
+level, and `locate` returns a position's symbol together with its partial
+rank from one downward walk.
 
-A combined descent (`locate`) returns both the symbol at a position and
-the number of earlier occurrences of that symbol, which is how partial
-rank is answered without a separate occurrence directory.
+Each level is a plain bitvector or, in compressed mode, the sparse
+positional encoding when that is smaller.  The file stores n, sigma, the
+compressed flag and the levels; the counts are derived on load by the
+same top-down split walk that `range_counts(1, n)` makes.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .bits import BitVector, PackedArray, SparseBitVector, bitvector_from_bytes
+from .bits import BitVector, SparseBitVector, bitvector_from_bytes
 from .counters import OpTally
-from .errors import DomainError, FormatError, RangeError
+from .errors import DomainError, FormatError, LogicError, NotFoundError, RangeError
 from .serial import ByteReader, ByteWriter
-from .swar import TinyAlphabetKernel
-
-_DIGIT_BLOCK = 64
 
 
 def _check_dense(counts: np.ndarray) -> None:
@@ -43,28 +41,17 @@ class WaveletSequence:
     def __init__(self):
         self.n = 0
         self.sigma = 0
-        self.arity = 2
         self.compressed = False
         self.counts: np.ndarray | None = None  # per-symbol totals
         self.tally = OpTally()
-        self.debug_checks = False
-        self._levels: list = []  # BitVector | SparseBitVector | _DigitLevel
-        self._nodes: list[dict] = []  # per level: node -> (start, len, before)
-        self._depth = 0
-        self._digit_bits = 1  # bits consumed per level
-        self._kernel: TinyAlphabetKernel | None = None
+        self._levels: list[tuple] = []  # (BitVector | SparseBitVector, zeros), top first
+        self._starts: list[int] = []  # per symbol code: block start below the last level
         self._raw_cache: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        data,
-        sigma: int | None = None,
-        arity: int = 2,
-        compressed: bool = False,
-    ) -> "WaveletSequence":
+    def build(cls, data, sigma: int | None = None, compressed: bool = False) -> "WaveletSequence":
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("sequence must be a non-empty 1-d array")
@@ -74,71 +61,49 @@ class WaveletSequence:
         sigma = amax if sigma is None else int(sigma)
         if amax > sigma:
             raise DomainError(f"symbol {amax} exceeds declared alphabet {sigma}")
-        if arity < 2 or arity > 64 or arity & (arity - 1):
-            raise DomainError(f"arity must be a power of two in [2, 64], got {arity}")
         counts = np.bincount(arr, minlength=sigma + 1)[1:].astype(np.int64)
         _check_dense(counts)
 
         seq = cls()
         seq.n = int(arr.size)
         seq.sigma = sigma
-        seq.arity = arity
         seq.compressed = compressed
-        seq.counts = counts
-        seq._digit_bits = arity.bit_length() - 1
-        if arity > 2 and arity <= 16:
-            seq._kernel = TinyAlphabetKernel(arity)
+        depth = (sigma - 1).bit_length()  # 0 when sigma == 1
+        codes = arr - 1
+        for lvl in range(depth):
+            bits = ((codes >> (depth - 1 - lvl)) & 1).astype(bool)
+            seq._add_level(seq._encode_level(bits))
+            codes = np.concatenate((codes[~bits], codes[bits]))
+        seq._set_counts(counts)
         seq._raw_cache = arr.copy()
-
-        sym_bits = (sigma - 1).bit_length()  # 0 when sigma == 1
-        c = seq._digit_bits
-        seq._depth = (sym_bits + c - 1) // c
-        sym0 = arr - 1
-        order = np.arange(seq.n)
-        for lvl in range(seq._depth):
-            shift = (seq._depth - lvl) * c
-            s = sym0[order]
-            node_ids = s >> shift
-            base = node_ids << shift
-            size = np.minimum(sigma, base + (1 << shift)) - base
-            active = size >= 2
-            digits = (s >> (shift - c)) & (arity - 1)
-            act_digits = digits[active]
-            act_nodes = node_ids[active]
-            if arity == 2:
-                store = seq._encode_bit_level(act_digits.astype(bool))
-            else:
-                store = _DigitLevel.build(act_digits, c)
-            meta = seq._node_meta_from_runs(store, act_nodes)
-            seq._levels.append(store)
-            seq._nodes.append(meta)
-            key = s >> (shift - c)
-            order = order[np.argsort(key, kind="stable")]
         return seq
 
-    def _encode_bit_level(self, bits: np.ndarray):
+    def _encode_level(self, bits: np.ndarray):
         plain = BitVector.from_numpy_bool(bits)
         if not self.compressed:
             return plain
         sparse = SparseBitVector.from_numpy_bool(bits)
         return sparse if sparse.size_bits() < plain.size_bits() else plain
 
-    def _node_meta_from_runs(self, store, act_nodes: np.ndarray) -> dict:
-        meta: dict[int, tuple] = {}
-        if act_nodes.size == 0:
-            return meta
-        change = np.flatnonzero(np.diff(act_nodes)) + 1
-        starts = np.concatenate(([0], change))
-        ends = np.concatenate((change, [act_nodes.size]))
-        for st, en in zip(starts.tolist(), ends.tolist()):
-            nid = int(act_nodes[st])
-            meta[nid] = (st, en - st, self._before_at(store, st))
-        return meta
+    def _add_level(self, store) -> None:
+        self._levels.append((store, store.n_bits - store.ones))
 
-    def _before_at(self, store, start: int):
-        if self.arity == 2:
-            return store.rank1(start)
-        return store.rank_all(start)
+    def _set_counts(self, counts: np.ndarray) -> None:
+        """Store the counts and derive each symbol's block start.
+
+        Below the last level the blocks are ordered by the bit-reversed
+        code, since the last partition (by the lowest bit) is the outermost.
+        """
+        depth = len(self._levels)
+        codes = np.arange(self.sigma, dtype=np.int64)
+        rev = np.zeros(self.sigma, dtype=np.int64)
+        for i in range(depth):
+            rev |= ((codes >> i) & 1) << (depth - 1 - i)
+        order = np.argsort(rev)
+        starts = np.empty(self.sigma, dtype=np.int64)
+        starts[order] = np.cumsum(counts[order]) - counts[order]
+        self.counts = counts
+        self._starts = starts.tolist()
 
     # -- basic properties ----------------------------------------------------------
 
@@ -158,94 +123,76 @@ class WaveletSequence:
         if not (1 <= k <= self.n):
             raise RangeError(f"position {k} outside [1, {self.n}]")
 
-    # -- core descents (untallied internals) -----------------------------------------
+    # -- core walks (untallied internals) --------------------------------------------
 
     def _locate(self, k: int) -> tuple[int, int]:
-        """(0-based symbol, occurrence index of position k among its symbol)."""
-        pos = k
-        node = 0
-        c = self._digit_bits
-        for lvl in range(self._depth):
-            meta = self._nodes[lvl].get(node)
-            if meta is None:
-                break
-            start, _, before = meta
-            if self.arity == 2:
-                store = self._levels[lvl]
-                bit = store.get(start + pos)
-                r1 = store.rank1(start + pos)
-                if bit:
-                    pos = r1 - before
-                else:
-                    pos = pos - (r1 - before)
-                node = (node << 1) | bit
-            else:
-                store = self._levels[lvl]
-                d = store.get_digit(start + pos - 1)
-                r = store.rank_digit(start + pos, d)
-                pos = r - before[d]
-                node = (node << c) | d
-        else:
-            return node, pos
-        shift = (self._depth - lvl) * c
-        return node << shift, pos
+        """(symbol code, occurrence index of position k among its symbol)."""
+        p = k
+        code = 0
+        for store, zeros in self._levels:
+            bit = store.get(p)
+            r1 = store.rank1(p)
+            p = zeros + r1 if bit else p - r1
+            code = (code << 1) | bit
+        return code, p - self._starts[code]
 
-    def _rank(self, a0: int, k: int) -> int:
-        cnt = k
-        c = self._digit_bits
-        for lvl in range(self._depth):
-            shift = (self._depth - lvl) * c
-            node = a0 >> shift
-            meta = self._nodes[lvl].get(node)
-            if meta is None:
-                break
-            if cnt == 0:
-                return 0
-            start, _, before = meta
-            d = (a0 >> (shift - c)) & (self.arity - 1)
-            if self.arity == 2:
-                store = self._levels[lvl]
-                r1 = store.rank1(start + cnt)
-                cnt = (r1 - before) if d else (cnt - (r1 - before))
-            else:
-                store = self._levels[lvl]
-                cnt = store.rank_digit(start + cnt, d) - before[d]
-        return cnt
+    def _rank(self, code: int, k: int) -> int:
+        p = k
+        shift = len(self._levels)
+        for store, zeros in self._levels:
+            shift -= 1
+            r1 = store.rank1(p)
+            p = zeros + r1 if (code >> shift) & 1 else p - r1
+        return p - self._starts[code]
 
-    def _select(self, a0: int, r: int) -> int | None:
-        if r > int(self.counts[a0]):
+    def _select(self, code: int, r: int) -> int | None:
+        if r > int(self.counts[code]):
             return None
-        c = self._digit_bits
-        path = []
-        for lvl in range(self._depth):
-            shift = (self._depth - lvl) * c
-            node = a0 >> shift
-            meta = self._nodes[lvl].get(node)
-            if meta is None:
-                break
-            d = (a0 >> (shift - c)) & (self.arity - 1)
-            path.append((lvl, meta, d))
-        pos = r
-        for lvl, meta, d in reversed(path):
-            start, _, before = meta
-            store = self._levels[lvl]
-            if self.arity == 2:
-                if d:
-                    pos = store.select1(before + pos) - start
-                else:
-                    zeros_before = start - before
-                    pos = store.select0(zeros_before + pos) - start
+        p = self._starts[code] + r
+        shift = 0
+        for store, zeros in reversed(self._levels):
+            if (code >> shift) & 1:
+                p = store.select1(p - zeros)
             else:
-                pos = store.select_digit(before[d] + pos, d) - start
-        return pos
+                p = store.select0(p)
+            shift += 1
+        return p
+
+    def _split_walk(self, cl: int, cr: int) -> tuple[dict[int, int], int]:
+        """Counts of the symbols at top-level positions cl+1..cr, and the
+        number of rank1 calls made.
+
+        A node stops splitting once its code range holds a single symbol:
+        the levels below only reorder its positions.
+        """
+        depth, sigma = len(self._levels), self.sigma
+        out: dict[int, int] = {}
+        ranks = 0
+        stack = [(0, 0, cl, cr)]
+        while stack:
+            lvl, node, s, e = stack.pop()
+            shift = depth - lvl
+            base = node << shift
+            if shift == 0 or base + 1 >= sigma:
+                out[base + 1] = e - s
+                continue
+            store, zeros = self._levels[lvl]
+            r1s = store.rank1(s)
+            r1e = store.rank1(e)
+            ranks += 2
+            if e - r1e > s - r1s:
+                stack.append((lvl + 1, node << 1, s - r1s, e - r1e))
+            if r1e > r1s:
+                stack.append((lvl + 1, (node << 1) | 1, zeros + r1s, zeros + r1e))
+        return out, ranks
 
     # -- public operations (tallied) --------------------------------------------------
 
     def access(self, k: int) -> int:
         self._check_pos(k)
         self.tally.accesses += 1
-        sym0, _ = self._locate(k)
-        return sym0 + 1
+        code, _ = self._locate(k)
+        return code + 1
 
     def rank(self, a: int, k: int) -> int:
         self._check_symbol(a)
@@ -274,129 +221,79 @@ class WaveletSequence:
         self._check_pos(k)
         self.tally.accesses += 1
         self.tally.partial_ranks += 1
-        sym0, r = self._locate(k)
-        return sym0 + 1, r
+        code, r = self._locate(k)
+        return code + 1, r
 
     def prev_occurrence(self, k: int) -> int:
         """Position of the previous occurrence of S[k], or 0."""
         self._check_pos(k)
         self.tally.accesses += 1
         self.tally.partial_ranks += 1
-        sym0, r = self._locate(k)
+        code, r = self._locate(k)
         if r == 1:
             return 0
         self.tally.selects += 1
-        p = self._select(sym0, r - 1)
-        assert p is not None
+        p = self._select(code, r - 1)
+        if p is None:
+            raise LogicError(f"occurrence {r - 1} of symbol {code + 1} is missing")
         return p
 
     def range_counts(self, lo: int, hi: int) -> dict[int, int]:
-        """Histogram of symbols in S[lo..hi] via one subtree walk."""
+        """Histogram of symbols in S[lo..hi] via one top-down split walk."""
         self._check_pos(lo)
         self._check_pos(hi)
         if lo > hi:
             raise RangeError(f"empty range [{lo}, {hi}]")
-        out: dict[int, int] = {}
-        c = self._digit_bits
-        stack = [(0, 0, lo - 1, hi)]
-        while stack:
-            lvl, node, cl, cr = stack.pop()
-            if cr <= cl:
-                continue
-            meta = self._nodes[lvl].get(node) if lvl < self._depth else None
-            if meta is None:
-                shift = (self._depth - lvl) * c
-                out[(node << shift) + 1] = cr - cl
-                continue
-            start, _, before = meta
-            store = self._levels[lvl]
-            self.tally.ranks += 2
-            if self.arity == 2:
-                r1l = store.rank1(start + cl) - before
-                r1r = store.rank1(start + cr) - before
-                z_l, z_r = cl - r1l, cr - r1r
-                if z_r > z_l:
-                    stack.append((lvl + 1, node << 1, z_l, z_r))
-                if r1r > r1l:
-                    stack.append((lvl + 1, (node << 1) | 1, r1l, r1r))
-            else:
-                vl = store.rank_all(start + cl)
-                vr = store.rank_all(start + cr)
-                for d in range(self.arity):
-                    a_l = vl[d] - before[d]
-                    a_r = vr[d] - before[d]
-                    if a_r > a_l:
-                        stack.append((lvl + 1, (node << c) | d, a_l, a_r))
+        out, ranks = self._split_walk(lo - 1, hi)
+        self.tally.ranks += ranks
         return out
 
     def to_array(self) -> np.ndarray:
-        """Rebuild the raw sequence (1-based symbols) from the tree."""
-        if self._raw_cache is not None:
-            return self._raw_cache
-        n, sigma, c = self.n, self.sigma, self._digit_bits
-        if self._depth == 0:
-            self._raw_cache = np.ones(n, dtype=np.int64)
-            return self._raw_cache
-        orig = np.arange(n)
-        nodes = np.zeros(n, dtype=np.int64)
-        for lvl in range(self._depth):
-            shift = (self._depth - lvl) * c
-            base = nodes << shift
-            size = np.minimum(sigma, base + (1 << shift)) - base
-            active = size >= 2
-            store = self._levels[lvl]
-            if self.arity == 2:
-                digs = store.to_numpy_bool().astype(np.int64)
-            else:
-                digs = store.digits.to_numpy().astype(np.int64)
-            nodes = nodes << c
-            nodes[active] |= digs
-            perm = np.argsort(nodes, kind="stable")
-            nodes = nodes[perm]
-            orig = orig[perm]
-        out = np.zeros(n, dtype=np.int64)
-        out[orig] = nodes + 1
-        self._raw_cache = out
-        return out
+        """Rebuild the raw sequence (1-based symbols), bottom level first."""
+        if self._raw_cache is None:
+            order = np.argsort(self._starts)  # codes in bottom-level block order
+            vals = np.repeat(order + 1, self.counts[order])
+            for store, zeros in reversed(self._levels):
+                bits = store.to_numpy_bool()
+                up = np.empty_like(vals)
+                up[~bits] = vals[:zeros]
+                up[bits] = vals[zeros:]
+                vals = up
+            self._raw_cache = vals
+        return self._raw_cache
 
     # -- serialization ------------------------------------------------------------------
 
     def write_to(self, w: ByteWriter) -> None:
         w.u64(self.n)
         w.u32(self.sigma)
-        w.u8(self.arity)
         w.u8(1 if self.compressed else 0)
-        w.u16(self._depth)
-        for lvl in range(self._depth):
-            store = self._levels[lvl]
-            if self.arity == 2:
-                w.u8(0)
-                w.blob(store.to_bytes())
-            else:
-                w.u8(1)
-                store.write_to(w)
+        for store, _ in self._levels:
+            w.blob(store.to_bytes())
 
     @classmethod
     def read_from(cls, r: ByteReader) -> "WaveletSequence":
         seq = cls()
         seq.n = r.u64()
         seq.sigma = r.u32()
-        seq.arity = r.u8()
         seq.compressed = bool(r.u8())
-        seq._digit_bits = seq.arity.bit_length() - 1
-        if seq.arity > 2 and seq.arity <= 16:
-            seq._kernel = TinyAlphabetKernel(seq.arity)
-        depth = r.u16()
-        seq._depth = depth
-        for _ in range(depth):
-            kind = r.u8()
-            if kind == 0:
-                seq._levels.append(bitvector_from_bytes(r.blob()))
-            elif kind == 1:
-                seq._levels.append(_DigitLevel.read_from(r, seq._kernel))
-            else:
-                raise FormatError(f"unknown level kind {kind}")
-        seq._derive_structure()
+        if not 1 <= seq.sigma <= seq.n:
+            raise FormatError(f"alphabet size {seq.sigma} outside [1, n = {seq.n}]")
+        for lvl in range((seq.sigma - 1).bit_length()):
+            store = bitvector_from_bytes(r.blob())
+            if store.n_bits != seq.n:
+                raise FormatError(f"level {lvl} holds {store.n_bits} bits, expected {seq.n}")
+            seq._add_level(store)
+        try:
+            found, _ = seq._split_walk(0, seq.n)
+        except (RangeError, NotFoundError) as exc:
+            raise FormatError(f"inconsistent sequence levels: {exc}") from exc
+        # the walk emits only non-empty nodes, so every count is positive
+        if len(found) != seq.sigma or max(found) > seq.sigma or sum(found.values()) != seq.n:
+            raise FormatError("sequence levels do not describe a dense alphabet of size sigma")
+        counts = np.zeros(seq.sigma, dtype=np.int64)
+        counts[np.fromiter(found, dtype=np.int64, count=len(found)) - 1] = list(found.values())
+        seq._set_counts(counts)
         return seq
 
     def to_bytes(self) -> bytes:
@@ -406,141 +303,3 @@ class WaveletSequence:
 
     def size_bits(self) -> int:
         return 8 * len(self.to_bytes())
-
-    def _derive_structure(self) -> None:
-        """Recompute node boundaries and symbol counts from the levels alone.
-
-        A node's child sizes follow from two rank probes at its edges, and
-        the size that reaches a single-symbol node is that symbol's total,
-        so nothing beyond (n, sigma, levels) needs to be persisted.
-        """
-        c = self._digit_bits
-        counts = np.zeros(self.sigma, dtype=np.int64)
-        self._nodes = []
-        if self._depth == 0:
-            counts[0] = self.n
-            self.counts = counts
-            return
-        cur = {0: self.n}
-        for lvl in range(self._depth):
-            shift = (self._depth - lvl) * c
-            store = self._levels[lvl]
-            meta: dict[int, tuple] = {}
-            offset = 0
-            nxt: dict[int, int] = {}
-            for node in sorted(cur):
-                length = cur[node]
-                before = self._before_at(store, offset)
-                meta[node] = (offset, length, before)
-                if self.arity == 2:
-                    ones = store.rank1(offset + length) - before
-                    child_lens = [length - ones, ones]
-                else:
-                    after = store.rank_all(offset + length)
-                    child_lens = [after[d] - before[d] for d in range(self.arity)]
-                for d, ln in enumerate(child_lens):
-                    if ln == 0:
-                        continue
-                    child = (node << c) | d
-                    base = child << (shift - c)
-                    end = min(self.sigma, base + (1 << (shift - c)))
-                    if end - base >= 2:
-                        nxt[child] = ln
-                    else:
-                        counts[base] = ln
-                offset += length
-            self._nodes.append(meta)
-            cur = nxt
-        self.counts = counts
-
-
-class _DigitLevel:
-    """One multiary level: packed digits plus per-digit block directories."""
-
-    def __init__(self, digits: PackedArray, width: int, dirs: np.ndarray, kernel=None):
-        self.digits = digits
-        self.width = width
-        self.dirs = dirs  # (arity, nblocks + 1) cumulative counts
-        self.kernel = kernel
-
-    @classmethod
-    def build(cls, digit_values: np.ndarray, width: int) -> "_DigitLevel":
-        arity = 1 << width
-        n = int(digit_values.size)
-        nblocks = (n + _DIGIT_BLOCK - 1) // _DIGIT_BLOCK
-        dirs = np.zeros((arity, nblocks + 1), dtype=np.int64)
-        for b in range(nblocks):
-            seg = digit_values[b * _DIGIT_BLOCK : (b + 1) * _DIGIT_BLOCK]
-            dirs[:, b + 1] = dirs[:, b] + np.bincount(seg, minlength=arity)
-        packed = PackedArray.from_values(width, digit_values.tolist())
-        return cls(packed, width, dirs)
-
-    @property
-    def n(self) -> int:
-        return self.digits.count
-
-    def get_digit(self, idx: int) -> int:
-        return self.digits.get(idx)
-
-    def _prefix_counts(self, block: int, rem: int) -> list[int]:
-        arity = 1 << self.width
-        syms = [self.digits.get(block * _DIGIT_BLOCK + i) for i in range(rem)]
-        if self.kernel is not None:
-            out = [0] * arity
-            cap = self.kernel.capacity
-            for s in range(0, len(syms), cap):
-                part = self.kernel.count_sequence(syms[s : s + cap])
-                for d in range(arity):
-                    out[d] += part[d]
-            return out
-        out = [0] * arity
-        for s in syms:
-            out[s] += 1
-        return out
-
-    def rank_digit(self, pos: int, d: int) -> int:
-        """Count of digit d among the first pos entries."""
-        block, rem = pos // _DIGIT_BLOCK, pos % _DIGIT_BLOCK
-        base = int(self.dirs[d][block])
-        if rem == 0:
-            return base
-        return base + self._prefix_counts(block, rem)[d]
-
-    def rank_all(self, pos: int) -> tuple:
-        block, rem = pos // _DIGIT_BLOCK, pos % _DIGIT_BLOCK
-        base = self.dirs[:, block]
-        if rem == 0:
-            return tuple(int(x) for x in base)
-        part = self._prefix_counts(block, rem)
-        return tuple(int(base[d]) + part[d] for d in range(1 << self.width))
-
-    def select_digit(self, r: int, d: int) -> int:
-        """1-based position of the r-th occurrence of digit d."""
-        col = self.dirs[d]
-        block = int(np.searchsorted(col, r, side="left")) - 1
-        need = r - int(col[block])
-        pos = block * _DIGIT_BLOCK
-        while True:
-            if self.digits.get(pos) == d:
-                need -= 1
-                if need == 0:
-                    return pos + 1
-            pos += 1
-
-    def to_numpy_digits(self) -> np.ndarray:
-        return self.digits.to_numpy()
-
-    def write_to(self, w: ByteWriter) -> None:
-        w.u8(self.width)
-        w.u64(self.digits.count)
-        w.words(self.digits.words)
-
-    @classmethod
-    def read_from(cls, r: ByteReader, kernel=None) -> "_DigitLevel":
-        width = r.u8()
-        count = r.u64()
-        packed = PackedArray(width, count, r.words())
-        vals = packed.to_numpy()
-        lvl = cls.build(vals, width)
-        lvl.kernel = kernel
-        return lvl

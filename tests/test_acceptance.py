@@ -6,11 +6,10 @@ ratios).  The randomized corpus is frozen by seed, so every run checks the
 same cases.
 """
 
-import itertools
 import math
 import random
 import time
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from rfq.corpus import uniform_string, zipf_string
 from rfq.indexfile import IndexBundle
 from rfq.listing import ListingIndex
 from rfq.sequence import WaveletSequence
-from rfq.swar import TinyAlphabetKernel
 
 Entry = namedtuple("Entry", "data ref sigma_drawn sigma_eff trade bundle")
 
@@ -204,41 +202,6 @@ def test_full_and_sparsified_listing_agree():
     print(f"\nlisting: {checked} ranges identical across g in (1, 2, 8, 64)")
 
 
-def test_counting_kernel_exhaustive_and_randomized():
-    """Packed counting equals scalar counting: exhaustively for alphabets
-    2 and 4, and on 100,000 random cases for alphabets 8 and 16."""
-    for alphabet in (2, 4):
-        k = TinyAlphabetKernel(alphabet)
-        cap = 1 << (2 * k.sym_bits)
-        for length in range(1, k.chunk + 1):
-            for syms in itertools.product(range(alphabet), repeat=length):
-                chunk = k.pack(syms)
-                acc = k.pad_correction(k.count_chunk(chunk), chunk.pad)
-                want = Counter(syms)
-                assert k.counts(acc) == [want.get(a, 0) for a in range(alphabet)]
-                for y in range(1, cap + 2):
-                    assert k.threshold_extract(acc, y) == [
-                        a for a in range(alphabet) if want.get(a, 0) >= y]
-
-    cases = 0
-    for alphabet in (8, 16):
-        k = TinyAlphabetKernel(alphabet)
-        rng = random.Random(alphabet)
-        cap = 1 << (2 * k.sym_bits)
-        for _ in range(50_000):
-            length = rng.randint(1, k.chunk)
-            syms = [rng.randrange(alphabet) for _ in range(length)]
-            chunk = k.pack(syms)
-            acc = k.pad_correction(k.count_chunk(chunk), chunk.pad)
-            want = Counter(syms)
-            assert k.counts(acc) == [want.get(a, 0) for a in range(alphabet)]
-            y = rng.randint(1, cap + 1)
-            assert k.threshold_extract(acc, y) == [
-                a for a in range(alphabet) if want.get(a, 0) >= y]
-            cases += 1
-    print(f"\nkernel: exhaustive alphabets 2 and 4; {cases} random cases for 8 and 16")
-
-
 def test_space_stays_within_envelopes():
     """Serialized size within 3.0 n H0 + 2^20 bits compressed and
     1.5 n ceil(lg sigma) + 2^20 bits plain, on a skewed million-symbol corpus."""
@@ -270,7 +233,6 @@ def test_serialization_round_trips_and_answers_stably():
             else uniform_string(n, sigma, seed=i)
         cfg = IndexConfig(trade=rng.choice([1, 8]),
                           compressed=bool(i % 4 == 0),
-                          arity=rng.choice([2, 4]),
                           build_check="never")
         bundle = IndexBundle.from_values(data, cfg)
         blob = bundle.to_bytes()

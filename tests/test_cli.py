@@ -151,6 +151,10 @@ def test_usage_errors(abra_index, tmp_path):
     assert main(["query", abra_index, "majority", "1", "11", "--tau", "0"]) == 2
     assert main(["query", abra_index, "majority", "0", "11", "--tau", ".5"]) == 2
     assert main(["build", str(tmp_path / "missing.bin")]) == 2
+    for removed in (["--arity", "4"], ["--full-family-range"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", str(tmp_path / "missing.bin"), *removed])
+        assert exc.value.code == 2  # unknown argument
 
 
 def test_corrupt_index_exits_three(tmp_path):

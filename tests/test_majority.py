@@ -37,21 +37,6 @@ def test_frozen_queries(canon_idx):
         (1, 5), (2, 2), (3, 2), (4, 1), (5, 1)]
 
 
-def test_frozen_chunk_successor(canon_idx):
-    # symbol 1 occurs at 1, 4, 6, 8, 11; chunks pair consecutive occurrences
-    assert canon_idx.chunk_successor(8, 5) == 6
-    assert canon_idx.chunk_successor(8, 8) == 8
-    assert canon_idx.chunk_successor(8, 9) is None  # next occurrence leaves the chunk
-    assert canon_idx.chunk_successor(8, 3) is None  # successor precedes the chunk
-
-
-def test_frozen_check_candidate(canon_idx):
-    assert canon_idx.check_candidate(4, 4, 8, 0.5) == (1, 3)
-    assert canon_idx.check_candidate(7, 4, 8, 0.5) == (5, None)
-    # threshold 0: a single occurrence already clears it
-    assert canon_idx.check_candidate(7, 4, 8, 0.05) == (5, 1)
-
-
 def test_verify_modes_agree(canon_idx):
     for lo in range(1, 12):
         for hi in range(lo, 12):
@@ -134,7 +119,7 @@ def test_flagged_path_with_no_set_bits_in_range():
     IndexConfig(trade=1, build_check="always"),
     IndexConfig(trade=1, verify_mode="rank", build_check="always"),
     IndexConfig(trade=8, chunk_len=5, build_check="always"),
-    IndexConfig(trade=2, compressed=True, arity=4, build_check="always"),
+    IndexConfig(trade=2, compressed=True, build_check="always"),
     IndexConfig(trade=1, family_min_n=4, chunk_len=2, build_check="always"),
 ])
 def test_random_vs_oracle(cfg):

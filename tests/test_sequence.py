@@ -67,18 +67,12 @@ def test_rejects_sparse_alphabet():
         build([1, 3, 1])  # symbol 2 never occurs
 
 
-def test_rejects_bad_arity():
-    with pytest.raises(Exception):
-        build([1, 2, 1], arity=3)
-
-
 # -- randomized equivalence against direct counting -------------------------------
 
 
-@pytest.mark.parametrize("arity", [2, 4, 16])
 @pytest.mark.parametrize("compressed", [False, True])
-def test_random_vs_brute(arity, compressed):
-    rng = random.Random(arity * 2 + compressed)
+def test_random_vs_brute(compressed):
+    rng = random.Random(compressed)
     for trial in range(8):
         n = rng.randint(1, 500)
         sigma = rng.choice([1, 2, 3, 7, 40, 257])
@@ -87,7 +81,7 @@ def test_random_vs_brute(arity, compressed):
         data = [rng.randint(1, sigma) for _ in range(n)]
         for a, k in zip(range(1, sigma + 1), rng.sample(range(n), sigma)):
             data[k] = a  # keep the alphabet dense
-        seq = build(data, arity=arity, compressed=compressed)
+        seq = build(data, compressed=compressed)
         assert seq.to_array().tolist() == data
         for _ in range(60):
             k = rng.randint(1, n)
@@ -148,22 +142,32 @@ def test_tally_policy(canon_seq):
 # -- serialization and size ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("arity", [2, 4, 16])
+@pytest.mark.parametrize("sigma", [1, 2, 3, 257])
 @pytest.mark.parametrize("compressed", [False, True])
-def test_bytes_round_trip(arity, compressed):
-    rng = random.Random(10 * arity + compressed)
-    data = [rng.randint(1, 37) for _ in range(800)]
-    for a, k in zip(range(1, 38), rng.sample(range(800), 37)):
+def test_bytes_round_trip(sigma, compressed):
+    rng = random.Random(10 * sigma + compressed)
+    n = 800
+    # mostly symbol 1, so compressed mode picks the sparse encoding
+    data = [1 if rng.random() < 0.9 else rng.randint(1, sigma) for _ in range(n)]
+    for a, k in zip(range(1, sigma + 1), rng.sample(range(n), sigma)):
         data[k] = a
-    seq = build(data, arity=arity, compressed=compressed)
+    seq = build(data, compressed=compressed)
+    if compressed and sigma > 1:
+        assert seq.size_bits() < build(data).size_bits()
     blob = seq.to_bytes()
     back = WaveletSequence.read_from(ByteReader(blob))
     assert back.to_bytes() == blob
-    assert back.to_array().tolist() == data
     assert back.n == seq.n and back.sigma == seq.sigma
-    for k in range(1, 801, 41):
-        assert back.access(k) == seq.access(k)
-        assert back.rank(5, k) == seq.rank(5, k)
+    assert back.counts.tolist() == seq.counts.tolist()
+    assert back.to_array().tolist() == seq.to_array().tolist() == data
+    for k in range(1, n + 1, 17):
+        a = rng.randint(1, sigma)
+        assert back.rank(a, k) == seq.rank(a, k)
+        r = rng.randint(1, seq.symbol_count(a) + 1)
+        assert back.select(a, r) == seq.select(a, r)
+        assert back.locate(k) == seq.locate(k)
+        lo = rng.randint(1, k)
+        assert back.range_counts(lo, k) == seq.range_counts(lo, k)
 
 
 @pytest.mark.parametrize("n,sigma", [(5000, 657), (20000, 953)])

@@ -1,11 +1,12 @@
 """Byte-level primitives and full index round trips."""
 
 import random
+import struct
 
 import numpy as np
 import pytest
 
-from rfq import IndexConfig, oracle
+from rfq import BitVector, IndexConfig, oracle
 from rfq.corpus import zipf_string
 from rfq.errors import FormatError
 from rfq.indexfile import IndexBundle
@@ -70,7 +71,7 @@ def assert_same_answers(a: IndexBundle, b: IndexBundle, queries):
 @pytest.mark.parametrize("cfg", [
     IndexConfig(trade=1, build_check="never"),
     IndexConfig(trade=8, chunk_len=64, verify_mode="rank", compressed=True,
-                arity=4, family_min_n=32, build_check="never"),
+                family_min_n=32, build_check="never"),
 ])
 def test_bundle_bit_exact_round_trip(cfg):
     rng = random.Random(cfg.trade)
@@ -123,15 +124,39 @@ def test_mode_tie_breaks_to_lexicographic_smallest_token():
 
 def test_format_errors():
     data = zipf_string(100, 5, seed=1)
-    blob = IndexBundle.from_values(data, IndexConfig(build_check="never")).to_bytes()
+    bundle = IndexBundle.from_values(data, IndexConfig(build_check="never"))
+    blob = bundle.to_bytes()
     with pytest.raises(FormatError):
         IndexBundle.from_bytes(b"WRNG" + blob[4:])
     with pytest.raises(FormatError):
         IndexBundle.from_bytes(blob[:4] + b"\xff\xff" + blob[6:])  # bad version
     with pytest.raises(FormatError):
+        IndexBundle.from_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])  # version 1
+    with pytest.raises(FormatError):
         IndexBundle.from_bytes(blob + b"\x00")  # trailing junk
     with pytest.raises(FormatError):
         IndexBundle.from_bytes(blob[:-3])  # truncated
+
+    # the sequence section is n (u64), sigma (u32), compressed (u8), then
+    # one bitvector blob per level
+    seq_bytes = bundle.seq.to_bytes()
+    at = blob.index(seq_bytes)
+    rest = blob[at + len(seq_bytes):]
+    n, sigma = bundle.seq.n, bundle.seq.sigma
+    with pytest.raises(FormatError):  # sigma = n + 1
+        IndexBundle.from_bytes(blob[:at + 8] + struct.pack("<I", n + 1) + blob[at + 12:])
+    # all-zero levels: one level short of n, then full length, where the
+    # derived counts hold only symbol 1
+    for first_len in (n - 1, n):
+        w = ByteWriter()
+        w.u64(n)
+        w.u32(sigma)
+        w.u8(0)
+        w.blob(BitVector.from_bits([0] * first_len).to_bytes())
+        for _ in range(1, (sigma - 1).bit_length()):
+            w.blob(BitVector.from_bits([0] * n).to_bytes())
+        with pytest.raises(FormatError):
+            IndexBundle.from_bytes(blob[:at] + w.getvalue() + rest)
 
 
 def test_save_load(tmp_path):
