@@ -70,12 +70,14 @@ def test_rejects_sparse_alphabet():
 # -- randomized equivalence against direct counting -------------------------------
 
 
+@pytest.mark.parametrize("pow2", [2, 4, 16])
 @pytest.mark.parametrize("compressed", [False, True])
-def test_random_vs_brute(compressed):
-    rng = random.Random(compressed)
+def test_random_vs_brute(pow2, compressed):
+    # pow2 - 1, pow2 and pow2 + 1 straddle a change in the number of levels
+    rng = random.Random(pow2 * 2 + compressed)
     for trial in range(8):
         n = rng.randint(1, 500)
-        sigma = rng.choice([1, 2, 3, 7, 40, 257])
+        sigma = rng.choice([1, 2, 3, 7, 40, 257, pow2 - 1, pow2, pow2 + 1])
         if sigma > n:
             sigma = n
         data = [rng.randint(1, sigma) for _ in range(n)]
@@ -142,7 +144,7 @@ def test_tally_policy(canon_seq):
 # -- serialization and size ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("sigma", [1, 2, 3, 257])
+@pytest.mark.parametrize("sigma", [1, 2, 3, 4, 16, 257])
 @pytest.mark.parametrize("compressed", [False, True])
 def test_bytes_round_trip(sigma, compressed):
     rng = random.Random(10 * sigma + compressed)
