@@ -13,6 +13,7 @@ from rfq.bits import (
     bitvector_from_bytes,
 )
 from rfq.errors import DomainError, FormatError, NotFoundError, RangeError
+from rfq.serial import FORMAT_VERSION, MAGIC_BITS, ByteWriter
 
 
 def brute_rank(bits, p):
@@ -77,6 +78,30 @@ def test_bitvector_block_boundaries(n):
             assert bv.select1(r) == brute_select(bits, r)
     for p in range(1, n + 1):
         assert bv.get(p) == bits[p - 1]
+
+
+@pytest.mark.parametrize("density", [0, 0.01, 0.5, 0.99, 1])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 511, 512, 513, 4095, 4097, 70001])
+def test_select_every_rank(n, density):
+    # spans several select samples and superblocks, skewed densities and a
+    # partial last word; the sparse select0 must agree with the plain one
+    arr = np.random.default_rng(n).random(n) < density
+    bv = BitVector.from_numpy_bool(arr)
+    for bit, select in ((1, bv.select1), (0, bv.select0)):
+        want = (np.flatnonzero(arr == bit) + 1).tolist()
+        assert [select(r) for r in range(1, len(want) + 1)] == want
+        with pytest.raises(RangeError):
+            select(0)
+        with pytest.raises(NotFoundError):
+            select(len(want) + 1)
+    sparse = SparseBitVector.from_numpy_bool(arr)
+    zeros = bv.n_bits - bv.ones
+    assert [sparse.select0(r) for r in range(1, zeros + 1)] == [
+        bv.select0(r) for r in range(1, zeros + 1)]
+    with pytest.raises(RangeError):
+        sparse.select0(0)
+    with pytest.raises(NotFoundError):
+        sparse.select0(zeros + 1)
 
 
 def test_bitvector_select_rank_inverse():
@@ -180,6 +205,46 @@ def test_bitvector_bytes_round_trip(cls):
     assert type(back) is cls
     assert back == orig
     assert back.to_bytes() == orig.to_bytes()
+
+
+def sparse_blob(n_bits, ones, low_width, lows, upper_bits):
+    """A kind-1 bitvector blob written field by field, consistent or not."""
+    w = ByteWriter()
+    w.raw(MAGIC_BITS)
+    w.u16(FORMAT_VERSION)
+    w.u8(1)
+    w.u64(n_bits)
+    w.u64(ones)
+    w.u8(low_width)
+    w.words(PackedArray.from_values(low_width, lows).words)
+    upper = BitVector.from_bits(upper_bits)
+    w.u64(upper.n_bits)
+    w.words(upper.words)
+    return w.getvalue()
+
+
+def test_sparse_bytes_rejects_inconsistent_fields():
+    # 100 ones in 1000 bits and 99 in 1000 both give 4 low bits and 63 buckets
+    rng = random.Random(4)
+    sv = SparseBitVector.from_ones(sorted(rng.sample(range(1, 1000), 99)) + [1000], 1000)
+    n, m, width = sv.n_bits, sv.ones, sv.low_width
+    lows = sv.low.to_numpy().tolist()
+    upper = sv.upper.to_numpy_bool().tolist()
+    assert sparse_blob(n, m, width, lows, upper) == sv.to_bytes()
+    with pytest.raises(FormatError, match="ones in"):
+        bitvector_from_bytes(sparse_blob(n, n + 1, width, lows, upper))
+    with pytest.raises(FormatError, match="low width"):
+        bitvector_from_bytes(sparse_blob(n, m, width + 1, lows, upper))
+    with pytest.raises(FormatError, match="upper part holds 164 bits"):
+        bitvector_from_bytes(sparse_blob(n, m, width, lows, upper + [False]))
+    # the header claims one set bit fewer than the upper part holds; the upper
+    # part drops its last (terminating) zero so its length fits m - 1 ones
+    assert upper[-1] is False
+    with pytest.raises(FormatError, match="header says 99"):
+        bitvector_from_bytes(sparse_blob(n, m - 1, width, lows[:-1], upper[:-1]))
+    # the last set bit (1000 = bucket 62, low 7) decodes to 1008
+    with pytest.raises(FormatError, match="beyond 1000 bits"):
+        bitvector_from_bytes(sparse_blob(n, m, width, lows[:-1] + [15], upper))
 
 
 def test_bitvector_bytes_bad_magic():

@@ -1,6 +1,7 @@
 """Flag-family builders: vectorized construction vs the quadratic references."""
 
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def test_window_qualifies_matches_slow():
 
 @pytest.mark.parametrize("kind", ["candidate", "anchor", "distinct"])
 def test_fast_matches_slow(kind):
-    rng = random.Random(hash(kind) % 1000)
+    rng = random.Random(zlib.crc32(kind.encode()) % 1000)
     for _ in range(60):
         n = rng.randint(1, 48)
         sigma = rng.choice([1, 2, 4, 6])
