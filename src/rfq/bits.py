@@ -99,35 +99,31 @@ class PackedArray:
         return v & ((1 << self.width) - 1)
 
     def to_numpy(self) -> np.ndarray:
-        """Vectorized decode of all values."""
-        if self.count == 0 or self.width == 0:
-            return np.zeros(self.count, dtype=np.int64)
-        w = np.array(self.words + [0], dtype=np.uint64)
-        starts = np.arange(self.count, dtype=np.uint64) * np.uint64(self.width)
-        wi = (starts >> np.uint64(6)).astype(np.int64)
-        off = starts & np.uint64(63)
-        lo = w[wi] >> off
-        shift = np.uint64(64) - off
-        hi = np.where(off > 0, w[wi + 1] << (shift % np.uint64(64)), np.uint64(0))
-        vals = (lo | hi) & np.uint64((1 << self.width) - 1)
-        return vals.astype(np.int64)
+        """Vectorized decode of all values, in the smallest unsigned dtype."""
+        raw = np.array(self.words, dtype="<u8").view(np.uint8)
+        bits = np.unpackbits(raw, count=self.count * self.width, bitorder="little")
+        weights = (1 << np.arange(self.width)).astype(np.min_scalar_type((1 << self.width) - 1))
+        return bits.reshape(self.count, self.width) @ weights
 
 
-def _build_rank_dir(words: list[int]):
-    sup = [0] * ((len(words) + _SUPER_WORDS - 1) // _SUPER_WORDS + 1)
-    mid = [0] * (len(words) + 1)
-    total = 0
-    within = 0
-    for wi, word in enumerate(words):
-        if wi % _SUPER_WORDS == 0:
-            sup[wi // _SUPER_WORDS] = total
-            within = 0
-        mid[wi] = within
-        pc = word.bit_count()
-        within += pc
-        total += pc
-    sup[(len(words) + _SUPER_WORDS - 1) // _SUPER_WORDS] = total
-    return sup, mid, total
+def _directories(words: list[int], n_bits: int):
+    """Rank directory and select samples of a word list, built with numpy.
+
+    sup[s] counts the ones before superblock s (plus a final total), mid[w]
+    the ones before word w inside its superblock; sel1[j] and sel0[j] are
+    the words holding the (512 j + 1)-th one and zero.
+    """
+    nw = len(words)
+    pc = np.bitwise_count(np.array(words, dtype=np.uint64))
+    ones_by = pc.cumsum(dtype=np.int64)
+    before = ones_by - pc
+    ones = int(ones_by[-1]) if nw else 0
+    starts = before[::_SUPER_WORDS]
+    mid = before - np.repeat(starts, _SUPER_WORDS)[:nw]
+    zeros_by = np.minimum(np.arange(64, 64 * nw + 1, 64), n_bits) - ones_by
+    sel1 = np.searchsorted(ones_by, np.arange(1, ones + 1, _SELECT_SAMPLE))
+    sel0 = np.searchsorted(zeros_by, np.arange(1, n_bits - ones + 1, _SELECT_SAMPLE))
+    return starts.tolist() + [ones], mid.tolist() + [0], ones, sel1.tolist(), sel0.tolist()
 
 
 class BitVector:
@@ -142,29 +138,8 @@ class BitVector:
             raise FormatError("stray bits beyond declared length")
         self.n_bits = n_bits
         self.words = words
-        self._sup, self._mid, self.ones = _build_rank_dir(words)
-        self._build_select_samples()
+        self._sup, self._mid, self.ones, self._sel1, self._sel0 = _directories(words, n_bits)
         self._size_cache = None
-
-    def _build_select_samples(self):
-        sel1, sel0 = [], []
-        cum1 = cum0 = 0
-        t1 = t0 = 1
-        for wi, word in enumerate(self.words):
-            pc = word.bit_count()
-            valid = min(64, self.n_bits - 64 * wi)
-            zc = valid - pc
-            while t1 <= self.ones and cum1 + pc >= t1:
-                sel1.append(wi)
-                t1 += _SELECT_SAMPLE
-            zeros_total = self.n_bits - self.ones
-            while t0 <= zeros_total and cum0 + zc >= t0:
-                sel0.append(wi)
-                t0 += _SELECT_SAMPLE
-            cum1 += pc
-            cum0 += zc
-        self._sel1 = sel1
-        self._sel0 = sel0
 
     # -- construction helpers -------------------------------------------------
 
@@ -263,11 +238,8 @@ class BitVector:
         return (wi << 6) + _select_in_word(self.words[wi] ^ _M64, r) + 1
 
     def to_numpy_bool(self) -> np.ndarray:
-        raw = np.frombuffer(
-            np.array(self.words, dtype="<u8").tobytes(), dtype=np.uint8
-        )
-        bits = np.unpackbits(raw, bitorder="little")
-        return bits[: self.n_bits].astype(bool)
+        raw = np.array(self.words, dtype="<u8").view(np.uint8)
+        return np.unpackbits(raw, count=self.n_bits, bitorder="little").view(bool)
 
     # -- serialization -----------------------------------------------------------
 
@@ -431,7 +403,7 @@ class SparseBitVector:
         if self.ones:
             highs = np.flatnonzero(self.upper.to_numpy_bool()) + 1
             h = highs - np.arange(1, self.ones + 1)
-            vals = (h.astype(np.int64) << self.low_width) | self.low.to_numpy()
+            vals = (h.astype(np.uint64) << np.uint64(self.low_width)) | self.low.to_numpy()
             arr[vals] = True
         return arr
 
@@ -493,6 +465,11 @@ def bitvector_from_bytes(data: bytes):
         upper = BitVector(r.words(), upper_len)
         if upper.ones != ones:
             raise FormatError(f"sparse upper part holds {upper.ones} ones, header says {ones}")
+        # consecutive ones of the upper part share a bucket, whose lows must rise
+        same_bucket = np.diff(np.flatnonzero(upper.to_numpy_bool())) == 1
+        lows = low.to_numpy()
+        if (same_bucket & (lows[1:] <= lows[:-1])).any():
+            raise FormatError("sparse set positions are not strictly increasing")
         sbv = SparseBitVector(n_bits, ones, low_width, low, upper)
         if ones and sbv.select1(ones) > n_bits:
             raise FormatError(f"sparse set position beyond {n_bits} bits")
@@ -534,7 +511,7 @@ class RmqIndex:
         k = width.bit_length() - 1
         span = 1 << k
         lvl = self._levels[k]
-        a = int(lvl[l - 1])
-        b = int(lvl[r - span])
-        best = a if self.values[a] <= self.values[b] else b
+        a = lvl.item(l - 1)
+        b = lvl.item(r - span)
+        best = a if self.values.item(a) <= self.values.item(b) else b
         return best + 1

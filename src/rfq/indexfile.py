@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import IndexConfig
-from .errors import DomainError, FormatError
+from .errors import ConfigError, DomainError, FormatError
 from .listing import ListingIndex
 from .majority import MajorityIndex, build_majority_index
 from .minority import MinorityIndex, build_minority_index
@@ -71,7 +71,7 @@ class IndexBundle:
     def _build(cls, dense, config, originals, tokens) -> "IndexBundle":
         config = config or IndexConfig()
         seq = WaveletSequence.build(dense, compressed=config.compressed)
-        listing = ListingIndex.for_sequence(seq, config.trade)
+        listing = ListingIndex.for_sequence(seq, config.trade, dense)
         maj = build_majority_index(dense, config, seq=seq, listing=listing)
         mino = build_minority_index(dense, config, seq=seq, listing=listing)
         return cls(maj, mino, originals, tokens)
@@ -154,14 +154,20 @@ class IndexBundle:
         r.expect_version()
         by_code = {v: k for k, v in _VERIFY_CODES.items()}
         check_by_code = {v: k for k, v in _CHECK_CODES.items()}
-        cfg = IndexConfig(
-            trade=r.u32(),
-            chunk_len=r.u32(),
-            verify_mode=by_code[r.u8()],
-            compressed=bool(r.u8()),
-            family_min_n=r.u32(),
-            build_check=check_by_code[r.u8()],
-        )
+        trade, chunk_len, verify = r.u32(), r.u32(), r.u8()
+        compressed, family_min_n, check = bool(r.u8()), r.u32(), r.u8()
+        try:
+            # an unknown code passes through as itself, which the config rejects
+            cfg = IndexConfig(
+                trade=trade,
+                chunk_len=chunk_len,
+                verify_mode=by_code.get(verify, verify),
+                compressed=compressed,
+                family_min_n=family_min_n,
+                build_check=check_by_code.get(check, check),
+            )
+        except ConfigError as exc:
+            raise FormatError(f"corrupt index header: {exc}") from exc
         kind = r.u8()
         originals = tokens = None
         if kind == _REMAP_TOKENS:
@@ -174,6 +180,8 @@ class IndexBundle:
             raise FormatError(f"unknown remap kind {kind}")
         seq = WaveletSequence.read_from(r)
         listing = ListingIndex.read_from(r)
+        if listing.n != seq.n:
+            raise FormatError(f"listing covers {listing.n} positions, sequence {seq.n}")
         listing.attach_sequence(seq)
         cand, anch, prev = MajorityIndex.read_families(r)
         dist = MinorityIndex.read_families(r)

@@ -6,18 +6,22 @@ its symbol inside the range exactly when C[k] < lo, so enumerating
 distinct symbols reduces to finding small C values, driven by a range
 minimum structure.
 
-Two shapes of the structure exist.  The full one (block size 1) keeps a
-minimum-position table over all of C and reads the value at each reported
-argmin back through its value source.  The sparsified one keeps only one
-summary cell per block of `block` positions, the minimum of the block;
-queries scan the two partial boundary blocks cell by cell and recurse over
-whole blocks, skipping any block run whose summary minimum already rules
-out a hit.  Every scanned interior block contributes at least one result,
-which caps value probes at block * (2 * reported + 2).
+The structure keeps one summary cell per block of `block` positions, the
+minimum of C over the block, and a range-minimum table over the
+summaries.  A query scans the cells of a boundary block that the range
+covers only partly, and recurses over the blocks it covers whole: each
+step takes the block run's minimum block and either rules the run out by
+its summary or scans that block and recurses on both sides.  Each step
+probes the minimum it lands on once, through the summary or through the
+block's cells, and every whole block scanned reports at least one
+position, which caps value probes at block * (2 * reported + 2).  With block size 1
+the summaries are C itself: they are derived from the sequence on first
+use and never stored in the file, and the query is the plain range-minimum
+recursion over C.
 
-The value source is either an explicit array (probes are then plain array
-reads) or the sequence itself, where one probe costs one partial rank and
-one select.
+Cell values come either from an explicit array (probes are then plain
+array reads) or from the sequence itself, where one probe costs one
+partial rank and one select.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bits import RmqIndex
-from .errors import DomainError, LogicError, RangeError
+from .errors import DomainError, FormatError, LogicError, RangeError
 from .serial import ByteReader, ByteWriter
 
 _SENTINEL = np.iinfo(np.int64).max
@@ -49,6 +53,8 @@ def prev_occurrence_array(symbols: np.ndarray) -> np.ndarray:
 
 def block_minima(values: np.ndarray, block: int) -> np.ndarray:
     v = np.asarray(values, dtype=np.int64)
+    if block == 1:
+        return v  # one cell per block: the minima are the values themselves
     nb = (v.size + block - 1) // block
     padded = np.full(nb * block, _SENTINEL, dtype=np.int64)
     padded[: v.size] = v
@@ -61,8 +67,8 @@ class ListingIndex:
             raise DomainError(f"block size must be >= 1, got {block}")
         self.n = n
         self.block = block
-        self.cprime: np.ndarray | None = None  # block minima, block > 1 only
-        self._values: np.ndarray | None = None  # full C, derived data
+        self.cprime: np.ndarray | None = None  # block minima; C itself at block 1
+        self._values: np.ndarray | None = None  # full C when probes read an array
         self._seq = None
         self._rmq: RmqIndex | None = None
         self.last_stats: dict[str, int] = {"probes": 0, "steps": 0, "reported": 0}
@@ -75,13 +81,15 @@ class ListingIndex:
         v = np.asarray(values, dtype=np.int64)
         li = cls(int(v.size), block)
         li._values = v
-        if block > 1:
-            li.cprime = block_minima(v, block)
+        li.cprime = block_minima(v, block)
         return li
 
     @classmethod
-    def for_sequence(cls, seq, block: int) -> "ListingIndex":
-        li = cls.build_from_values(prev_occurrence_array(seq.to_array()), block)
+    def for_sequence(cls, seq, block: int, symbols=None) -> "ListingIndex":
+        """Engine over seq; `symbols`, the dense array seq was built from,
+        spares decoding the sequence back."""
+        raw = seq.to_array() if symbols is None else symbols
+        li = cls.build_from_values(prev_occurrence_array(raw), block)
         li.attach_sequence(seq)
         return li
 
@@ -93,20 +101,11 @@ class ListingIndex:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _probe(self, k: int) -> int:
-        self.last_stats["probes"] += 1
-        if self._values is None:
-            return self._seq.prev_occurrence(k)
-        return int(self._values[k - 1])
-
     def _ensure_rmq(self) -> RmqIndex:
         if self._rmq is None:
-            if self.block == 1:
-                if self._values is None:
-                    self._values = prev_occurrence_array(self._seq.to_array())
-                self._rmq = RmqIndex(self._values)
-            else:
-                self._rmq = RmqIndex(self.cprime)
+            if self.cprime is None:  # block size 1 keeps C out of the file
+                self.cprime = self._values = prev_occurrence_array(self._seq.to_array())
+            self._rmq = RmqIndex(self.cprime)
         return self._rmq
 
     # -- the query ---------------------------------------------------------------
@@ -122,64 +121,53 @@ class ListingIndex:
             raise RangeError(f"range [{lo}, {hi}] outside [1, {self.n}]")
         if limit is None:
             limit = self.n
-        self.last_stats = {"probes": 0, "steps": 0, "reported": 0}
         out: list[int] = []
         if hi < lo or limit <= 0:
+            self.last_stats = {"probes": 0, "steps": 0, "reported": 0}
             return out
-        seen: set[int] = set()
-
-        def report(k: int) -> None:
-            if k not in seen:
-                seen.add(k)
-                out.append(k)
+        probes = steps = 0
+        rmq = self._ensure_rmq()  # first, since at block size 1 it derives C
+        values, seq, cprime = self._values, self._seq, self.cprime
+        # C[i + 1]: a plain read, or a partial rank and a select on seq
+        read = values.item if values is not None else (lambda i: seq.prev_occurrence(i + 1))
 
         def scan(a: int, b: int) -> None:
+            nonlocal probes
             for k in range(a, b + 1):
                 if len(out) >= limit:
                     return
-                if self._probe(k) < lo:
-                    report(k)
+                probes += 1
+                if read(k - 1) < lo:
+                    out.append(k)
 
-        g = self.block
-        if g == 1:
-            rmq = self._ensure_rmq()
-            stack = [(lo, hi)]
+        g, n = self.block, self.n
+        # blocks (1-based) first..last lie wholly inside [lo..hi]; the cells
+        # before and after them belong to partly covered boundary blocks
+        first = (lo - 2) // g + 2
+        last = (n + g - 1) // g if hi == n else hi // g
+        left_end = min((first - 1) * g, hi)
+        right_start = max(last * g + 1, left_end + 1)
+        if lo <= left_end:
+            scan(lo, left_end)
+        if right_start <= hi:
+            scan(right_start, hi)
+        if first <= last and len(out) < limit:
+            stack = [(first, last)]
             while stack and len(out) < limit:
-                self.last_stats["steps"] += 1
+                steps += 1
                 l, r = stack.pop()
                 if l > r:
                     continue
-                m = rmq.query(l, r)
-                if self._probe(m) >= lo:
+                b = rmq.query(l, r)
+                if cprime.item(b - 1) >= lo:
+                    probes += 1  # the summary rules the whole run out
                     continue
-                report(m)
-                stack.append((m + 1, r))
-                stack.append((l, m - 1))
-            if self.last_stats["steps"] > 4 * limit + 4:
-                raise LogicError(f"listing took {self.last_stats['steps']} steps for limit {limit}")
-        else:
-            b_lo = (lo - 1) // g
-            b_hi = (hi - 1) // g
-            if b_lo == b_hi:
-                scan(lo, hi)
-            else:
-                scan(lo, (b_lo + 1) * g)
-                scan(b_hi * g + 1, hi)
-                if b_lo + 1 <= b_hi - 1 and len(out) < limit:
-                    rmq = self._ensure_rmq()
-                    stack = [(b_lo + 1, b_hi - 1)]
-                    while stack and len(out) < limit:
-                        self.last_stats["steps"] += 1
-                        l, r = stack.pop()
-                        if l > r:
-                            continue
-                        mb = rmq.query(l + 1, r + 1) - 1
-                        if int(self.cprime[mb]) >= lo:
-                            continue
-                        scan(mb * g + 1, min((mb + 1) * g, self.n))
-                        stack.append((mb + 1, r))
-                        stack.append((l, mb - 1))
-        self.last_stats["reported"] = len(out)
+                scan((b - 1) * g + 1, min(b * g, n))
+                stack.append((b + 1, r))
+                stack.append((l, b - 1))
+            if steps > 4 * limit + 4:
+                raise LogicError(f"listing took {steps} steps for limit {limit}")
+        self.last_stats = {"probes": probes, "steps": steps, "reported": len(out)}
         return out
 
     # -- serialization --------------------------------------------------------------
@@ -194,9 +182,14 @@ class ListingIndex:
     def read_from(cls, r: ByteReader) -> "ListingIndex":
         n = r.u64()
         block = r.u32()
+        if block == 0:
+            raise FormatError("listing block size is 0")
         li = cls(n, block)
         if block > 1:
             li.cprime = r.np_u32().astype(np.int64)
+            nb = (n + block - 1) // block
+            if li.cprime.size != nb:
+                raise FormatError(f"listing holds {li.cprime.size} block minima, expected {nb}")
         return li
 
     def size_bits(self) -> int:

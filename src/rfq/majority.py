@@ -19,9 +19,10 @@ Dispatch picks one of four strategies:
   cannot be reached from the flagged position through its occurrence
   chunk are settled in a second pass over the anchor family.
 * sequential: no family covers the scale, which only happens when the
-  range is short relative to 1/tau; scan it with a linked skip list
-  (plain) or chunk by chunk (segmented, used when sparsification makes
-  short uncovered ranges longer).
+  range is short relative to 1/tau; scan it once with `RangeScan`, which
+  visits each symbol at its leftmost occurrence (plain), or chunk by chunk
+  (segmented, used when sparsification makes short uncovered ranges
+  longer).
 
 Verification styles: "check_lemma" certifies a candidate at its in-range
 leftmost occurrence r with a single select probe (is occurrence r + thr
@@ -70,6 +71,51 @@ def _tier(tau: float) -> int:
     # ceil(lg(1/tau)); frexp is exact, so tau = m * 2**e with m in [0.5, 1)
     # gives lg(1/tau) = -e + lg(1/m) with lg(1/m) in (0, 1]
     return 1 - math.frexp(tau)[1]
+
+
+class RangeScan:
+    """Left-to-right scan of x..y that visits each symbol once.
+
+    `heads` yields each position not yet visited, which is the leftmost
+    remaining occurrence of its symbol; `sweep` marks that symbol's later
+    occurrences up to y visited, one select each.
+    """
+
+    __slots__ = ("seq", "x", "y", "_visited")
+
+    def __init__(self, seq: WaveletSequence, x: int, y: int):
+        self.seq = seq
+        self.x = x
+        self.y = y
+        self._visited = bytearray(y - x + 1)
+
+    def heads(self):
+        visited = self._visited
+        i = visited.find(0)
+        while i >= 0:
+            visited[i] = 1
+            yield self.x + i
+            i = visited.find(0, i + 1)
+
+    def sweep(self, a: int, r: int, p: int, last_rank: int | None = None) -> tuple[int, int]:
+        """Visit a's occurrences after occurrence r (at position p) up to y.
+
+        Without last_rank the sweep stops at the first select past y; with
+        it, at occurrence last_rank, known to be a's last up to y, so no
+        terminating select is paid.  Returns the number of occurrences
+        visited and the position of the last one (p when none).
+        """
+        seq, x, y, visited = self.seq, self.x, self.y, self._visited
+        count = 0
+        while last_rank is None or r < last_rank:
+            q = seq.select(a, r + 1)
+            if q is None or q > y:
+                break
+            visited[q - x] = 1
+            r += 1
+            count += 1
+            p = q
+        return count, p
 
 
 class MajorityIndex:
@@ -248,39 +294,19 @@ class MajorityIndex:
         """Scan a short range once, skipping processed symbols as we go."""
         seq = self.seq
         diag.path = "sequential"
-        span = hi - lo + 1
-        nxt = list(range(1, span + 2))
-        prv = list(range(-1, span + 1))
-
-        def drop(node):
-            nxt[prv[node]] = nxt[node]
-            if nxt[node] <= span:
-                prv[nxt[node]] = prv[node]
-
-        cur = nxt[0]
-        while cur <= span:
-            k = lo + cur - 1
+        scan = RangeScan(seq, lo, hi)
+        for k in scan.heads():
             diag.candidates += 1
             if mode == "rank":
                 a = seq.access(k)
                 r = seq.rank(a, lo - 1) + 1
                 occ = seq.rank(a, hi) - r + 1
-                for s in range(1, occ):
-                    p = seq.select(a, r + s)
-                    drop(p - lo + 1)
+                scan.sweep(a, r, k, last_rank=r + occ - 1)
             else:
                 a, r = seq.locate(k)
-                occ = 1
-                while True:
-                    p = seq.select(a, r + occ)
-                    if p is None or p > hi:
-                        break
-                    drop(p - lo + 1)
-                    occ += 1
+                occ = 1 + scan.sweep(a, r, k)[0]
             if occ > thr:
                 out.append((a, occ))
-            drop(cur)
-            cur = nxt[0]
 
     def _segmented(self, lo, hi, tau, thr, mode, out, diag):
         """Chunked scan for sparsified indexes.
@@ -288,65 +314,32 @@ class MajorityIndex:
         Processes ceil(1/tau)-element segments left to right.  Known
         majorities get their occurrences inside each segment deleted up
         front, so each contributes O(1) extra work per segment; every
-        remaining head is certified against the full range.
+        remaining head is certified against the full range.  A known
+        majority is never a head again, so each is reported once, at its
+        range-leftmost occurrence.
         """
         seq = self.seq
         diag.path = "segmented"
         m = max(1, math.ceil(1.0 / tau))
-        known: dict[int, int] = {}  # reported majority -> last deleted occurrence
-        reported: set[int] = set()
+        known: dict[int, int] = {}  # reported majority -> last visited occurrence
         x = lo
         while x <= hi:
             y = min(x + m - 1, hi)
-            span = y - x + 1
-            nxt = list(range(1, span + 2))
-            prv = list(range(-1, span + 1))
-
-            def drop(node):
-                nxt[prv[node]] = nxt[node]
-                if nxt[node] <= span:
-                    prv[nxt[node]] = prv[node]
-
-            for a in list(known):
-                r_last = seq.partial_rank(known[a])
-                while True:
-                    p = seq.select(a, r_last + 1)
-                    if p is None or p > y:
-                        break
-                    r_last += 1
-                    known[a] = p
-                    drop(p - x + 1)
-            cur = nxt[0]
-            while cur <= span:
-                k = x + cur - 1
+            scan = RangeScan(seq, x, y)
+            for a, p in known.items():
+                known[a] = scan.sweep(a, seq.partial_rank(p), p)[1]
+            for k in scan.heads():
                 a, r = seq.locate(k)
                 diag.candidates += 1
-                occ = None
                 if mode == "rank":
                     occ = seq.rank(a, hi) - seq.rank(a, lo - 1)
-                    maj = occ > thr
                 else:
                     p_t = seq.select(a, r + thr)
-                    maj = p_t is not None and p_t <= hi
-                if maj and a not in reported:
-                    # first head of a true majority is its range-leftmost
-                    if occ is None:
-                        occ = seq.rank(a, hi) - r + 1
+                    occ = seq.rank(a, hi) - r + 1 if p_t is not None and p_t <= hi else 0
+                last = scan.sweep(a, r, k)[1]
+                if occ > thr:
                     out.append((a, occ))
-                    reported.add(a)
-                last = k
-                rr = r
-                while True:
-                    p = seq.select(a, rr + 1)
-                    if p is None or p > y:
-                        break
-                    rr += 1
-                    last = p
-                    drop(p - x + 1)
-                drop(cur)
-                if maj:
                     known[a] = last
-                cur = nxt[0]
             x = y + 1
 
     # -- helpers ------------------------------------------------------------
@@ -457,11 +450,11 @@ def build_majority_index(
 ) -> MajorityIndex:
     """Build the majority side of the index: sequence, listing, families."""
     config = config or IndexConfig()
+    raw = np.asarray(data, dtype=np.int64)
     if seq is None:
-        seq = WaveletSequence.build(data, compressed=config.compressed)
+        seq = WaveletSequence.build(raw, compressed=config.compressed)
     if listing is None:
-        listing = ListingIndex.for_sequence(seq, config.trade)
-    raw = seq.to_array()
+        listing = ListingIndex.for_sequence(seq, config.trade, raw)
     cand: dict = {}
     anch: dict = {}
     prev: dict = {}

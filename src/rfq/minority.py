@@ -36,7 +36,7 @@ from .counters import QueryDiagnostics
 from .errors import ConfigError, DomainError, LogicError, RangeError
 from .families import FlagWorkspace, distinct_flag_bits_slow, expected_ones_cap, flags_from_bits
 from .listing import ListingIndex
-from .majority import _SELF_CHECK_MAX_N, _tier, threshold_count
+from .majority import _SELF_CHECK_MAX_N, RangeScan, _tier, threshold_count
 from .sequence import WaveletSequence
 from .serial import ByteReader, ByteWriter
 
@@ -126,31 +126,13 @@ class MinorityIndex:
         """Short uncovered range: walk it once, stop at the first minority."""
         seq = self.seq
         diag.path = "sequential"
-        span = hi - lo + 1
-        nxt = list(range(1, span + 2))
-        prv = list(range(-1, span + 1))
-
-        def drop(node):
-            nxt[prv[node]] = nxt[node]
-            if nxt[node] <= span:
-                prv[nxt[node]] = prv[node]
-
-        cur = nxt[0]
-        while cur <= span:
-            k = lo + cur - 1
+        scan = RangeScan(seq, lo, hi)
+        for k in scan.heads():
             a, r = seq.locate(k)
             diag.candidates += 1
-            occ = 1
-            while True:
-                p = seq.select(a, r + occ)
-                if p is None or p > hi:
-                    break
-                drop(p - lo + 1)
-                occ += 1
+            occ = 1 + scan.sweep(a, r, k)[0]
             if occ <= thr:
                 return a, occ
-            drop(cur)
-            cur = nxt[0]
         return None
 
     def _certify_minor(self, a, r, hi, thr):
@@ -196,13 +178,13 @@ def build_minority_index(
     listing: ListingIndex | None = None,
 ) -> MinorityIndex:
     config = config or IndexConfig()
+    raw = np.asarray(data, dtype=np.int64)
     if seq is None:
-        seq = WaveletSequence.build(data, compressed=config.compressed)
+        seq = WaveletSequence.build(raw, compressed=config.compressed)
     if listing is None:
-        listing = ListingIndex.for_sequence(seq, config.trade)
+        listing = ListingIndex.for_sequence(seq, config.trade, raw)
     flags: dict = {}
     if seq.n >= config.family_min_n:
-        raw = seq.to_array()
         ws = FlagWorkspace(raw)
         check = config.build_check == "always" or (
             config.build_check == "auto" and seq.n <= _SELF_CHECK_MAX_N

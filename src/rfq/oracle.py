@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 
 def _check_range(seq, lo: int, hi: int) -> None:
@@ -81,26 +80,3 @@ def oracle_distinct_with_leftmost(seq, lo: int, hi: int) -> set[tuple[int, int]]
         if a not in seen:
             seen[a] = k
     return {(a, p) for a, p in seen.items()}
-
-
-@dataclass
-class OracleResult:
-    """Bundle of everything the verifier compares for one query."""
-
-    lo: int
-    hi: int
-    tau: float
-    majorities: list[tuple[int, int]] = field(default_factory=list)
-    minorities: list[tuple[int, int]] = field(default_factory=list)
-    mode: tuple[int, int] = (0, 0)
-
-
-def oracle_all(seq, lo: int, hi: int, tau: float) -> OracleResult:
-    return OracleResult(
-        lo=lo,
-        hi=hi,
-        tau=tau,
-        majorities=oracle_majorities(seq, lo, hi, tau),
-        minorities=oracle_minorities(seq, lo, hi, tau),
-        mode=oracle_mode(seq, lo, hi),
-    )

@@ -46,7 +46,6 @@ class WaveletSequence:
         self.tally = OpTally()
         self._levels: list[tuple] = []  # (BitVector | SparseBitVector, zeros), top first
         self._starts: list[int] = []  # per symbol code: block start below the last level
-        self._raw_cache: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------------
 
@@ -75,7 +74,6 @@ class WaveletSequence:
             seq._add_level(seq._encode_level(bits))
             codes = np.concatenate((codes[~bits], codes[bits]))
         seq._set_counts(counts)
-        seq._raw_cache = arr.copy()
         return seq
 
     def _encode_level(self, bits: np.ndarray):
@@ -250,17 +248,15 @@ class WaveletSequence:
 
     def to_array(self) -> np.ndarray:
         """Rebuild the raw sequence (1-based symbols), bottom level first."""
-        if self._raw_cache is None:
-            order = np.argsort(self._starts)  # codes in bottom-level block order
-            vals = np.repeat(order + 1, self.counts[order])
-            for store, zeros in reversed(self._levels):
-                bits = store.to_numpy_bool()
-                up = np.empty_like(vals)
-                up[~bits] = vals[:zeros]
-                up[bits] = vals[zeros:]
-                vals = up
-            self._raw_cache = vals
-        return self._raw_cache
+        order = np.argsort(self._starts)  # codes in bottom-level block order
+        vals = np.repeat(order + 1, self.counts[order])
+        for store, zeros in reversed(self._levels):
+            bits = store.to_numpy_bool()
+            up = np.empty_like(vals)
+            up[~bits] = vals[:zeros]
+            up[bits] = vals[zeros:]
+            vals = up
+        return vals
 
     # -- serialization ------------------------------------------------------------------
 

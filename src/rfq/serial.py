@@ -92,7 +92,10 @@ class ByteReader:
         return list(struct.unpack("<%dQ" % n, self._take(8 * n)))
 
     def np_u32(self):
-        return np.frombuffer(self.blob(), dtype="<u4").copy()
+        data = self.blob()
+        if len(data) % 4:
+            raise FormatError(f"u32 array of {len(data)} bytes")
+        return np.frombuffer(data, dtype="<u4").copy()
 
     def expect_magic(self, magic: bytes) -> None:
         got = self._take(len(magic))

@@ -245,6 +245,14 @@ def test_sparse_bytes_rejects_inconsistent_fields():
     # the last set bit (1000 = bucket 62, low 7) decodes to 1008
     with pytest.raises(FormatError, match="beyond 1000 bits"):
         bitvector_from_bytes(sparse_blob(n, m, width, lows[:-1] + [15], upper))
+    # positions 3 and 5 share bucket 0 (low width 4); swapping their lows
+    # would make select1 return 5 for the 1st one and 3 for the 2nd
+    sv = SparseBitVector.from_ones([3, 5, 9, 21, 27, 40, 77], 100)
+    lows = sv.low.to_numpy().tolist()
+    assert sv.low_width == 4 and lows[:2] == [2, 4]
+    swapped = sparse_blob(100, 7, 4, [4, 2] + lows[2:], sv.upper.to_numpy_bool().tolist())
+    with pytest.raises(FormatError, match="not strictly increasing"):
+        bitvector_from_bytes(swapped)
 
 
 def test_bitvector_bytes_bad_magic():

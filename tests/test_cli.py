@@ -161,3 +161,11 @@ def test_corrupt_index_exits_three(tmp_path):
     bad = tmp_path / "junk.rfq"
     bad.write_bytes(b"JUNKJUNKJUNK")
     assert main(["query", str(bad), "mode", "1", "2"]) == 3
+
+
+def test_corrupt_header_field_exits_three(abra_index, capsys):
+    with open(abra_index, "rb") as fh:
+        blob = fh.read()
+    with open(abra_index, "wb") as fh:
+        fh.write(blob[:14] + b"\x09" + blob[15:])  # unknown verify code
+    assert main(["info", abra_index]) == 3

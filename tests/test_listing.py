@@ -109,3 +109,6 @@ def test_serialization_round_trip(block, canon_seq):
     for lo, hi in [(1, 11), (4, 8), (2, 2)]:
         assert sorted(back.query_leftmost(lo, hi)) == \
             sorted(lister.query_leftmost(lo, hi))
+    if block == 1:  # C, derived on first use, is both the summaries and the probed values
+        assert back.cprime is back._values
+        assert back.cprime.tolist() == lister.cprime.tolist()

@@ -59,13 +59,6 @@ def test_distinct_with_leftmost_frozen(canon):
     assert oracle.oracle_distinct_with_leftmost(canon, 1, 1) == {(1, 1)}
 
 
-def test_oracle_all_bundles(canon):
-    res = oracle.oracle_all(canon, 4, 8, 0.5)
-    assert res.majorities == oracle.oracle_majorities(canon, 4, 8, 0.5)
-    assert res.minorities == oracle.oracle_minorities(canon, 4, 8, 0.5)
-    assert res.mode == oracle.oracle_mode(canon, 4, 8)
-
-
 def test_validation(canon):
     with pytest.raises(IndexError):
         oracle.oracle_counts(canon, 0, 5)

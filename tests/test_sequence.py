@@ -156,6 +156,12 @@ def test_bytes_round_trip(sigma, compressed):
     seq = build(data, compressed=compressed)
     if compressed and sigma > 1:
         assert seq.size_bits() < build(data).size_bits()
+    # a built matrix decodes its levels into a fresh array each time, so a
+    # caller that changes one cannot change the next
+    decoded = seq.to_array()
+    assert decoded.tolist() == data
+    decoded[:] = 0
+    assert seq.to_array().tolist() == data
     blob = seq.to_bytes()
     back = WaveletSequence.read_from(ByteReader(blob))
     assert back.to_bytes() == blob

@@ -47,6 +47,10 @@ def test_reader_truncation_and_magic():
         r.u64()  # only 4 bytes remain
     with pytest.raises(FormatError):
         ByteReader(data).expect_magic(b"NOPE")
+    w = ByteWriter()
+    w.blob(b"abc")  # not a whole number of u32 values
+    with pytest.raises(FormatError):
+        ByteReader(w.getvalue()).np_u32()
 
 
 # -- bundle round trips ---------------------------------------------------------------
@@ -157,6 +161,63 @@ def test_format_errors():
             w.blob(BitVector.from_bits([0] * n).to_bytes())
         with pytest.raises(FormatError):
             IndexBundle.from_bytes(blob[:at] + w.getvalue() + rest)
+
+
+# the header after magic and version: trade (u32), chunk_len (u32), verify
+# code (u8), compressed (u8), family_min_n (u32), build-check code (u8)
+_TRADE_AT, _CHUNK_AT, _VERIFY_AT, _CHECK_AT = 6, 10, 14, 20
+
+
+@pytest.mark.parametrize("at,value", [
+    (_VERIFY_AT, b"\x09"),  # unknown verify code
+    (_CHECK_AT, b"\x07"),  # unknown build-check code
+    (_TRADE_AT, struct.pack("<I", 0)),  # trade 0
+    (_CHUNK_AT, struct.pack("<I", 0)),  # chunk_len 0
+], ids=["verify-code", "check-code", "trade-0", "chunk-len-0"])
+def test_corrupt_header_fields(at, value):
+    blob = IndexBundle.from_values(zipf_string(100, 5, seed=1),
+                                   IndexConfig(build_check="never")).to_bytes()
+    with pytest.raises(FormatError, match="corrupt index header"):
+        IndexBundle.from_bytes(blob[:at] + value + blob[at + len(value):])
+
+
+def listing_section(trade):
+    """A bundle's bytes, split around its listing section: n (u64), block
+    (u32), then for block > 1 the block minima as a u32 array."""
+    bundle = IndexBundle.from_values(zipf_string(100, 5, seed=1),
+                                     IndexConfig(trade=trade, build_check="never"))
+    blob = bundle.to_bytes()
+    at = blob.index(bundle.seq.to_bytes()) + len(bundle.seq.to_bytes())
+    w = ByteWriter()
+    bundle.majority.listing.write_to(w)
+    end = at + len(w.getvalue())
+    return blob[:at], blob[at:end], blob[end:], bundle
+
+
+def test_listing_block_zero_rejected():
+    head, listing, tail, _ = listing_section(1)
+    bad = listing[:8] + struct.pack("<I", 0) + listing[12:]
+    with pytest.raises(FormatError, match="block size is 0"):
+        IndexBundle.from_bytes(head + bad + tail)
+
+
+def test_listing_length_must_match_sequence():
+    head, listing, tail, bundle = listing_section(1)
+    bad = struct.pack("<Q", bundle.seq.n - 1) + listing[8:]
+    with pytest.raises(FormatError, match="listing covers 99 positions"):
+        IndexBundle.from_bytes(head + bad + tail)
+
+
+def test_listing_block_minima_count_checked():
+    head, listing, tail, bundle = listing_section(4)
+    minima = bundle.majority.listing.cprime
+    assert minima.size == 25
+    w = ByteWriter()
+    w.u64(bundle.seq.n)
+    w.u32(4)
+    w.np_u32(minima[:-1])  # one block minimum short
+    with pytest.raises(FormatError, match="24 block minima, expected 25"):
+        IndexBundle.from_bytes(head + w.getvalue() + tail)
 
 
 def test_save_load(tmp_path):
