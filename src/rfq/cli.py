@@ -42,7 +42,7 @@ def _read_input(path: str, fmt: str):
 def _assemble_config(args) -> IndexConfig:
     cfg = space_preset() if args.space_preset else IndexConfig()
     overrides = {}
-    for name in ("trade", "chunk_len", "verify_mode", "family_min_n", "build_check"):
+    for name in ("trade", "chunk_len", "family_min_n", "build_check"):
         v = getattr(args, name)
         if v is not None:
             overrides[name] = v
@@ -102,8 +102,7 @@ def _cmd_query(args) -> int:
     if args.kind in ("majority", "minority") and args.tau is None:
         raise DomainError(f"{args.kind} queries need --tau")
     if args.kind == "majority":
-        res = bundle.query_majorities(args.lo, args.hi, args.tau, verify=args.verify_mode)
-        pairs = res
+        pairs = bundle.query_majorities(args.lo, args.hi, args.tau)
         diag = bundle.majority.diagnostics
     elif args.kind == "minority":
         hit = bundle.query_minority(args.lo, args.hi, args.tau, strategy=args.strategy)
@@ -140,7 +139,7 @@ def _cmd_verify(args) -> int:
             print(f"removed candidate flag at position {witness['removed_bit']} "
                   f"(tier {t}, scale {b})")
             print(f"witness query: majorities [{witness['lo']}, {witness['hi']}] "
-                  f"tau={witness['tau']} ({witness['verify']})")
+                  f"tau={witness['tau']}")
             print(f"corrupted index: {witness['got']}")
             print(f"oracle:          {witness['want']}")
         return 0
@@ -193,8 +192,8 @@ def _cmd_info(args) -> int:
     rep = bundle.size_report()
     cfg = bundle.config
     rep["config"] = {
-        "trade": cfg.trade, "chunk_len": cfg.chunk_len, "verify_mode": cfg.verify_mode,
-        "compressed": cfg.compressed, "family_min_n": cfg.family_min_n,
+        "trade": cfg.trade, "chunk_len": cfg.chunk_len, "compressed": cfg.compressed,
+        "family_min_n": cfg.family_min_n,
     }
     rep["majority_families"] = len(bundle.majority.candidate_flags)
     rep["minority_families"] = len(bundle.minority.distinct_flags)
@@ -228,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="space/time knob g; 1 stores everything, larger g shrinks "
                         "the index and slows queries by about g^2")
     b.add_argument("--chunk-len", type=int, default=None)
-    b.add_argument("--verify-mode", choices=("check_lemma", "rank"), default=None)
     b.add_argument("--compressed", action="store_true")
     b.add_argument("--family-min-n", type=int, default=None)
     b.add_argument("--build-check", choices=("auto", "always", "never"), default=None)
@@ -243,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("lo", type=int)
     q.add_argument("hi", type=int)
     q.add_argument("--tau", type=float, default=None)
-    q.add_argument("--verify-mode", choices=("check_lemma", "rank"), default=None)
     q.add_argument("--strategy", choices=("listing", "flags"), default="listing")
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=_cmd_query)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 
@@ -14,9 +14,7 @@ class IndexConfig:
     trade is the sparsification factor g: the position directory keeps one
     summary cell per g entries, and the documented per-query work bound
     scales with g**2.  chunk_len is the anchor spacing c inside each
-    symbol's occurrence list.  verify_mode picks how candidate occurrences
-    are confirmed: "check_lemma" uses one partial rank plus one select,
-    "rank" uses two general ranks.  compressed stores each level of the
+    symbol's occurrence list.  compressed stores each level of the
     binary wavelet matrix in the sparse encoding when that is smaller.
     family_min_n is the shortest input that gets flag families, and
     build_check decides when the fast flag builders are checked against
@@ -25,7 +23,6 @@ class IndexConfig:
 
     trade: int = 1
     chunk_len: int = 1024
-    verify_mode: str = "check_lemma"
     compressed: bool = False
     family_min_n: int = 64  # skip the flag families for shorter inputs
     build_check: str = "auto"  # "auto" | "always" | "never"
@@ -35,8 +32,6 @@ class IndexConfig:
             raise ConfigError(f"trade must be >= 1, got {self.trade}")
         if self.chunk_len < 1:
             raise ConfigError(f"chunk_len must be >= 1, got {self.chunk_len}")
-        if self.verify_mode not in ("check_lemma", "rank"):
-            raise ConfigError(f"unknown verify_mode {self.verify_mode!r}")
         if self.build_check not in ("auto", "always", "never"):
             raise ConfigError(f"unknown build_check {self.build_check!r}")
 

@@ -8,9 +8,10 @@ order of the original symbols (lexicographic for tokens).
 
 File layout (magic ``RFQI``, version-checked on load): a config echo, the
 raw domain description, the remap table, then the four structural
-sections.  Everything derived (rank directories, range-minimum tables,
-per-family listing engines) is rebuilt lazily after load, so the file
-stores only what the space accounting counts.
+sections.  On load the remap table must hold exactly sigma entries in
+strictly increasing order.  Everything derived (rank directories,
+range-minimum tables, per-family listing engines) is rebuilt lazily after
+load, so the file stores only what the space accounting counts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .minority import MinorityIndex, build_minority_index
 from .sequence import WaveletSequence
 from .serial import FORMAT_VERSION, MAGIC_INDEX, ByteReader, ByteWriter
 
-_VERIFY_CODES = {"check_lemma": 0, "rank": 1}
 _CHECK_CODES = {"auto": 0, "always": 1, "never": 2}
 _REMAP_IDENTITY, _REMAP_INTS, _REMAP_TOKENS = 0, 1, 2
 
@@ -98,8 +98,8 @@ class IndexBundle:
     def config(self) -> IndexConfig:
         return self.majority.config
 
-    def query_majorities(self, lo: int, hi: int, tau: float, verify: str | None = None):
-        return self._map_pairs(self.majority.query_majorities(lo, hi, tau, verify=verify))
+    def query_majorities(self, lo: int, hi: int, tau: float):
+        return self._map_pairs(self.majority.query_majorities(lo, hi, tau))
 
     def query_minority(self, lo: int, hi: int, tau: float, strategy: str = "listing"):
         hit = self.minority.query_minority(lo, hi, tau, strategy=strategy)
@@ -129,7 +129,6 @@ class IndexBundle:
         cfg = self.config
         w.u32(cfg.trade)
         w.u32(cfg.chunk_len)
-        w.u8(_VERIFY_CODES[cfg.verify_mode])
         w.u8(int(cfg.compressed))
         w.u32(cfg.family_min_n)
         w.u8(_CHECK_CODES[cfg.build_check])
@@ -152,16 +151,14 @@ class IndexBundle:
         r = ByteReader(data)
         r.expect_magic(MAGIC_INDEX)
         r.expect_version()
-        by_code = {v: k for k, v in _VERIFY_CODES.items()}
         check_by_code = {v: k for k, v in _CHECK_CODES.items()}
-        trade, chunk_len, verify = r.u32(), r.u32(), r.u8()
+        trade, chunk_len = r.u32(), r.u32()
         compressed, family_min_n, check = bool(r.u8()), r.u32(), r.u8()
         try:
             # an unknown code passes through as itself, which the config rejects
             cfg = IndexConfig(
                 trade=trade,
                 chunk_len=chunk_len,
-                verify_mode=by_code.get(verify, verify),
                 compressed=compressed,
                 family_min_n=family_min_n,
                 build_check=check_by_code.get(check, check),
@@ -169,27 +166,32 @@ class IndexBundle:
         except ConfigError as exc:
             raise FormatError(f"corrupt index header: {exc}") from exc
         kind = r.u8()
-        originals = tokens = None
+        table = None
         if kind == _REMAP_TOKENS:
-            tokens = r.blob().decode("utf-8").split("\n")
+            try:
+                table = r.blob().decode("utf-8").split("\n")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"token table is not UTF-8: {exc}") from exc
         elif kind == _REMAP_INTS:
-            originals = np.array(
-                [v - (1 << 64) if v >= 1 << 63 else v for v in r.words()], dtype=np.int64
-            )
+            table = [v - (1 << 64) if v >= 1 << 63 else v for v in r.words()]
         elif kind != _REMAP_IDENTITY:
             raise FormatError(f"unknown remap kind {kind}")
         seq = WaveletSequence.read_from(r)
-        listing = ListingIndex.read_from(r)
-        if listing.n != seq.n:
-            raise FormatError(f"listing covers {listing.n} positions, sequence {seq.n}")
-        listing.attach_sequence(seq)
+        if table is not None:
+            # answers index the table by dense symbol, and ties follow its order
+            if len(table) != seq.sigma:
+                raise FormatError(f"remap table has {len(table)} entries, sigma is {seq.sigma}")
+            if any(a >= b for a, b in zip(table, table[1:])):
+                raise FormatError("remap table is not strictly increasing")
+        listing = ListingIndex.read_from(r, seq)
         cand, anch, prev = MajorityIndex.read_families(r)
         dist = MinorityIndex.read_families(r)
         if not r.done():
             raise FormatError("trailing bytes after index payload")
         maj = MajorityIndex(seq, cfg, listing, cand, anch, prev)
         mino = MinorityIndex(seq, cfg, listing, dist)
-        return cls(maj, mino, originals, tokens)
+        originals = np.array(table, dtype=np.int64) if kind == _REMAP_INTS else None
+        return cls(maj, mino, originals, table if kind == _REMAP_TOKENS else None)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:

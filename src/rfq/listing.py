@@ -41,7 +41,9 @@ def prev_occurrence_array(symbols: np.ndarray) -> np.ndarray:
     n = arr.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(arr, kind="stable")
+    # numpy radix-sorts 16-bit keys, several times faster than int64 ones
+    small = arr.min() >= 0 and arr.max() <= 0xFFFF
+    order = np.argsort(arr.astype(np.uint16) if small else arr, kind="stable")
     sorted_prev = np.zeros(n, dtype=np.int64)
     same = np.zeros(n, dtype=bool)
     same[1:] = arr[order[1:]] == arr[order[:-1]]
@@ -179,17 +181,25 @@ class ListingIndex:
             w.np_u32(self.cprime)
 
     @classmethod
-    def read_from(cls, r: ByteReader) -> "ListingIndex":
+    def read_from(cls, r: ByteReader, seq) -> "ListingIndex":
+        """Load the engine over seq; stored block minima must be seq's."""
         n = r.u64()
         block = r.u32()
         if block == 0:
             raise FormatError("listing block size is 0")
+        if n != seq.n:
+            raise FormatError(f"listing covers {n} positions, sequence {seq.n}")
         li = cls(n, block)
         if block > 1:
             li.cprime = r.np_u32().astype(np.int64)
             nb = (n + block - 1) // block
             if li.cprime.size != nb:
                 raise FormatError(f"listing holds {li.cprime.size} block minima, expected {nb}")
+            # wrong minima would make the recursion skip or misreport blocks
+            want = block_minima(prev_occurrence_array(seq.to_array()), block)
+            if not np.array_equal(li.cprime, want):
+                raise FormatError("listing block minima disagree with the sequence")
+        li.attach_sequence(seq)
         return li
 
     def size_bits(self) -> int:

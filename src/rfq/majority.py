@@ -11,8 +11,7 @@ Dispatch picks one of four strategies:
 * empty: the threshold already meets or exceeds the range length, so no
   symbol can clear it.
 * small threshold (tau < 1/sigma): every distinct symbol is a potential
-  answer, so either take a full range histogram (rank verification) or
-  list the distinct symbols and certify each (certificate verification).
+  answer, so list the distinct symbols and certify each.
 * flagged: a candidate family matching the query's tier and scale exists;
   enumerate its set positions inside the range, then confirm or reject
   each distinct symbol found.  Symbols whose in-range leftmost occurrence
@@ -24,10 +23,11 @@ Dispatch picks one of four strategies:
   (segmented, used when sparsification makes short uncovered ranges
   longer).
 
-Verification styles: "check_lemma" certifies a candidate at its in-range
-leftmost occurrence r with a single select probe (is occurrence r + thr
-still inside the range?), while "rank" just counts with two rank calls.
-Both report exact counts for every symbol returned.
+The listing, flagged and segmented paths certify a candidate at its
+in-range leftmost occurrence r with a single select probe (is occurrence
+r + thr still inside the range?) and pay one more rank for the exact
+count of each symbol returned; the plain sequential scan counts each
+symbol as it sweeps it.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ import warnings
 
 import numpy as np
 
-from .bits import SparseBitVector
 from .config import IndexConfig
 from .counters import QueryDiagnostics
-from .errors import ConfigError, DomainError, LogicError, RangeError
+from .errors import DomainError, LogicError, RangeError
 from .families import (
     FlagWorkspace,
     anchor_flag_bits_slow,
@@ -97,17 +96,15 @@ class RangeScan:
             yield self.x + i
             i = visited.find(0, i + 1)
 
-    def sweep(self, a: int, r: int, p: int, last_rank: int | None = None) -> tuple[int, int]:
+    def sweep(self, a: int, r: int, p: int) -> tuple[int, int]:
         """Visit a's occurrences after occurrence r (at position p) up to y.
 
-        Without last_rank the sweep stops at the first select past y; with
-        it, at occurrence last_rank, known to be a's last up to y, so no
-        terminating select is paid.  Returns the number of occurrences
-        visited and the position of the last one (p when none).
+        The sweep stops at the first select past y.  Returns the number of
+        occurrences visited and the position of the last one (p when none).
         """
         seq, x, y, visited = self.seq, self.x, self.y, self._visited
         count = 0
-        while last_rank is None or r < last_rank:
+        while True:
             q = seq.select(a, r + 1)
             if q is None or q > y:
                 break
@@ -141,15 +138,12 @@ class MajorityIndex:
 
     # -- public queries ---------------------------------------------------
 
-    def query_majorities(self, lo: int, hi: int, tau: float, verify: str | None = None):
+    def query_majorities(self, lo: int, hi: int, tau: float):
         """All (symbol, count) with count > floor(tau * range length), sorted."""
         seq = self.seq
         self._check_range(lo, hi)
         if not (isinstance(tau, (int, float)) and 0.0 < tau <= 1.0):
             raise DomainError(f"tau must be in (0, 1], got {tau!r}")
-        mode = verify if verify is not None else self.config.verify_mode
-        if mode not in ("check_lemma", "rank"):
-            raise ConfigError(f"unknown verify mode {mode!r}")
         t0 = time.perf_counter_ns()
         snap = seq.tally.snapshot()
         diag = QueryDiagnostics(kind="majority", lo=lo, hi=hi, tau=float(tau))
@@ -159,16 +153,16 @@ class MajorityIndex:
         if thr >= length:
             diag.path = "empty"
         elif tau < 1.0 / seq.sigma:
-            self._small_threshold(lo, hi, thr, mode, out, diag)
+            self._small_threshold(lo, hi, thr, out, diag)
         else:
             tier = _tier(tau)
             scale = length.bit_length() - 1
             if (tier, scale) in self.candidate_flags:
-                self._flagged(lo, hi, thr, tier, scale, mode, out, diag)
+                self._flagged(lo, hi, thr, tier, scale, out, diag)
             elif self.config.trade == 1:
-                self._sequential(lo, hi, thr, mode, out, diag)
+                self._sequential(lo, hi, thr, out, diag)
             else:
-                self._segmented(lo, hi, tau, thr, mode, out, diag)
+                self._segmented(lo, hi, tau, thr, out, diag)
         out.sort()
         diag.ops = seq.tally.since(snap)
         diag.elapsed_ns = time.perf_counter_ns() - t0
@@ -208,15 +202,8 @@ class MajorityIndex:
 
     # -- dispatch targets ---------------------------------------------------
 
-    def _small_threshold(self, lo, hi, thr, mode, out, diag):
+    def _small_threshold(self, lo, hi, thr, out, diag):
         seq = self.seq
-        if mode == "rank":
-            diag.path = "histogram"
-            for a, occ in seq.range_counts(lo, hi).items():
-                diag.candidates += 1
-                if occ > thr:
-                    out.append((a, occ))
-            return
         diag.path = "listing"
         positions = self.listing.query_leftmost(lo, hi, seq.sigma)
         diag.probes += self.listing.last_stats["probes"]
@@ -227,7 +214,7 @@ class MajorityIndex:
             if occ is not None:
                 out.append((a, occ))
 
-    def _flagged(self, lo, hi, thr, tier, scale, mode, out, diag):
+    def _flagged(self, lo, hi, thr, tier, scale, out, diag):
         seq = self.seq
         diag.path = "flagged"
         flags = self.candidate_flags[(tier, scale)]
@@ -236,13 +223,6 @@ class MajorityIndex:
         for k in flags.ones_in_range(lo, hi):
             a = seq.access(k)
             if a in decided or a in deferred:
-                continue
-            if mode == "rank":
-                decided.add(a)
-                diag.candidates += 1
-                occ = seq.rank(a, hi) - seq.rank(a, lo - 1)
-                if occ > thr:
-                    out.append((a, occ))
                 continue
             hit = self._leftmost_via_chunk(a, k, lo)
             if hit is None:
@@ -290,25 +270,19 @@ class MajorityIndex:
             if occ is not None:
                 out.append((a, occ))
 
-    def _sequential(self, lo, hi, thr, mode, out, diag):
+    def _sequential(self, lo, hi, thr, out, diag):
         """Scan a short range once, skipping processed symbols as we go."""
         seq = self.seq
         diag.path = "sequential"
         scan = RangeScan(seq, lo, hi)
         for k in scan.heads():
             diag.candidates += 1
-            if mode == "rank":
-                a = seq.access(k)
-                r = seq.rank(a, lo - 1) + 1
-                occ = seq.rank(a, hi) - r + 1
-                scan.sweep(a, r, k, last_rank=r + occ - 1)
-            else:
-                a, r = seq.locate(k)
-                occ = 1 + scan.sweep(a, r, k)[0]
+            a, r = seq.locate(k)
+            occ = 1 + scan.sweep(a, r, k)[0]
             if occ > thr:
                 out.append((a, occ))
 
-    def _segmented(self, lo, hi, tau, thr, mode, out, diag):
+    def _segmented(self, lo, hi, tau, thr, out, diag):
         """Chunked scan for sparsified indexes.
 
         Processes ceil(1/tau)-element segments left to right.  Known
@@ -331,13 +305,9 @@ class MajorityIndex:
             for k in scan.heads():
                 a, r = seq.locate(k)
                 diag.candidates += 1
-                if mode == "rank":
-                    occ = seq.rank(a, hi) - seq.rank(a, lo - 1)
-                else:
-                    p_t = seq.select(a, r + thr)
-                    occ = seq.rank(a, hi) - r + 1 if p_t is not None and p_t <= hi else 0
+                occ = self._certify(a, r, hi, thr)
                 last = scan.sweep(a, r, k)[1]
-                if occ > thr:
+                if occ is not None:
                     out.append((a, occ))
                     known[a] = last
             x = y + 1

@@ -17,7 +17,7 @@ from .errors import FormatError
 
 MAGIC_BITS = b"RFQB"
 MAGIC_INDEX = b"RFQI"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class ByteWriter:

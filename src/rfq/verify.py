@@ -1,8 +1,8 @@
 """Randomized cross-checks of a built index against the brute-force oracle.
 
-The verifier replays random queries through every query path (both
-majority verification styles, both minority strategies, mode) and compares
-against recomputation from the raw sequence.  The tau pool deliberately
+The verifier replays random queries through every query path (majority,
+both minority strategies, mode) and compares against recomputation from
+the raw sequence.  The tau pool deliberately
 includes exact fraction boundaries k/len, where a symbol's count can land
 exactly on tau times the range length, and dyadic taus that hit family
 tiers dead on.
@@ -64,16 +64,14 @@ def verify_index(bundle: IndexBundle, queries: int = 1000, seed: int = 0) -> Ver
         lo = rng.randint(1, n)
         hi = rng.randint(lo, n)
         tau = _tau_pool(rng, hi - lo + 1)
-        kind = rng.randrange(5)
+        kind = rng.randrange(5)  # two majority, one per minority strategy, one mode
         report.queries += 1
         if kind < 2:
-            mode = "check_lemma" if kind == 0 else "rank"
-            got = bundle.majority.query_majorities(lo, hi, tau, verify=mode)
+            got = bundle.majority.query_majorities(lo, hi, tau)
             want = oracle_majorities(data, lo, hi, tau)
             if got != want:
                 report.mismatches.append(
-                    dict(kind="majority", verify=mode, lo=lo, hi=hi, tau=tau,
-                         got=got, want=want)
+                    dict(kind="majority", lo=lo, hi=hi, tau=tau, got=got, want=want)
                 )
         elif kind < 4:
             strategy = "listing" if kind == 2 else "flags"
@@ -137,12 +135,11 @@ def inject_fault(bundle: IndexBundle, seed: int = 0, samples: int = 4000):
                 continue
             victim = pos_a[0]
             maj.candidate_flags[(t, b)] = _without_bit(flags, victim)
-            for mode in ("check_lemma", "rank"):
-                got = maj.query_majorities(lo, hi, tau, verify=mode)
-                if got != want:
-                    return dict(
-                        family=(t, b), removed_bit=victim, kind="majority",
-                        verify=mode, lo=lo, hi=hi, tau=tau, got=got, want=want,
-                    )
+            got = maj.query_majorities(lo, hi, tau)
+            if got != want:
+                return dict(
+                    family=(t, b), removed_bit=victim, kind="majority",
+                    lo=lo, hi=hi, tau=tau, got=got, want=want,
+                )
             maj.candidate_flags[(t, b)] = flags  # somehow masked; restore
     return None

@@ -74,7 +74,7 @@ def ranges_for(rng, n, count):
 
 
 def test_majorities_match_oracle_everywhere(corpus):
-    """Exact set-and-count agreement with brute force, both verify modes."""
+    """Exact set-and-count agreement with brute force."""
     rng = random.Random(1)
     cases = 0
     t0 = time.perf_counter()
@@ -83,17 +83,15 @@ def test_majorities_match_oracle_everywhere(corpus):
         for lo, hi in ranges_for(rng, n, 8):
             for tau in tau_pool(ent.sigma_drawn):
                 want = oracle.oracle_majorities(ent.ref, lo, hi, tau)
-                for mode in ("check_lemma", "rank"):
-                    got = ent.bundle.query_majorities(lo, hi, tau, verify=mode)
-                    assert got == want, (n, lo, hi, tau, mode, got, want)
-                    d = ent.bundle.majority.diagnostics
-                    assert d.candidates <= candidate_cap(tau, ent.sigma_eff)
-                    assert d.ops.sequence_ops <= ops_cap(tau, ent.trade)
-                    record(d, ent.trade, ent.sigma_eff)
+                got = ent.bundle.query_majorities(lo, hi, tau)
+                assert got == want, (n, lo, hi, tau, got, want)
+                d = ent.bundle.majority.diagnostics
+                assert d.candidates <= candidate_cap(tau, ent.sigma_eff)
+                assert d.ops.sequence_ops <= ops_cap(tau, ent.trade)
+                record(d, ent.trade, ent.sigma_eff)
                 cases += 1
     elapsed = time.perf_counter() - t0
-    print(f"\nmajority equivalence: {cases} cases x 2 modes, "
-          f"0 mismatches, {elapsed:.1f}s")
+    print(f"\nmajority equivalence: {cases} cases, 0 mismatches, {elapsed:.1f}s")
     assert cases >= 15_000
     assert elapsed < 60.0
 
@@ -138,7 +136,7 @@ def test_work_scales_with_inverse_tau(corpus):
 
     data = zipf_string(10**6, 256, skew=1.1, seed=7)
     idx = build_majority_index(
-        data, IndexConfig(trade=8, verify_mode="rank", build_check="never"))
+        data, IndexConfig(trade=8, build_check="never"))
     rng = np.random.default_rng(123)
     lens = (2 ** rng.uniform(15.0, 19.0, size=60)).astype(np.int64)
     starts = rng.integers(1, 10**6 - lens + 1)
@@ -272,13 +270,12 @@ def test_exact_boundary_counts_are_never_majorities():
         bundle = IndexBundle.from_values(
             np.asarray(data),
             IndexConfig(trade=1 if case % 2 else 2, build_check="never"))
-        for mode in ("check_lemma", "rank"):
-            got = bundle.query_majorities(lo, hi, tau, verify=mode)
-            assert all(sym != 1 for sym, _ in got), (case, mode, got)
-            assert got == oracle.oracle_majorities(data, lo, hi, tau)
-            d = bundle.majority.diagnostics
-            assert d.candidates <= candidate_cap(tau, int(max(data)))
-            assert d.ops.sequence_ops <= ops_cap(tau, bundle.config.trade)
+        got = bundle.query_majorities(lo, hi, tau)
+        assert all(sym != 1 for sym, _ in got), (case, got)
+        assert got == oracle.oracle_majorities(data, lo, hi, tau)
+        d = bundle.majority.diagnostics
+        assert d.candidates <= candidate_cap(tau, int(max(data)))
+        assert d.ops.sequence_ops <= ops_cap(tau, bundle.config.trade)
         minors = oracle.oracle_minorities(data, lo, hi, tau)
         assert (1, occ) in minors
         for strategy in ("listing", "flags"):

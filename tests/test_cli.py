@@ -33,8 +33,7 @@ def test_query_majority(abra_index, capsys):
     # 'acada': three a's out of five
     assert main(["query", abra_index, "majority", "4", "8", "--tau", "0.5"]) == 0
     assert capsys.readouterr().out == "97 3\n"
-    assert main(["query", abra_index, "majority", "1", "11", "--tau", "0.5",
-                 "--verify-mode", "rank"]) == 0
+    assert main(["query", abra_index, "majority", "1", "11", "--tau", "0.5"]) == 0
     assert capsys.readouterr().out == ""
 
 
@@ -151,10 +150,14 @@ def test_usage_errors(abra_index, tmp_path):
     assert main(["query", abra_index, "majority", "1", "11", "--tau", "0"]) == 2
     assert main(["query", abra_index, "majority", "0", "11", "--tau", ".5"]) == 2
     assert main(["build", str(tmp_path / "missing.bin")]) == 2
-    for removed in (["--arity", "4"], ["--full-family-range"]):
+    for removed in (["--arity", "4"], ["--full-family-range"], ["--verify-mode", "rank"]):
         with pytest.raises(SystemExit) as exc:
             main(["build", str(tmp_path / "missing.bin"), *removed])
         assert exc.value.code == 2  # unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["query", abra_index, "majority", "1", "11", "--tau", ".5",
+              "--verify-mode", "rank"])
+    assert exc.value.code == 2
 
 
 def test_corrupt_index_exits_three(tmp_path):
@@ -167,5 +170,18 @@ def test_corrupt_header_field_exits_three(abra_index, capsys):
     with open(abra_index, "rb") as fh:
         blob = fh.read()
     with open(abra_index, "wb") as fh:
-        fh.write(blob[:14] + b"\x09" + blob[15:])  # unknown verify code
+        fh.write(blob[:19] + b"\x07" + blob[20:])  # unknown build-check code
     assert main(["info", abra_index]) == 3
+
+
+def test_corrupt_token_table_exits_three(tmp_path, capsys):
+    src = tmp_path / "words.txt"
+    src.write_text("the cat sat on the mat the end\n")
+    assert main(["build", str(src), "--format", "tokens"]) == 0
+    idx = tmp_path / "words.txt.rfq"
+    blob = idx.read_bytes()
+    at = blob.index(b"cat")
+    idx.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])  # not UTF-8
+    capsys.readouterr()
+    assert main(["info", str(idx)]) == 3
+    assert "not UTF-8" in capsys.readouterr().err

@@ -101,8 +101,7 @@ def test_serialization_round_trip(block, canon_seq):
     w = ByteWriter()
     lister.write_to(w)
     blob = w.getvalue()
-    back = ListingIndex.read_from(ByteReader(blob))
-    back.attach_sequence(canon_seq)
+    back = ListingIndex.read_from(ByteReader(blob), canon_seq)
     w2 = ByteWriter()
     back.write_to(w2)
     assert w2.getvalue() == blob

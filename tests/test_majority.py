@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rfq import IndexConfig, build_majority_index, oracle, threshold_count
 from rfq.corpus import uniform_string, zipf_string
-from rfq.errors import ConfigError, DomainError, RangeError
+from rfq.errors import DomainError, RangeError
 
 CANON = [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
@@ -38,13 +38,12 @@ def test_frozen_queries(canon_idx):
         (1, 5), (2, 2), (3, 2), (4, 1), (5, 1)]
 
 
-def test_verify_modes_agree(canon_idx):
+def test_every_canon_range_matches_oracle(canon_idx):
     for lo in range(1, 12):
         for hi in range(lo, 12):
             for tau in (1.0, 0.6, 0.5, 0.3, 0.09):
-                a = canon_idx.query_majorities(lo, hi, tau, verify="check_lemma")
-                b = canon_idx.query_majorities(lo, hi, tau, verify="rank")
-                assert a == b == oracle.oracle_majorities(CANON, lo, hi, tau)
+                got = canon_idx.query_majorities(lo, hi, tau)
+                assert got == oracle.oracle_majorities(CANON, lo, hi, tau)
 
 
 def test_threshold_matches_oracle_expression():
@@ -71,8 +70,6 @@ def test_validation(canon_idx):
         canon_idx.query_majorities(1, 5, 0.0)
     with pytest.raises(DomainError):
         canon_idx.query_majorities(1, 5, 1.001)
-    with pytest.raises(ConfigError):
-        canon_idx.query_majorities(1, 5, 0.5, verify="guess")
 
 
 # -- dispatch paths ----------------------------------------------------------------
@@ -81,9 +78,7 @@ def test_validation(canon_idx):
 def test_paths_small_index(canon_idx):
     canon_idx.query_majorities(4, 8, 1.0)
     assert canon_idx.diagnostics.path == "empty"
-    canon_idx.query_majorities(1, 11, 0.05, verify="rank")
-    assert canon_idx.diagnostics.path == "histogram"
-    canon_idx.query_majorities(1, 11, 0.05, verify="check_lemma")
+    canon_idx.query_majorities(1, 11, 0.05)
     assert canon_idx.diagnostics.path == "listing"
     canon_idx.query_majorities(1, 11, 0.5)
     assert canon_idx.diagnostics.path == "sequential"
@@ -118,7 +113,6 @@ def test_flagged_path_with_no_set_bits_in_range():
 
 @pytest.mark.parametrize("cfg", [
     IndexConfig(trade=1, build_check="always"),
-    IndexConfig(trade=1, verify_mode="rank", build_check="always"),
     IndexConfig(trade=8, chunk_len=5, build_check="always"),
     IndexConfig(trade=2, compressed=True, build_check="always"),
     IndexConfig(trade=1, family_min_n=4, chunk_len=2, build_check="always"),
@@ -155,7 +149,6 @@ def test_exact_boundary_exclusion():
     data = np.asarray([1, 2, 1, 3])
     idx = build_majority_index(data, IndexConfig(build_check="always"))
     assert idx.query_majorities(1, 4, 0.5) == []
-    assert idx.query_majorities(1, 4, 0.5, verify="rank") == []
     # one epsilon below the boundary flips it
     assert idx.query_majorities(1, 4, 0.49) == [(1, 2)]
 

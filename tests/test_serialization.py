@@ -74,8 +74,8 @@ def assert_same_answers(a: IndexBundle, b: IndexBundle, queries):
 
 @pytest.mark.parametrize("cfg", [
     IndexConfig(trade=1, build_check="never"),
-    IndexConfig(trade=8, chunk_len=64, verify_mode="rank", compressed=True,
-                family_min_n=32, build_check="never"),
+    IndexConfig(trade=8, chunk_len=64, compressed=True, family_min_n=32,
+                build_check="never"),
 ])
 def test_bundle_bit_exact_round_trip(cfg):
     rng = random.Random(cfg.trade)
@@ -163,17 +163,17 @@ def test_format_errors():
             IndexBundle.from_bytes(blob[:at] + w.getvalue() + rest)
 
 
-# the header after magic and version: trade (u32), chunk_len (u32), verify
-# code (u8), compressed (u8), family_min_n (u32), build-check code (u8)
-_TRADE_AT, _CHUNK_AT, _VERIFY_AT, _CHECK_AT = 6, 10, 14, 20
+# the header after magic and version: trade (u32), chunk_len (u32),
+# compressed (u8), family_min_n (u32), build-check code (u8), then the
+# remap kind (u8) and its table
+_TRADE_AT, _CHUNK_AT, _CHECK_AT, _REMAP_AT = 6, 10, 19, 20
 
 
 @pytest.mark.parametrize("at,value", [
-    (_VERIFY_AT, b"\x09"),  # unknown verify code
     (_CHECK_AT, b"\x07"),  # unknown build-check code
     (_TRADE_AT, struct.pack("<I", 0)),  # trade 0
     (_CHUNK_AT, struct.pack("<I", 0)),  # chunk_len 0
-], ids=["verify-code", "check-code", "trade-0", "chunk-len-0"])
+], ids=["check-code", "trade-0", "chunk-len-0"])
 def test_corrupt_header_fields(at, value):
     blob = IndexBundle.from_values(zipf_string(100, 5, seed=1),
                                    IndexConfig(build_check="never")).to_bytes()
@@ -181,11 +181,61 @@ def test_corrupt_header_fields(at, value):
         IndexBundle.from_bytes(blob[:at] + value + blob[at + len(value):])
 
 
-def listing_section(trade):
+def test_version_2_file_rejected():
+    # version 2 had one more header byte, a verifier code, after chunk_len
+    blob = IndexBundle.from_values(zipf_string(100, 5, seed=1),
+                                   IndexConfig(build_check="never")).to_bytes()
+    at = _CHUNK_AT + 4
+    v2 = blob[:4] + struct.pack("<H", 2) + blob[6:at] + b"\x00" + blob[at:]
+    with pytest.raises(FormatError, match="unsupported format version 2"):
+        IndexBundle.from_bytes(v2)
+
+
+def remap_split(bundle):
+    """A bundle's bytes before and after its remap table, which runs from
+    just past the remap kind up to the sequence section."""
+    blob = bundle.to_bytes()
+    return blob[:_REMAP_AT + 1], blob[blob.index(bundle.seq.to_bytes()):]
+
+
+def token_table(raw: bytes) -> bytes:
+    bundle = IndexBundle.from_tokens("the cat sat on the mat the end".split(),
+                                     IndexConfig(build_check="never"))
+    head, tail = remap_split(bundle)
+    w = ByteWriter()
+    w.blob(raw)
+    return head + w.getvalue() + tail
+
+
+def int_table(values) -> bytes:
+    bundle = IndexBundle.from_values(np.asarray([1000, -5, 1000, 7, -5, 1000, 7]),
+                                     IndexConfig(build_check="never"))
+    head, tail = remap_split(bundle)
+    w = ByteWriter()
+    w.words([v & 0xFFFFFFFFFFFFFFFF for v in values])
+    return head + w.getvalue() + tail
+
+
+@pytest.mark.parametrize("blob,message", [
+    (lambda: token_table(b"\xffat\nend\nmat\non\nsat\nthe"), "not UTF-8"),
+    (lambda: token_table(b"cat\nend_mat\non\nsat\nthe"), "5 entries, sigma is 6"),
+    (lambda: token_table(b"cat\nend\nmat\non\nsat\nthe\nzoo"), "7 entries, sigma is 6"),
+    (lambda: token_table(b"cat\nend\nzat\non\nsat\nthe"), "not strictly increasing"),
+    (lambda: int_table([-5, 7]), "2 entries, sigma is 3"),
+    (lambda: int_table([-5, 7, 7]), "not strictly increasing"),
+], ids=["tokens-not-utf8", "tokens-short", "tokens-long", "tokens-unsorted",
+        "ints-short", "ints-unsorted"])
+def test_corrupt_remap_table(blob, message):
+    with pytest.raises(FormatError, match=message):
+        IndexBundle.from_bytes(blob())
+
+
+def listing_section(trade, data=None):
     """A bundle's bytes, split around its listing section: n (u64), block
     (u32), then for block > 1 the block minima as a u32 array."""
-    bundle = IndexBundle.from_values(zipf_string(100, 5, seed=1),
-                                     IndexConfig(trade=trade, build_check="never"))
+    if data is None:
+        data = zipf_string(100, 5, seed=1)
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade, build_check="never"))
     blob = bundle.to_bytes()
     at = blob.index(bundle.seq.to_bytes()) + len(bundle.seq.to_bytes())
     w = ByteWriter()
@@ -217,6 +267,18 @@ def test_listing_block_minima_count_checked():
     w.u32(4)
     w.np_u32(minima[:-1])  # one block minimum short
     with pytest.raises(FormatError, match="24 block minima, expected 25"):
+        IndexBundle.from_bytes(head + w.getvalue() + tail)
+
+
+def test_listing_block_minima_values_checked():
+    # minima too large let the recursion skip blocks that hold answers
+    data = zipf_string(2000, 50, seed=3)
+    head, _, tail, bundle = listing_section(4, data)
+    w = ByteWriter()
+    w.u64(bundle.seq.n)
+    w.u32(4)
+    w.np_u32(np.full(500, 2000))
+    with pytest.raises(FormatError, match="block minima disagree"):
         IndexBundle.from_bytes(head + w.getvalue() + tail)
 
 

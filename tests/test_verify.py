@@ -40,7 +40,7 @@ def test_fault_injection_produces_witness():
         assert key in witness
     lo, hi, tau = witness["lo"], witness["hi"], witness["tau"]
     # the bundle keeps the fault: replaying the witness query reproduces it
-    got = bundle.majority.query_majorities(lo, hi, tau, verify=witness["verify"])
+    got = bundle.majority.query_majorities(lo, hi, tau)
     want = oracle.oracle_majorities(data.tolist(), lo, hi, tau)
     assert got == witness["got"]
     assert want == witness["want"]
