@@ -54,7 +54,14 @@ def _select_in_word(word: int, k: int) -> int:
 
 
 class PackedArray:
-    """Fixed-width integer array packed into 64-bit words."""
+    """Fixed-width integer array packed into 64-bit words.
+
+    Value i occupies bits [i * width, (i + 1) * width) of the little-endian
+    bit stream formed by the words, so a value may straddle two words.
+    Both directions are vectorized: `from_values` spreads each value into
+    its bits and packs them with numpy, `to_numpy` unpacks them again;
+    `get` reads a single value from the words.
+    """
 
     __slots__ = ("width", "count", "words")
 
@@ -72,20 +79,19 @@ class PackedArray:
 
     @classmethod
     def from_values(cls, width: int, values) -> "PackedArray":
-        pa = cls(width, len(values))
+        """Pack the low `width` bits of each value (a sequence or integer array).
+
+        The inverse of `to_numpy`: each value's bits, least significant
+        first, are laid end to end and packed little-endian into words.
+        """
+        vals = np.ascontiguousarray(values, dtype="<u8")
         if width == 0:
-            return pa
-        w = pa.words
-        mask = (1 << width) - 1
-        for idx, val in enumerate(values):
-            v = int(val) & mask
-            s = idx * width
-            wi, off = s >> 6, s & 63
-            w[wi] |= (v << off) & _M64
-            spill = off + width - 64
-            if spill > 0:
-                w[wi + 1] |= v >> (width - spill)
-        return pa
+            return cls(0, int(vals.size))
+        low_bytes = vals.view(np.uint8).reshape(-1, 8)[:, : (width + 7) // 8]
+        bits = np.unpackbits(low_bytes, axis=1, count=width, bitorder="little")
+        packed = np.packbits(bits, bitorder="little").tobytes()
+        packed += b"\x00" * (-len(packed) % 8)
+        return cls(width, int(vals.size), np.frombuffer(packed, dtype="<u8").tolist())
 
     def get(self, idx: int) -> int:
         if self.width == 0:
@@ -300,7 +306,7 @@ class SparseBitVector:
 
     @classmethod
     def from_ones(cls, positions, n_bits: int) -> "SparseBitVector":
-        pos = np.asarray(sorted(int(p) for p in positions), dtype=np.int64)
+        pos = np.sort(np.asarray(positions, dtype=np.int64))
         m = int(pos.size)
         if m:
             if pos[0] < 1 or pos[-1] > n_bits:
@@ -319,13 +325,13 @@ class SparseBitVector:
             n_bits,
             m,
             low_width,
-            PackedArray.from_values(low_width, lows.tolist()),
+            PackedArray.from_values(low_width, lows),
             BitVector.from_numpy_bool(upper_bits),
         )
 
     @classmethod
     def from_numpy_bool(cls, arr: np.ndarray) -> "SparseBitVector":
-        return cls.from_ones((np.flatnonzero(arr) + 1).tolist(), int(arr.shape[0]))
+        return cls.from_ones(np.flatnonzero(arr) + 1, int(arr.shape[0]))
 
     # -- queries ---------------------------------------------------------------
 

@@ -25,9 +25,15 @@ all partition positions into aligned blocks of length 2**(b-1):
   element is among the flagged ones when it exists.
 
 A workspace caches the occurrence ordering so building many families over
-the same array sorts only once.  Positions are 1-based in the produced
-bitvectors.  The slow reference builders recompute the same sets from an
-occurrence matrix and are used for build-time self checks on small inputs.
+the same array sorts only once.  It counts the windows once per scale:
+the count depends only on the radius 2**(b+1), the tier only sets the
+threshold it is compared against, and the searchsorted probes are made in
+(symbol, position) key order, where they ascend.  Block first/last ranks
+are likewise computed once per scale and serve both the candidate and the
+distinct families.  Builders therefore loop over scales outermost.
+Positions are 1-based in the produced bitvectors.  The slow reference
+builders recompute the same sets from an occurrence matrix and are used
+for build-time self checks on small inputs.
 """
 
 from __future__ import annotations
@@ -38,10 +44,18 @@ from .bits import SparseBitVector
 from .listing import prev_occurrence_array
 
 _POS = 1 << 40  # (symbol, position) key packing; positions stay far below this
+_NO_RANK = np.iinfo(np.int64).max  # block rank of a position that opens and closes nothing
 
 
 class FlagWorkspace:
-    """Shared sorted-occurrence scaffolding for family construction."""
+    """Shared sorted-occurrence scaffolding for family construction.
+
+    The per-position window counts depend only on the scale (through the
+    radius) and the block ranks only on the scale, while the tier merely
+    sets the threshold they are compared against.  Each is kept for the
+    last radius or scale asked for, read-only, so a caller looping over
+    scales outermost computes each once and holds one n-long array of each.
+    """
 
     def __init__(self, arr: np.ndarray):
         arr = np.asarray(arr, dtype=np.int64)
@@ -56,46 +70,58 @@ class FlagWorkspace:
         grp_start = np.flatnonzero(newgrp)
         grp_id = np.cumsum(newgrp) - 1
         self.rank_in_grp = np.arange(self.n) - grp_start[grp_id] + 1
-        self._newgrp = newgrp
-        self._pos = np.arange(1, self.n + 1, dtype=np.int64)
-        self._prev = None
-        self._next = None
+        # previous / next occurrence of each position's symbol (0 / n + 1 if none)
+        self._prev = prev_occurrence_array(arr)
+        nxt_rev = prev_occurrence_array(arr[::-1])[::-1]
+        self._next = np.where(nxt_rev == 0, self.n + 1, self.n + 1 - nxt_rev)
+        self._counts = (None, None)  # (radius, window counts)
+        self._ranks = (None, None)  # (scale, block ranks)
+
+    def window_counts(self, radius: int) -> np.ndarray:
+        """Per position: occurrences of its symbol within +-radius, itself included.
+
+        Counted in key order, where the probes a_sorted * _POS + lo and
+        a_sorted * _POS + hi ascend, so searchsorted sweeps `keys` once
+        instead of jumping around it; the counts are scattered back to
+        position order.
+        """
+        if self._counts[0] != radius:
+            pos = self.order + 1
+            base = self.a_sorted * _POS
+            left = np.searchsorted(self.keys, base + np.maximum(pos - radius, 1), side="left")
+            right = np.searchsorted(self.keys, base + np.minimum(pos + radius, self.n), side="right")
+            counts = np.empty(self.n, dtype=np.int64)
+            counts[self.order] = right - left
+            counts.flags.writeable = False
+            self._counts = (radius, counts)
+        return self._counts[1]
 
     def window_qualifies(self, radius: int, need: int) -> np.ndarray:
         """Per position: does its symbol occur >= need times within +-radius?"""
-        lo = np.maximum(self._pos - radius, 1)
-        hi = np.minimum(self._pos + radius, self.n)
-        left = np.searchsorted(self.keys, self.arr * _POS + lo, side="left")
-        right = np.searchsorted(self.keys, self.arr * _POS + hi, side="right")
-        return (right - left) >= need
+        return self.window_counts(radius) >= need
 
-    def _block_first_last(self, scale: int):
-        """Masks for each symbol's first and last occurrence per block.
-
-        The workspace order is already sorted by (symbol, position), and
-        block ids are monotone in position, so per-(symbol, block) runs are
-        contiguous in it; no fresh sort per scale.
+    def _block_ranks(self, scale: int) -> np.ndarray:
+        """Per position, over aligned blocks of length 2**(scale-1): k when it
+        holds the k-th symbol to appear in its block, or the k-th to appear
+        last counted back from the block's end (the smaller k if both), and
+        _NO_RANK when it is neither a first nor a last occurrence there.
         """
-        n = self.n
-        blk = np.arange(n, dtype=np.int64) >> (scale - 1)
-        ab = blk[self.order]
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = self._newgrp[1:] | (ab[1:] != ab[:-1])
-        ends = np.empty(n, dtype=bool)
-        ends[-1] = True
-        ends[:-1] = boundary[1:]
-        first = np.zeros(n, dtype=bool)
-        first[self.order[boundary]] = True
-        last = np.zeros(n, dtype=bool)
-        last[self.order[ends]] = True
-        return first, last
+        if self._ranks[0] != scale:
+            n = self.n
+            blk = np.arange(n, dtype=np.int64) >> (scale - 1)
+            opens = self._prev <= blk << (scale - 1)  # previous one before the block
+            closes = self._next > np.minimum((blk + 1) << (scale - 1), n)
+            first = np.where(opens, _rank_within_blocks(opens, blk), _NO_RANK)
+            last = np.where(closes, _rank_within_blocks(closes[::-1], blk[::-1])[::-1], _NO_RANK)
+            ranks = np.minimum(first, last)
+            ranks.flags.writeable = False
+            self._ranks = (scale, ranks)
+        return self._ranks[1]
 
     def candidate_bits(self, tier: int, scale: int, qual: np.ndarray | None = None) -> np.ndarray:
         if qual is None:
             qual = self.window_qualifies(1 << (scale + 1), 1 << (scale - tier))
-        first, last = self._block_first_last(scale)
-        return qual & (first | last)
+        return qual & (self._block_ranks(scale) != _NO_RANK)
 
     def anchor_bits(self, tier: int, scale: int, chunk: int, qual: np.ndarray | None = None) -> np.ndarray:
         radius = 1 << (scale + 1)
@@ -116,23 +142,7 @@ class FlagWorkspace:
         return out
 
     def distinct_bits(self, tier: int, scale: int) -> np.ndarray:
-        n = self.n
-        cap = 1 << tier
-        blen = 1 << (scale - 1)
-        blk = np.arange(n, dtype=np.int64) >> (scale - 1)
-        if self._prev is None:
-            self._prev = prev_occurrence_array(self.arr)
-            nxt_rev = prev_occurrence_array(self.arr[::-1])[::-1]
-            self._next = np.where(nxt_rev == 0, n + 1, n + 1 - nxt_rev)
-        block_start = blk * blen + 1
-        block_end = np.minimum((blk + 1) * blen, n)
-        new_in_block = self._prev < block_start
-        gone_after_block = self._next > block_end
-        first_rank = _rank_within_blocks(new_in_block, blk)
-        last_rank = _rank_within_blocks(gone_after_block[::-1], blk[::-1])[::-1]
-        lead = new_in_block & (first_rank <= cap)
-        trail = gone_after_block & (last_rank <= cap)
-        return lead | trail
+        return self._block_ranks(scale) <= (1 << tier)
 
 
 def _rank_within_blocks(mask: np.ndarray, blk: np.ndarray) -> np.ndarray:

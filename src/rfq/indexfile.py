@@ -64,8 +64,12 @@ class IndexBundle:
         if not toks:
             raise DomainError("token sequence is empty")
         vocab, dense0 = np.unique(np.asarray(toks, dtype=object), return_inverse=True)
+        table = [str(t) for t in vocab]
+        if any("\n" in t for t in table):
+            # the file stores the token table one token per line
+            raise DomainError("tokens must not contain a newline")
         dense = dense0.astype(np.int64) + 1
-        return cls._build(dense, config, None, [str(t) for t in vocab])
+        return cls._build(dense, config, None, table)
 
     @classmethod
     def _build(cls, dense, config, originals, tokens) -> "IndexBundle":

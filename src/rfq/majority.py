@@ -435,9 +435,12 @@ def build_majority_index(
         )
         t_max = (seq.sigma - 1).bit_length()
         b_max = seq.n.bit_length() - 1
-        # tier 0 would serve only tau = 1.0, which the empty path already settles
-        for t in range(1, t_max + 1):
-            for b in range(config.scale_cutoff(t), b_max + 1):
+        # tier 0 would serve only tau = 1.0, which the empty path already settles;
+        # scales run outermost so the workspace counts each window radius once
+        for b in range(config.scale_cutoff(1), b_max + 1):
+            for t in range(1, t_max + 1):
+                if config.scale_cutoff(t) > b:
+                    break
                 qual = ws.window_qualifies(1 << (b + 1), 1 << (b - t))
                 gbits = ws.candidate_bits(t, b, qual=qual)
                 jbits = ws.anchor_bits(t, b, config.chunk_len, qual=qual)

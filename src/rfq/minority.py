@@ -191,8 +191,11 @@ def build_minority_index(
         )
         t_max = (seq.sigma - 1).bit_length()
         b_max = seq.n.bit_length() - 1
-        for t in range(t_max + 1):
-            for b in range(config.scale_cutoff(t), b_max + 1):
+        # scales run outermost so the workspace ranks each block length once
+        for b in range(config.scale_cutoff(0), b_max + 1):
+            for t in range(t_max + 1):
+                if config.scale_cutoff(t) > b:
+                    break
                 bits = ws.distinct_bits(t, b)
                 if check and not np.array_equal(bits, distinct_flag_bits_slow(raw, t, b)):
                     raise LogicError(f"distinct flags self-check failed at {(t, b)}")

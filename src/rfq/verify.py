@@ -115,7 +115,7 @@ def inject_fault(bundle: IndexBundle, seed: int = 0, samples: int = 4000):
     maj = bundle.majority
     data = bundle.seq.to_array().tolist()
     n = len(data)
-    populated = [key for key, fl in maj.candidate_flags.items() if fl.ones > 0]
+    populated = [key for key in maj.family_keys() if maj.candidate_flags[key].ones > 0]
     if not populated:
         return None
     for _ in range(samples):

@@ -32,13 +32,18 @@ def brute_select(bits, r):
 # -- PackedArray ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("width", [0, 1, 3, 7, 8, 13, 32, 40])
+@pytest.mark.parametrize("width", [0, 1, 3, 7, 8, 13, 32, 40, 63, 64])
 def test_packed_array_round_trip(width):
     rng = random.Random(width)
     vals = [rng.randrange(1 << width) if width else 0 for _ in range(137)]
+    if width:
+        vals[::5] = [v | 1 << (width - 1) for v in vals[::5]]  # top bit set
     pa = PackedArray.from_values(width, vals)
     assert [pa.get(i) for i in range(len(vals))] == vals
     assert pa.to_numpy().tolist() == vals
+    as_u64 = np.array(vals, dtype=np.uint64)
+    for arr in (as_u64, as_u64.view(np.int64)):
+        assert PackedArray.from_values(width, arr).words == pa.words
 
 
 def test_packed_array_width_zero_is_free():
@@ -183,6 +188,21 @@ def test_sparse_from_ones_validation():
         SparseBitVector.from_ones([2, 2], 5)
     with pytest.raises(RangeError):
         SparseBitVector.from_ones([6], 5)
+
+
+def test_sparse_from_ones_unsorted_array():
+    rng = np.random.default_rng(5)
+    ones = rng.choice(np.arange(1, 5001), size=300, replace=False)
+    given = ones.copy()
+    got = SparseBitVector.from_ones(ones, 5000)
+    assert got == SparseBitVector.from_ones(sorted(ones.tolist()), 5000)
+    assert (ones == given).all()  # the caller's array is left as it was
+    with pytest.raises(DomainError):
+        SparseBitVector.from_ones(np.append(ones, ones[7]), 5000)
+    with pytest.raises(RangeError):
+        SparseBitVector.from_ones(np.append(ones, 0), 5000)
+    with pytest.raises(RangeError):
+        SparseBitVector.from_ones(np.append(ones, 5001), 5000)
 
 
 def test_sparse_select0():

@@ -56,6 +56,24 @@ def test_window_qualifies_matches_slow():
         assert (got == want).all()
 
 
+@pytest.mark.parametrize("sigma", [2, 17, 300])
+def test_window_counts_at_real_size(sigma):
+    rng = np.random.default_rng(sigma)
+    n = 3000
+    arr = rng.integers(1, sigma + 1, size=n)
+    w = ws(arr)
+    occurrences = [np.flatnonzero(arr == a) + 1 for a in np.unique(arr)]
+    for scale in range(n.bit_length()):  # every scale up to lg n
+        radius = 1 << (scale + 1)
+        want = np.empty(n, dtype=np.int64)
+        for occ in occurrences:
+            near = np.abs(occ[:, None] - occ[None, :]) <= radius
+            want[occ - 1] = near.sum(axis=1)
+        assert (w.window_counts(radius) == want).all(), scale
+        need = 1 << max(scale - 2, 0)
+        assert (w.window_qualifies(radius, need) == (want >= need)).all(), scale
+
+
 @pytest.mark.parametrize("kind", ["candidate", "anchor", "distinct"])
 def test_fast_matches_slow(kind):
     rng = random.Random(zlib.crc32(kind.encode()) % 1000)

@@ -8,7 +8,7 @@ import pytest
 
 from rfq import BitVector, IndexConfig, oracle
 from rfq.corpus import zipf_string
-from rfq.errors import FormatError
+from rfq.errors import DomainError, FormatError
 from rfq.indexfile import IndexBundle
 from rfq.serial import ByteReader, ByteWriter
 
@@ -118,6 +118,11 @@ def test_remap_tokens():
     assert back.to_bytes() == bundle.to_bytes()
     assert back.query_mode(1, 8) == ("the", 3)
     assert back.query_minority(1, 8, 0.5) == bundle.query_minority(1, 8, 0.5)
+
+
+def test_tokens_with_newline_are_rejected():
+    with pytest.raises(DomainError):
+        IndexBundle.from_tokens(["a\nb", "c", "c"], IndexConfig(build_check="never"))
 
 
 def test_mode_tie_breaks_to_lexicographic_smallest_token():
