@@ -105,7 +105,7 @@ def _cmd_query(args) -> int:
         pairs = bundle.query_majorities(args.lo, args.hi, args.tau)
         diag = bundle.majority.diagnostics
     elif args.kind == "minority":
-        hit = bundle.query_minority(args.lo, args.hi, args.tau, strategy=args.strategy)
+        hit = bundle.query_minority(args.lo, args.hi, args.tau)
         pairs = [] if hit is None else [hit]
         diag = bundle.minority.diagnostics
     elif args.kind == "mode":
@@ -241,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("lo", type=int)
     q.add_argument("hi", type=int)
     q.add_argument("--tau", type=float, default=None)
-    q.add_argument("--strategy", choices=("listing", "flags"), default="listing")
     q.add_argument("--json", action="store_true")
     q.set_defaults(func=_cmd_query)
 

@@ -16,7 +16,8 @@ class IndexConfig:
     scales with g**2.  chunk_len is the anchor spacing c inside each
     symbol's occurrence list.  compressed stores each level of the
     binary wavelet matrix in the sparse encoding when that is smaller.
-    family_min_n is the shortest input that gets flag families, and
+    family_min_n is the shortest input that gets flag families (the
+    minority side's distinct families also need trade > 1), and
     build_check decides when the fast flag builders are checked against
     the slow reference ones.
     """

@@ -30,7 +30,9 @@ the count depends only on the radius 2**(b+1), the tier only sets the
 threshold it is compared against, and the searchsorted probes are made in
 (symbol, position) key order, where they ascend.  Block first/last ranks
 are likewise computed once per scale and serve both the candidate and the
-distinct families.  Builders therefore loop over scales outermost.
+distinct families, and the anchor windows once per scale and chunk length,
+so a tier only adds a prefix sum over its own window test.  Builders
+therefore loop over scales outermost.
 Positions are 1-based in the produced bitvectors.  The slow reference
 builders recompute the same sets from an occurrence matrix and are used
 for build-time self checks on small inputs.
@@ -40,7 +42,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import SparseBitVector
+from .bits import SparseBitVector, bitvector_from_bytes
+from .errors import FormatError
 from .listing import prev_occurrence_array
 
 _POS = 1 << 40  # (symbol, position) key packing; positions stay far below this
@@ -51,10 +54,11 @@ class FlagWorkspace:
     """Shared sorted-occurrence scaffolding for family construction.
 
     The per-position window counts depend only on the scale (through the
-    radius) and the block ranks only on the scale, while the tier merely
-    sets the threshold they are compared against.  Each is kept for the
-    last radius or scale asked for, read-only, so a caller looping over
-    scales outermost computes each once and holds one n-long array of each.
+    radius), the block ranks only on the scale and the anchor windows only
+    on the scale and chunk length, while the tier merely sets the
+    threshold they are compared against.  Each is kept for the last radius
+    or scale asked for, read-only, so a caller looping over scales
+    outermost computes each once and holds one copy of each.
     """
 
     def __init__(self, arr: np.ndarray):
@@ -76,6 +80,7 @@ class FlagWorkspace:
         self._next = np.where(nxt_rev == 0, self.n + 1, self.n + 1 - nxt_rev)
         self._counts = (None, None)  # (radius, window counts)
         self._ranks = (None, None)  # (scale, block ranks)
+        self._anchors = (None, None)  # ((scale, chunk), anchor windows)
 
     def window_counts(self, radius: int) -> np.ndarray:
         """Per position: occurrences of its symbol within +-radius, itself included.
@@ -123,20 +128,30 @@ class FlagWorkspace:
             qual = self.window_qualifies(1 << (scale + 1), 1 << (scale - tier))
         return qual & (self._block_ranks(scale) != _NO_RANK)
 
+    def _anchor_windows(self, scale: int, chunk: int):
+        """Anchor positions p (every chunk-th occurrence of a symbol, 1-based)
+        and the key-order bounds [left, right) of the window of radius
+        2**(scale+1) around each, among its symbol's occurrences."""
+        if self._anchors[0] != (scale, chunk):
+            radius = 1 << (scale + 1)
+            mult = np.flatnonzero(self.rank_in_grp % chunk == 0)
+            p = self.order[mult] + 1
+            base = self.a_sorted[mult] * _POS
+            left = np.searchsorted(self.keys, base + np.maximum(p - radius, 1), side="left")
+            right = np.searchsorted(self.keys, base + np.minimum(p + radius, self.n), side="right")
+            for a in (p, left, right):
+                a.flags.writeable = False
+            self._anchors = ((scale, chunk), (p, left, right))
+        return self._anchors[1]
+
     def anchor_bits(self, tier: int, scale: int, chunk: int, qual: np.ndarray | None = None) -> np.ndarray:
-        radius = 1 << (scale + 1)
         if qual is None:
-            qual = self.window_qualifies(radius, 1 << (scale - tier))
-        qual_cum = np.concatenate(([0], np.cumsum(qual[self.order])))
-        mult = np.flatnonzero(self.rank_in_grp % chunk == 0)
+            qual = self.window_qualifies(1 << (scale + 1), 1 << (scale - tier))
+        p, left, right = self._anchor_windows(scale, chunk)
         out = np.zeros(self.n, dtype=bool)
-        if mult.size == 0:
+        if p.size == 0:
             return out
-        p = self.order[mult] + 1
-        lo = np.maximum(p - radius, 1)
-        hi = np.minimum(p + radius, self.n)
-        left = np.searchsorted(self.keys, self.a_sorted[mult] * _POS + lo, side="left")
-        right = np.searchsorted(self.keys, self.a_sorted[mult] * _POS + hi, side="right")
+        qual_cum = np.concatenate(([0], np.cumsum(qual[self.order])))
         marked = (qual_cum[right] - qual_cum[left]) > 0
         out[p[marked] - 1] = True
         return out
@@ -155,6 +170,36 @@ def _rank_within_blocks(mask: np.ndarray, blk: np.ndarray) -> np.ndarray:
 
 def flags_from_bits(bits: np.ndarray) -> SparseBitVector:
     return SparseBitVector.from_numpy_bool(bits)
+
+
+def read_family_keys(r, seq):
+    """Yield the (tier, scale) keys of a stored family section in turn.
+
+    Keys must rise strictly, tiers stay within lg sigma and scales within
+    lg n, as the builders produce them; the caller reads each key's
+    payload before asking for the next key.
+    """
+    t_max = (seq.sigma - 1).bit_length()
+    b_max = seq.n.bit_length() - 1
+    last = None
+    for _ in range(r.u16()):
+        key = (r.u8(), r.u8())
+        if last is not None and key <= last:
+            raise FormatError(f"family key {key} does not follow {last}")
+        if key[0] > t_max or key[1] > b_max:
+            raise FormatError(f"family key {key} outside tiers 0..{t_max}, scales 0..{b_max}")
+        last = key
+        yield key
+
+
+def read_flags(r, n: int) -> SparseBitVector:
+    """One stored family: a sparse bitvector over all n positions."""
+    flags = bitvector_from_bytes(r.blob())
+    if not isinstance(flags, SparseBitVector):
+        raise FormatError("flag family is not a sparse bitvector")
+    if flags.n_bits != n:
+        raise FormatError(f"flag family covers {flags.n_bits} positions, sequence {n}")
+    return flags
 
 
 def expected_ones_cap(n: int, tier: int, scale: int) -> int:

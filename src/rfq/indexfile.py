@@ -9,7 +9,8 @@ order of the original symbols (lexicographic for tokens).
 File layout (magic ``RFQI``, version-checked on load): a config echo, the
 raw domain description, the remap table, then the four structural
 sections.  On load the remap table must hold exactly sigma entries in
-strictly increasing order.  Everything derived (rank directories,
+strictly increasing order, and every flag family must span the sequence
+under a strictly rising (tier, scale) key within lg sigma and lg n.  Everything derived (rank directories,
 range-minimum tables, per-family listing engines) is rebuilt lazily after
 load, so the file stores only what the space accounting counts.
 """
@@ -105,8 +106,8 @@ class IndexBundle:
     def query_majorities(self, lo: int, hi: int, tau: float):
         return self._map_pairs(self.majority.query_majorities(lo, hi, tau))
 
-    def query_minority(self, lo: int, hi: int, tau: float, strategy: str = "listing"):
-        hit = self.minority.query_minority(lo, hi, tau, strategy=strategy)
+    def query_minority(self, lo: int, hi: int, tau: float):
+        hit = self.minority.query_minority(lo, hi, tau)
         return None if hit is None else (self.to_original(hit[0]), hit[1])
 
     def query_mode(self, lo: int, hi: int):
@@ -188,8 +189,8 @@ class IndexBundle:
             if any(a >= b for a, b in zip(table, table[1:])):
                 raise FormatError("remap table is not strictly increasing")
         listing = ListingIndex.read_from(r, seq)
-        cand, anch, prev = MajorityIndex.read_families(r)
-        dist = MinorityIndex.read_families(r)
+        cand, anch, prev = MajorityIndex.read_families(r, seq)
+        dist = MinorityIndex.read_families(r, seq)
         if not r.done():
             raise FormatError("trailing bytes after index payload")
         maj = MajorityIndex(seq, cfg, listing, cand, anch, prev)

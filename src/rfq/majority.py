@@ -40,13 +40,15 @@ import numpy as np
 
 from .config import IndexConfig
 from .counters import QueryDiagnostics
-from .errors import DomainError, LogicError, RangeError
+from .errors import DomainError, FormatError, LogicError, RangeError
 from .families import (
     FlagWorkspace,
     anchor_flag_bits_slow,
     candidate_flag_bits_slow,
     expected_ones_cap,
     flags_from_bits,
+    read_family_keys,
+    read_flags,
 )
 from .listing import ListingIndex, prev_occurrence_array
 from .sequence import WaveletSequence
@@ -397,18 +399,22 @@ class MajorityIndex:
             w.np_u32(self.anchor_prev[(t, b)].astype(np.uint32))
 
     @staticmethod
-    def read_families(r: ByteReader):
-        from .bits import bitvector_from_bytes
-
+    def read_families(r: ByteReader, seq: WaveletSequence):
         cand: dict = {}
         anch: dict = {}
         prev: dict = {}
-        for _ in range(r.u16()):
-            t = r.u8()
-            b = r.u8()
-            cand[(t, b)] = bitvector_from_bytes(r.blob())
-            anch[(t, b)] = bitvector_from_bytes(r.blob())
-            prev[(t, b)] = r.np_u32().astype(np.int64)
+        for key in read_family_keys(r, seq):
+            cand[key] = read_flags(r, seq.n)
+            anch[key] = read_flags(r, seq.n)
+            prev[key] = r.np_u32().astype(np.int64)
+            if prev[key].size != anch[key].ones:
+                raise FormatError(
+                    f"family {key} stores {prev[key].size} anchor links for "
+                    f"{anch[key].ones} anchors"
+                )
+            # each link points at an earlier anchor (1-based) or is 0
+            if np.any(prev[key] > np.arange(prev[key].size)):
+                raise FormatError(f"family {key} links an anchor forward")
         return cand, anch, prev
 
 

@@ -3,23 +3,26 @@
 Given [lo..hi] and tau, report some symbol present in the range whose count
 is at most floor(tau * length), together with its exact count, or None when
 every present symbol exceeds the threshold.  Unlike the majority problem the
-answer is a single witness, which makes a simpler strategy viable:
+answer is a single witness.  Dispatch mirrors the majority side:
 
-* "listing": enumerate distinct symbols of the range in leftmost order.
-  Fewer than 1/tau symbols can exceed the threshold, so among the first
-  ceil(1/tau) distinct symbols (or all of them, if fewer exist) at least
-  one is a minority whenever any minority exists.
+* empty: the threshold is 0, so every present symbol is frequent.
+* listing (trade g = 1, or tau < 1/sigma): enumerate distinct symbols of
+  the range in leftmost order.  Fewer than 1/tau symbols can exceed the
+  threshold, so among the first ceil(1/tau) distinct symbols (or all of
+  them, if fewer exist) at least one is a minority whenever any exists.
+  At g = 1 the listing engine reads its C array directly, which beats the
+  flags, so no distinct families are built there.
+* flagged (g > 1): per (tier, scale), a distinct family flags within each
+  aligned block the first occurrences of the first 2**tier distinct
+  symbols and the last occurrences of the last 2**tier distinct ones.  For
+  a range of matching scale, either all its distinct symbols carry a flag
+  inside the range or one of its full blocks contributes
+  2**tier >= ceil(1/tau) flagged distinct symbols; either way a minority
+  is among the flagged candidates when one exists.
+* sequential (g > 1, no family covers the scale): walk the short range
+  once and stop at the first minority.
 
-* "flags": per (tier, scale), flag within each aligned block the first
-  occurrences of the first 2**tier distinct symbols and the last
-  occurrences of the last 2**tier distinct ones.  For a range of matching
-  scale, either all its distinct symbols carry a flag inside the range or
-  one of its full blocks contributes 2**tier >= ceil(1/tau) flagged
-  distinct symbols; either way a minority is among the flagged candidates
-  when one exists.  Ranges below the covered scales fall back to an
-  early-stopping sequential scan.
-
-Both strategies certify candidates with one select probe against the
+Listing and flagged certify candidates with one select probe against the
 threshold and pay one extra rank only for the reported witness.
 """
 
@@ -33,8 +36,15 @@ import numpy as np
 
 from .config import IndexConfig
 from .counters import QueryDiagnostics
-from .errors import ConfigError, DomainError, LogicError, RangeError
-from .families import FlagWorkspace, distinct_flag_bits_slow, expected_ones_cap, flags_from_bits
+from .errors import DomainError, LogicError, RangeError
+from .families import (
+    FlagWorkspace,
+    distinct_flag_bits_slow,
+    expected_ones_cap,
+    flags_from_bits,
+    read_family_keys,
+    read_flags,
+)
 from .listing import ListingIndex
 from .majority import _SELF_CHECK_MAX_N, RangeScan, _tier, threshold_count
 from .sequence import WaveletSequence
@@ -57,7 +67,7 @@ class MinorityIndex:
         self.distinct_flags = distinct_flags
         self.diagnostics: QueryDiagnostics | None = None
 
-    def query_minority(self, lo: int, hi: int, tau: float, strategy: str = "listing"):
+    def query_minority(self, lo: int, hi: int, tau: float):
         """Some (symbol, count) with 1 <= count <= floor(tau * length), or None."""
         seq = self.seq
         n = seq.n
@@ -65,8 +75,6 @@ class MinorityIndex:
             raise RangeError(f"range [{lo}, {hi}] outside 1..{n}")
         if not (isinstance(tau, (int, float)) and 0.0 < tau <= 1.0):
             raise DomainError(f"tau must be in (0, 1], got {tau!r}")
-        if strategy not in ("listing", "flags"):
-            raise ConfigError(f"unknown minority strategy {strategy!r}")
         t0 = time.perf_counter_ns()
         snap = seq.tally.snapshot()
         diag = QueryDiagnostics(kind="minority", lo=lo, hi=hi, tau=float(tau))
@@ -75,7 +83,7 @@ class MinorityIndex:
         found = None
         if thr == 0:
             diag.path = "empty"  # every present symbol is automatically frequent
-        elif strategy == "listing" or tau < 1.0 / seq.sigma:
+        elif self.config.trade == 1 or tau < 1.0 / seq.sigma:
             found = self._via_listing(lo, hi, tau, thr, diag)
         else:
             tier = _tier(tau)
@@ -89,7 +97,7 @@ class MinorityIndex:
         self.diagnostics = diag
         return found
 
-    # -- strategies -----------------------------------------------------------
+    # -- dispatch targets -------------------------------------------------------
 
     def _via_listing(self, lo, hi, tau, thr, diag):
         seq = self.seq
@@ -160,15 +168,8 @@ class MinorityIndex:
             w.blob(self.distinct_flags[(t, b)].to_bytes())
 
     @staticmethod
-    def read_families(r: ByteReader) -> dict:
-        from .bits import bitvector_from_bytes
-
-        out: dict = {}
-        for _ in range(r.u16()):
-            t = r.u8()
-            b = r.u8()
-            out[(t, b)] = bitvector_from_bytes(r.blob())
-        return out
+    def read_families(r: ByteReader, seq: WaveletSequence) -> dict:
+        return {key: read_flags(r, seq.n) for key in read_family_keys(r, seq)}
 
 
 def build_minority_index(
@@ -184,7 +185,8 @@ def build_minority_index(
     if listing is None:
         listing = ListingIndex.for_sequence(seq, config.trade, raw)
     flags: dict = {}
-    if seq.n >= config.family_min_n:
+    # at g = 1 every minority query takes the listing path, which reads no family
+    if config.trade > 1 and seq.n >= config.family_min_n:
         ws = FlagWorkspace(raw)
         check = config.build_check == "always" or (
             config.build_check == "auto" and seq.n <= _SELF_CHECK_MAX_N

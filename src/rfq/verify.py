@@ -1,8 +1,8 @@
 """Randomized cross-checks of a built index against the brute-force oracle.
 
-The verifier replays random queries through every query path (majority,
-both minority strategies, mode) and compares against recomputation from
-the raw sequence.  The tau pool deliberately
+The verifier replays random queries (majority, minority, mode) through
+the index's own dispatch and compares against recomputation from the raw
+sequence.  The tau pool deliberately
 includes exact fraction boundaries k/len, where a symbol's count can land
 exactly on tau times the range length, and dyadic taus that hit family
 tiers dead on.
@@ -54,7 +54,7 @@ def _tau_pool(rng: random.Random, length: int) -> float:
 
 
 def verify_index(bundle: IndexBundle, queries: int = 1000, seed: int = 0) -> VerifyReport:
-    """Replay random queries through every path; collect any disagreements."""
+    """Replay random queries; collect any disagreements with the oracle."""
     t0 = time.perf_counter()
     data = bundle.seq.to_array().tolist()
     n = len(data)
@@ -64,7 +64,7 @@ def verify_index(bundle: IndexBundle, queries: int = 1000, seed: int = 0) -> Ver
         lo = rng.randint(1, n)
         hi = rng.randint(lo, n)
         tau = _tau_pool(rng, hi - lo + 1)
-        kind = rng.randrange(5)  # two majority, one per minority strategy, one mode
+        kind = rng.randrange(5)  # two majority, two minority, one mode
         report.queries += 1
         if kind < 2:
             got = bundle.majority.query_majorities(lo, hi, tau)
@@ -74,14 +74,12 @@ def verify_index(bundle: IndexBundle, queries: int = 1000, seed: int = 0) -> Ver
                     dict(kind="majority", lo=lo, hi=hi, tau=tau, got=got, want=want)
                 )
         elif kind < 4:
-            strategy = "listing" if kind == 2 else "flags"
-            got = bundle.minority.query_minority(lo, hi, tau, strategy=strategy)
+            got = bundle.minority.query_minority(lo, hi, tau)
             want = oracle_minorities(data, lo, hi, tau)
             bad = (got is None and want) or (got is not None and tuple(got) not in want)
             if bad:
                 report.mismatches.append(
-                    dict(kind="minority", strategy=strategy, lo=lo, hi=hi, tau=tau,
-                         got=got, want=want[:5])
+                    dict(kind="minority", lo=lo, hi=hi, tau=tau, got=got, want=want[:5])
                 )
         else:
             got = bundle.majority.query_mode(lo, hi)

@@ -100,24 +100,25 @@ def test_minorities_valid_and_presence_agrees(corpus):
     """Returned minorities check out against brute force; None only when none exist."""
     rng = random.Random(2)
     cases = 0
+    paths = {}
     for ent in corpus:
         n = len(ent.ref)
         for lo, hi in ranges_for(rng, n, 8):
             for tau in tau_pool(ent.sigma_drawn):
                 want = oracle.oracle_minorities(ent.ref, lo, hi, tau)
-                for strategy in ("listing", "flags"):
-                    got = ent.bundle.query_minority(lo, hi, tau,
-                                                    strategy=strategy)
-                    if want:
-                        assert got in want, (n, lo, hi, tau, strategy, got)
-                    else:
-                        assert got is None, (n, lo, hi, tau, strategy, got)
-                    d = ent.bundle.minority.diagnostics
-                    assert d.ops.sequence_ops <= ops_cap(tau, ent.trade)
-                    record(d, ent.trade, ent.sigma_eff)
+                got = ent.bundle.query_minority(lo, hi, tau)
+                if want:
+                    assert got in want, (n, lo, hi, tau, got)
+                else:
+                    assert got is None, (n, lo, hi, tau, got)
+                d = ent.bundle.minority.diagnostics
+                assert d.ops.sequence_ops <= ops_cap(tau, ent.trade)
+                record(d, ent.trade, ent.sigma_eff)
+                paths[d.path] = paths.get(d.path, 0) + 1
                 cases += 1
-    print(f"\nminority agreement: {cases} cases x 2 strategies, 0 misses")
+    print(f"\nminority agreement: {cases} cases, 0 misses, paths {sorted(paths.items())}")
     assert cases >= 15_000
+    assert paths.get("listing") and paths.get("flagged")
 
 
 def test_work_scales_with_inverse_tau(corpus):
@@ -278,7 +279,6 @@ def test_exact_boundary_counts_are_never_majorities():
         assert d.ops.sequence_ops <= ops_cap(tau, bundle.config.trade)
         minors = oracle.oracle_minorities(data, lo, hi, tau)
         assert (1, occ) in minors
-        for strategy in ("listing", "flags"):
-            hit = bundle.query_minority(lo, hi, tau, strategy=strategy)
-            assert hit in minors, (case, strategy, hit)
+        hit = bundle.query_minority(lo, hi, tau)
+        assert hit in minors, (case, hit)
     print("\nboundaries: 1000 exact occ == tau*len cases excluded and minoritized")

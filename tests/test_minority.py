@@ -8,7 +8,8 @@ import pytest
 
 from rfq import IndexConfig, build_majority_index, build_minority_index, oracle
 from rfq.corpus import uniform_string, zipf_string
-from rfq.errors import ConfigError, DomainError, RangeError
+from rfq.errors import DomainError, RangeError
+from rfq.indexfile import IndexBundle
 
 CANON = [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
@@ -17,6 +18,13 @@ CANON = [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 def canon_min():
     return build_minority_index(
         np.asarray(CANON), IndexConfig(trade=1, build_check="always"))
+
+
+@pytest.fixture(scope="module")
+def canon_g2():
+    # below the family floor, so g = 2 serves every range by the scan
+    return build_minority_index(
+        np.asarray(CANON), IndexConfig(trade=2, build_check="always"))
 
 
 def test_frozen(canon_min):
@@ -31,17 +39,17 @@ def test_frozen(canon_min):
     assert canon_min.query_minority(5, 5, 1.0) == (4, 1)
 
 
-def test_strategies_agree_with_oracle(canon_min):
+def test_canon_agrees_with_oracle(canon_min, canon_g2):
     for lo in range(1, 12):
         for hi in range(lo, 12):
             for tau in (1.0, 0.51, 0.4, 0.2, 0.08):
                 want = oracle.oracle_minorities(CANON, lo, hi, tau)
-                for strategy in ("listing", "flags"):
-                    got = canon_min.query_minority(lo, hi, tau, strategy=strategy)
+                for idx in (canon_min, canon_g2):
+                    got = idx.query_minority(lo, hi, tau)
                     if want:
-                        assert got in want, (lo, hi, tau, strategy, got)
+                        assert got in want, (lo, hi, tau, idx.config.trade, got)
                     else:
-                        assert got is None, (lo, hi, tau, strategy, got)
+                        assert got is None, (lo, hi, tau, idx.config.trade, got)
 
 
 def test_validation(canon_min):
@@ -53,31 +61,51 @@ def test_validation(canon_min):
         canon_min.query_minority(1, 4, 0.0)
     with pytest.raises(DomainError):
         canon_min.query_minority(1, 4, 2.0)
-    with pytest.raises(ConfigError):
-        canon_min.query_minority(1, 4, 0.5, strategy="psychic")
 
 
-def test_small_index_has_no_families(canon_min):
-    # 11 positions is below the family floor; flags fall back to scanning
-    assert canon_min.distinct_flags == {}
-    canon_min.query_minority(4, 8, 0.5, strategy="flags")
-    assert canon_min.diagnostics.path == "sequential"
+def test_small_index_has_no_families(canon_g2):
+    # 11 positions is below the family floor; g > 1 falls back to scanning
+    assert canon_g2.distinct_flags == {}
+    canon_g2.query_minority(4, 8, 0.5)
+    assert canon_g2.diagnostics.path == "sequential"
 
 
 def test_flagged_path_serves_tier_zero():
     # tau = 1.0 maps to tier 0, which only the minority side keeps
     data = uniform_string(256, 4, seed=3)
-    idx = build_minority_index(data, IndexConfig(trade=1, build_check="always"))
+    idx = build_minority_index(data, IndexConfig(trade=2, build_check="always"))
     assert (0, 6) in idx.distinct_flags
-    got = idx.query_minority(65, 128, 1.0, strategy="flags")
+    got = idx.query_minority(65, 128, 1.0)
     assert idx.diagnostics.path == "flagged"
     assert got in oracle.oracle_minorities(data.tolist(), 65, 128, 1.0)
+
+
+@pytest.mark.parametrize("trade, lo, hi, tau, path", [
+    (1, 65, 128, 0.5, "listing"),  # g = 1 always lists
+    (2, 65, 128, 0.5, "flagged"),  # family (1, 6) covers the range
+    (2, 10, 17, 0.5, "sequential"),  # scale 3 is below the tier-1 cutoff
+    (2, 65, 128, 0.2, "listing"),  # tau < 1/sigma
+])
+def test_dispatch_path_per_config(trade, lo, hi, tau, path):
+    data = uniform_string(256, 4, seed=3)
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade, build_check="always"))
+    got = bundle.query_minority(lo, hi, tau)
+    assert bundle.minority.diagnostics.path == path
+    want = oracle.oracle_minorities(data.tolist(), lo, hi, tau)
+    assert got in want if want else got is None
+
+
+def test_distinct_families_only_above_trade_one():
+    data = uniform_string(256, 4, seed=3)
+    assert IndexBundle.from_values(data, IndexConfig(trade=1)).minority.distinct_flags == {}
+    assert IndexBundle.from_values(data, IndexConfig(trade=2)).minority.distinct_flags
 
 
 @pytest.mark.parametrize("cfg", [
     IndexConfig(trade=1, build_check="always"),
     IndexConfig(trade=4, compressed=True, build_check="always"),
     IndexConfig(trade=1, family_min_n=4, build_check="always"),
+    IndexConfig(trade=2, family_min_n=4, build_check="always"),
 ])
 def test_random_vs_oracle(cfg):
     rng = random.Random(cfg.trade * 100 + cfg.family_min_n)
@@ -97,17 +125,16 @@ def test_random_vs_oracle(cfg):
                               1.0 / sigma_eff, 0.5 / sigma_eff,
                               rng.randint(1, hi - lo + 1) / (hi - lo + 1)])
             want = oracle.oracle_minorities(ref, lo, hi, tau)
-            for strategy in ("listing", "flags"):
-                got = idx.query_minority(lo, hi, tau, strategy=strategy)
-                if want:
-                    assert got in want, (n, lo, hi, tau, strategy)
-                else:
-                    assert got is None, (n, lo, hi, tau, strategy)
-                d = idx.diagnostics
-                cap = 64 * math.ceil(1.0 / tau) * cfg.trade * cfg.trade
-                assert d.ops.sequence_ops <= cap
-                # returned-or-verified candidates stay near the majority count
-                assert d.candidates <= 64 * math.ceil(1.0 / tau) + sigma_eff
+            got = idx.query_minority(lo, hi, tau)
+            if want:
+                assert got in want, (n, lo, hi, tau)
+            else:
+                assert got is None, (n, lo, hi, tau)
+            d = idx.diagnostics
+            cap = 64 * math.ceil(1.0 / tau) * cfg.trade * cfg.trade
+            assert d.ops.sequence_ops <= cap
+            # returned-or-verified candidates stay near the majority count
+            assert d.candidates <= 64 * math.ceil(1.0 / tau) + sigma_eff
 
 
 def test_boundary_exact_count_is_minority():

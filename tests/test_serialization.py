@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from rfq import BitVector, IndexConfig, oracle
+from rfq import BitVector, IndexConfig, SparseBitVector, oracle
 from rfq.corpus import zipf_string
 from rfq.errors import DomainError, FormatError
 from rfq.indexfile import IndexBundle
@@ -285,6 +285,71 @@ def test_listing_block_minima_values_checked():
     w.np_u32(np.full(500, 2000))
     with pytest.raises(FormatError, match="block minima disagree"):
         IndexBundle.from_bytes(head + w.getvalue() + tail)
+
+
+def family_bundle(**kw):
+    """A trade-2 bundle with candidate, anchor and distinct families."""
+    cfg = IndexConfig(trade=2, build_check="never", **kw)
+    return IndexBundle.from_values(zipf_string(3000, 40, skew=1.1, seed=3), cfg)
+
+
+def truncated(flags, n_bits):
+    return SparseBitVector.from_ones(flags.ones_in_range(1, n_bits), n_bits)
+
+
+@pytest.mark.parametrize("side", ["candidate", "anchor", "distinct"])
+def test_family_length_must_match_sequence(side):
+    # families cut to n/2 bits used to load, then answer wrongly or raise
+    # a raw RangeError from rank past their end
+    bundle = family_bundle(chunk_len=16)
+    families = {"candidate": bundle.majority.candidate_flags,
+                "anchor": bundle.majority.anchor_flags,
+                "distinct": bundle.minority.distinct_flags}[side]
+    for key, flags in families.items():
+        families[key] = truncated(flags, 1500)
+    with pytest.raises(FormatError, match="covers 1500 positions, sequence 3000"):
+        IndexBundle.from_bytes(bundle.to_bytes())
+
+
+@pytest.mark.parametrize("side", ["majority", "minority"])
+def test_family_keys_must_rise(side):
+    bundle = family_bundle()
+    index = getattr(bundle, side)
+    keys = index.family_keys()
+    index.family_keys = lambda: keys[1:] + keys[:1]  # write one key out of order
+    with pytest.raises(FormatError, match="does not follow"):
+        IndexBundle.from_bytes(bundle.to_bytes())
+
+
+@pytest.mark.parametrize("side", ["majority", "minority"])
+@pytest.mark.parametrize("grow", [(1, 0), (0, 1)], ids=["tier", "scale"])
+def test_family_key_within_bounds(side, grow):
+    bundle = family_bundle()
+    # sigma 40 gives tiers up to 6, n = 3000 scales up to 11
+    key = (6 + grow[0], 11 + grow[1])
+    if side == "majority":
+        maj = bundle.majority
+        for part in (maj.candidate_flags, maj.anchor_flags, maj.anchor_prev):
+            part[key] = part[(1, 11)]
+    else:
+        bundle.minority.distinct_flags[key] = bundle.minority.distinct_flags[(0, 11)]
+    with pytest.raises(FormatError, match=rf"family key \({key[0]}, {key[1]}\) outside"):
+        IndexBundle.from_bytes(bundle.to_bytes())
+
+
+def test_anchor_links_match_anchors():
+    bundle = family_bundle(chunk_len=16)
+    maj = bundle.majority
+    key = next(k for k in maj.family_keys() if maj.anchor_flags[k].ones > 1)
+    good = maj.anchor_prev[key]
+    maj.anchor_prev[key] = good[:-1]
+    with pytest.raises(FormatError, match="anchor links for"):
+        IndexBundle.from_bytes(bundle.to_bytes())
+    forward = good.copy()
+    forward[0] = 1  # the first anchor has no earlier one to link to
+    maj.anchor_prev[key] = forward
+    with pytest.raises(FormatError, match="links an anchor forward"):
+        IndexBundle.from_bytes(bundle.to_bytes())
 
 
 def test_save_load(tmp_path):
