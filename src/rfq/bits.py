@@ -12,6 +12,11 @@ word with popcounts, then one byte-table read) finds the bit (Vigna,
 compressed variant stores sorted set positions with a low/high split; its
 rank and select directories are rebuilt at load time, so reported sizes
 reflect only the persisted payload.
+
+The range-minimum index takes O(n) words: byte-sized in-block offsets for
+16-cell blocks plus a sparse table over the blocks' minima (Fischer &
+Heun, SICOMP 2011): about 8 bytes a value on top of the values, where a
+sparse table over every cell takes 8 lg n.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ _SUPER_WORDS = 8
 _SUPER_BITS = 64 * _SUPER_WORDS  # 512-bit superblocks
 _SELECT_SAMPLE = 512
 _M64 = (1 << 64) - 1
+_RMQ_BLOCK = 16  # RmqIndex cells per block; query() hard-codes the 4-bit shift
 
 # _SEL8[8 * b + j]: offset of the (j+1)-th set bit of byte b (8 when absent)
 _SEL8 = bytes(
@@ -484,40 +490,96 @@ def bitvector_from_bytes(data: bytes):
 
 
 class RmqIndex:
-    """Sparse-table range minimum over an integer array, leftmost tie-break.
+    """Range minimum over an integer array in O(n) words, leftmost tie-break.
 
     query(l, r) returns the 1-based position of the smallest value in
     values[l..r]; among equal minima the leftmost position wins.
+
+    Cells are grouped in blocks of 16 (Fischer & Heun, "Space-efficient
+    preprocessing schemes for range minimum queries on static arrays",
+    SICOMP 2011, without the Cartesian-tree encoding).  Each cell keeps the
+    in-block offsets of the leftmost minimum of its block's prefix up to it,
+    of its block's suffix from it, and of the spans of 2, 4 and 8 cells
+    starting at it, one byte each.  A sparse table over the blocks' minimum
+    positions answers runs of whole blocks.  A range inside one block reads
+    a prefix, a suffix or two span entries; any other range compares its
+    first block's suffix, its last block's prefix and the sparse table's
+    answer for the blocks between, so no query scans.
     """
 
-    __slots__ = ("n", "values", "_levels")
+    __slots__ = ("n", "values", "_vals", "_pre", "_suf", "_spans", "_levels")
 
     def __init__(self, values):
         vals = np.asarray(values, dtype=np.int64)
-        self.n = int(vals.shape[0])
+        self.n = n = int(vals.shape[0])
         self.values = vals
-        levels = [np.arange(self.n, dtype=np.int64)]
-        span = 1
-        while 2 * span <= self.n:
-            prev = levels[-1]
-            m = self.n - 2 * span + 1
-            a = prev[:m]
-            b = prev[span : span + m]
-            take_a = vals[a] <= vals[b]
-            levels.append(np.where(take_a, a, b))
-            span *= 2
-        self._levels = levels
+        nb = -(-n // _RMQ_BLOCK)
+        cells = np.full((nb, _RMQ_BLOCK), np.iinfo(np.int64).max, dtype=np.int64)
+        cells.reshape(-1)[:n] = vals  # padding sorts after every real cell
+        offs = np.arange(_RMQ_BLOCK, dtype=np.uint8)
+        run = np.minimum.accumulate(cells, axis=1)
+        drops = np.ones(cells.shape, dtype=bool)
+        drops[:, 1:] = run[:, 1:] < run[:, :-1]
+        pre = np.maximum.accumulate(np.where(drops, offs, 0), axis=1)
+        # the leftmost minimum of a suffix is its first cell equal to the suffix minimum
+        at_min = cells == np.minimum.accumulate(cells[:, ::-1], axis=1)[:, ::-1]
+        suf = np.minimum.accumulate(np.where(at_min, offs, _RMQ_BLOCK)[:, ::-1], axis=1)[:, ::-1]
+        rows = np.arange(nb)[:, None]
+        span = np.broadcast_to(offs, cells.shape)
+        spans = []
+        for h in (1, 2, 4):  # spans 2h from two spans h; entries past the block are unused
+            a, b = span[:, : _RMQ_BLOCK - h], span[:, h:]
+            span = np.zeros(cells.shape, dtype=np.uint8)
+            span[:, : _RMQ_BLOCK - h] = np.where(cells[rows, a] <= cells[rows, b], a, b)
+            spans.append(memoryview(span.reshape(-1)))
+        del cells, run, drops, at_min
+        level = np.arange(0, nb * _RMQ_BLOCK, _RMQ_BLOCK) + pre[:, -1]
+        level = level.astype(np.min_scalar_type(max(n - 1, 0)))
+        levels = [level]
+        h = 1
+        while 2 * h <= nb:  # leftmost minimum position over blocks x .. x + 2h - 1
+            a, b = level[: nb - 2 * h + 1], level[h : nb - h + 1]
+            level = np.where(vals[a] <= vals[b], a, b)
+            levels.append(level)
+            h *= 2
+        self._vals = memoryview(vals)
+        self._pre = memoryview(pre.reshape(-1))
+        self._suf = memoryview(suf.reshape(-1))
+        self._spans = spans
+        self._levels = [memoryview(lv) for lv in levels]
 
     def query(self, l: int, r: int) -> int:
         if not (1 <= l <= r <= self.n):
             raise RangeError(f"bad range [{l}, {r}] for length {self.n}")
         if l == r:
             return l
-        width = r - l + 1
-        k = width.bit_length() - 1
-        span = 1 << k
-        lvl = self._levels[k]
-        a = lvl.item(l - 1)
-        b = lvl.item(r - span)
-        best = a if self.values.item(a) <= self.values.item(b) else b
+        i, j = l - 1, r - 1
+        val = self._vals
+        bi, bj = i >> 4, j >> 4  # blocks of 16 cells
+        if bi == bj:
+            if not i & 15:
+                return i + self._pre[j] + 1
+            if j & 15 == 15:
+                return i - (i & 15) + self._suf[i] + 1
+            k = (j - i + 1).bit_length() - 1  # at most 3: the range misses a block end
+            span = self._spans[k - 1]
+            base = i - (i & 15)
+            a = base + span[i]
+            b = base + span[j - (1 << k) + 1]
+            return (a if val[a] <= val[b] else b) + 1
+        best = i - (i & 15) + self._suf[i]
+        low = val[best]
+        if bj - bi > 1:
+            k = (bj - bi - 1).bit_length() - 1
+            level = self._levels[k]
+            a = level[bi + 1]
+            b = level[bj - (1 << k)]
+            va, vb = val[a], val[b]
+            if vb < va:
+                a, va = b, vb
+            if va < low:
+                best, low = a, va
+        c = j - (j & 15) + self._pre[j]
+        if val[c] < low:
+            best = c
         return best + 1

@@ -30,9 +30,11 @@ the count depends only on the radius 2**(b+1), the tier only sets the
 threshold it is compared against, and the searchsorted probes are made in
 (symbol, position) key order, where they ascend.  Block first/last ranks
 are likewise computed once per scale and serve both the candidate and the
-distinct families, and the anchor windows once per scale and chunk length,
-so a tier only adds a prefix sum over its own window test.  Builders
-therefore loop over scales outermost.
+distinct families.  Per scale and chunk length each anchor also keeps the
+largest window count among its symbol's occurrences inside its window, so
+a tier's anchor family is one compare over the anchors.  Builders
+therefore loop over scales outermost, and one workspace serves the
+majority and the minority builders of an index.
 Positions are 1-based in the produced bitvectors.  The slow reference
 builders recompute the same sets from an occurrence matrix and are used
 for build-time self checks on small inputs.
@@ -54,8 +56,8 @@ class FlagWorkspace:
     """Shared sorted-occurrence scaffolding for family construction.
 
     The per-position window counts depend only on the scale (through the
-    radius), the block ranks only on the scale and the anchor windows only
-    on the scale and chunk length, while the tier merely sets the
+    radius), the block ranks only on the scale and the anchors' window
+    maxima only on the scale and chunk length, while the tier merely sets the
     threshold they are compared against.  Each is kept for the last radius
     or scale asked for, read-only, so a caller looping over scales
     outermost computes each once and holds one copy of each.
@@ -123,15 +125,20 @@ class FlagWorkspace:
             self._ranks = (scale, ranks)
         return self._ranks[1]
 
-    def candidate_bits(self, tier: int, scale: int, qual: np.ndarray | None = None) -> np.ndarray:
-        if qual is None:
-            qual = self.window_qualifies(1 << (scale + 1), 1 << (scale - tier))
+    def candidate_bits(self, tier: int, scale: int) -> np.ndarray:
+        qual = self.window_qualifies(1 << (scale + 1), 1 << (scale - tier))
         return qual & (self._block_ranks(scale) != _NO_RANK)
 
     def _anchor_windows(self, scale: int, chunk: int):
         """Anchor positions p (every chunk-th occurrence of a symbol, 1-based)
-        and the key-order bounds [left, right) of the window of radius
-        2**(scale+1) around each, among its symbol's occurrences."""
+        and, per anchor, the largest window count (radius 2**(scale+1)) among
+        its symbol's occurrences inside the window of the same radius around p.
+
+        Those occurrences are a key-order run [left, right) of `keys`; the
+        runs' maxima come from one doubling pass over the key-order counts,
+        each run read at the level of its own length, as a sparse table
+        would, without keeping the levels.
+        """
         if self._anchors[0] != (scale, chunk):
             radius = 1 << (scale + 1)
             mult = np.flatnonzero(self.rank_in_grp % chunk == 0)
@@ -139,21 +146,26 @@ class FlagWorkspace:
             base = self.a_sorted[mult] * _POS
             left = np.searchsorted(self.keys, base + np.maximum(p - radius, 1), side="left")
             right = np.searchsorted(self.keys, base + np.minimum(p + radius, self.n), side="right")
-            for a in (p, left, right):
+            span = right - left  # >= 1: the anchor lies in its own window
+            k = np.frexp(span)[1] - 1  # floor(lg span)
+            best = np.empty(p.size, dtype=np.int64)
+            run = self.window_counts(radius)[self.order]  # at level j: max over keys i .. i + 2**j - 1
+            for j in range(int(k.max(initial=-1)) + 1):
+                if j:
+                    h = 1 << (j - 1)
+                    run = np.maximum(run[:-h], run[h:])
+                at = np.flatnonzero(k == j)
+                best[at] = np.maximum(run[left[at]], run[right[at] - (1 << j)])
+            for a in (p, best):
                 a.flags.writeable = False
-            self._anchors = ((scale, chunk), (p, left, right))
+            self._anchors = ((scale, chunk), (p, best))
         return self._anchors[1]
 
-    def anchor_bits(self, tier: int, scale: int, chunk: int, qual: np.ndarray | None = None) -> np.ndarray:
-        if qual is None:
-            qual = self.window_qualifies(1 << (scale + 1), 1 << (scale - tier))
-        p, left, right = self._anchor_windows(scale, chunk)
+    def anchor_bits(self, tier: int, scale: int, chunk: int) -> np.ndarray:
+        """Anchors within the window of a position passing the tier's test."""
+        p, best = self._anchor_windows(scale, chunk)
         out = np.zeros(self.n, dtype=bool)
-        if p.size == 0:
-            return out
-        qual_cum = np.concatenate(([0], np.cumsum(qual[self.order])))
-        marked = (qual_cum[right] - qual_cum[left]) > 0
-        out[p[marked] - 1] = True
+        out[p[best >= 1 << (scale - tier)] - 1] = True
         return out
 
     def distinct_bits(self, tier: int, scale: int) -> np.ndarray:

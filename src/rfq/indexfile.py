@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import IndexConfig
 from .errors import ConfigError, DomainError, FormatError
+from .families import FlagWorkspace
 from .listing import ListingIndex
 from .majority import MajorityIndex, build_majority_index
 from .minority import MinorityIndex, build_minority_index
@@ -77,8 +78,10 @@ class IndexBundle:
         config = config or IndexConfig()
         seq = WaveletSequence.build(dense, compressed=config.compressed)
         listing = ListingIndex.for_sequence(seq, config.trade, dense)
-        maj = build_majority_index(dense, config, seq=seq, listing=listing)
-        mino = build_minority_index(dense, config, seq=seq, listing=listing)
+        # one sorted-occurrence workspace serves the families of both sides
+        ws = FlagWorkspace(dense) if seq.n >= config.family_min_n else None
+        maj = build_majority_index(dense, config, seq=seq, listing=listing, ws=ws)
+        mino = build_minority_index(dense, config, seq=seq, listing=listing, ws=ws)
         return cls(maj, mino, originals, tokens)
 
     # -- symbol translation ---------------------------------------------------

@@ -22,9 +22,18 @@ recursion over C.
 Cell values come either from an explicit array (probes are then plain
 array reads) or from the sequence itself, where one probe costs one
 partial rank and one select.
+
+The walk is lazy: `iter_leftmost` yields positions as it finds them, so a
+caller that stops early (the minority side stops at its first certified
+witness) pays only for the positions it took.  `query_leftmost` is the
+list of its first `limit` positions.  The probe bound holds at every
+position yielded, since a pruned step never outnumbers the reporting
+steps by more than one; the walk raises `LogicError` when it is broken.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -73,7 +82,7 @@ class ListingIndex:
         self._values: np.ndarray | None = None  # full C when probes read an array
         self._seq = None
         self._rmq: RmqIndex | None = None
-        self.last_stats: dict[str, int] = {"probes": 0, "steps": 0, "reported": 0}
+        self.last_stats: dict[str, int] = {"probes": 0, "reported": 0}
 
     # -- construction ----------------------------------------------------------
 
@@ -117,31 +126,37 @@ class ListingIndex:
 
         Each returned position is the leftmost in-range occurrence of a
         distinct symbol.  With a large enough limit the result is exactly
-        the set of distinct symbols' leftmost positions.
+        the set of distinct symbols' leftmost positions.  The first `limit`
+        positions of iter_leftmost, in its order.
+        """
+        stats = {"probes": 0}
+        walk = self.iter_leftmost(lo, hi, stats)
+        out = list(islice(walk, self.n if limit is None else max(limit, 0)))
+        self.last_stats = {**stats, "reported": len(out)}
+        return out
+
+    def iter_leftmost(self, lo: int, hi: int, stats: dict | None = None):
+        """Yield the positions k in [lo..hi] with C[k] < lo, one at a time.
+
+        The range is checked now, the work is done as positions are asked
+        for.  `stats`, when given, holds under "probes" the cells and
+        summaries read up to the last position yielded, or to the end of
+        the walk.
         """
         if lo < 1 or hi > self.n:
             raise RangeError(f"range [{lo}, {hi}] outside [1, {self.n}]")
-        if limit is None:
-            limit = self.n
-        out: list[int] = []
-        if hi < lo or limit <= 0:
-            self.last_stats = {"probes": 0, "steps": 0, "reported": 0}
-            return out
-        probes = steps = 0
+        return self._walk(lo, hi, {} if stats is None else stats)
+
+    def _walk(self, lo: int, hi: int, stats: dict):
+        probes = reported = 0
         rmq = self._ensure_rmq()  # first, since at block size 1 it derives C
-        values, seq, cprime = self._values, self._seq, self.cprime
+        values, seq, cprime = self._values, self._seq, memoryview(self.cprime)
         # C[i + 1]: a plain read, or a partial rank and a select on seq
-        read = values.item if values is not None else (lambda i: seq.prev_occurrence(i + 1))
-
-        def scan(a: int, b: int) -> None:
-            nonlocal probes
-            for k in range(a, b + 1):
-                if len(out) >= limit:
-                    return
-                probes += 1
-                if read(k - 1) < lo:
-                    out.append(k)
-
+        read = (
+            memoryview(values).__getitem__
+            if values is not None
+            else (lambda i: seq.prev_occurrence(i + 1))
+        )
         g, n = self.block, self.n
         # blocks (1-based) first..last lie wholly inside [lo..hi]; the cells
         # before and after them belong to partly covered boundary blocks
@@ -149,28 +164,34 @@ class ListingIndex:
         last = (n + g - 1) // g if hi == n else hi // g
         left_end = min((first - 1) * g, hi)
         right_start = max(last * g + 1, left_end + 1)
-        if lo <= left_end:
-            scan(lo, left_end)
-        if right_start <= hi:
-            scan(right_start, hi)
-        if first <= last and len(out) < limit:
-            stack = [(first, last)]
-            while stack and len(out) < limit:
-                steps += 1
-                l, r = stack.pop()
-                if l > r:
-                    continue
-                b = rmq.query(l, r)
-                if cprime.item(b - 1) >= lo:
-                    probes += 1  # the summary rules the whole run out
-                    continue
-                scan((b - 1) * g + 1, min(b * g, n))
-                stack.append((b + 1, r))
-                stack.append((l, b - 1))
-            if steps > 4 * limit + 4:
-                raise LogicError(f"listing took {steps} steps for limit {limit}")
-        self.last_stats = {"probes": probes, "steps": steps, "reported": len(out)}
-        return out
+        for a, b in ((lo, left_end), (right_start, hi)):
+            for k in range(a, b + 1):
+                probes += 1
+                if read(k - 1) < lo:
+                    reported += 1
+                    stats["probes"] = probes
+                    yield k
+        stack = [(first, last)] if first <= last else []
+        while stack:
+            # pruned steps never outnumber reporting ones by more than one
+            if probes > g * (2 * reported + 2):
+                raise LogicError(f"listing made {probes} probes for {reported} positions")
+            l, r = stack.pop()
+            if l > r:
+                continue
+            b = rmq.query(l, r)
+            if cprime[b - 1] >= lo:
+                probes += 1  # the summary rules the whole run out
+                continue
+            for k in range((b - 1) * g + 1, min(b * g, n) + 1):
+                probes += 1
+                if read(k - 1) < lo:
+                    reported += 1
+                    stats["probes"] = probes
+                    yield k
+            stack.append((b + 1, r))
+            stack.append((l, b - 1))
+        stats["probes"] = probes
 
     # -- serialization --------------------------------------------------------------
 

@@ -423,8 +423,12 @@ def build_majority_index(
     config: IndexConfig | None = None,
     seq: WaveletSequence | None = None,
     listing: ListingIndex | None = None,
+    ws: FlagWorkspace | None = None,
 ) -> MajorityIndex:
-    """Build the majority side of the index: sequence, listing, families."""
+    """Build the majority side of the index: sequence, listing, families.
+
+    `ws`, a workspace over the same data, is shared with the minority side.
+    """
     config = config or IndexConfig()
     raw = np.asarray(data, dtype=np.int64)
     if seq is None:
@@ -435,7 +439,7 @@ def build_majority_index(
     anch: dict = {}
     prev: dict = {}
     if seq.n >= config.family_min_n:
-        ws = FlagWorkspace(raw)
+        ws = ws or FlagWorkspace(raw)
         check = config.build_check == "always" or (
             config.build_check == "auto" and seq.n <= _SELF_CHECK_MAX_N
         )
@@ -447,9 +451,8 @@ def build_majority_index(
             for t in range(1, t_max + 1):
                 if config.scale_cutoff(t) > b:
                     break
-                qual = ws.window_qualifies(1 << (b + 1), 1 << (b - t))
-                gbits = ws.candidate_bits(t, b, qual=qual)
-                jbits = ws.anchor_bits(t, b, config.chunk_len, qual=qual)
+                gbits = ws.candidate_bits(t, b)
+                jbits = ws.anchor_bits(t, b, config.chunk_len)
                 if check:
                     if not np.array_equal(gbits, candidate_flag_bits_slow(raw, t, b)):
                         raise LogicError(f"candidate flags self-check failed at {(t, b)}")

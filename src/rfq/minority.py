@@ -11,7 +11,8 @@ answer is a single witness.  Dispatch mirrors the majority side:
   threshold, so among the first ceil(1/tau) distinct symbols (or all of
   them, if fewer exist) at least one is a minority whenever any exists.
   At g = 1 the listing engine reads its C array directly, which beats the
-  flags, so no distinct families are built there.
+  flags, so no distinct families are built there.  The listing is consumed
+  lazily and stops at the first candidate that certifies.
 * flagged (g > 1): per (tier, scale), a distinct family flags within each
   aligned block the first occurrences of the first 2**tier distinct
   symbols and the last occurrences of the last 2**tier distinct ones.  For
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from itertools import islice
 
 import numpy as np
 
@@ -103,15 +105,18 @@ class MinorityIndex:
         seq = self.seq
         diag.path = "listing"
         limit = min(math.ceil(1.0 / tau), seq.sigma)
-        positions = self.listing.query_leftmost(lo, hi, limit)
-        diag.probes += self.listing.last_stats["probes"]
-        for k in positions:
+        stats = {"probes": 0}
+        found = None
+        # list lazily: the walk stops at the first certified witness
+        for k in islice(self.listing.iter_leftmost(lo, hi, stats), limit):
             a, r = seq.locate(k)
             diag.candidates += 1
             occ = self._certify_minor(a, r, hi, thr)
             if occ is not None:
-                return a, occ
-        return None
+                found = a, occ
+                break
+        diag.probes += stats["probes"]
+        return found
 
     def _via_flags(self, lo, hi, thr, tier, scale, diag):
         seq = self.seq
@@ -177,7 +182,10 @@ def build_minority_index(
     config: IndexConfig | None = None,
     seq: WaveletSequence | None = None,
     listing: ListingIndex | None = None,
+    ws: FlagWorkspace | None = None,
 ) -> MinorityIndex:
+    """Build the minority side; `ws`, a workspace over the same data, is
+    shared with the majority side."""
     config = config or IndexConfig()
     raw = np.asarray(data, dtype=np.int64)
     if seq is None:
@@ -187,7 +195,7 @@ def build_minority_index(
     flags: dict = {}
     # at g = 1 every minority query takes the listing path, which reads no family
     if config.trade > 1 and seq.n >= config.family_min_n:
-        ws = FlagWorkspace(raw)
+        ws = ws or FlagWorkspace(raw)
         check = config.build_check == "always" or (
             config.build_check == "auto" and seq.n <= _SELF_CHECK_MAX_N
         )

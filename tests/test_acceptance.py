@@ -9,6 +9,7 @@ same cases.
 import math
 import random
 import time
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -282,3 +283,23 @@ def test_exact_boundary_counts_are_never_majorities():
         hit = bundle.query_minority(lo, hi, tau)
         assert hit in minors, (case, hit)
     print("\nboundaries: 1000 exact occ == tau*len cases excluded and minoritized")
+
+
+def test_resident_memory_tracks_serialized_size():
+    """A loaded trade-1 bundle, after its first query of each kind, holds at
+    most 16 times its serialized size (n = 50k, Zipf over 256 symbols)."""
+    data = zipf_string(50_000, 256, skew=1.1, seed=10)
+    blob = IndexBundle.from_values(data, IndexConfig(trade=1)).to_bytes()
+    n = data.size
+    tracemalloc.start()
+    try:
+        bundle = IndexBundle.from_bytes(blob)
+        bundle.query_majorities(1, n, 1 / 64)
+        bundle.query_minority(1, n, 1 / 64)
+        bundle.query_mode(1, n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ratio = held / len(blob)
+    assert ratio <= 16, ratio
+    print(f"\nresident: {held} bytes held, {len(blob)} serialized, {ratio:.1f}x")

@@ -1,6 +1,7 @@
 """Plain and sparse bitvectors, packed arrays, and the range-min table."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,3 +306,31 @@ def test_rmq_leftmost_ties_random():
             lowest = min(vals[l - 1:r])
             assert vals[got - 1] == lowest
             assert got == l + vals[l - 1:r].index(lowest)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 31, 32, 33, 100])
+def test_rmq_every_range_with_ties(n):
+    rng = random.Random(n)
+    for alphabet in (1, 2, 4):
+        vals = [rng.randrange(alphabet) for _ in range(n)]
+        idx = RmqIndex(vals)
+        for l in range(1, n + 1):
+            for r in range(l, n + 1):
+                lowest = min(vals[l - 1:r])
+                assert idx.query(l, r) == l + vals[l - 1:r].index(lowest), (vals, l, r)
+    with pytest.raises(RangeError):
+        idx.query(1, n + 1)
+
+
+def test_rmq_space_is_linear():
+    """At most 16 bytes a value beyond the values themselves (an n lg n
+    sparse table of int64 holds 8 lg n)."""
+    vals = np.random.default_rng(9).integers(0, 1 << 20, size=1 << 17)
+    tracemalloc.start()
+    try:
+        idx = RmqIndex(vals)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert idx.values is vals
+    assert held <= 16 * vals.size, held / vals.size

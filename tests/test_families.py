@@ -97,17 +97,6 @@ def test_fast_matches_slow(kind):
         assert (got == want).all(), (kind, arr.tolist(), tier, scale)
 
 
-def test_shared_qualifier_is_equivalent():
-    arr = np.asarray([1, 1, 2, 2, 2, 1, 3, 2, 1, 1, 2, 3])
-    w = ws(arr)
-    tier, scale = 1, 3
-    qual = w.window_qualifies(1 << (scale + 1), 1 << (scale - tier))
-    assert (w.candidate_bits(tier, scale, qual=qual)
-            == w.candidate_bits(tier, scale)).all()
-    assert (w.anchor_bits(tier, scale, 2, qual=qual)
-            == w.anchor_bits(tier, scale, 2)).all()
-
-
 def test_ones_stay_under_cap():
     rng = random.Random(23)
     for _ in range(30):
@@ -127,3 +116,14 @@ def test_flags_from_bits():
     sv = flags_from_bits(bits)
     assert sv.n_bits == 100
     assert sv.ones_in_range(1, 100) == [1, 18, 100]
+
+
+@pytest.mark.parametrize("sigma", [2, 300])
+def test_anchor_bits_at_real_size(sigma):
+    """Window maxima over long key-order runs, where the doubling goes deep."""
+    arr = np.random.default_rng(sigma).integers(1, sigma + 1, size=1500)
+    w = ws(arr)
+    for scale in (3, 7, 10):
+        for tier in (1, 3):
+            got = w.anchor_bits(tier, scale, 5)
+            assert (got == anchor_flag_bits_slow(arr, tier, scale, 5)).all(), (scale, tier)

@@ -1,12 +1,15 @@
 """Distinct-element listing over the previous-occurrence array."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from rfq import oracle
+from rfq import IndexConfig, oracle, threshold_count
+from rfq.corpus import zipf_string
 from rfq.errors import RangeError
+from rfq.indexfile import IndexBundle
 from rfq.listing import ListingIndex, block_minima, prev_occurrence_array
 from rfq.sequence import WaveletSequence
 from rfq.serial import ByteReader, ByteWriter
@@ -111,3 +114,66 @@ def test_serialization_round_trip(block, canon_seq):
     if block == 1:  # C, derived on first use, is both the summaries and the probed values
         assert back.cprime is back._values
         assert back.cprime.tolist() == lister.cprime.tolist()
+
+
+@pytest.mark.parametrize("block", [1, 2, 8, 64])
+def test_lazy_listing_matches_eager(block):
+    """iter_leftmost yields query_leftmost's list in its order, every prefix
+    within the probe bound, and a cut of it at any limit."""
+    rng = random.Random(100 + block)
+    for _ in range(10):
+        n = rng.randint(1, 400)
+        data = zipf_string(n, rng.choice([3, 20, 100]), seed=rng.randrange(1000))
+        lister = ListingIndex.for_sequence(WaveletSequence.build(data), block)
+        for _ in range(20):
+            lo = rng.randint(1, n)
+            hi = rng.randint(lo, n)
+            eager = lister.query_leftmost(lo, hi)
+            stats = {}
+            lazy = []
+            for k in lister.iter_leftmost(lo, hi, stats):
+                lazy.append(k)
+                assert stats["probes"] <= block * (2 * len(lazy) + 2)
+            assert lazy == eager
+            assert stats["probes"] == lister.last_stats["probes"]
+            limit = rng.randint(0, len(eager) + 1)
+            assert lister.query_leftmost(lo, hi, limit) == eager[:limit]
+            assert lister.last_stats["reported"] == min(limit, len(eager))
+
+
+def test_range_checked_before_the_walk(canon_seq):
+    lister = ListingIndex.for_sequence(canon_seq, 1)
+    with pytest.raises(RangeError):
+        lister.iter_leftmost(0, 5)
+
+
+def test_minority_stops_at_first_certified_position():
+    """At trade 1 the witness and the candidate count are those of the first
+    position of the eager list whose symbol is a minority of the range."""
+    data = zipf_string(3000, 40, skew=1.1, seed=4)
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
+    seq, lister, mino = bundle.seq, bundle.minority.listing, bundle.minority
+    rng = random.Random(12)
+    listed = 0
+    for _ in range(300):
+        lo = rng.randint(1, seq.n)
+        hi = rng.randint(lo, seq.n)
+        tau = rng.choice([1.0, 0.5, 0.2, 0.05, 1 / 64])
+        thr = threshold_count(tau, hi - lo + 1)
+        got = mino.query_minority(lo, hi, tau)
+        diag = mino.diagnostics
+        if diag.path != "listing":
+            continue
+        listed += 1
+        eager = lister.query_leftmost(lo, hi, min(math.ceil(1 / tau), seq.sigma))
+        want, candidates = None, len(eager)
+        for i, k in enumerate(eager):
+            a = seq.access(k)
+            occ = seq.rank(a, hi) - seq.rank(a, lo - 1)
+            if occ <= thr:
+                want, candidates = (a, occ), i + 1
+                break
+        assert got == want
+        assert diag.candidates == candidates
+        assert diag.probes <= lister.last_stats["probes"]
+    assert listed > 200
