@@ -2,33 +2,40 @@
 
 Positions are 1-based throughout the public API.  rank1(p) counts set bits
 among the first p positions; select1(r) returns the position of the r-th
-set bit.  Plain bitvectors keep a two-level rank directory (512-bit
-superblocks over 64-bit words) and sampled select hints (every 512th one
-and zero).  Select is directory-guided: two consecutive samples bound a
-binary search over the superblock counts, the in-superblock counts pick
-one of at most eight words, and a broadword in-word select (halving the
-word with popcounts, then one byte-table read) finds the bit (Vigna,
-"Broadword implementation of rank/select queries", WEA 2008).  The
-compressed variant stores sorted set positions with a low/high split; its
-rank and select directories are rebuilt at load time, so reported sizes
-reflect only the persisted payload.
+set bit.  Every bitvector, built or loaded, holds its 64-bit words in one
+typed buffer, array('Q').  Plain bitvectors add one rank count per word,
+cum[w] = ones before word w, in array('I') (array('Q') from 2**32 bits on),
+and sampled select hints (the words holding every 512th one and zero), so
+the directory costs half a bit per bit.  rank1 is one count read plus a
+popcount.  Select is directory-guided: the samples around r bound a binary
+search over the per-word counts (zeros before word w are 64 w - cum[w]),
+and a broadword in-word select (halving the word with popcounts, then one
+byte-table read) finds the bit (Vigna, "Broadword implementation of
+rank/select queries", WEA 2008; Gog and Petri, "Optimized succinct data
+structures for massive data", SPE 2014).  The compressed variant stores
+sorted set positions with a low/high split; its rank and select
+directories are rebuilt at load time, and sizes are computed from the
+persisted payload's shape.
 
 The range-minimum index takes O(n) words: byte-sized in-block offsets for
 16-cell blocks plus a sparse table over the blocks' minima (Fischer &
-Heun, SICOMP 2011): about 8 bytes a value on top of the values, where a
-sparse table over every cell takes 8 lg n.
+Heun, SICOMP 2011): about 8 bytes a value on top of the values, which it
+keeps in the caller's integer dtype, where a sparse table over every cell
+takes 8 lg n.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
+
 import numpy as np
 
 from .errors import DomainError, FormatError, NotFoundError, RangeError
-from .serial import FORMAT_VERSION, MAGIC_BITS, ByteReader, ByteWriter
+from .serial import FORMAT_VERSION, MAGIC_BITS, ByteReader, ByteWriter, words_from_bytes
 
-_SUPER_WORDS = 8
-_SUPER_BITS = 64 * _SUPER_WORDS  # 512-bit superblocks
-_SELECT_SAMPLE = 512
+_SAMPLE_SHIFT = 9
+_SELECT_SAMPLE = 1 << _SAMPLE_SHIFT  # select samples every 512th one and zero
 _M64 = (1 << 64) - 1
 _RMQ_BLOCK = 16  # RmqIndex cells per block; query() hard-codes the 4-bit shift
 
@@ -71,17 +78,17 @@ class PackedArray:
 
     __slots__ = ("width", "count", "words")
 
-    def __init__(self, width: int, count: int, words: list[int] | None = None):
+    def __init__(self, width: int, count: int, words: array | None = None):
         if not (0 <= width <= 64):
             raise DomainError(f"width {width} out of range")
         self.width = width
         self.count = count
         nwords = (width * count + 63) // 64
         if words is None:
-            words = [0] * nwords
+            words = array("Q", bytes(8 * nwords))
         if len(words) != nwords:
             raise FormatError("packed array word count mismatch")
-        self.words = words
+        self.words = _as_words(words)
 
     @classmethod
     def from_values(cls, width: int, values) -> "PackedArray":
@@ -95,9 +102,7 @@ class PackedArray:
             return cls(0, int(vals.size))
         low_bytes = vals.view(np.uint8).reshape(-1, 8)[:, : (width + 7) // 8]
         bits = np.unpackbits(low_bytes, axis=1, count=width, bitorder="little")
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        packed += b"\x00" * (-len(packed) % 8)
-        return cls(width, int(vals.size), np.frombuffer(packed, dtype="<u8").tolist())
+        return cls(width, int(vals.size), _pack_bits(bits.reshape(-1)))
 
     def get(self, idx: int) -> int:
         if self.width == 0:
@@ -112,46 +117,66 @@ class PackedArray:
 
     def to_numpy(self) -> np.ndarray:
         """Vectorized decode of all values, in the smallest unsigned dtype."""
-        raw = np.array(self.words, dtype="<u8").view(np.uint8)
-        bits = np.unpackbits(raw, count=self.count * self.width, bitorder="little")
+        bits = np.unpackbits(_le_bytes(self.words), count=self.count * self.width, bitorder="little")
         weights = (1 << np.arange(self.width)).astype(np.min_scalar_type((1 << self.width) - 1))
         return bits.reshape(self.count, self.width) @ weights
 
 
-def _directories(words: list[int], n_bits: int):
-    """Rank directory and select samples of a word list, built with numpy.
+def _as_words(words) -> array:
+    """The words as array('Q'), the one form every bitvector holds."""
+    if isinstance(words, array) and words.typecode == "Q":
+        return words
+    return array("Q", words)
 
-    sup[s] counts the ones before superblock s (plus a final total), mid[w]
-    the ones before word w inside its superblock; sel1[j] and sel0[j] are
-    the words holding the (512 j + 1)-th one and zero.
+
+def _pack_bits(bits: np.ndarray) -> array:
+    """Words holding a bool (or 0/1) array's bits, the first in bit 0 of word 0."""
+    packed = np.packbits(bits, bitorder="little")
+    return words_from_bytes(packed.tobytes() + bytes(-packed.size % 8))
+
+
+def _le_bytes(words: array) -> np.ndarray:
+    """The words' little-endian bytes as a uint8 array (no copy on such hosts)."""
+    return np.frombuffer(words, dtype=np.uint64).astype("<u8", copy=False).view(np.uint8)
+
+
+def _typed(values: np.ndarray, code: str) -> array:
+    return array(code, values.astype(code).tobytes())  # numpy reads the same type codes
+
+
+def _directories(words: array, n_bits: int):
+    """Rank directory and select samples of a word array, built with numpy.
+
+    cum[w] counts the ones before word w, and cum[len(words)] all of them;
+    sel1[j] and sel0[j] are the words holding the (512 j + 1)-th one and
+    zero.  All three are array('I'), or array('Q') from 2**32 bits on.
     """
     nw = len(words)
-    pc = np.bitwise_count(np.array(words, dtype=np.uint64))
+    pc = np.bitwise_count(np.frombuffer(words, dtype=np.uint64))
     ones_by = pc.cumsum(dtype=np.int64)
-    before = ones_by - pc
     ones = int(ones_by[-1]) if nw else 0
-    starts = before[::_SUPER_WORDS]
-    mid = before - np.repeat(starts, _SUPER_WORDS)[:nw]
     zeros_by = np.minimum(np.arange(64, 64 * nw + 1, 64), n_bits) - ones_by
     sel1 = np.searchsorted(ones_by, np.arange(1, ones + 1, _SELECT_SAMPLE))
     sel0 = np.searchsorted(zeros_by, np.arange(1, n_bits - ones + 1, _SELECT_SAMPLE))
-    return starts.tolist() + [ones], mid.tolist() + [0], ones, sel1.tolist(), sel0.tolist()
+    code = "I" if n_bits < 1 << 32 else "Q"
+    cum = np.concatenate(([0], ones_by))
+    return _typed(cum, code), ones, _typed(sel1, code), _typed(sel0, code)
 
 
 class BitVector:
     """Uncompressed bitvector with O(1) rank and sampled select."""
 
-    __slots__ = ("n_bits", "ones", "words", "_sup", "_mid", "_sel1", "_sel0", "_size_cache")
+    __slots__ = ("n_bits", "ones", "words", "_cum", "_sel1", "_sel0")
 
-    def __init__(self, words: list[int], n_bits: int):
+    def __init__(self, words: array, n_bits: int):
+        words = _as_words(words)
         if n_bits < 0 or len(words) != (n_bits + 63) // 64:
             raise FormatError("word count does not match bit length")
         if n_bits % 64 and words and words[-1] >> (n_bits % 64):
             raise FormatError("stray bits beyond declared length")
         self.n_bits = n_bits
         self.words = words
-        self._sup, self._mid, self.ones, self._sel1, self._sel0 = _directories(words, n_bits)
-        self._size_cache = None
+        self._cum, self.ones, self._sel1, self._sel0 = _directories(words, n_bits)
 
     # -- construction helpers -------------------------------------------------
 
@@ -162,12 +187,7 @@ class BitVector:
 
     @classmethod
     def from_numpy_bool(cls, arr: np.ndarray) -> "BitVector":
-        n = int(arr.shape[0])
-        packed = np.packbits(arr, bitorder="little").tobytes()
-        pad = (-len(packed)) % 8
-        packed += b"\x00" * pad
-        words = np.frombuffer(packed, dtype="<u8").tolist()
-        return cls(words, n)
+        return cls(_pack_bits(arr), int(arr.shape[0]))
 
     @classmethod
     def from_ones(cls, positions, n_bits: int) -> "BitVector":
@@ -190,13 +210,11 @@ class BitVector:
     def rank1(self, p: int) -> int:
         if p < 0 or p > self.n_bits:
             raise RangeError(f"prefix length {p} out of [0, {self.n_bits}]")
-        wi, off = p >> 6, p & 63
-        if wi == len(self.words):
-            return self.ones
-        r = self._sup[wi // _SUPER_WORDS] + self._mid[wi]
+        off = p & 63
         if off:
-            r += (self.words[wi] & ((1 << off) - 1)).bit_count()
-        return r
+            wi = p >> 6
+            return self._cum[wi] + (self.words[wi] & ((1 << off) - 1)).bit_count()
+        return self._cum[p >> 6]
 
     def rank0(self, p: int) -> int:
         return p - self.rank1(p)
@@ -206,22 +224,13 @@ class BitVector:
             raise RangeError(f"occurrence index {r} must be positive")
         if r > self.ones:
             raise NotFoundError(f"only {self.ones} set bits, asked for #{r}")
-        sup, mid, sel = self._sup, self._mid, self._sel1
-        i = (r - 1) // _SELECT_SAMPLE
-        lo = sel[i] // _SUPER_WORDS
-        hi = sel[i + 1] // _SUPER_WORDS if i + 1 < len(sel) else len(sup) - 2
-        while lo < hi:  # last superblock with fewer than r ones before it
-            s = (lo + hi + 1) >> 1
-            if sup[s] < r:
-                lo = s
-            else:
-                hi = s - 1
-        r -= sup[lo]
-        wi = lo * _SUPER_WORDS
-        last = min(wi + _SUPER_WORDS, len(self.words)) - 1
-        while wi < last and mid[wi + 1] < r:
-            wi += 1
-        return (wi << 6) + _select_in_word(self.words[wi], r - mid[wi]) + 1
+        cum, sel = self._cum, self._sel1
+        i = (r - 1) >> _SAMPLE_SHIFT
+        # the last word with fewer than r ones before it lies between the
+        # words holding the samples around r
+        hi = sel[i + 1] + 1 if i + 1 < len(sel) else len(self.words)
+        w = bisect_left(cum, r, sel[i] + 1, hi) - 1
+        return (w << 6) + _select_in_word(self.words[w], r - cum[w]) + 1
 
     def select0(self, r: int) -> int:
         zeros = self.n_bits - self.ones
@@ -229,29 +238,22 @@ class BitVector:
             raise RangeError(f"occurrence index {r} must be positive")
         if r > zeros:
             raise NotFoundError(f"only {zeros} clear bits, asked for #{r}")
-        sup, mid, sel = self._sup, self._mid, self._sel0
-        i = (r - 1) // _SELECT_SAMPLE
-        lo = sel[i] // _SUPER_WORDS
-        hi = sel[i + 1] // _SUPER_WORDS if i + 1 < len(sel) else len(sup) - 2
-        while lo < hi:  # last superblock with fewer than r zeros before it
-            s = (lo + hi + 1) >> 1
-            if s * _SUPER_BITS - sup[s] < r:
-                lo = s
+        cum, sel = self._cum, self._sel0
+        i = (r - 1) >> _SAMPLE_SHIFT
+        lo = sel[i]
+        hi = sel[i + 1] if i + 1 < len(sel) else len(self.words) - 1
+        while lo < hi:  # zeros before word w: 64 w - cum[w]
+            w = (lo + hi + 1) >> 1
+            if (w << 6) - cum[w] < r:
+                lo = w
             else:
-                hi = s - 1
-        r -= lo * _SUPER_BITS - sup[lo]
-        wi = lo * _SUPER_WORDS
-        first = wi
-        last = min(wi + _SUPER_WORDS, len(self.words)) - 1
-        while wi < last and ((wi + 1 - first) << 6) - mid[wi + 1] < r:
-            wi += 1
-        r -= ((wi - first) << 6) - mid[wi]
+                hi = w - 1
+        r -= (lo << 6) - cum[lo]
         # padding bits past n_bits read as set here, but follow every real zero
-        return (wi << 6) + _select_in_word(self.words[wi] ^ _M64, r) + 1
+        return (lo << 6) + _select_in_word(self.words[lo] ^ _M64, r) + 1
 
     def to_numpy_bool(self) -> np.ndarray:
-        raw = np.array(self.words, dtype="<u8").view(np.uint8)
-        return np.unpackbits(raw, count=self.n_bits, bitorder="little").view(bool)
+        return np.unpackbits(_le_bytes(self.words), count=self.n_bits, bitorder="little").view(bool)
 
     # -- serialization -----------------------------------------------------------
 
@@ -265,9 +267,8 @@ class BitVector:
         return w.getvalue()
 
     def size_bits(self) -> int:
-        if self._size_cache is None:
-            self._size_cache = 8 * len(self.to_bytes())
-        return self._size_cache
+        # magic, version, kind, bit length and word count, then the words
+        return 8 * (4 + 2 + 1 + 8 + 8 + 8 * len(self.words))
 
     def __eq__(self, other):
         return (
@@ -300,7 +301,7 @@ class SparseBitVector:
     configurations.
     """
 
-    __slots__ = ("n_bits", "ones", "low_width", "low", "upper", "_size_cache")
+    __slots__ = ("n_bits", "ones", "low_width", "low", "upper")
 
     def __init__(self, n_bits: int, ones: int, low_width: int, low: PackedArray, upper: BitVector):
         self.n_bits = n_bits
@@ -308,7 +309,6 @@ class SparseBitVector:
         self.low_width = low_width
         self.low = low
         self.upper = upper
-        self._size_cache = None
 
     @classmethod
     def from_ones(cls, positions, n_bits: int) -> "SparseBitVector":
@@ -435,9 +435,10 @@ class SparseBitVector:
         return w.getvalue()
 
     def size_bits(self) -> int:
-        if self._size_cache is None:
-            self._size_cache = 8 * len(self.to_bytes())
-        return self._size_cache
+        # magic, version, kind, bit length, ones, low width, two word arrays
+        # with their counts and the upper part's bit length
+        words = len(self.low.words) + len(self.upper.words)
+        return 8 * (4 + 2 + 1 + 8 + 8 + 1 + 8 + 8 + 8 + 8 * words)
 
     def __eq__(self, other):
         return (
@@ -510,11 +511,14 @@ class RmqIndex:
     __slots__ = ("n", "values", "_vals", "_pre", "_suf", "_spans", "_levels")
 
     def __init__(self, values):
-        vals = np.asarray(values, dtype=np.int64)
+        vals = np.asarray(values)
+        if vals.dtype.kind not in "iu":
+            vals = np.asarray(values, dtype=np.int64)
+        vals = np.ascontiguousarray(vals)  # the caller's integer array, uncopied
         self.n = n = int(vals.shape[0])
         self.values = vals
         nb = -(-n // _RMQ_BLOCK)
-        cells = np.full((nb, _RMQ_BLOCK), np.iinfo(np.int64).max, dtype=np.int64)
+        cells = np.full((nb, _RMQ_BLOCK), np.iinfo(vals.dtype).max, dtype=vals.dtype)
         cells.reshape(-1)[:n] = vals  # padding sorts after every real cell
         offs = np.arange(_RMQ_BLOCK, dtype=np.uint8)
         run = np.minimum.accumulate(cells, axis=1)

@@ -181,7 +181,7 @@ class IndexBundle:
             except UnicodeDecodeError as exc:
                 raise FormatError(f"token table is not UTF-8: {exc}") from exc
         elif kind == _REMAP_INTS:
-            table = [v - (1 << 64) if v >= 1 << 63 else v for v in r.words()]
+            table = np.frombuffer(r.words(), dtype=np.int64).tolist()  # two's complement
         elif kind != _REMAP_IDENTITY:
             raise FormatError(f"unknown remap kind {kind}")
         seq = WaveletSequence.read_from(r)

@@ -17,7 +17,9 @@ block's cells, and every whole block scanned reports at least one
 position, which caps value probes at block * (2 * reported + 2).  With block size 1
 the summaries are C itself: they are derived from the sequence on first
 use and never stored in the file, and the query is the plain range-minimum
-recursion over C.
+recursion over C.  C and the summaries are held as uint32 while positions
+fit, as the file stores them; they are read only through `memoryview`, as
+Python ints, so no arithmetic on them wraps.
 
 Cell values come either from an explicit array (probes are then plain
 array reads) or from the sequence itself, where one probe costs one
@@ -41,8 +43,6 @@ from .bits import RmqIndex
 from .errors import DomainError, FormatError, LogicError, RangeError
 from .serial import ByteReader, ByteWriter
 
-_SENTINEL = np.iinfo(np.int64).max
-
 
 def prev_occurrence_array(symbols: np.ndarray) -> np.ndarray:
     """Vectorized C array: 1-based previous-occurrence positions, 0 if none."""
@@ -62,12 +62,23 @@ def prev_occurrence_array(symbols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _as_cells(values) -> np.ndarray:
+    """C values (positions, never negative) as uint32 when every one fits,
+    else int64; an array already in uint32 is kept as it is."""
+    v = np.asarray(values)
+    if v.dtype != np.uint32:
+        v = np.asarray(values, dtype=np.int64)
+        if not v.size or (v.min() >= 0 and v.max() <= 0xFFFFFFFF):
+            v = v.astype(np.uint32)
+    return np.ascontiguousarray(v)
+
+
 def block_minima(values: np.ndarray, block: int) -> np.ndarray:
-    v = np.asarray(values, dtype=np.int64)
+    v = _as_cells(values)
     if block == 1:
         return v  # one cell per block: the minima are the values themselves
     nb = (v.size + block - 1) // block
-    padded = np.full(nb * block, _SENTINEL, dtype=np.int64)
+    padded = np.full(nb * block, np.iinfo(v.dtype).max, dtype=v.dtype)
     padded[: v.size] = v
     return padded.reshape(nb, block).min(axis=1)
 
@@ -89,7 +100,7 @@ class ListingIndex:
     @classmethod
     def build_from_values(cls, values, block: int) -> "ListingIndex":
         """Engine over an explicit C array; probes are free array reads."""
-        v = np.asarray(values, dtype=np.int64)
+        v = _as_cells(values)
         li = cls(int(v.size), block)
         li._values = v
         li.cprime = block_minima(v, block)
@@ -115,7 +126,8 @@ class ListingIndex:
     def _ensure_rmq(self) -> RmqIndex:
         if self._rmq is None:
             if self.cprime is None:  # block size 1 keeps C out of the file
-                self.cprime = self._values = prev_occurrence_array(self._seq.to_array())
+                self.cprime = self._values = _as_cells(
+                    prev_occurrence_array(self._seq.to_array()))
             self._rmq = RmqIndex(self.cprime)
         return self._rmq
 
@@ -212,7 +224,7 @@ class ListingIndex:
             raise FormatError(f"listing covers {n} positions, sequence {seq.n}")
         li = cls(n, block)
         if block > 1:
-            li.cprime = r.np_u32().astype(np.int64)
+            li.cprime = r.np_u32()
             nb = (n + block - 1) // block
             if li.cprime.size != nb:
                 raise FormatError(f"listing holds {li.cprime.size} block minima, expected {nb}")

@@ -396,7 +396,7 @@ class MajorityIndex:
             w.u8(b)
             w.blob(self.candidate_flags[(t, b)].to_bytes())
             w.blob(self.anchor_flags[(t, b)].to_bytes())
-            w.np_u32(self.anchor_prev[(t, b)].astype(np.uint32))
+            w.np_u32(self.anchor_prev[(t, b)])
 
     @staticmethod
     def read_families(r: ByteReader, seq: WaveletSequence):
@@ -406,7 +406,7 @@ class MajorityIndex:
         for key in read_family_keys(r, seq):
             cand[key] = read_flags(r, seq.n)
             anch[key] = read_flags(r, seq.n)
-            prev[key] = r.np_u32().astype(np.int64)
+            prev[key] = r.np_u32()
             if prev[key].size != anch[key].ones:
                 raise FormatError(
                     f"family {key} stores {prev[key].size} anchor links for "
@@ -470,5 +470,5 @@ def build_majority_index(
                 cand[(t, b)] = flags_from_bits(gbits)
                 anch[(t, b)] = flags_from_bits(jbits)
                 marked = np.flatnonzero(jbits)
-                prev[(t, b)] = prev_occurrence_array(raw[marked])
+                prev[(t, b)] = prev_occurrence_array(raw[marked]).astype(np.uint32)
     return MajorityIndex(seq, config, listing, cand, anch, prev)

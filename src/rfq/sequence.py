@@ -298,4 +298,5 @@ class WaveletSequence:
         return w.getvalue()
 
     def size_bits(self) -> int:
-        return 8 * len(self.to_bytes())
+        # n, sigma and the compressed flag, then each level as a u64-prefixed blob
+        return 8 * (8 + 4 + 1) + sum(64 + store.size_bits() for store, _ in self._levels)

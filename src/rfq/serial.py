@@ -5,11 +5,19 @@ payloads are length-prefixed with a u64.  Bit structures start with the
 magic ``RFQB``, whole index bundles with ``RFQI``.  Derived directories
 (rank/select samples, range-minimum tables) are never written; they are
 rebuilt when a payload is loaded.
+
+Word arrays are held in memory as one typed buffer, ``array('Q')`` in the
+host's byte order: they are written with a single buffer copy and read
+straight from the payload, byte-swapped only on a big-endian host.  Their
+declared length is checked against the bytes left before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 
 import numpy as np
 
@@ -18,6 +26,17 @@ from .errors import FormatError
 MAGIC_BITS = b"RFQB"
 MAGIC_INDEX = b"RFQI"
 FORMAT_VERSION = 3
+
+_SWAP = sys.byteorder == "big"  # the file is little-endian, array('Q') native
+
+
+def words_from_bytes(data) -> array:
+    """64-bit words from a little-endian buffer of whole words."""
+    words = array("Q")
+    words.frombytes(data)
+    if _SWAP:
+        words.byteswap()
+    return words
 
 
 class ByteWriter:
@@ -43,10 +62,14 @@ class ByteWriter:
         self.u64(len(data))
         self.buf += data
 
-    def words(self, words: list[int]) -> None:
-        """Length-prefixed array of 64-bit words."""
+    def words(self, words) -> None:
+        """Length-prefixed array of 64-bit words (an array('Q') or any ints)."""
+        if not isinstance(words, array) or words.typecode != "Q" or _SWAP:
+            words = array("Q", words)
+            if _SWAP:
+                words.byteswap()
         self.u64(len(words))
-        self.buf += struct.pack("<%dQ" % len(words), *words)
+        self.buf += words
 
     def np_u32(self, arr) -> None:
         a = np.ascontiguousarray(arr, dtype="<u4")
@@ -87,15 +110,21 @@ class ByteReader:
         n = self.u64()
         return self._take(n)
 
-    def words(self) -> list[int]:
+    def words(self) -> array:
+        """Length-prefixed 64-bit words, as one array('Q')."""
         n = self.u64()
-        return list(struct.unpack("<%dQ" % n, self._take(8 * n)))
+        if 8 * n > len(self.data) - self.pos:
+            raise FormatError(f"truncated payload: {n} words declared")
+        start = self.pos
+        self.pos += 8 * n
+        return words_from_bytes(memoryview(self.data)[start : self.pos])
 
     def np_u32(self):
+        """Length-prefixed u32 values, in the host's byte order."""
         data = self.blob()
         if len(data) % 4:
             raise FormatError(f"u32 array of {len(data)} bytes")
-        return np.frombuffer(data, dtype="<u4").copy()
+        return np.frombuffer(data, dtype="<u4").astype(np.uint32)
 
     def expect_magic(self, magic: bytes) -> None:
         got = self._take(len(magic))

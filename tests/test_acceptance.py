@@ -287,7 +287,7 @@ def test_exact_boundary_counts_are_never_majorities():
 
 def test_resident_memory_tracks_serialized_size():
     """A loaded trade-1 bundle, after its first query of each kind, holds at
-    most 16 times its serialized size (n = 50k, Zipf over 256 symbols)."""
+    most 8 times its serialized size (n = 50k, Zipf over 256 symbols)."""
     data = zipf_string(50_000, 256, skew=1.1, seed=10)
     blob = IndexBundle.from_values(data, IndexConfig(trade=1)).to_bytes()
     n = data.size
@@ -301,5 +301,5 @@ def test_resident_memory_tracks_serialized_size():
     finally:
         tracemalloc.stop()
     ratio = held / len(blob)
-    assert ratio <= 16, ratio
+    assert ratio <= 8, ratio
     print(f"\nresident: {held} bytes held, {len(blob)} serialized, {ratio:.1f}x")

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ def test_select_every_rank(n, density):
         sparse.select0(0)
     with pytest.raises(NotFoundError):
         sparse.select0(zeros + 1)
+
+
+@pytest.mark.parametrize("density", [0, 0.01, 0.5, 0.99, 1])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 511, 512, 513, 4095, 4097, 70001])
+def test_rank_every_prefix(n, density):
+    arr = np.random.default_rng(n).random(n) < density
+    bv = BitVector.from_numpy_bool(arr)
+    want = [0] + np.cumsum(arr).tolist()
+    assert [bv.rank1(p) for p in range(n + 1)] == want
+    with pytest.raises(RangeError):
+        bv.rank1(n + 1)
 
 
 def test_bitvector_select_rank_inverse():
@@ -226,6 +238,39 @@ def test_bitvector_bytes_round_trip(cls):
     assert type(back) is cls
     assert back == orig
     assert back.to_bytes() == orig.to_bytes()
+
+
+def test_words_are_one_typed_buffer():
+    """Built and loaded vectors hold their words as array('Q') and agree."""
+    arr = np.random.default_rng(3).random(5000) < 0.05
+    ones = np.flatnonzero(arr) + 1
+    plain = [BitVector.from_numpy_bool(arr), BitVector.from_ones(ones, arr.size)]
+    plain.append(BitVector(list(plain[0].words), arr.size))  # words given as ints
+    sparse = SparseBitVector.from_ones(ones, arr.size)
+    packed = PackedArray.from_values(13, np.arange(700) * 11)
+    for bv in plain + [bitvector_from_bytes(plain[0].to_bytes())]:
+        assert type(bv.words) is array and bv.words.typecode == "Q"
+        assert bv == plain[0]
+    back = bitvector_from_bytes(sparse.to_bytes())
+    for sv in (sparse, back, SparseBitVector.from_ones([], 100)):
+        for words in (sv.low.words, sv.upper.words):
+            assert type(words) is array and words.typecode == "Q"
+    assert back == sparse
+    assert type(packed.words) is array and packed.words.typecode == "Q"
+    assert PackedArray(13, 700, packed.words).to_numpy().tolist() == (np.arange(700) * 11).tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 70001])
+def test_plain_size_bits_is_serialized_size(n):
+    bv = BitVector.from_numpy_bool(np.random.default_rng(n).random(n) < 0.5)
+    assert bv.size_bits() == 8 * len(bv.to_bytes())
+
+
+@pytest.mark.parametrize("density", [0, 0.01, 0.5, 1])
+def test_sparse_size_bits_is_serialized_size(density):
+    for n in (1, 64, 70001):
+        sv = SparseBitVector.from_numpy_bool(np.random.default_rng(n).random(n) < density)
+        assert sv.size_bits() == 8 * len(sv.to_bytes()), n
 
 
 def sparse_blob(n_bits, ones, low_width, lows, upper_bits):

@@ -1,10 +1,16 @@
 """End-to-end command-line runs through main(argv)."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfq
 from rfq.cli import main
 
 
@@ -182,3 +188,36 @@ def test_corrupt_token_table_exits_three(tmp_path, capsys):
     capsys.readouterr()
     assert main(["info", str(idx)]) == 3
     assert "not UTF-8" in capsys.readouterr().err
+
+
+def run_session(tmp_path, optimize: bool) -> tuple[str, bytes]:
+    """build -> info -> query -> verify through `python [-O] -m rfq.cli`;
+    returns the output (wall times dropped) and the index file."""
+    src = tmp_path / "zipf.bin"
+    rng = np.random.default_rng(21)
+    src.write_bytes(bytes((rng.zipf(1.3, 3000) % 40 + 1).tolist()))
+    index = tmp_path / ("opt.rfq" if optimize else "plain.rfq")
+    env = {**os.environ, "PYTHONPATH": str(Path(rfq.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    out = []
+    for args in (
+        ["build", str(src), "-o", str(index), "--trade", "2"],
+        ["info", str(index)],
+        ["query", str(index), "majority", "1", "3000", "--tau", "0.1"],
+        ["query", str(index), "minority", "100", "2500", "--tau", "0.05"],
+        ["query", str(index), "mode", "17", "1999"],
+        ["verify", str(index), "--queries", "150", "--seed", "5"],
+    ):
+        cmd = [sys.executable, *(["-O"] if optimize else []), "-m", "rfq.cli", *args]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out += [re.sub(r" in [0-9.]+s", "", line) for line in done.stdout.splitlines()
+                if not line.startswith(("build_seconds", "wrote"))]
+    return "\n".join(out), index.read_bytes()
+
+
+def test_optimized_interpreter_gives_same_output(tmp_path):
+    # `python -O` strips assert statements; invariants must not depend on them
+    plain = run_session(tmp_path, optimize=False)
+    assert plain[0].endswith("150 queries: ok")
+    assert run_session(tmp_path, optimize=True) == plain

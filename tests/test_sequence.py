@@ -163,6 +163,7 @@ def test_bytes_round_trip(sigma, compressed):
     decoded[:] = 0
     assert seq.to_array().tolist() == data
     blob = seq.to_bytes()
+    assert seq.size_bits() == 8 * len(blob)
     back = WaveletSequence.read_from(ByteReader(blob))
     assert back.to_bytes() == blob
     assert back.n == seq.n and back.sigma == seq.sigma

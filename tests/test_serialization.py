@@ -2,6 +2,7 @@
 
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +32,24 @@ def test_primitive_round_trip():
     assert r.u32() == 3_000_000_000
     assert r.u64() == 2**63 + 5
     assert r.blob() == b"payload"
-    assert r.words() == [0, 1, 2**64 - 1]
+    assert list(r.words()) == [0, 1, 2**64 - 1]
     assert r.np_u32().tolist() == [7, 0, 4_000_000_000]
     assert r.done()
+
+
+def test_reader_words_checks_count_before_allocating():
+    w = ByteWriter()
+    w.words([1, 2, 3])
+    blob = w.getvalue()
+    tracemalloc.start()
+    try:
+        for count in (2**61, 4):  # 2**61 words are 2**64 bytes; 4 is one too many
+            with pytest.raises(FormatError, match="truncated"):
+                ByteReader(struct.pack("<Q", count) + blob[8:]).words()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
 
 
 def test_reader_truncation_and_magic():
