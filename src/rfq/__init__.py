@@ -16,8 +16,8 @@ from .errors import (
 )
 from .indexfile import IndexBundle
 from .listing import ListingIndex
-from .majority import MajorityIndex, build_majority_index, threshold_count
-from .minority import MinorityIndex, build_minority_index
+from .majority import MajorityIndex, threshold_count
+from .minority import MinorityIndex
 from .sequence import WaveletSequence
 from .verify import VerifyReport, inject_fault, verify_index
 
@@ -43,8 +43,6 @@ __all__ = [
     "SparseBitVector",
     "VerifyReport",
     "WaveletSequence",
-    "build_majority_index",
-    "build_minority_index",
     "inject_fault",
     "space_preset",
     "threshold_count",

@@ -1,4 +1,4 @@
-"""Command-line front end: build, query, verify, bench, info.
+"""Command-line front end: build, query, verify, info.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain errors,
 3 malformed or incompatible index files.  The seed for randomized verbs
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 
@@ -42,7 +41,7 @@ def _read_input(path: str, fmt: str):
 def _assemble_config(args) -> IndexConfig:
     cfg = space_preset() if args.space_preset else IndexConfig()
     overrides = {}
-    for name in ("trade", "chunk_len", "family_min_n", "build_check"):
+    for name in ("trade", "chunk_len"):
         v = getattr(args, name)
         if v is not None:
             overrides[name] = v
@@ -159,41 +158,12 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args) -> int:
-    bundle = IndexBundle.load(args.index)
-    n = bundle.seq.n
-    rng = np.random.default_rng(_seed_of(args))
-    taus = [float(t) for t in args.taus.split(",")] if args.kind != "mode" else [0.0]
-    print("tau,len,kind,median_ns,candidates,selects,ranks,partial_ranks")
-    for tau in taus:
-        rows = []
-        for _ in range(args.queries):
-            lo = int(rng.integers(1, n + 1))
-            hi = int(rng.integers(lo, n + 1))
-            if args.kind == "majority":
-                bundle.majority.query_majorities(lo, hi, tau)
-                d = bundle.majority.diagnostics
-            elif args.kind == "minority":
-                bundle.minority.query_minority(lo, hi, tau)
-                d = bundle.minority.diagnostics
-            else:
-                bundle.majority.query_mode(lo, hi)
-                d = bundle.majority.diagnostics
-            rows.append((hi - lo + 1, d.elapsed_ns, d.candidates, d.ops.selects,
-                         d.ops.ranks, d.ops.partial_ranks))
-        med = [statistics.median(col) for col in zip(*rows)]
-        print(f"{tau},{med[0]:.0f},{args.kind},{med[1]:.0f},{med[2]:.1f},"
-              f"{med[3]:.1f},{med[4]:.1f},{med[5]:.1f}")
-    return 0
-
-
 def _cmd_info(args) -> int:
     bundle = IndexBundle.load(args.index)
     rep = bundle.size_report()
     cfg = bundle.config
     rep["config"] = {
         "trade": cfg.trade, "chunk_len": cfg.chunk_len, "compressed": cfg.compressed,
-        "family_min_n": cfg.family_min_n,
     }
     rep["majority_families"] = len(bundle.majority.candidate_flags)
     rep["minority_families"] = len(bundle.minority.distinct_flags)
@@ -228,8 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "the index and slows queries by about g^2")
     b.add_argument("--chunk-len", type=int, default=None)
     b.add_argument("--compressed", action="store_true")
-    b.add_argument("--family-min-n", type=int, default=None)
-    b.add_argument("--build-check", choices=("auto", "always", "never"), default=None)
     b.add_argument("--space-preset", action="store_true",
                    help="start from the small-footprint configuration")
     b.add_argument("--json", action="store_true")
@@ -252,14 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="corrupt one candidate flag and show a query that notices")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=_cmd_verify)
-
-    be = sub.add_parser("bench", help="time queries, one CSV row per tau")
-    be.add_argument("index")
-    be.add_argument("--taus", default="0.5,0.25,0.125,0.0625")
-    be.add_argument("--queries", type=int, default=200)
-    be.add_argument("--kind", choices=("majority", "minority", "mode"), default="majority")
-    be.add_argument("--seed", type=int, default=None)
-    be.set_defaults(func=_cmd_bench)
 
     i = sub.add_parser("info", help="describe a built index")
     i.add_argument("index")

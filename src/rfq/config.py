@@ -7,6 +7,9 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError
 
 
+_U32_MAX = 2**32 - 1  # trade and chunk_len are u32 fields of the file header
+
+
 @dataclass
 class IndexConfig:
     """Knobs deciding the space/time trade of a built index.
@@ -14,27 +17,23 @@ class IndexConfig:
     trade is the sparsification factor g: the position directory keeps one
     summary cell per g entries, and the documented per-query work bound
     scales with g**2.  chunk_len is the anchor spacing c inside each
-    symbol's occurrence list.  compressed stores each level of the
-    binary wavelet matrix in the sparse encoding when that is smaller.
-    family_min_n is the shortest input that gets flag families (the
-    minority side's distinct families also need trade > 1), and
-    build_check decides when the fast flag builders are checked against
-    the slow reference ones.
+    symbol's occurrence list.  Both are ints in [1, 2**32 - 1].
+    compressed stores each level of the binary wavelet matrix in the
+    sparse encoding when that is smaller.  Inputs shorter than
+    `families.FAMILY_MIN_N` get no flag families, and builds of at most
+    `families.SELF_CHECK_MAX_N` positions check their families against the
+    slow reference builders; neither is configurable.
     """
 
     trade: int = 1
     chunk_len: int = 1024
     compressed: bool = False
-    family_min_n: int = 64  # skip the flag families for shorter inputs
-    build_check: str = "auto"  # "auto" | "always" | "never"
 
     def __post_init__(self):
-        if self.trade < 1:
-            raise ConfigError(f"trade must be >= 1, got {self.trade}")
-        if self.chunk_len < 1:
-            raise ConfigError(f"chunk_len must be >= 1, got {self.chunk_len}")
-        if self.build_check not in ("auto", "always", "never"):
-            raise ConfigError(f"unknown build_check {self.build_check!r}")
+        for name in ("trade", "chunk_len"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= _U32_MAX:
+                raise ConfigError(f"{name} must be an int in [1, 2**32 - 1], got {v!r}")
 
     @property
     def blowup(self) -> int:

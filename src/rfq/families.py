@@ -1,4 +1,4 @@
-"""Builders for the per-(tier, scale) flag bitvectors.
+"""The per-(tier, scale) flag bitvectors and their one builder.
 
 Three families of sparse bitvectors drive the query algorithms.  All are
 indexed by a tier t (coarse threshold class, thresholds behave like
@@ -24,48 +24,49 @@ all partition positions into aligned blocks of length 2**(b-1):
   distinct candidates from a single block; either way an infrequent
   element is among the flagged ones when it exists.
 
-A workspace caches the occurrence ordering so building many families over
-the same array sorts only once.  It counts the windows once per scale:
-the count depends only on the radius 2**(b+1), the tier only sets the
-threshold it is compared against, and the searchsorted probes are made in
-(symbol, position) key order, where they ascend.  Block first/last ranks
-are likewise computed once per scale and serve both the candidate and the
-distinct families.  Per scale and chunk length each anchor also keeps the
-largest window count among its symbol's occurrences inside its window, so
-a tier's anchor family is one compare over the anchors.  Builders
-therefore loop over scales outermost, and one workspace serves the
-majority and the minority builders of an index.
+`build_families` makes every family of an index in one pass over the
+scales.  Per scale it counts the windows, ranks the block runs and finds
+the anchors' window maxima once, through a `FlagWorkspace` that sorts the
+occurrences once for the whole pass; the tier only sets the threshold
+those are compared against, so each tier's families are one compare
+each.  The majority side gets candidate and anchor families from tier 1
+(tier 0 serves only tau = 1.0, which no range majority meets), the
+minority side distinct families from tier 0 and only at trade g > 1 (at
+g = 1 its queries all take the listing path), and inputs shorter than
+`FAMILY_MIN_N` get none.
 Positions are 1-based in the produced bitvectors.  The slow reference
-builders recompute the same sets from an occurrence matrix and are used
-for build-time self checks on small inputs.
+builders recompute the same sets from an occurrence matrix; builds of at
+most `SELF_CHECK_MAX_N` positions check every family against them.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .bits import SparseBitVector, bitvector_from_bytes
-from .errors import FormatError
+from .errors import FormatError, LogicError
 from .listing import prev_occurrence_array
+
+FAMILY_MIN_N = 64  # shorter inputs get no flag families
+SELF_CHECK_MAX_N = 512  # builds up to this length check against the slow builders
 
 _POS = 1 << 40  # (symbol, position) key packing; positions stay far below this
 _NO_RANK = np.iinfo(np.int64).max  # block rank of a position that opens and closes nothing
 
 
 class FlagWorkspace:
-    """Shared sorted-occurrence scaffolding for family construction.
+    """Sorted-occurrence scaffolding for family construction.
 
-    The per-position window counts depend only on the scale (through the
-    radius), the block ranks only on the scale and the anchors' window
-    maxima only on the scale and chunk length, while the tier merely sets the
-    threshold they are compared against.  Each is kept for the last radius
-    or scale asked for, read-only, so a caller looping over scales
-    outermost computes each once and holds one copy of each.
+    Built once per input.  The window counts depend only on the radius,
+    the block ranks only on the scale and the anchors' window maxima only
+    on the scale and chunk length; each method computes its array afresh,
+    and the builder asks for each once per scale.
     """
 
     def __init__(self, arr: np.ndarray):
         arr = np.asarray(arr, dtype=np.int64)
-        self.arr = arr
         self.n = int(arr.size)
         self.order = np.argsort(arr, kind="stable")
         self.a_sorted = arr[self.order]
@@ -80,9 +81,6 @@ class FlagWorkspace:
         self._prev = prev_occurrence_array(arr)
         nxt_rev = prev_occurrence_array(arr[::-1])[::-1]
         self._next = np.where(nxt_rev == 0, self.n + 1, self.n + 1 - nxt_rev)
-        self._counts = (None, None)  # (radius, window counts)
-        self._ranks = (None, None)  # (scale, block ranks)
-        self._anchors = (None, None)  # ((scale, chunk), anchor windows)
 
     def window_counts(self, radius: int) -> np.ndarray:
         """Per position: occurrences of its symbol within +-radius, itself included.
@@ -92,84 +90,136 @@ class FlagWorkspace:
         instead of jumping around it; the counts are scattered back to
         position order.
         """
-        if self._counts[0] != radius:
-            pos = self.order + 1
-            base = self.a_sorted * _POS
-            left = np.searchsorted(self.keys, base + np.maximum(pos - radius, 1), side="left")
-            right = np.searchsorted(self.keys, base + np.minimum(pos + radius, self.n), side="right")
-            counts = np.empty(self.n, dtype=np.int64)
-            counts[self.order] = right - left
-            counts.flags.writeable = False
-            self._counts = (radius, counts)
-        return self._counts[1]
+        pos = self.order + 1
+        base = self.a_sorted * _POS
+        left = np.searchsorted(self.keys, base + np.maximum(pos - radius, 1), side="left")
+        right = np.searchsorted(self.keys, base + np.minimum(pos + radius, self.n), side="right")
+        counts = np.empty(self.n, dtype=np.int64)
+        counts[self.order] = right - left
+        return counts
 
-    def window_qualifies(self, radius: int, need: int) -> np.ndarray:
-        """Per position: does its symbol occur >= need times within +-radius?"""
-        return self.window_counts(radius) >= need
-
-    def _block_ranks(self, scale: int) -> np.ndarray:
+    def block_ranks(self, scale: int) -> np.ndarray:
         """Per position, over aligned blocks of length 2**(scale-1): k when it
         holds the k-th symbol to appear in its block, or the k-th to appear
         last counted back from the block's end (the smaller k if both), and
         _NO_RANK when it is neither a first nor a last occurrence there.
         """
-        if self._ranks[0] != scale:
-            n = self.n
-            blk = np.arange(n, dtype=np.int64) >> (scale - 1)
-            opens = self._prev <= blk << (scale - 1)  # previous one before the block
-            closes = self._next > np.minimum((blk + 1) << (scale - 1), n)
-            first = np.where(opens, _rank_within_blocks(opens, blk), _NO_RANK)
-            last = np.where(closes, _rank_within_blocks(closes[::-1], blk[::-1])[::-1], _NO_RANK)
-            ranks = np.minimum(first, last)
-            ranks.flags.writeable = False
-            self._ranks = (scale, ranks)
-        return self._ranks[1]
+        n = self.n
+        blk = np.arange(n, dtype=np.int64) >> (scale - 1)
+        opens = self._prev <= blk << (scale - 1)  # previous one before the block
+        closes = self._next > np.minimum((blk + 1) << (scale - 1), n)
+        first = np.where(opens, _rank_within_blocks(opens, blk), _NO_RANK)
+        last = np.where(closes, _rank_within_blocks(closes[::-1], blk[::-1])[::-1], _NO_RANK)
+        return np.minimum(first, last)
 
-    def candidate_bits(self, tier: int, scale: int) -> np.ndarray:
-        qual = self.window_qualifies(1 << (scale + 1), 1 << (scale - tier))
-        return qual & (self._block_ranks(scale) != _NO_RANK)
-
-    def _anchor_windows(self, scale: int, chunk: int):
+    def anchor_windows(self, scale: int, chunk: int, counts: np.ndarray):
         """Anchor positions p (every chunk-th occurrence of a symbol, 1-based)
-        and, per anchor, the largest window count (radius 2**(scale+1)) among
-        its symbol's occurrences inside the window of the same radius around p.
+        and, per anchor, the largest of `counts`, the window counts at radius
+        2**(scale+1), among its symbol's occurrences inside the window of the
+        same radius around p.
 
         Those occurrences are a key-order run [left, right) of `keys`; the
         runs' maxima come from one doubling pass over the key-order counts,
         each run read at the level of its own length, as a sparse table
         would, without keeping the levels.
         """
-        if self._anchors[0] != (scale, chunk):
-            radius = 1 << (scale + 1)
-            mult = np.flatnonzero(self.rank_in_grp % chunk == 0)
-            p = self.order[mult] + 1
-            base = self.a_sorted[mult] * _POS
-            left = np.searchsorted(self.keys, base + np.maximum(p - radius, 1), side="left")
-            right = np.searchsorted(self.keys, base + np.minimum(p + radius, self.n), side="right")
-            span = right - left  # >= 1: the anchor lies in its own window
-            k = np.frexp(span)[1] - 1  # floor(lg span)
-            best = np.empty(p.size, dtype=np.int64)
-            run = self.window_counts(radius)[self.order]  # at level j: max over keys i .. i + 2**j - 1
-            for j in range(int(k.max(initial=-1)) + 1):
-                if j:
-                    h = 1 << (j - 1)
-                    run = np.maximum(run[:-h], run[h:])
-                at = np.flatnonzero(k == j)
-                best[at] = np.maximum(run[left[at]], run[right[at] - (1 << j)])
-            for a in (p, best):
-                a.flags.writeable = False
-            self._anchors = ((scale, chunk), (p, best))
-        return self._anchors[1]
+        radius = 1 << (scale + 1)
+        mult = np.flatnonzero(self.rank_in_grp % chunk == 0)
+        p = self.order[mult] + 1
+        base = self.a_sorted[mult] * _POS
+        left = np.searchsorted(self.keys, base + np.maximum(p - radius, 1), side="left")
+        right = np.searchsorted(self.keys, base + np.minimum(p + radius, self.n), side="right")
+        span = right - left  # >= 1: the anchor lies in its own window
+        k = np.frexp(span)[1] - 1  # floor(lg span)
+        best = np.empty(p.size, dtype=np.int64)
+        run = counts[self.order]  # at level j: max over keys i .. i + 2**j - 1
+        for j in range(int(k.max(initial=-1)) + 1):
+            if j:
+                h = 1 << (j - 1)
+                run = np.maximum(run[:-h], run[h:])
+            at = np.flatnonzero(k == j)
+            best[at] = np.maximum(run[left[at]], run[right[at] - (1 << j)])
+        return p, best
 
-    def anchor_bits(self, tier: int, scale: int, chunk: int) -> np.ndarray:
-        """Anchors within the window of a position passing the tier's test."""
-        p, best = self._anchor_windows(scale, chunk)
-        out = np.zeros(self.n, dtype=bool)
-        out[p[best >= 1 << (scale - tier)] - 1] = True
-        return out
 
-    def distinct_bits(self, tier: int, scale: int) -> np.ndarray:
-        return self._block_ranks(scale) <= (1 << tier)
+def candidate_bits(counts: np.ndarray, ranks: np.ndarray, need: int) -> np.ndarray:
+    """Positions whose window holds need occurrences of their symbol and
+    that open or close their symbol's run in their block."""
+    return (counts >= need) & (ranks != _NO_RANK)
+
+
+def anchor_bits(n: int, anchors, need: int) -> np.ndarray:
+    """Anchors within the window of a position whose window holds need
+    occurrences; `anchors` is `FlagWorkspace.anchor_windows`'s pair."""
+    p, best = anchors
+    out = np.zeros(n, dtype=bool)
+    out[p[best >= need] - 1] = True
+    return out
+
+
+def distinct_bits(ranks: np.ndarray, tier: int) -> np.ndarray:
+    """First and last occurrences of the first and last 2**tier symbols of each block."""
+    return ranks <= 1 << tier
+
+
+def build_families(arr: np.ndarray, sigma: int, config):
+    """Every flag family of an index over arr, dense symbols 1..sigma.
+
+    Returns the candidate, anchor, anchor-link and distinct dicts, each
+    keyed by (tier, scale).  The anchor links of a family are, per anchor
+    in position order, the 1-based rank of the previous anchor with the
+    same symbol, or 0.
+    """
+    cand: dict = {}
+    anch: dict = {}
+    prev: dict = {}
+    dist: dict = {}
+    n = int(arr.size)
+    if n < FAMILY_MIN_N:
+        return cand, anch, prev, dist
+    ws = FlagWorkspace(arr)
+    check = n <= SELF_CHECK_MAX_N
+    chunk = config.chunk_len
+    t_max = (sigma - 1).bit_length()
+    t_min = 0 if config.trade > 1 else 1
+
+    def flags(kind, key, bits, slow):
+        """The family as stored, once checked against its slow builder on
+        short inputs; candidate and distinct families warn above their cap."""
+        if check and not np.array_equal(bits, slow()):
+            raise LogicError(f"{kind} flags self-check failed at {key}")
+        if kind != "anchor":
+            ones = int(bits.sum())
+            if ones > expected_ones_cap(n, *key):
+                warnings.warn(
+                    f"{kind} family {key} denser than expected: {ones} flags",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+        return flags_from_bits(bits)
+
+    for b in range(config.scale_cutoff(t_min), n.bit_length()):
+        ranks = ws.block_ranks(b)
+        if config.scale_cutoff(1) <= b:
+            counts = ws.window_counts(1 << (b + 1))
+            anchors = ws.anchor_windows(b, chunk, counts)
+        for t in range(t_min, t_max + 1):
+            if config.scale_cutoff(t) > b:
+                break
+            key = (t, b)
+            need = 1 << (b - t)
+            if t >= 1:
+                gbits = candidate_bits(counts, ranks, need)
+                jbits = anchor_bits(n, anchors, need)
+                cand[key] = flags("candidate", key, gbits,
+                                  lambda: candidate_flag_bits_slow(arr, t, b))
+                anch[key] = flags("anchor", key, jbits,
+                                  lambda: anchor_flag_bits_slow(arr, t, b, chunk))
+                prev[key] = prev_occurrence_array(arr[np.flatnonzero(jbits)]).astype(np.uint32)
+            if config.trade > 1:
+                dist[key] = flags("distinct", key, distinct_bits(ranks, t),
+                                  lambda: distinct_flag_bits_slow(arr, t, b))
+    return cand, anch, prev, dist
 
 
 def _rank_within_blocks(mask: np.ndarray, blk: np.ndarray) -> np.ndarray:

@@ -6,13 +6,19 @@ core structures require; query results are translated back, so callers
 only ever see their own symbols.  Ties and orderings follow the sorted
 order of the original symbols (lexicographic for tokens).
 
-File layout (magic ``RFQI``, version-checked on load): a config echo, the
-raw domain description, the remap table, then the four structural
-sections.  On load the remap table must hold exactly sigma entries in
-strictly increasing order, and every flag family must span the sequence
-under a strictly rising (tier, scale) key within lg sigma and lg n.  Everything derived (rank directories,
-range-minimum tables, per-family listing engines) is rebuilt lazily after
-load, so the file stores only what the space accounting counts.
+A build makes the sequence, the listing engine and, in one call to
+`families.build_families`, every flag family of both sides.
+
+File layout (magic ``RFQI``, format version 4): the config echo (trade
+and chunk_len as u32, compressed as a u8 of 0 or 1), the remap kind and
+its table, then the four structural sections: sequence, listing, majority
+families, minority families.  On load the remap table must hold exactly
+sigma entries in strictly increasing order, the listing's block size must
+equal the trade, and every flag family must span the sequence under a
+strictly rising (tier, scale) key within lg sigma and lg n.  Everything
+derived (rank directories, range-minimum tables, per-family listing
+engines) is rebuilt lazily after load, so the file stores only what the
+space accounting counts.
 """
 
 from __future__ import annotations
@@ -21,14 +27,13 @@ import numpy as np
 
 from .config import IndexConfig
 from .errors import ConfigError, DomainError, FormatError
-from .families import FlagWorkspace
+from .families import build_families
 from .listing import ListingIndex
-from .majority import MajorityIndex, build_majority_index
-from .minority import MinorityIndex, build_minority_index
+from .majority import MajorityIndex
+from .minority import MinorityIndex
 from .sequence import WaveletSequence
 from .serial import FORMAT_VERSION, MAGIC_INDEX, ByteReader, ByteWriter
 
-_CHECK_CODES = {"auto": 0, "always": 1, "never": 2}
 _REMAP_IDENTITY, _REMAP_INTS, _REMAP_TOKENS = 0, 1, 2
 
 
@@ -78,10 +83,9 @@ class IndexBundle:
         config = config or IndexConfig()
         seq = WaveletSequence.build(dense, compressed=config.compressed)
         listing = ListingIndex.for_sequence(seq, config.trade, dense)
-        # one sorted-occurrence workspace serves the families of both sides
-        ws = FlagWorkspace(dense) if seq.n >= config.family_min_n else None
-        maj = build_majority_index(dense, config, seq=seq, listing=listing, ws=ws)
-        mino = build_minority_index(dense, config, seq=seq, listing=listing, ws=ws)
+        cand, anch, prev, dist = build_families(dense, seq.sigma, config)
+        maj = MajorityIndex(seq, config, listing, cand, anch, prev)
+        mino = MinorityIndex(seq, config, listing, dist)
         return cls(maj, mino, originals, tokens)
 
     # -- symbol translation ---------------------------------------------------
@@ -138,8 +142,6 @@ class IndexBundle:
         w.u32(cfg.trade)
         w.u32(cfg.chunk_len)
         w.u8(int(cfg.compressed))
-        w.u32(cfg.family_min_n)
-        w.u8(_CHECK_CODES[cfg.build_check])
         if self.tokens is not None:
             w.u8(_REMAP_TOKENS)
             w.blob("\n".join(self.tokens).encode("utf-8"))
@@ -159,18 +161,11 @@ class IndexBundle:
         r = ByteReader(data)
         r.expect_magic(MAGIC_INDEX)
         r.expect_version()
-        check_by_code = {v: k for k, v in _CHECK_CODES.items()}
-        trade, chunk_len = r.u32(), r.u32()
-        compressed, family_min_n, check = bool(r.u8()), r.u32(), r.u8()
+        trade, chunk_len, compressed = r.u32(), r.u32(), r.u8()
+        if compressed > 1:
+            raise FormatError(f"corrupt index header: compressed code {compressed}")
         try:
-            # an unknown code passes through as itself, which the config rejects
-            cfg = IndexConfig(
-                trade=trade,
-                chunk_len=chunk_len,
-                compressed=compressed,
-                family_min_n=family_min_n,
-                build_check=check_by_code.get(check, check),
-            )
+            cfg = IndexConfig(trade=trade, chunk_len=chunk_len, compressed=bool(compressed))
         except ConfigError as exc:
             raise FormatError(f"corrupt index header: {exc}") from exc
         kind = r.u8()
@@ -192,6 +187,8 @@ class IndexBundle:
             if any(a >= b for a, b in zip(table, table[1:])):
                 raise FormatError("remap table is not strictly increasing")
         listing = ListingIndex.read_from(r, seq)
+        if listing.block != cfg.trade:
+            raise FormatError(f"listing block size {listing.block} differs from trade {cfg.trade}")
         cand, anch, prev = MajorityIndex.read_families(r, seq)
         dist = MinorityIndex.read_families(r, seq)
         if not r.done():

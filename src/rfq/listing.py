@@ -74,13 +74,12 @@ def _as_cells(values) -> np.ndarray:
 
 
 def block_minima(values: np.ndarray, block: int) -> np.ndarray:
+    """Minimum of each run of `block` values, the last run possibly short;
+    memory stays O(len(values)) whatever the block size."""
     v = _as_cells(values)
-    if block == 1:
-        return v  # one cell per block: the minima are the values themselves
-    nb = (v.size + block - 1) // block
-    padded = np.full(nb * block, np.iinfo(v.dtype).max, dtype=v.dtype)
-    padded[: v.size] = v
-    return padded.reshape(nb, block).min(axis=1)
+    if block == 1 or not v.size:
+        return v  # one cell per block, or none: the minima are the values themselves
+    return np.minimum.reduceat(v, np.arange(0, v.size, block))
 
 
 class ListingIndex:

@@ -28,33 +28,27 @@ in-range leftmost occurrence r with a single select probe (is occurrence
 r + thr still inside the range?) and pay one more rank for the exact
 count of each symbol returned; the plain sequential scan counts each
 symbol as it sweeps it.
+
+The index is assembled by `IndexBundle` over the shared sequence and
+listing engine, with the candidate and anchor families that
+`families.build_families` makes; this module queries and stores them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 
 import numpy as np
 
 from .config import IndexConfig
 from .counters import QueryDiagnostics
 from .errors import DomainError, FormatError, LogicError, RangeError
-from .families import (
-    FlagWorkspace,
-    anchor_flag_bits_slow,
-    candidate_flag_bits_slow,
-    expected_ones_cap,
-    flags_from_bits,
-    read_family_keys,
-    read_flags,
-)
-from .listing import ListingIndex, prev_occurrence_array
+from .families import read_family_keys, read_flags
+from .listing import ListingIndex
 from .sequence import WaveletSequence
 from .serial import ByteReader, ByteWriter
 
-_SELF_CHECK_MAX_N = 512
 _MODE_ITER_GUARD = 80
 
 
@@ -417,58 +411,3 @@ class MajorityIndex:
                 raise FormatError(f"family {key} links an anchor forward")
         return cand, anch, prev
 
-
-def build_majority_index(
-    data,
-    config: IndexConfig | None = None,
-    seq: WaveletSequence | None = None,
-    listing: ListingIndex | None = None,
-    ws: FlagWorkspace | None = None,
-) -> MajorityIndex:
-    """Build the majority side of the index: sequence, listing, families.
-
-    `ws`, a workspace over the same data, is shared with the minority side.
-    """
-    config = config or IndexConfig()
-    raw = np.asarray(data, dtype=np.int64)
-    if seq is None:
-        seq = WaveletSequence.build(raw, compressed=config.compressed)
-    if listing is None:
-        listing = ListingIndex.for_sequence(seq, config.trade, raw)
-    cand: dict = {}
-    anch: dict = {}
-    prev: dict = {}
-    if seq.n >= config.family_min_n:
-        ws = ws or FlagWorkspace(raw)
-        check = config.build_check == "always" or (
-            config.build_check == "auto" and seq.n <= _SELF_CHECK_MAX_N
-        )
-        t_max = (seq.sigma - 1).bit_length()
-        b_max = seq.n.bit_length() - 1
-        # tier 0 would serve only tau = 1.0, which the empty path already settles;
-        # scales run outermost so the workspace counts each window radius once
-        for b in range(config.scale_cutoff(1), b_max + 1):
-            for t in range(1, t_max + 1):
-                if config.scale_cutoff(t) > b:
-                    break
-                gbits = ws.candidate_bits(t, b)
-                jbits = ws.anchor_bits(t, b, config.chunk_len)
-                if check:
-                    if not np.array_equal(gbits, candidate_flag_bits_slow(raw, t, b)):
-                        raise LogicError(f"candidate flags self-check failed at {(t, b)}")
-                    if not np.array_equal(
-                        jbits, anchor_flag_bits_slow(raw, t, b, config.chunk_len)
-                    ):
-                        raise LogicError(f"anchor flags self-check failed at {(t, b)}")
-                g_ones = int(gbits.sum())
-                if g_ones > expected_ones_cap(seq.n, t, b):
-                    warnings.warn(
-                        f"candidate family {(t, b)} denser than expected: {g_ones} flags",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                cand[(t, b)] = flags_from_bits(gbits)
-                anch[(t, b)] = flags_from_bits(jbits)
-                marked = np.flatnonzero(jbits)
-                prev[(t, b)] = prev_occurrence_array(raw[marked]).astype(np.uint32)
-    return MajorityIndex(seq, config, listing, cand, anch, prev)

@@ -25,30 +25,24 @@ answer is a single witness.  Dispatch mirrors the majority side:
 
 Listing and flagged certify candidates with one select probe against the
 threshold and pay one extra rank only for the reported witness.
+
+The index is assembled by `IndexBundle` over the shared sequence and
+listing engine, with the distinct families that `families.build_families`
+makes; this module queries and stores them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from itertools import islice
-
-import numpy as np
 
 from .config import IndexConfig
 from .counters import QueryDiagnostics
-from .errors import DomainError, LogicError, RangeError
-from .families import (
-    FlagWorkspace,
-    distinct_flag_bits_slow,
-    expected_ones_cap,
-    flags_from_bits,
-    read_family_keys,
-    read_flags,
-)
+from .errors import DomainError, RangeError
+from .families import read_family_keys, read_flags
 from .listing import ListingIndex
-from .majority import _SELF_CHECK_MAX_N, RangeScan, _tier, threshold_count
+from .majority import RangeScan, _tier, threshold_count
 from .sequence import WaveletSequence
 from .serial import ByteReader, ByteWriter
 
@@ -176,45 +170,3 @@ class MinorityIndex:
     def read_families(r: ByteReader, seq: WaveletSequence) -> dict:
         return {key: read_flags(r, seq.n) for key in read_family_keys(r, seq)}
 
-
-def build_minority_index(
-    data,
-    config: IndexConfig | None = None,
-    seq: WaveletSequence | None = None,
-    listing: ListingIndex | None = None,
-    ws: FlagWorkspace | None = None,
-) -> MinorityIndex:
-    """Build the minority side; `ws`, a workspace over the same data, is
-    shared with the majority side."""
-    config = config or IndexConfig()
-    raw = np.asarray(data, dtype=np.int64)
-    if seq is None:
-        seq = WaveletSequence.build(raw, compressed=config.compressed)
-    if listing is None:
-        listing = ListingIndex.for_sequence(seq, config.trade, raw)
-    flags: dict = {}
-    # at g = 1 every minority query takes the listing path, which reads no family
-    if config.trade > 1 and seq.n >= config.family_min_n:
-        ws = ws or FlagWorkspace(raw)
-        check = config.build_check == "always" or (
-            config.build_check == "auto" and seq.n <= _SELF_CHECK_MAX_N
-        )
-        t_max = (seq.sigma - 1).bit_length()
-        b_max = seq.n.bit_length() - 1
-        # scales run outermost so the workspace ranks each block length once
-        for b in range(config.scale_cutoff(0), b_max + 1):
-            for t in range(t_max + 1):
-                if config.scale_cutoff(t) > b:
-                    break
-                bits = ws.distinct_bits(t, b)
-                if check and not np.array_equal(bits, distinct_flag_bits_slow(raw, t, b)):
-                    raise LogicError(f"distinct flags self-check failed at {(t, b)}")
-                ones = int(bits.sum())
-                if ones > expected_ones_cap(seq.n, t, b):
-                    warnings.warn(
-                        f"distinct family {(t, b)} denser than expected: {ones} flags",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                flags[(t, b)] = flags_from_bits(bits)
-    return MinorityIndex(seq, config, listing, flags)

@@ -15,7 +15,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from rfq import IndexConfig, build_majority_index, oracle, space_preset
+from rfq import IndexConfig, oracle, space_preset
 from rfq.corpus import uniform_string, zipf_string
 from rfq.indexfile import IndexBundle
 from rfq.listing import ListingIndex
@@ -62,7 +62,7 @@ def corpus():
             data = uniform_string(n, sigma, seed=seed)
         trade = 1 if i % 3 else 8
         bundle = IndexBundle.from_values(
-            data, IndexConfig(trade=trade, build_check="never"))
+            data, IndexConfig(trade=trade))
         entries.append(Entry(data, data.tolist(), sigma, int(data.max()),
                              trade, bundle))
     return entries
@@ -137,8 +137,8 @@ def test_work_scales_with_inverse_tau(corpus):
     print(f"\nwork bounds: {len(RECORDS)} recorded queries within caps")
 
     data = zipf_string(10**6, 256, skew=1.1, seed=7)
-    idx = build_majority_index(
-        data, IndexConfig(trade=8, build_check="never"))
+    idx = IndexBundle.from_values(data, IndexConfig(trade=8)).majority
+    assert idx.seq.sigma == int(data.max())  # dense symbols are the data's own
     rng = np.random.default_rng(123)
     lens = (2 ** rng.uniform(15.0, 19.0, size=60)).astype(np.int64)
     starts = rng.integers(1, 10**6 - lens + 1)
@@ -209,7 +209,7 @@ def test_space_stays_within_envelopes():
     n = 10**6
     ratios = {}
     for compressed in (False, True):
-        cfg = space_preset().with_(compressed=compressed, build_check="never")
+        cfg = space_preset().with_(compressed=compressed)
         bundle = IndexBundle.from_values(data, cfg)
         rep = bundle.size_report()
         if compressed:
@@ -232,8 +232,7 @@ def test_serialization_round_trips_and_answers_stably():
         data = zipf_string(n, sigma, skew=1.15, seed=i) if i % 2 \
             else uniform_string(n, sigma, seed=i)
         cfg = IndexConfig(trade=rng.choice([1, 8]),
-                          compressed=bool(i % 4 == 0),
-                          build_check="never")
+                          compressed=bool(i % 4 == 0))
         bundle = IndexBundle.from_values(data, cfg)
         blob = bundle.to_bytes()
         back = IndexBundle.from_bytes(blob)
@@ -271,7 +270,7 @@ def test_exact_boundary_counts_are_never_majorities():
         lo, hi = pad + 1, pad + length
         bundle = IndexBundle.from_values(
             np.asarray(data),
-            IndexConfig(trade=1 if case % 2 else 2, build_check="never"))
+            IndexConfig(trade=1 if case % 2 else 2))
         got = bundle.query_majorities(lo, hi, tau)
         assert all(sym != 1 for sym, _ in got), (case, got)
         assert got == oracle.oracle_majorities(data, lo, hi, tau)

@@ -128,23 +128,13 @@ def test_inject_fault_masked_exits_nonzero(tmp_path, capsys):
     assert "masked" in capsys.readouterr().out
 
 
-def test_bench_csv(abra_index, capsys):
-    assert main(["bench", abra_index, "--queries", "20",
-                 "--taus", "0.5,0.1"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "tau,len,kind,median_ns,candidates,selects,ranks,partial_ranks"
-    assert len(lines) == 3
-    assert lines[1].startswith("0.5,")
-    assert lines[2].startswith("0.1,")
-
-
 def test_info(abra_index, capsys):
     assert main(["info", abra_index, "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["n"] == 11
     assert rep["sigma"] == 5
     assert rep["symbol_domain"] == "ints"
-    assert rep["config"]["trade"] == 1
+    assert rep["config"] == {"trade": 1, "chunk_len": 1024, "compressed": False}
 
 
 def test_usage_errors(abra_index, tmp_path):
@@ -152,7 +142,8 @@ def test_usage_errors(abra_index, tmp_path):
     assert main(["query", abra_index, "majority", "1", "11", "--tau", "0"]) == 2
     assert main(["query", abra_index, "majority", "0", "11", "--tau", ".5"]) == 2
     assert main(["build", str(tmp_path / "missing.bin")]) == 2
-    for removed in (["--arity", "4"], ["--full-family-range"], ["--verify-mode", "rank"]):
+    for removed in (["--arity", "4"], ["--full-family-range"], ["--verify-mode", "rank"],
+                    ["--family-min-n", "4"], ["--build-check", "always"]):
         with pytest.raises(SystemExit) as exc:
             main(["build", str(tmp_path / "missing.bin"), *removed])
         assert exc.value.code == 2  # unknown argument
@@ -161,6 +152,17 @@ def test_usage_errors(abra_index, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["query", abra_index, *removed])
         assert exc.value.code == 2  # unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", abra_index])
+    assert exc.value.code == 2  # unknown verb
+
+
+def test_config_out_of_range_exits_two(tmp_path, capsys):
+    src = tmp_path / "abra.bin"
+    src.write_bytes(b"abracadabra")
+    for flag, value in (("--trade", "0"), ("--trade", str(2**32)), ("--chunk-len", str(2**32))):
+        assert main(["build", str(src), flag, value]) == 2
+        assert "must be an int in [1, 2**32 - 1]" in capsys.readouterr().err
 
 
 def test_corrupt_index_exits_three(tmp_path):
@@ -173,7 +175,7 @@ def test_corrupt_header_field_exits_three(abra_index, capsys):
     with open(abra_index, "rb") as fh:
         blob = fh.read()
     with open(abra_index, "wb") as fh:
-        fh.write(blob[:19] + b"\x07" + blob[20:])  # unknown build-check code
+        fh.write(blob[:14] + b"\x07" + blob[15:])  # compressed code other than 0 or 1
     assert main(["info", abra_index]) == 3
 
 

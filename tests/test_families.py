@@ -6,42 +6,66 @@ import zlib
 import numpy as np
 import pytest
 
+from rfq import IndexConfig
+from rfq.errors import LogicError
 from rfq.families import (
     FlagWorkspace,
+    anchor_bits,
     anchor_flag_bits_slow,
+    build_families,
+    candidate_bits,
     candidate_flag_bits_slow,
+    distinct_bits,
     distinct_flag_bits_slow,
     expected_ones_cap,
     flags_from_bits,
     _qualifies_slow,
 )
+from rfq.corpus import uniform_string, zipf_string
 
 
 def ws(values):
     return FlagWorkspace(np.asarray(values, dtype=np.int64))
 
 
+def fast_bits(kind, arr, tier, scale, chunk=1):
+    """One (tier, scale) family from the per-scale arrays, as the builder
+    derives it."""
+    w = ws(arr)
+    ranks = w.block_ranks(scale)
+    if kind == "distinct":
+        return distinct_bits(ranks, tier)
+    counts = w.window_counts(1 << (scale + 1))
+    need = 1 << (scale - tier)
+    if kind == "candidate":
+        return candidate_bits(counts, ranks, need)
+    return anchor_bits(arr.size, w.anchor_windows(scale, chunk, counts), need)
+
+
 def test_distinct_bits_frozen():
-    w = ws([1, 2, 3, 1])
+    ranks = ws([1, 2, 3, 1]).block_ranks(3)
     # one block of four; every position opens or closes a distinct run
-    assert np.flatnonzero(w.distinct_bits(1, 3)).tolist() == [0, 1, 2, 3]
+    assert np.flatnonzero(distinct_bits(ranks, 1)).tolist() == [0, 1, 2, 3]
     # cap 1: only the first new symbol and the last surviving one
-    assert np.flatnonzero(w.distinct_bits(0, 3)).tolist() == [0, 3]
+    assert np.flatnonzero(distinct_bits(ranks, 0)).tolist() == [0, 3]
 
 
 def test_candidate_bits_frozen():
     w = ws([1, 2, 1, 2, 3, 3, 3, 3])
+    counts, ranks = w.window_counts(8), w.block_ranks(2)
     # need 4 nearby occurrences: only the run of 3s qualifies
-    assert np.flatnonzero(w.candidate_bits(0, 2)).tolist() == [4, 5, 6, 7]
+    assert np.flatnonzero(candidate_bits(counts, ranks, 4)).tolist() == [4, 5, 6, 7]
     # halving the requirement admits every symbol
-    assert np.flatnonzero(w.candidate_bits(1, 2)).tolist() == list(range(8))
+    assert np.flatnonzero(candidate_bits(counts, ranks, 2)).tolist() == list(range(8))
 
 
 def test_anchor_bits_frozen():
     w = ws([1] * 6)
-    got = np.flatnonzero(w.anchor_bits(0, 2, chunk=2)).tolist()
+    counts = w.window_counts(8)
+    got = np.flatnonzero(anchor_bits(6, w.anchor_windows(2, 2, counts), 4)).tolist()
     assert got == [1, 3, 5]  # every second occurrence
-    assert np.flatnonzero(w.anchor_bits(0, 2, chunk=1)).tolist() == list(range(6))
+    got = np.flatnonzero(anchor_bits(6, w.anchor_windows(2, 1, counts), 4)).tolist()
+    assert got == list(range(6))
 
 
 def test_window_qualifies_matches_slow():
@@ -52,7 +76,7 @@ def test_window_qualifies_matches_slow():
         radius = rng.choice([1, 2, 4, 16, 64])
         need = rng.choice([1, 2, 3, 8])
         _, _, want = _qualifies_slow(arr, radius, need)
-        got = ws(arr).window_qualifies(radius, need)
+        got = ws(arr).window_counts(radius) >= need
         assert (got == want).all()
 
 
@@ -70,8 +94,6 @@ def test_window_counts_at_real_size(sigma):
             near = np.abs(occ[:, None] - occ[None, :]) <= radius
             want[occ - 1] = near.sum(axis=1)
         assert (w.window_counts(radius) == want).all(), scale
-        need = 1 << max(scale - 2, 0)
-        assert (w.window_qualifies(radius, need) == (want >= need)).all(), scale
 
 
 @pytest.mark.parametrize("kind", ["candidate", "anchor", "distinct"])
@@ -83,18 +105,66 @@ def test_fast_matches_slow(kind):
         arr = np.asarray([rng.randint(1, sigma) for _ in range(n)])
         tier = rng.randint(0, 3)
         scale = rng.randint(max(tier, 1), 6)
-        w = ws(arr)
         if kind == "candidate":
-            got = w.candidate_bits(tier, scale)
+            got = fast_bits(kind, arr, tier, scale)
             want = candidate_flag_bits_slow(arr, tier, scale)
         elif kind == "anchor":
             chunk = rng.choice([1, 2, 3, 8])
-            got = w.anchor_bits(tier, scale, chunk)
+            got = fast_bits(kind, arr, tier, scale, chunk)
             want = anchor_flag_bits_slow(arr, tier, scale, chunk)
         else:
-            got = w.distinct_bits(tier, scale)
+            got = fast_bits(kind, arr, tier, scale)
             want = distinct_flag_bits_slow(arr, tier, scale)
         assert (got == want).all(), (kind, arr.tolist(), tier, scale)
+
+
+@pytest.mark.parametrize("chunk", [2, 5])
+@pytest.mark.parametrize("trade", [1, 2, 8])
+@pytest.mark.parametrize("n", [600, 700])
+def test_build_families_matches_slow(n, trade, chunk):
+    """Every family the builder emits, above the self-check length."""
+    if n == 600:
+        arr = uniform_string(n, 6, seed=trade * 10 + chunk)
+    else:
+        arr = zipf_string(n, 40, skew=1.1, seed=trade * 10 + chunk)
+    arr = np.unique(arr, return_inverse=True)[1].astype(np.int64) + 1  # dense, as built
+    sigma = int(arr.max())
+    cfg = IndexConfig(trade=trade, chunk_len=chunk)
+    cand, anch, prev, dist = build_families(arr, sigma, cfg)
+    cutoff = cfg.scale_cutoff
+    keys = [(t, b) for t in range((sigma - 1).bit_length() + 1) for b in range(n.bit_length())
+            if cutoff(t) <= b]
+    assert sorted(cand) == sorted(anch) == sorted(prev) == [k for k in keys if k[0] >= 1]
+    assert sorted(dist) == (keys if trade > 1 else [])
+    for (t, b), flags in cand.items():
+        want = np.flatnonzero(candidate_flag_bits_slow(arr, t, b)) + 1
+        assert flags.ones_in_range(1, n) == want.tolist(), ("candidate", t, b)
+        marked = np.flatnonzero(anchor_flag_bits_slow(arr, t, b, chunk))
+        assert anch[(t, b)].ones_in_range(1, n) == (marked + 1).tolist(), ("anchor", t, b)
+        # each anchor links to the previous anchor of its symbol, by anchor rank
+        links = [max([i + 1 for i in range(j) if arr[marked[i]] == arr[marked[j]]], default=0)
+                 for j in range(marked.size)]
+        assert prev[(t, b)].tolist() == links, ("links", t, b)
+    for (t, b), flags in dist.items():
+        want = np.flatnonzero(distinct_flag_bits_slow(arr, t, b)) + 1
+        assert flags.ones_in_range(1, n) == want.tolist(), ("distinct", t, b)
+
+
+@pytest.mark.parametrize("n, checked", [(64, True), (512, True), (513, False)])
+def test_self_check_runs_up_to_512(monkeypatch, n, checked):
+    arr = np.resize(np.arange(1, 5, dtype=np.int64), n)
+    monkeypatch.setattr("rfq.families.distinct_flag_bits_slow",
+                        lambda a, t, b: np.zeros(a.size, dtype=bool))
+    if checked:
+        with pytest.raises(LogicError, match="distinct flags self-check failed"):
+            build_families(arr, 4, IndexConfig(trade=2))
+    else:
+        assert build_families(arr, 4, IndexConfig(trade=2))[3]
+
+
+def test_short_inputs_get_no_families():
+    arr = np.resize(np.arange(1, 5, dtype=np.int64), 63)
+    assert build_families(arr, 4, IndexConfig(trade=2)) == ({}, {}, {}, {})
 
 
 def test_ones_stay_under_cap():
@@ -104,10 +174,9 @@ def test_ones_stay_under_cap():
         arr = np.asarray([rng.randint(1, 8) for _ in range(n)])
         tier = rng.randint(0, 3)
         scale = rng.randint(max(tier, 1), 8)
-        w = ws(arr)
         cap = expected_ones_cap(n, tier, scale)
-        assert int(w.candidate_bits(tier, scale).sum()) <= cap
-        assert int(w.distinct_bits(tier, scale).sum()) <= cap
+        assert int(fast_bits("candidate", arr, tier, scale).sum()) <= cap
+        assert int(fast_bits("distinct", arr, tier, scale).sum()) <= cap
 
 
 def test_flags_from_bits():
@@ -124,6 +193,7 @@ def test_anchor_bits_at_real_size(sigma):
     arr = np.random.default_rng(sigma).integers(1, sigma + 1, size=1500)
     w = ws(arr)
     for scale in (3, 7, 10):
+        anchors = w.anchor_windows(scale, 5, w.window_counts(1 << (scale + 1)))
         for tier in (1, 3):
-            got = w.anchor_bits(tier, scale, 5)
+            got = anchor_bits(arr.size, anchors, 1 << (scale - tier))
             assert (got == anchor_flag_bits_slow(arr, tier, scale, 5)).all(), (scale, tier)

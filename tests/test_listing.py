@@ -24,7 +24,10 @@ def test_block_minima_frozen():
     c = np.asarray([0, 0, 0, 1, 0, 4, 0, 6, 2, 3, 8])
     assert block_minima(c, 4).tolist() == [0, 0, 2]
     assert block_minima(c, 1).tolist() == c.tolist()
+    assert block_minima(c, 3).tolist() == [0, 0, 0, 3]
     assert block_minima(c, 100).tolist() == [0]
+    assert block_minima(c, 2**32 - 1).tolist() == [0]  # memory stays O(len(c))
+    assert block_minima(c[:0], 4).size == 0
 
 
 def test_query_frozen(canon, canon_seq):

@@ -2,23 +2,29 @@
 
 import math
 import random
-import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfq import IndexConfig, build_majority_index, oracle, threshold_count
+from rfq import IndexConfig, oracle, threshold_count
 from rfq.corpus import uniform_string, zipf_string
 from rfq.errors import DomainError, RangeError
+from rfq.indexfile import IndexBundle
 
 CANON = [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
 
+def majority_index(data, cfg):
+    """The majority side of a bundle over data holding every symbol 1..max,
+    where the bundle's dense symbols are the data's own."""
+    assert np.array_equal(np.unique(data), np.arange(1, max(data) + 1))
+    return IndexBundle.from_values(data, cfg).majority
+
+
 @pytest.fixture(scope="module")
 def canon_idx():
-    return build_majority_index(
-        np.asarray(CANON), IndexConfig(trade=1, chunk_len=2, build_check="always"))
+    return majority_index(CANON, IndexConfig(trade=1, chunk_len=2))
 
 
 def ops_cap(tau: float, trade: int) -> int:
@@ -86,12 +92,12 @@ def test_paths_small_index(canon_idx):
 
 def test_flagged_and_segmented_paths():
     data = uniform_string(256, 4, seed=3)
-    flagged = build_majority_index(data, IndexConfig(trade=1, build_check="always"))
+    flagged = majority_index(data, IndexConfig(trade=1))
     flagged.query_majorities(65, 128, 0.5)
     assert flagged.diagnostics.path == "flagged"
 
     small = uniform_string(40, 4, seed=3)
-    seg = build_majority_index(small, IndexConfig(trade=4, build_check="always"))
+    seg = majority_index(small, IndexConfig(trade=4))
     seg.query_majorities(1, 40, 0.5)
     assert seg.diagnostics.path == "segmented"
     ref = small.tolist()
@@ -103,7 +109,7 @@ def test_flagged_and_segmented_paths():
 def test_flagged_path_with_no_set_bits_in_range():
     # all symbols distinct in the probed window: family exists, zero flags land
     data = np.asarray(([1, 2, 3, 4, 5, 6, 7, 8] * 40)[:320])
-    idx = build_majority_index(data, IndexConfig(trade=1, build_check="always"))
+    idx = majority_index(data, IndexConfig(trade=1))
     got = idx.query_majorities(9, 24, 0.5)
     assert got == oracle.oracle_majorities(data.tolist(), 9, 24, 0.5) == []
 
@@ -111,14 +117,14 @@ def test_flagged_path_with_no_set_bits_in_range():
 # -- randomized equivalence ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("cfg", [
-    IndexConfig(trade=1, build_check="always"),
-    IndexConfig(trade=8, chunk_len=5, build_check="always"),
-    IndexConfig(trade=2, compressed=True, build_check="always"),
-    IndexConfig(trade=1, family_min_n=4, chunk_len=2, build_check="always"),
-])
-def test_random_vs_oracle(cfg):
-    rng = random.Random(zlib.crc32(str(cfg).encode()) % 10**6)
+@pytest.mark.parametrize("cfg, seed", [
+    (IndexConfig(trade=1), 668981),
+    (IndexConfig(trade=8, chunk_len=5), 233144),
+    (IndexConfig(trade=2, compressed=True), 398481),
+    (IndexConfig(trade=1, chunk_len=2), 145889),
+], ids=["cfg0", "cfg1", "cfg2", "cfg3"])
+def test_random_vs_oracle(cfg, seed):
+    rng = random.Random(seed)
     for trial in range(6):
         n = rng.choice([3, 17, 63, 64, 150, 700])
         sigma = min(n, rng.choice([2, 5, 16, 100]))
@@ -127,16 +133,16 @@ def test_random_vs_oracle(cfg):
         else:
             data = uniform_string(n, sigma, seed=rng.randrange(10**6))
         sigma_eff = int(data.max())
-        idx = build_majority_index(data, cfg)
+        bundle = IndexBundle.from_values(data, cfg)
         ref = data.tolist()
         for _ in range(25):
             lo = rng.randint(1, n)
             hi = rng.randint(lo, n)
             tau = rng.choice([1.0, 0.9, 0.5, 0.2, 0.05,
                               1.0 / sigma_eff, 0.5 / sigma_eff])
-            got = idx.query_majorities(lo, hi, tau)
+            got = bundle.query_majorities(lo, hi, tau)
             assert got == oracle.oracle_majorities(ref, lo, hi, tau)
-            d = idx.diagnostics
+            d = bundle.majority.diagnostics
             cap = 64 * math.ceil(1.0 / tau)
             if tau < 1.0 / sigma_eff:
                 cap += sigma_eff
@@ -147,7 +153,7 @@ def test_random_vs_oracle(cfg):
 def test_exact_boundary_exclusion():
     # count == tau * len exactly: strictly-more-than keeps the element out
     data = np.asarray([1, 2, 1, 3])
-    idx = build_majority_index(data, IndexConfig(build_check="always"))
+    idx = majority_index(data, IndexConfig())
     assert idx.query_majorities(1, 4, 0.5) == []
     # one epsilon below the boundary flips it
     assert idx.query_majorities(1, 4, 0.49) == [(1, 2)]
@@ -176,14 +182,14 @@ def test_mode_random_vs_oracle():
         n = rng.choice([5, 64, 300])
         sigma = min(n, rng.choice([2, 6, 30]))
         data = zipf_string(n, sigma, skew=1.2, seed=trial)
-        idx = build_majority_index(data, IndexConfig(build_check="always"))
+        bundle = IndexBundle.from_values(data, IndexConfig())
         ref = data.tolist()
         for _ in range(30):
             lo = rng.randint(1, n)
             hi = rng.randint(lo, n)
-            got = idx.query_mode(lo, hi)
+            got = bundle.query_mode(lo, hi)
             assert got == oracle.oracle_mode(ref, lo, hi)
-            assert idx.diagnostics.iterations <= iter_bound(hi - lo + 1, got[1])
+            assert bundle.majority.diagnostics.iterations <= iter_bound(hi - lo + 1, got[1])
 
 
 # -- diagnostics -----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from rfq import BitVector, IndexConfig, SparseBitVector, oracle
 from rfq.corpus import zipf_string
-from rfq.errors import DomainError, FormatError
+from rfq.errors import ConfigError, DomainError, FormatError
 from rfq.indexfile import IndexBundle
 from rfq.serial import ByteReader, ByteWriter
 
@@ -89,9 +89,8 @@ def assert_same_answers(a: IndexBundle, b: IndexBundle, queries):
 
 
 @pytest.mark.parametrize("cfg", [
-    IndexConfig(trade=1, build_check="never"),
-    IndexConfig(trade=8, chunk_len=64, compressed=True, family_min_n=32,
-                build_check="never"),
+    IndexConfig(trade=1),
+    IndexConfig(trade=8, chunk_len=64, compressed=True),
 ])
 def test_bundle_bit_exact_round_trip(cfg):
     rng = random.Random(cfg.trade)
@@ -106,7 +105,7 @@ def test_bundle_bit_exact_round_trip(cfg):
 
 def test_remap_identity():
     data = np.asarray([1, 2, 3, 2, 1, 3, 3])
-    bundle = IndexBundle.from_values(data, IndexConfig(build_check="never"))
+    bundle = IndexBundle.from_values(data, IndexConfig())
     assert bundle.to_original(2) == 2
     back = IndexBundle.from_bytes(bundle.to_bytes())
     assert back.query_mode(1, 7) == (3, 3)
@@ -114,7 +113,7 @@ def test_remap_identity():
 
 def test_remap_arbitrary_ints():
     data = [1000, -5, 1000, 7, -5, 1000, 7, -5, 1000]
-    bundle = IndexBundle.from_values(np.asarray(data), IndexConfig(build_check="never"))
+    bundle = IndexBundle.from_values(np.asarray(data), IndexConfig())
     assert bundle.query_mode(1, 9) == (1000, 4)
     assert bundle.query_majorities(1, 9, 0.4) == [(1000, 4)]
     want = oracle.oracle_minorities(data, 1, 9, 0.4)
@@ -127,7 +126,7 @@ def test_remap_arbitrary_ints():
 
 def test_remap_tokens():
     tokens = "the cat sat on the mat the end".split()
-    bundle = IndexBundle.from_tokens(tokens, IndexConfig(build_check="never"))
+    bundle = IndexBundle.from_tokens(tokens, IndexConfig())
     assert bundle.query_mode(1, 8) == ("the", 3)
     assert bundle.query_majorities(1, 8, 0.3) == [("the", 3)]
     back = IndexBundle.from_bytes(bundle.to_bytes())
@@ -138,18 +137,18 @@ def test_remap_tokens():
 
 def test_tokens_with_newline_are_rejected():
     with pytest.raises(DomainError):
-        IndexBundle.from_tokens(["a\nb", "c", "c"], IndexConfig(build_check="never"))
+        IndexBundle.from_tokens(["a\nb", "c", "c"], IndexConfig())
 
 
 def test_mode_tie_breaks_to_lexicographic_smallest_token():
     bundle = IndexBundle.from_tokens(["b", "a", "b", "a"],
-                                     IndexConfig(build_check="never"))
+                                     IndexConfig())
     assert bundle.query_mode(1, 4) == ("a", 2)
 
 
 def test_format_errors():
     data = zipf_string(100, 5, seed=1)
-    bundle = IndexBundle.from_values(data, IndexConfig(build_check="never"))
+    bundle = IndexBundle.from_values(data, IndexConfig())
     blob = bundle.to_bytes()
     with pytest.raises(FormatError):
         IndexBundle.from_bytes(b"WRNG" + blob[4:])
@@ -185,31 +184,62 @@ def test_format_errors():
 
 
 # the header after magic and version: trade (u32), chunk_len (u32),
-# compressed (u8), family_min_n (u32), build-check code (u8), then the
-# remap kind (u8) and its table
-_TRADE_AT, _CHUNK_AT, _CHECK_AT, _REMAP_AT = 6, 10, 19, 20
+# compressed code (u8), then the remap kind (u8) and its table
+_TRADE_AT, _CHUNK_AT, _COMPRESSED_AT, _REMAP_AT = 6, 10, 14, 15
 
 
 @pytest.mark.parametrize("at,value", [
-    (_CHECK_AT, b"\x07"),  # unknown build-check code
+    (_COMPRESSED_AT, b"\x07"),  # compressed code other than 0 or 1
     (_TRADE_AT, struct.pack("<I", 0)),  # trade 0
     (_CHUNK_AT, struct.pack("<I", 0)),  # chunk_len 0
-], ids=["check-code", "trade-0", "chunk-len-0"])
+], ids=["compressed-code", "trade-0", "chunk-len-0"])
 def test_corrupt_header_fields(at, value):
     blob = IndexBundle.from_values(zipf_string(100, 5, seed=1),
-                                   IndexConfig(build_check="never")).to_bytes()
+                                   IndexConfig()).to_bytes()
     with pytest.raises(FormatError, match="corrupt index header"):
         IndexBundle.from_bytes(blob[:at] + value + blob[at + len(value):])
 
 
 def test_version_2_file_rejected():
-    # version 2 had one more header byte, a verifier code, after chunk_len
     blob = IndexBundle.from_values(zipf_string(100, 5, seed=1),
-                                   IndexConfig(build_check="never")).to_bytes()
-    at = _CHUNK_AT + 4
-    v2 = blob[:4] + struct.pack("<H", 2) + blob[6:at] + b"\x00" + blob[at:]
+                                   IndexConfig()).to_bytes()
+    v2 = blob[:4] + struct.pack("<H", 2) + blob[6:]
     with pytest.raises(FormatError, match="unsupported format version 2"):
         IndexBundle.from_bytes(v2)
+
+
+def as_version_3(blob: bytes) -> bytes:
+    """A version-4 file as version 3 wrote it: every version field 3, and
+    family_min_n (u32) and a build-check code (u8) after compressed."""
+    v3 = blob.replace(b"RFQB\x04\x00", b"RFQB\x03\x00")
+    at = _COMPRESSED_AT + 1
+    return b"RFQI\x03\x00" + v3[6:at] + struct.pack("<IB", 64, 0) + v3[at:]
+
+
+def test_version_3_file_rejected():
+    blob = IndexBundle.from_values(zipf_string(100, 5, seed=1), IndexConfig()).to_bytes()
+    with pytest.raises(FormatError, match="unsupported format version 3"):
+        IndexBundle.from_bytes(as_version_3(blob))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("chunk_len", 2**32),  # past the u32 header field
+    ("trade", 2**32),
+    ("trade", 2.5),
+    ("trade", 0),
+    ("chunk_len", True),
+])
+def test_config_fields_are_u32_ints(field, value):
+    with pytest.raises(ConfigError, match=field):
+        IndexConfig(**{field: value})
+
+
+def test_largest_u32_config_round_trips():
+    cfg = IndexConfig(trade=2**32 - 1, chunk_len=2**32 - 1)
+    bundle = IndexBundle.from_values(zipf_string(300, 9, seed=2), cfg)
+    back = IndexBundle.from_bytes(bundle.to_bytes())
+    assert back.config == cfg
+    assert_same_answers(bundle, back, queries_for(300, random.Random(4), count=10))
 
 
 def remap_split(bundle):
@@ -221,7 +251,7 @@ def remap_split(bundle):
 
 def token_table(raw: bytes) -> bytes:
     bundle = IndexBundle.from_tokens("the cat sat on the mat the end".split(),
-                                     IndexConfig(build_check="never"))
+                                     IndexConfig())
     head, tail = remap_split(bundle)
     w = ByteWriter()
     w.blob(raw)
@@ -230,7 +260,7 @@ def token_table(raw: bytes) -> bytes:
 
 def int_table(values) -> bytes:
     bundle = IndexBundle.from_values(np.asarray([1000, -5, 1000, 7, -5, 1000, 7]),
-                                     IndexConfig(build_check="never"))
+                                     IndexConfig())
     head, tail = remap_split(bundle)
     w = ByteWriter()
     w.words([v & 0xFFFFFFFFFFFFFFFF for v in values])
@@ -256,7 +286,7 @@ def listing_section(trade, data=None):
     (u32), then for block > 1 the block minima as a u32 array."""
     if data is None:
         data = zipf_string(100, 5, seed=1)
-    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade, build_check="never"))
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
     blob = bundle.to_bytes()
     at = blob.index(bundle.seq.to_bytes()) + len(bundle.seq.to_bytes())
     w = ByteWriter()
@@ -303,9 +333,27 @@ def test_listing_block_minima_values_checked():
         IndexBundle.from_bytes(head + w.getvalue() + tail)
 
 
+def test_listing_block_must_match_trade():
+    # a block far past n declares one block; its minima used to be taken
+    # over a padded copy of 2**32 - 1 cells (16 GiB)
+    head, _, tail, bundle = listing_section(2, zipf_string(2999, 40, seed=3))
+    w = ByteWriter()
+    w.u64(bundle.seq.n)
+    w.u32(2**32 - 1)
+    w.np_u32(np.zeros(1, dtype=np.uint32))  # the true minimum of its one block
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="block size 4294967295 differs from trade 2"):
+            IndexBundle.from_bytes(head + w.getvalue() + tail)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+
+
 def family_bundle(**kw):
     """A trade-2 bundle with candidate, anchor and distinct families."""
-    cfg = IndexConfig(trade=2, build_check="never", **kw)
+    cfg = IndexConfig(trade=2, **kw)
     return IndexBundle.from_values(zipf_string(3000, 40, skew=1.1, seed=3), cfg)
 
 
@@ -370,7 +418,7 @@ def test_anchor_links_match_anchors():
 
 def test_save_load(tmp_path):
     data = zipf_string(300, 9, seed=8)
-    bundle = IndexBundle.from_values(data, IndexConfig(build_check="never"))
+    bundle = IndexBundle.from_values(data, IndexConfig())
     path = tmp_path / "seq.rfq"
     bundle.save(path)
     back = IndexBundle.load(path)
@@ -383,7 +431,7 @@ def test_counts_rebuilt_not_stored():
     # symbol counts are derivable, so the payload should not shrink when the
     # alphabet collapses to one heavy symbol plus noise
     data = zipf_string(400, 12, skew=2.0, seed=3)
-    bundle = IndexBundle.from_values(data, IndexConfig(build_check="never"))
+    bundle = IndexBundle.from_values(data, IndexConfig())
     back = IndexBundle.from_bytes(bundle.to_bytes())
     for a in range(1, back.seq.sigma + 1):
         assert back.seq.symbol_count(a) == bundle.seq.symbol_count(a)

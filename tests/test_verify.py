@@ -12,7 +12,7 @@ from rfq.verify import _tau_pool
 
 def test_clean_bundle_verifies():
     data = zipf_string(600, 12, skew=1.2, seed=9)
-    bundle = IndexBundle.from_values(data, IndexConfig(trade=2, build_check="never"))
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=2))
     rep = verify_index(bundle, queries=800, seed=3)
     assert rep.ok
     assert rep.queries == 800
@@ -33,7 +33,7 @@ def test_fault_injection_produces_witness():
     # runs of eight aligned with the tier-2 family's half-blocks: a run
     # straddling a range edge leaves exactly one flag inside the range
     data = np.asarray([(i // 8) % 8 + 1 for i in range(512)])
-    bundle = IndexBundle.from_values(data, IndexConfig(trade=1, build_check="never"))
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
     witness = inject_fault(bundle, seed=0)
     assert witness is not None
     for key in ("family", "removed_bit", "lo", "hi", "tau", "got", "want"):
@@ -54,7 +54,7 @@ def test_fault_injection_honest_none():
     # dense corpus: every majority leaves several flags in any covering
     # range, so no single bit removal can change an answer
     data = uniform_string(300, 2, seed=4)
-    bundle = IndexBundle.from_values(data, IndexConfig(trade=1, build_check="never"))
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
     blob = bundle.to_bytes()
     assert inject_fault(bundle, seed=0, samples=800) is None
     assert bundle.to_bytes() == blob  # untouched when no witness exists
@@ -62,7 +62,7 @@ def test_fault_injection_honest_none():
 
 def test_verify_reports_seeded_and_reproducible():
     data = zipf_string(200, 6, seed=2)
-    bundle = IndexBundle.from_values(data, IndexConfig(build_check="never"))
+    bundle = IndexBundle.from_values(data, IndexConfig())
     a = verify_index(bundle, queries=150, seed=42)
     b = verify_index(bundle, queries=150, seed=42)
     assert a.seed == b.seed == 42
