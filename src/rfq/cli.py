@@ -41,10 +41,8 @@ def _read_input(path: str, fmt: str):
 def _assemble_config(args) -> IndexConfig:
     cfg = space_preset() if args.space_preset else IndexConfig()
     overrides = {}
-    for name in ("trade", "chunk_len"):
-        v = getattr(args, name)
-        if v is not None:
-            overrides[name] = v
+    if args.trade is not None:
+        overrides["trade"] = args.trade
     if args.compressed:
         overrides["compressed"] = True
     return cfg.with_(**overrides) if overrides else cfg
@@ -64,8 +62,7 @@ def _space_lines(rep: dict) -> list[str]:
         f"sigma {rep['sigma']}",
         f"entropy_h0 {rep['entropy_h0']:.4f} bits/symbol",
     ]
-    for key in ("sequence_bits", "listing_bits", "candidate_bits", "anchor_bits",
-                "anchor_prev_bits", "distinct_bits"):
+    for key in ("sequence_bits", "listing_bits", "candidate_bits", "distinct_bits"):
         lines.append(f"{key} {rep[key]}")
     lines.append(f"total_bits {rep['total_bits']}")
     lines.append(f"bits_per_symbol {rep['total_bits'] / n:.3f}")
@@ -162,9 +159,7 @@ def _cmd_info(args) -> int:
     bundle = IndexBundle.load(args.index)
     rep = bundle.size_report()
     cfg = bundle.config
-    rep["config"] = {
-        "trade": cfg.trade, "chunk_len": cfg.chunk_len, "compressed": cfg.compressed,
-    }
+    rep["config"] = {"trade": cfg.trade, "compressed": cfg.compressed}
     rep["majority_families"] = len(bundle.majority.candidate_flags)
     rep["minority_families"] = len(bundle.minority.distinct_flags)
     domain = "tokens" if bundle.tokens is not None else (
@@ -196,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trade", type=int, default=None,
                    help="space/time knob g; 1 stores everything, larger g shrinks "
                         "the index and slows queries by about g^2")
-    b.add_argument("--chunk-len", type=int, default=None)
     b.add_argument("--compressed", action="store_true")
     b.add_argument("--space-preset", action="store_true",
                    help="start from the small-footprint configuration")

@@ -7,33 +7,30 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError
 
 
-_U32_MAX = 2**32 - 1  # trade and chunk_len are u32 fields of the file header
+_U32_MAX = 2**32 - 1  # trade is a u32 field of the file header
 
 
 @dataclass
 class IndexConfig:
     """Knobs deciding the space/time trade of a built index.
 
-    trade is the sparsification factor g: the position directory keeps one
-    summary cell per g entries, and the documented per-query work bound
-    scales with g**2.  chunk_len is the anchor spacing c inside each
-    symbol's occurrence list.  Both are ints in [1, 2**32 - 1].
-    compressed stores each level of the binary wavelet matrix in the
-    sparse encoding when that is smaller.  Inputs shorter than
-    `families.FAMILY_MIN_N` get no flag families, and builds of at most
-    `families.SELF_CHECK_MAX_N` positions check their families against the
-    slow reference builders; neither is configurable.
+    trade is the sparsification factor g, an int in [1, 2**32 - 1]: the
+    position directory keeps one summary cell per g entries, and the
+    documented per-query work bound scales with g**2.  compressed stores
+    each level of the binary wavelet matrix in the sparse encoding when
+    that is smaller.  Inputs shorter than `families.FAMILY_MIN_N` get no
+    flag families, and builds of at most `families.SELF_CHECK_MAX_N`
+    positions check their families against the slow reference builders;
+    neither is configurable.
     """
 
     trade: int = 1
-    chunk_len: int = 1024
     compressed: bool = False
 
     def __post_init__(self):
-        for name in ("trade", "chunk_len"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= _U32_MAX:
-                raise ConfigError(f"{name} must be an int in [1, 2**32 - 1], got {v!r}")
+        v = self.trade
+        if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= _U32_MAX:
+            raise ConfigError(f"trade must be an int in [1, 2**32 - 1], got {v!r}")
 
     @property
     def blowup(self) -> int:
@@ -55,4 +52,4 @@ class IndexConfig:
 
 def space_preset() -> IndexConfig:
     """Configuration tuned for small index footprint over query speed."""
-    return IndexConfig(trade=256, chunk_len=4096)
+    return IndexConfig(trade=256)

@@ -9,16 +9,15 @@ order of the original symbols (lexicographic for tokens).
 A build makes the sequence, the listing engine and, in one call to
 `families.build_families`, every flag family of both sides.
 
-File layout (magic ``RFQI``, format version 4): the config echo (trade
-and chunk_len as u32, compressed as a u8 of 0 or 1), the remap kind and
-its table, then the four structural sections: sequence, listing, majority
-families, minority families.  On load the remap table must hold exactly
-sigma entries in strictly increasing order, the listing's block size must
-equal the trade, and every flag family must span the sequence under a
-strictly rising (tier, scale) key within lg sigma and lg n.  Everything
-derived (rank directories, range-minimum tables, per-family listing
-engines) is rebuilt lazily after load, so the file stores only what the
-space accounting counts.
+File layout (magic ``RFQI``, format version 5): the config echo (trade
+as u32, compressed as a u8 of 0 or 1), the remap kind and its table,
+then the four structural sections: sequence, listing, majority families,
+minority families.  On load the remap table must hold exactly sigma
+entries in strictly increasing order, the listing's block size must equal
+the trade, and every flag family must span the sequence under a strictly
+rising (tier, scale) key within lg sigma and lg n.  Everything derived
+(rank directories, range-minimum tables) is rebuilt lazily after load,
+so the file stores only what the space accounting counts.
 """
 
 from __future__ import annotations
@@ -83,8 +82,8 @@ class IndexBundle:
         config = config or IndexConfig()
         seq = WaveletSequence.build(dense, compressed=config.compressed)
         listing = ListingIndex.for_sequence(seq, config.trade, dense)
-        cand, anch, prev, dist = build_families(dense, seq.sigma, config)
-        maj = MajorityIndex(seq, config, listing, cand, anch, prev)
+        cand, dist = build_families(dense, seq.sigma, config)
+        maj = MajorityIndex(seq, config, listing, cand)
         mino = MinorityIndex(seq, config, listing, dist)
         return cls(maj, mino, originals, tokens)
 
@@ -140,7 +139,6 @@ class IndexBundle:
         w.u16(FORMAT_VERSION)
         cfg = self.config
         w.u32(cfg.trade)
-        w.u32(cfg.chunk_len)
         w.u8(int(cfg.compressed))
         if self.tokens is not None:
             w.u8(_REMAP_TOKENS)
@@ -161,11 +159,11 @@ class IndexBundle:
         r = ByteReader(data)
         r.expect_magic(MAGIC_INDEX)
         r.expect_version()
-        trade, chunk_len, compressed = r.u32(), r.u32(), r.u8()
+        trade, compressed = r.u32(), r.u8()
         if compressed > 1:
             raise FormatError(f"corrupt index header: compressed code {compressed}")
         try:
-            cfg = IndexConfig(trade=trade, chunk_len=chunk_len, compressed=bool(compressed))
+            cfg = IndexConfig(trade=trade, compressed=bool(compressed))
         except ConfigError as exc:
             raise FormatError(f"corrupt index header: {exc}") from exc
         kind = r.u8()
@@ -189,11 +187,11 @@ class IndexBundle:
         listing = ListingIndex.read_from(r, seq)
         if listing.block != cfg.trade:
             raise FormatError(f"listing block size {listing.block} differs from trade {cfg.trade}")
-        cand, anch, prev = MajorityIndex.read_families(r, seq)
+        cand = MajorityIndex.read_families(r, seq)
         dist = MinorityIndex.read_families(r, seq)
         if not r.done():
             raise FormatError("trailing bytes after index payload")
-        maj = MajorityIndex(seq, cfg, listing, cand, anch, prev)
+        maj = MajorityIndex(seq, cfg, listing, cand)
         mino = MinorityIndex(seq, cfg, listing, dist)
         originals = np.array(table, dtype=np.int64) if kind == _REMAP_INTS else None
         return cls(maj, mino, originals, table if kind == _REMAP_TOKENS else None)

@@ -13,10 +13,11 @@ Dispatch picks one of four strategies:
 * small threshold (tau < 1/sigma): every distinct symbol is a potential
   answer, so list the distinct symbols and certify each.
 * flagged: a candidate family matching the query's tier and scale exists;
-  enumerate its set positions inside the range, then confirm or reject
-  each distinct symbol found.  Symbols whose in-range leftmost occurrence
-  cannot be reached from the flagged position through its occurrence
-  chunk are settled in a second pass over the anchor family.
+  enumerate its set positions inside the range and take each new symbol
+  a found there as a candidate.  Every range majority has a flagged
+  position inside the range, so the candidates cover the answer; one
+  rank, rank(a, lo - 1) + 1, names a candidate's in-range leftmost
+  occurrence, where it is certified.
 * sequential: no family covers the scale, which only happens when the
   range is short relative to 1/tau; scan it once with `RangeScan`, which
   visits each symbol at its leftmost occurrence (plain), or chunk by chunk
@@ -30,8 +31,8 @@ count of each symbol returned; the plain sequential scan counts each
 symbol as it sweeps it.
 
 The index is assembled by `IndexBundle` over the shared sequence and
-listing engine, with the candidate and anchor families that
-`families.build_families` makes; this module queries and stores them.
+listing engine, with the candidate families that `families.build_families`
+makes; this module queries and stores them.
 """
 
 from __future__ import annotations
@@ -39,11 +40,9 @@ from __future__ import annotations
 import math
 import time
 
-import numpy as np
-
 from .config import IndexConfig
 from .counters import QueryDiagnostics
-from .errors import DomainError, FormatError, LogicError, RangeError
+from .errors import DomainError, LogicError, RangeError
 from .families import read_family_keys, read_flags
 from .listing import ListingIndex
 from .sequence import WaveletSequence
@@ -120,16 +119,11 @@ class MajorityIndex:
         config: IndexConfig,
         listing: ListingIndex,
         candidate_flags: dict,
-        anchor_flags: dict,
-        anchor_prev: dict,
     ):
         self.seq = seq
         self.config = config
         self.listing = listing
         self.candidate_flags = candidate_flags
-        self.anchor_flags = anchor_flags
-        self.anchor_prev = anchor_prev
-        self._anchor_listing: dict = {}
         self.diagnostics: QueryDiagnostics | None = None
 
     # -- public queries ---------------------------------------------------
@@ -213,56 +207,14 @@ class MajorityIndex:
     def _flagged(self, lo, hi, thr, tier, scale, out, diag):
         seq = self.seq
         diag.path = "flagged"
-        flags = self.candidate_flags[(tier, scale)]
-        decided: set[int] = set()
-        deferred: set[int] = set()
-        for k in flags.ones_in_range(lo, hi):
+        seen: set[int] = set()
+        for k in self.candidate_flags[(tier, scale)].ones_in_range(lo, hi):
             a = seq.access(k)
-            if a in decided or a in deferred:
+            if a in seen:
                 continue
-            hit = self._leftmost_via_chunk(a, k, lo)
-            if hit is None:
-                # leftmost sits in an earlier chunk; settle via anchors
-                deferred.add(a)
-                continue
-            decided.add(a)
+            seen.add(a)
             diag.candidates += 1
-            occ = self._certify(a, hit[1], hi, thr)
-            if occ is not None:
-                out.append((a, occ))
-        if deferred:
-            self._anchored_phase(lo, hi, thr, tier, scale, deferred, decided, out, diag)
-
-    def _anchored_phase(self, lo, hi, thr, tier, scale, deferred, decided, out, diag):
-        """Second pass: reach deferred symbols through anchor positions.
-
-        Any range majority has every chunk-multiple of its occurrence rank
-        flagged inside the range, so its leftmost flagged anchor lies in the
-        same chunk as its leftmost in-range occurrence.  Symbols that still
-        fail the chunk walk are therefore not majorities.
-        """
-        seq = self.seq
-        anchors = self.anchor_flags.get((tier, scale))
-        if anchors is None or anchors.ones == 0:
-            return
-        s_lo = anchors.rank1(lo - 1) + 1
-        s_hi = anchors.rank1(hi)
-        if s_lo > s_hi:
-            return
-        lister = self._anchor_lister(tier, scale)
-        listed = lister.query_leftmost(s_lo, s_hi, s_hi - s_lo + 1)
-        diag.probes += lister.last_stats["probes"]
-        for kp in listed:
-            k = anchors.select1(kp)
-            a = seq.access(k)
-            if a in decided or a not in deferred:
-                continue
-            decided.add(a)
-            hit = self._leftmost_via_chunk(a, k, lo)
-            if hit is None:
-                continue
-            diag.candidates += 1
-            occ = self._certify(a, hit[1], hi, thr)
+            occ = self._certify(a, seq.rank(a, lo - 1) + 1, hi, thr)
             if occ is not None:
                 out.append((a, occ))
 
@@ -322,42 +274,6 @@ class MajorityIndex:
             return None
         return seq.rank(a, hi) - r + 1
 
-    def _leftmost_via_chunk(self, a: int, anchor: int, lo: int):
-        """(position, rank) of a's first occurrence >= lo, when that sits in
-        the anchor's occurrence chunk; None when an earlier chunk holds it."""
-        seq = self.seq
-        r_k = seq.partial_rank(anchor)
-        c = self.config.chunk_len
-        q = (r_k + c - 1) // c
-        base = (q - 1) * c
-        if q >= 2:
-            i_l = seq.select(a, base)
-            if i_l >= lo:
-                return None
-        if r_k == base + 1:
-            return anchor, r_k
-        r_lo = base + 1
-        p_lo = seq.select(a, r_lo)
-        if p_lo >= lo:
-            return p_lo, r_lo
-        r_hi, p_hi = r_k, anchor
-        while r_hi - r_lo > 1:
-            mid = (r_lo + r_hi) // 2
-            p = seq.select(a, mid)
-            if p >= lo:
-                r_hi, p_hi = mid, p
-            else:
-                r_lo = mid
-        return p_hi, r_hi
-
-    def _anchor_lister(self, tier, scale) -> ListingIndex:
-        key = (tier, scale)
-        li = self._anchor_listing.get(key)
-        if li is None:
-            li = ListingIndex.build_from_values(self.anchor_prev[key], self.config.trade)
-            self._anchor_listing[key] = li
-        return li
-
     def _check_range(self, lo, hi):
         n = self.seq.n
         if not (1 <= lo <= n and 1 <= hi <= n):
@@ -371,15 +287,10 @@ class MajorityIndex:
         return sorted(self.candidate_flags)
 
     def size_report(self) -> dict:
-        cand = sum(v.size_bits() for v in self.candidate_flags.values())
-        anch = sum(v.size_bits() for v in self.anchor_flags.values())
-        prev = sum(32 * int(v.size) + 32 for v in self.anchor_prev.values())
         return {
             "sequence_bits": self.seq.size_bits(),
             "listing_bits": self.listing.size_bits(),
-            "candidate_bits": cand,
-            "anchor_bits": anch,
-            "anchor_prev_bits": prev,
+            "candidate_bits": sum(v.size_bits() for v in self.candidate_flags.values()),
         }
 
     def write_families(self, w: ByteWriter) -> None:
@@ -389,25 +300,7 @@ class MajorityIndex:
             w.u8(t)
             w.u8(b)
             w.blob(self.candidate_flags[(t, b)].to_bytes())
-            w.blob(self.anchor_flags[(t, b)].to_bytes())
-            w.np_u32(self.anchor_prev[(t, b)])
 
     @staticmethod
-    def read_families(r: ByteReader, seq: WaveletSequence):
-        cand: dict = {}
-        anch: dict = {}
-        prev: dict = {}
-        for key in read_family_keys(r, seq):
-            cand[key] = read_flags(r, seq.n)
-            anch[key] = read_flags(r, seq.n)
-            prev[key] = r.np_u32()
-            if prev[key].size != anch[key].ones:
-                raise FormatError(
-                    f"family {key} stores {prev[key].size} anchor links for "
-                    f"{anch[key].ones} anchors"
-                )
-            # each link points at an earlier anchor (1-based) or is 0
-            if np.any(prev[key] > np.arange(prev[key].size)):
-                raise FormatError(f"family {key} links an anchor forward")
-        return cand, anch, prev
-
+    def read_families(r: ByteReader, seq: WaveletSequence) -> dict:
+        return {key: read_flags(r, seq.n) for key in read_family_keys(r, seq)}

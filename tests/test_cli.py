@@ -134,7 +134,7 @@ def test_info(abra_index, capsys):
     assert rep["n"] == 11
     assert rep["sigma"] == 5
     assert rep["symbol_domain"] == "ints"
-    assert rep["config"] == {"trade": 1, "chunk_len": 1024, "compressed": False}
+    assert rep["config"] == {"trade": 1, "compressed": False}
 
 
 def test_usage_errors(abra_index, tmp_path):
@@ -143,7 +143,7 @@ def test_usage_errors(abra_index, tmp_path):
     assert main(["query", abra_index, "majority", "0", "11", "--tau", ".5"]) == 2
     assert main(["build", str(tmp_path / "missing.bin")]) == 2
     for removed in (["--arity", "4"], ["--full-family-range"], ["--verify-mode", "rank"],
-                    ["--family-min-n", "4"], ["--build-check", "always"]):
+                    ["--family-min-n", "4"], ["--build-check", "always"], ["--chunk-len", "16"]):
         with pytest.raises(SystemExit) as exc:
             main(["build", str(tmp_path / "missing.bin"), *removed])
         assert exc.value.code == 2  # unknown argument
@@ -160,8 +160,8 @@ def test_usage_errors(abra_index, tmp_path):
 def test_config_out_of_range_exits_two(tmp_path, capsys):
     src = tmp_path / "abra.bin"
     src.write_bytes(b"abracadabra")
-    for flag, value in (("--trade", "0"), ("--trade", str(2**32)), ("--chunk-len", str(2**32))):
-        assert main(["build", str(src), flag, value]) == 2
+    for value in ("0", str(2**32)):
+        assert main(["build", str(src), "--trade", value]) == 2
         assert "must be an int in [1, 2**32 - 1]" in capsys.readouterr().err
 
 
@@ -175,7 +175,7 @@ def test_corrupt_header_field_exits_three(abra_index, capsys):
     with open(abra_index, "rb") as fh:
         blob = fh.read()
     with open(abra_index, "wb") as fh:
-        fh.write(blob[:14] + b"\x07" + blob[15:])  # compressed code other than 0 or 1
+        fh.write(blob[:10] + b"\x07" + blob[11:])  # compressed code other than 0 or 1
     assert main(["info", abra_index]) == 3
 
 

@@ -10,8 +10,6 @@ from rfq import IndexConfig
 from rfq.errors import LogicError
 from rfq.families import (
     FlagWorkspace,
-    anchor_bits,
-    anchor_flag_bits_slow,
     build_families,
     candidate_bits,
     candidate_flag_bits_slow,
@@ -28,18 +26,14 @@ def ws(values):
     return FlagWorkspace(np.asarray(values, dtype=np.int64))
 
 
-def fast_bits(kind, arr, tier, scale, chunk=1):
+def fast_bits(kind, arr, tier, scale):
     """One (tier, scale) family from the per-scale arrays, as the builder
     derives it."""
     w = ws(arr)
     ranks = w.block_ranks(scale)
     if kind == "distinct":
         return distinct_bits(ranks, tier)
-    counts = w.window_counts(1 << (scale + 1))
-    need = 1 << (scale - tier)
-    if kind == "candidate":
-        return candidate_bits(counts, ranks, need)
-    return anchor_bits(arr.size, w.anchor_windows(scale, chunk, counts), need)
+    return candidate_bits(w.window_counts(1 << (scale + 1)), ranks, 1 << (scale - tier))
 
 
 def test_distinct_bits_frozen():
@@ -59,13 +53,24 @@ def test_candidate_bits_frozen():
     assert np.flatnonzero(candidate_bits(counts, ranks, 2)).tolist() == list(range(8))
 
 
-def test_anchor_bits_frozen():
-    w = ws([1] * 6)
-    counts = w.window_counts(8)
-    got = np.flatnonzero(anchor_bits(6, w.anchor_windows(2, 2, counts), 4)).tolist()
-    assert got == [1, 3, 5]  # every second occurrence
-    got = np.flatnonzero(anchor_bits(6, w.anchor_windows(2, 1, counts), 4)).tolist()
-    assert got == list(range(6))
+def test_window_counts_with_wide_symbols():
+    # keys once packed the symbol above 40 position bits in int64, which
+    # wrapped from symbol 2**23 on and merged 2**23 + 1 with symbol 1
+    got = ws([1, 2**23 + 1, 2**23 + 1, 1, 2**23 + 1]).window_counts(4)
+    assert got.tolist() == [2, 3, 3, 2, 3]
+    assert ws([1, 2**22 + 1, 2**22 + 1, 1, 2**22 + 1]).window_counts(4).tolist() == got.tolist()
+
+
+def test_candidate_bits_with_symbols_above_key_range():
+    rng = random.Random(41)
+    for _ in range(30):
+        n = rng.randint(1, 48)
+        symbols = [3, 2**40 // n + 1, 2**47 + 5, 2**62]
+        arr = np.asarray([rng.choice(symbols) for _ in range(n)], dtype=np.int64)
+        tier = rng.randint(1, 2)
+        scale = rng.randint(tier, 6)
+        want = candidate_flag_bits_slow(arr, tier, scale)
+        assert (fast_bits("candidate", arr, tier, scale) == want).all(), (arr.tolist(), tier, scale)
 
 
 def test_window_qualifies_matches_slow():
@@ -75,7 +80,7 @@ def test_window_qualifies_matches_slow():
         arr = np.asarray([rng.randint(1, 5) for _ in range(n)])
         radius = rng.choice([1, 2, 4, 16, 64])
         need = rng.choice([1, 2, 3, 8])
-        _, _, want = _qualifies_slow(arr, radius, need)
+        _, want = _qualifies_slow(arr, radius, need)
         got = ws(arr).window_counts(radius) >= need
         assert (got == want).all()
 
@@ -96,7 +101,7 @@ def test_window_counts_at_real_size(sigma):
         assert (w.window_counts(radius) == want).all(), scale
 
 
-@pytest.mark.parametrize("kind", ["candidate", "anchor", "distinct"])
+@pytest.mark.parametrize("kind", ["candidate", "distinct"])
 def test_fast_matches_slow(kind):
     rng = random.Random(zlib.crc32(kind.encode()) % 1000)
     for _ in range(60):
@@ -105,46 +110,35 @@ def test_fast_matches_slow(kind):
         arr = np.asarray([rng.randint(1, sigma) for _ in range(n)])
         tier = rng.randint(0, 3)
         scale = rng.randint(max(tier, 1), 6)
+        got = fast_bits(kind, arr, tier, scale)
         if kind == "candidate":
-            got = fast_bits(kind, arr, tier, scale)
             want = candidate_flag_bits_slow(arr, tier, scale)
-        elif kind == "anchor":
-            chunk = rng.choice([1, 2, 3, 8])
-            got = fast_bits(kind, arr, tier, scale, chunk)
-            want = anchor_flag_bits_slow(arr, tier, scale, chunk)
         else:
-            got = fast_bits(kind, arr, tier, scale)
             want = distinct_flag_bits_slow(arr, tier, scale)
         assert (got == want).all(), (kind, arr.tolist(), tier, scale)
 
 
-@pytest.mark.parametrize("chunk", [2, 5])
+@pytest.mark.parametrize("seed", [2, 5])
 @pytest.mark.parametrize("trade", [1, 2, 8])
 @pytest.mark.parametrize("n", [600, 700])
-def test_build_families_matches_slow(n, trade, chunk):
+def test_build_families_matches_slow(n, trade, seed):
     """Every family the builder emits, above the self-check length."""
     if n == 600:
-        arr = uniform_string(n, 6, seed=trade * 10 + chunk)
+        arr = uniform_string(n, 6, seed=trade * 10 + seed)
     else:
-        arr = zipf_string(n, 40, skew=1.1, seed=trade * 10 + chunk)
+        arr = zipf_string(n, 40, skew=1.1, seed=trade * 10 + seed)
     arr = np.unique(arr, return_inverse=True)[1].astype(np.int64) + 1  # dense, as built
     sigma = int(arr.max())
-    cfg = IndexConfig(trade=trade, chunk_len=chunk)
-    cand, anch, prev, dist = build_families(arr, sigma, cfg)
+    cfg = IndexConfig(trade=trade)
+    cand, dist = build_families(arr, sigma, cfg)
     cutoff = cfg.scale_cutoff
     keys = [(t, b) for t in range((sigma - 1).bit_length() + 1) for b in range(n.bit_length())
             if cutoff(t) <= b]
-    assert sorted(cand) == sorted(anch) == sorted(prev) == [k for k in keys if k[0] >= 1]
+    assert sorted(cand) == [k for k in keys if k[0] >= 1]
     assert sorted(dist) == (keys if trade > 1 else [])
     for (t, b), flags in cand.items():
         want = np.flatnonzero(candidate_flag_bits_slow(arr, t, b)) + 1
         assert flags.ones_in_range(1, n) == want.tolist(), ("candidate", t, b)
-        marked = np.flatnonzero(anchor_flag_bits_slow(arr, t, b, chunk))
-        assert anch[(t, b)].ones_in_range(1, n) == (marked + 1).tolist(), ("anchor", t, b)
-        # each anchor links to the previous anchor of its symbol, by anchor rank
-        links = [max([i + 1 for i in range(j) if arr[marked[i]] == arr[marked[j]]], default=0)
-                 for j in range(marked.size)]
-        assert prev[(t, b)].tolist() == links, ("links", t, b)
     for (t, b), flags in dist.items():
         want = np.flatnonzero(distinct_flag_bits_slow(arr, t, b)) + 1
         assert flags.ones_in_range(1, n) == want.tolist(), ("distinct", t, b)
@@ -159,12 +153,12 @@ def test_self_check_runs_up_to_512(monkeypatch, n, checked):
         with pytest.raises(LogicError, match="distinct flags self-check failed"):
             build_families(arr, 4, IndexConfig(trade=2))
     else:
-        assert build_families(arr, 4, IndexConfig(trade=2))[3]
+        assert build_families(arr, 4, IndexConfig(trade=2))[1]
 
 
 def test_short_inputs_get_no_families():
     arr = np.resize(np.arange(1, 5, dtype=np.int64), 63)
-    assert build_families(arr, 4, IndexConfig(trade=2)) == ({}, {}, {}, {})
+    assert build_families(arr, 4, IndexConfig(trade=2)) == ({}, {})
 
 
 def test_ones_stay_under_cap():
@@ -185,15 +179,3 @@ def test_flags_from_bits():
     sv = flags_from_bits(bits)
     assert sv.n_bits == 100
     assert sv.ones_in_range(1, 100) == [1, 18, 100]
-
-
-@pytest.mark.parametrize("sigma", [2, 300])
-def test_anchor_bits_at_real_size(sigma):
-    """Window maxima over long key-order runs, where the doubling goes deep."""
-    arr = np.random.default_rng(sigma).integers(1, sigma + 1, size=1500)
-    w = ws(arr)
-    for scale in (3, 7, 10):
-        anchors = w.anchor_windows(scale, 5, w.window_counts(1 << (scale + 1)))
-        for tier in (1, 3):
-            got = anchor_bits(arr.size, anchors, 1 << (scale - tier))
-            assert (got == anchor_flag_bits_slow(arr, tier, scale, 5)).all(), (scale, tier)

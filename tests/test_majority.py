@@ -24,7 +24,7 @@ def majority_index(data, cfg):
 
 @pytest.fixture(scope="module")
 def canon_idx():
-    return majority_index(CANON, IndexConfig(trade=1, chunk_len=2))
+    return majority_index(CANON, IndexConfig(trade=1))
 
 
 def ops_cap(tau: float, trade: int) -> int:
@@ -119,9 +119,9 @@ def test_flagged_path_with_no_set_bits_in_range():
 
 @pytest.mark.parametrize("cfg, seed", [
     (IndexConfig(trade=1), 668981),
-    (IndexConfig(trade=8, chunk_len=5), 233144),
+    (IndexConfig(trade=8), 233144),
     (IndexConfig(trade=2, compressed=True), 398481),
-    (IndexConfig(trade=1, chunk_len=2), 145889),
+    (IndexConfig(trade=1), 145889),
 ], ids=["cfg0", "cfg1", "cfg2", "cfg3"])
 def test_random_vs_oracle(cfg, seed):
     rng = random.Random(seed)
@@ -157,6 +157,73 @@ def test_exact_boundary_exclusion():
     assert idx.query_majorities(1, 4, 0.5) == []
     # one epsilon below the boundary flips it
     assert idx.query_majorities(1, 4, 0.49) == [(1, 2)]
+
+
+# -- flagged path -------------------------------------------------------------------
+
+
+def far_leftmost_ranges(n):
+    """Ranges starting two or four places into an aligned block of their
+    scale, whose block opens with symbol 1 before the range does: symbol
+    1's first flag in the range is then its last occurrence in that block."""
+    for scale in (12, 13):
+        blen = 1 << (scale - 1)
+        for start in (blen, 2 * blen):
+            for off in (2, 4):
+                for length in (1 << scale, (1 << scale) + blen + 3):
+                    lo = start + off
+                    yield scale, lo, min(lo + length - 1, n)
+
+
+@pytest.mark.parametrize("trade", [1, 4, 16])
+def test_leftmost_far_before_first_flag(trade):
+    """A majority whose first in-range occurrence lies more than 1,024 of its
+    own occurrences before its first flagged position in the range."""
+    rng = np.random.default_rng(12)
+    n = 3 << 13
+    data = np.where(rng.random(n) < 0.7, 1, rng.integers(2, 6, size=n))
+    data[::512] = 1  # every block of 512 or more opens with symbol 1
+    maj = majority_index(data, IndexConfig(trade=trade))
+    ref = data.tolist()
+    ones = np.cumsum(data == 1)  # ones[k - 1]: occurrences of 1 in 1..k
+    for scale, lo, hi in far_leftmost_ranges(n):
+        for tau in (0.5, 0.3, 0.26):
+            got = maj.query_majorities(lo, hi, tau)
+            assert maj.diagnostics.path == "flagged"
+            assert got == oracle.oracle_majorities(ref, lo, hi, tau)
+            assert got[0][0] == 1
+            flags = maj.candidate_flags[(1 - math.frexp(tau)[1], scale)]
+            first = next(k for k in flags.ones_in_range(lo, hi) if data[k - 1] == 1)
+            assert ones[first - 2] - ones[lo - 2] > 1024  # occurrences in lo..first-1
+
+
+@pytest.mark.parametrize("trade", [1, 4])
+def test_flagged_path_ops_per_candidate(trade):
+    """One access per in-range flag; a rank for the leftmost occurrence and
+    the certificate's select and rank per candidate."""
+    data = zipf_string(200_000, 256, skew=1.1, seed=1)
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
+    maj = bundle.majority
+    rng = random.Random(trade)
+    flagged = 0
+    for _ in range(400):
+        length = min(data.size, int(2 ** rng.uniform(4, math.log2(data.size))))
+        lo = rng.randint(1, data.size - length + 1)
+        hi = lo + length - 1
+        tau = rng.choice([0.5, 0.3, 0.1, 0.02, 0.005])
+        got = maj.query_majorities(lo, hi, tau)
+        d = maj.diagnostics
+        if d.path != "flagged":
+            continue
+        flagged += 1
+        counts = np.bincount(data[lo - 1:hi])
+        want = [(a, int(c)) for a, c in enumerate(counts) if c > threshold_count(tau, length)]
+        assert got == want
+        tier, scale = 1 - math.frexp(tau)[1], length.bit_length() - 1
+        in_range = len(maj.candidate_flags[(tier, scale)].ones_in_range(lo, hi))
+        assert d.ops.accesses <= in_range
+        assert d.ops.sequence_ops <= in_range + 3 * d.candidates
+    assert flagged >= 100
 
 
 # -- mode ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def assert_same_answers(a: IndexBundle, b: IndexBundle, queries):
 
 @pytest.mark.parametrize("cfg", [
     IndexConfig(trade=1),
-    IndexConfig(trade=8, chunk_len=64, compressed=True),
+    IndexConfig(trade=8, compressed=True),
 ])
 def test_bundle_bit_exact_round_trip(cfg):
     rng = random.Random(cfg.trade)
@@ -183,16 +183,15 @@ def test_format_errors():
             IndexBundle.from_bytes(blob[:at] + w.getvalue() + rest)
 
 
-# the header after magic and version: trade (u32), chunk_len (u32),
-# compressed code (u8), then the remap kind (u8) and its table
-_TRADE_AT, _CHUNK_AT, _COMPRESSED_AT, _REMAP_AT = 6, 10, 14, 15
+# the header after magic and version: trade (u32), compressed code (u8),
+# then the remap kind (u8) and its table
+_TRADE_AT, _COMPRESSED_AT, _REMAP_AT = 6, 10, 11
 
 
 @pytest.mark.parametrize("at,value", [
     (_COMPRESSED_AT, b"\x07"),  # compressed code other than 0 or 1
     (_TRADE_AT, struct.pack("<I", 0)),  # trade 0
-    (_CHUNK_AT, struct.pack("<I", 0)),  # chunk_len 0
-], ids=["compressed-code", "trade-0", "chunk-len-0"])
+], ids=["compressed-code", "trade-0"])
 def test_corrupt_header_fields(at, value):
     blob = IndexBundle.from_values(zipf_string(100, 5, seed=1),
                                    IndexConfig()).to_bytes()
@@ -208,11 +207,19 @@ def test_version_2_file_rejected():
         IndexBundle.from_bytes(v2)
 
 
+def as_version_4(blob: bytes) -> bytes:
+    """A version-5 file under the header version 4 wrote: every version
+    field 4, and chunk_len (u32) after trade."""
+    v4 = blob.replace(b"RFQB\x05\x00", b"RFQB\x04\x00")
+    return b"RFQI\x04\x00" + v4[6:_COMPRESSED_AT] + struct.pack("<I", 1024) + v4[_COMPRESSED_AT:]
+
+
 def as_version_3(blob: bytes) -> bytes:
-    """A version-4 file as version 3 wrote it: every version field 3, and
-    family_min_n (u32) and a build-check code (u8) after compressed."""
-    v3 = blob.replace(b"RFQB\x04\x00", b"RFQB\x03\x00")
-    at = _COMPRESSED_AT + 1
+    """A version-5 file under the header version 3 wrote: the version-4
+    header with every version field 3, and family_min_n (u32) and a
+    build-check code (u8) after compressed."""
+    v3 = as_version_4(blob).replace(b"RFQB\x04\x00", b"RFQB\x03\x00")
+    at = _COMPRESSED_AT + 4 + 1  # past chunk_len and compressed
     return b"RFQI\x03\x00" + v3[6:at] + struct.pack("<IB", 64, 0) + v3[at:]
 
 
@@ -222,12 +229,16 @@ def test_version_3_file_rejected():
         IndexBundle.from_bytes(as_version_3(blob))
 
 
+def test_version_4_file_rejected():
+    blob = IndexBundle.from_values(zipf_string(100, 5, seed=1), IndexConfig()).to_bytes()
+    with pytest.raises(FormatError, match="unsupported format version 4"):
+        IndexBundle.from_bytes(as_version_4(blob))
+
+
 @pytest.mark.parametrize("field, value", [
-    ("chunk_len", 2**32),  # past the u32 header field
-    ("trade", 2**32),
+    ("trade", 2**32),  # past the u32 header field
     ("trade", 2.5),
     ("trade", 0),
-    ("chunk_len", True),
 ])
 def test_config_fields_are_u32_ints(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -235,7 +246,7 @@ def test_config_fields_are_u32_ints(field, value):
 
 
 def test_largest_u32_config_round_trips():
-    cfg = IndexConfig(trade=2**32 - 1, chunk_len=2**32 - 1)
+    cfg = IndexConfig(trade=2**32 - 1)
     bundle = IndexBundle.from_values(zipf_string(300, 9, seed=2), cfg)
     back = IndexBundle.from_bytes(bundle.to_bytes())
     assert back.config == cfg
@@ -351,23 +362,21 @@ def test_listing_block_must_match_trade():
     assert peak < 64 << 20, peak
 
 
-def family_bundle(**kw):
-    """A trade-2 bundle with candidate, anchor and distinct families."""
-    cfg = IndexConfig(trade=2, **kw)
-    return IndexBundle.from_values(zipf_string(3000, 40, skew=1.1, seed=3), cfg)
+def family_bundle():
+    """A trade-2 bundle with candidate and distinct families."""
+    return IndexBundle.from_values(zipf_string(3000, 40, skew=1.1, seed=3), IndexConfig(trade=2))
 
 
 def truncated(flags, n_bits):
     return SparseBitVector.from_ones(flags.ones_in_range(1, n_bits), n_bits)
 
 
-@pytest.mark.parametrize("side", ["candidate", "anchor", "distinct"])
+@pytest.mark.parametrize("side", ["candidate", "distinct"])
 def test_family_length_must_match_sequence(side):
     # families cut to n/2 bits used to load, then answer wrongly or raise
     # a raw RangeError from rank past their end
-    bundle = family_bundle(chunk_len=16)
+    bundle = family_bundle()
     families = {"candidate": bundle.majority.candidate_flags,
-                "anchor": bundle.majority.anchor_flags,
                 "distinct": bundle.minority.distinct_flags}[side]
     for key, flags in families.items():
         families[key] = truncated(flags, 1500)
@@ -392,27 +401,10 @@ def test_family_key_within_bounds(side, grow):
     # sigma 40 gives tiers up to 6, n = 3000 scales up to 11
     key = (6 + grow[0], 11 + grow[1])
     if side == "majority":
-        maj = bundle.majority
-        for part in (maj.candidate_flags, maj.anchor_flags, maj.anchor_prev):
-            part[key] = part[(1, 11)]
+        bundle.majority.candidate_flags[key] = bundle.majority.candidate_flags[(1, 11)]
     else:
         bundle.minority.distinct_flags[key] = bundle.minority.distinct_flags[(0, 11)]
     with pytest.raises(FormatError, match=rf"family key \({key[0]}, {key[1]}\) outside"):
-        IndexBundle.from_bytes(bundle.to_bytes())
-
-
-def test_anchor_links_match_anchors():
-    bundle = family_bundle(chunk_len=16)
-    maj = bundle.majority
-    key = next(k for k in maj.family_keys() if maj.anchor_flags[k].ones > 1)
-    good = maj.anchor_prev[key]
-    maj.anchor_prev[key] = good[:-1]
-    with pytest.raises(FormatError, match="anchor links for"):
-        IndexBundle.from_bytes(bundle.to_bytes())
-    forward = good.copy()
-    forward[0] = 1  # the first anchor has no earlier one to link to
-    maj.anchor_prev[key] = forward
-    with pytest.raises(FormatError, match="links an anchor forward"):
         IndexBundle.from_bytes(bundle.to_bytes())
 
 
