@@ -399,16 +399,38 @@ class SparseBitVector:
         return self.rank1(p) - self.rank1(p - 1)
 
     def ones_in_range(self, lo: int, hi: int) -> list[int]:
-        """Positions of set bits within [lo, hi]."""
+        """Positions of set bits within [lo, hi], in one pass.
+
+        One rank and one select of the upper part find the first one at or
+        after lo; the walk then reads the upper part's set bits word by
+        word, the r-th of them at 0-based offset h_r + r - 1, and pairs
+        each with its low bits until a position passes hi.
+        """
         out = []
         r = self.rank1(lo - 1) + 1
-        while r <= self.ones:
-            p = self.select1(r)
-            if p > hi:
-                break
-            out.append(p)
-            r += 1
-        return out
+        if r > self.ones:
+            return out
+        upper, low, lw = self.upper, self.low, self.low_width
+        words = upper.words
+        q = upper.select1(r) - 1
+        wi = q >> 6
+        w = words[wi] >> (q & 63) << (q & 63)
+        base = (wi << 6) - r + 1  # h_r = offset - (r - 1)
+        while True:
+            while w:
+                t = w & -w
+                p = (((base + t.bit_length() - 1) << lw) | low.get(r - 1)) + 1
+                if p > hi:
+                    return out
+                out.append(p)
+                r += 1
+                base -= 1
+                w ^= t
+            wi += 1
+            if wi == len(words):
+                return out
+            w = words[wi]
+            base += 64
 
     def to_numpy_bool(self) -> np.ndarray:
         arr = np.zeros(self.n_bits, dtype=bool)

@@ -15,20 +15,26 @@ Dispatch picks one of four strategies:
 * flagged: a candidate family matching the query's tier and scale exists;
   enumerate its set positions inside the range and take each new symbol
   a found there as a candidate.  Every range majority has a flagged
-  position inside the range, so the candidates cover the answer; one
-  rank, rank(a, lo - 1) + 1, names a candidate's in-range leftmost
-  occurrence, where it is certified.
+  position inside the range, so the candidates cover the answer; two
+  ranks, rank(a, hi) - rank(a, lo - 1), count a candidate in the range.
 * sequential: no family covers the scale, which only happens when the
   range is short relative to 1/tau; scan it once with `RangeScan`, which
   visits each symbol at its leftmost occurrence (plain), or chunk by chunk
   (segmented, used when sparsification makes short uncovered ranges
   longer).
 
-The listing, flagged and segmented paths certify a candidate at its
-in-range leftmost occurrence r with a single select probe (is occurrence
-r + thr still inside the range?) and pay one more rank for the exact
-count of each symbol returned; the plain sequential scan counts each
-symbol as it sweeps it.
+The listing and segmented paths meet a candidate at its in-range leftmost
+occurrence r, which they learn with its symbol, and certify it with one
+rank, rank(a, hi) - r + 1, which is also the exact count; the plain
+sequential scan counts each symbol as it sweeps it.  No path certifies
+with select: on the wavelet matrix a select level is a binary search
+where a rank level is one count read.
+
+Mode runs the majority rounds at tau = 1/2, 1/4, ... over one range.  At
+a fixed scale the flags of tier t are a subset of those of tier t + 1, so
+its flagged rounds share two maps for the whole call, flag position to
+symbol and symbol to count: each flag is accessed and each candidate
+counted at most once per mode query.
 
 The index is assembled by `IndexBundle` over the shared sequence and
 listing engine, with the candidate families that `families.build_families`
@@ -137,23 +143,7 @@ class MajorityIndex:
         t0 = time.perf_counter_ns()
         snap = seq.tally.snapshot()
         diag = QueryDiagnostics(kind="majority", lo=lo, hi=hi, tau=float(tau))
-        length = hi - lo + 1
-        thr = threshold_count(tau, length)
-        out: list[tuple[int, int]] = []
-        if thr >= length:
-            diag.path = "empty"
-        elif tau < 1.0 / seq.sigma:
-            self._small_threshold(lo, hi, thr, out, diag)
-        else:
-            tier = _tier(tau)
-            scale = length.bit_length() - 1
-            if (tier, scale) in self.candidate_flags:
-                self._flagged(lo, hi, thr, tier, scale, out, diag)
-            elif self.config.trade == 1:
-                self._sequential(lo, hi, thr, out, diag)
-            else:
-                self._segmented(lo, hi, tau, thr, out, diag)
-        out.sort()
+        out = self._majorities(lo, hi, tau, diag, {}, {})
         diag.ops = seq.tally.since(snap)
         diag.elapsed_ns = time.perf_counter_ns() - t0
         self.diagnostics = diag
@@ -162,33 +152,57 @@ class MajorityIndex:
     def query_mode(self, lo: int, hi: int) -> tuple[int, int]:
         """Most frequent symbol in [lo..hi] with its count; ties break low.
 
-        Runs majority queries at tau = 1/2, 1/4, ... until one reports.
+        Runs majority rounds at tau = 1/2, 1/4, ... until one reports.
         Cost adapts to the mode's actual frequency.
         """
         seq = self.seq
         self._check_range(lo, hi)
         t0 = time.perf_counter_ns()
         snap = seq.tally.snapshot()
-        candidates = 0
+        diag = QueryDiagnostics(kind="mode", lo=lo, hi=hi)
+        symbols: dict[int, int] = {}  # flag position -> symbol, for every round
+        counts: dict[int, int] = {}  # symbol -> count in lo..hi, for every round
         s = 0
         while True:
             s += 1
             if s > _MODE_ITER_GUARD:
                 raise LogicError("mode search failed to terminate")
             tau = 2.0 ** -s
-            res = self.query_majorities(lo, hi, tau)
-            candidates += self.diagnostics.candidates
+            res = self._majorities(lo, hi, tau, diag, symbols, counts)
             if res:
                 break
         best = max(res, key=lambda sc: (sc[1], -sc[0]))
-        diag = QueryDiagnostics(
-            kind="mode", lo=lo, hi=hi, tau=tau, path="halving",
-            candidates=candidates, iterations=s,
-        )
+        diag.tau, diag.path, diag.iterations = tau, "halving", s
         diag.ops = seq.tally.since(snap)
         diag.elapsed_ns = time.perf_counter_ns() - t0
         self.diagnostics = diag
         return best
+
+    def _majorities(self, lo, hi, tau, diag, symbols, counts):
+        """One majority round, dispatched; sorted (symbol, count) pairs.
+
+        symbols (flag position -> symbol) and counts (symbol -> count in
+        lo..hi) hold what earlier rounds over the same range learned; the
+        flagged path reads them before it accesses or ranks.
+        """
+        length = hi - lo + 1
+        thr = threshold_count(tau, length)
+        out: list[tuple[int, int]] = []
+        if thr >= length:
+            diag.path = "empty"
+        elif tau < 1.0 / self.seq.sigma:
+            self._small_threshold(lo, hi, thr, out, diag)
+        else:
+            tier = _tier(tau)
+            scale = length.bit_length() - 1
+            if (tier, scale) in self.candidate_flags:
+                self._flagged(lo, hi, thr, tier, scale, out, diag, symbols, counts)
+            elif self.config.trade == 1:
+                self._sequential(lo, hi, thr, out, diag)
+            else:
+                self._segmented(lo, hi, tau, thr, out, diag)
+        out.sort()
+        return out
 
     # -- dispatch targets ---------------------------------------------------
 
@@ -204,18 +218,22 @@ class MajorityIndex:
             if occ is not None:
                 out.append((a, occ))
 
-    def _flagged(self, lo, hi, thr, tier, scale, out, diag):
+    def _flagged(self, lo, hi, thr, tier, scale, out, diag, symbols, counts):
         seq = self.seq
         diag.path = "flagged"
         seen: set[int] = set()
         for k in self.candidate_flags[(tier, scale)].ones_in_range(lo, hi):
-            a = seq.access(k)
+            a = symbols.get(k)
+            if a is None:
+                a = symbols[k] = seq.access(k)
             if a in seen:
                 continue
             seen.add(a)
             diag.candidates += 1
-            occ = self._certify(a, seq.rank(a, lo - 1) + 1, hi, thr)
-            if occ is not None:
+            occ = counts.get(a)
+            if occ is None:
+                occ = counts[a] = seq.rank(a, hi) - seq.rank(a, lo - 1)
+            if occ > thr:
                 out.append((a, occ))
 
     def _sequential(self, lo, hi, thr, out, diag):
@@ -263,16 +281,13 @@ class MajorityIndex:
     # -- helpers ------------------------------------------------------------
 
     def _certify(self, a: int, r: int, hi: int, thr: int) -> int | None:
-        """Exact count of a in [select(a, r) .. hi] if above thr, else None.
+        """Count of a from its r-th occurrence to hi if above thr, else None.
 
-        One select settles the verdict; the count costs one more rank and
-        is only paid for actual majorities.
+        One rank gives the count, which settles the verdict; from a's
+        in-range leftmost occurrence it is a's exact count in the range.
         """
-        seq = self.seq
-        p = seq.select(a, r + thr)
-        if p is None or p > hi:
-            return None
-        return seq.rank(a, hi) - r + 1
+        occ = self.seq.rank(a, hi) - r + 1
+        return occ if occ > thr else None
 
     def _check_range(self, lo, hi):
         n = self.seq.n

@@ -23,8 +23,9 @@ answer is a single witness.  Dispatch mirrors the majority side:
 * sequential (g > 1, no family covers the scale): walk the short range
   once and stop at the first minority.
 
-Listing and flagged certify candidates with one select probe against the
-threshold and pay one extra rank only for the reported witness.
+Listing and flagged certify a candidate by its count in the range: one
+rank from its in-range leftmost occurrence, which the listing learns with
+its symbol and the flagged path finds with one more rank.
 
 The index is assembled by `IndexBundle` over the shared sequence and
 listing engine, with the distinct families that `families.build_families`
@@ -143,12 +144,9 @@ class MinorityIndex:
         return None
 
     def _certify_minor(self, a, r, hi, thr):
-        """Count of a in [select(a, r) .. hi] when it stays within thr."""
-        seq = self.seq
-        p = seq.select(a, r + thr)
-        if p is not None and p <= hi:
-            return None
-        return seq.rank(a, hi) - r + 1
+        """Count of a from its r-th occurrence to hi when within thr, by one rank."""
+        occ = self.seq.rank(a, hi) - r + 1
+        return occ if occ <= thr else None
 
     # -- space and serialization ------------------------------------------------
 

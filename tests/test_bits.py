@@ -194,6 +194,40 @@ def test_sparse_ones_in_range():
     assert sv.ones_in_range(900, 900) == [900]
 
 
+def sparse_cases():
+    """(length, density name, bool array) for the ones_in_range sweep."""
+    for n in (1, 63, 64, 65, 130, 1000):
+        rng = np.random.default_rng(n)
+        single = np.zeros(n, dtype=bool)
+        single[n // 2] = True
+        yield n, "empty", np.zeros(n, dtype=bool)
+        yield n, "single", single
+        yield n, "0.01", rng.random(n) < 0.01
+        yield n, "0.5", rng.random(n) < 0.5
+        yield n, "full", np.ones(n, dtype=bool)  # low width 0
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("n, density, bits", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in sparse_cases()])
+def test_sparse_ones_in_range_every_range(n, density, bits, loaded):
+    """Every (lo, hi) up to length 130; at length 1000 every lo with each hi
+    up to 64 places on, and with hi = n (past the last one)."""
+    sv = SparseBitVector.from_numpy_bool(bits)
+    if loaded:
+        sv = bitvector_from_bytes(sv.to_bytes())
+    if density == "full":
+        assert sv.low_width == 0
+    ones = np.flatnonzero(sv.to_numpy_bool()) + 1
+    assert ones.tolist() == (np.flatnonzero(bits) + 1).tolist()
+    for lo in range(1, n + 1):
+        his = range(lo, n + 1) if n <= 130 else [*range(lo, min(lo + 65, n + 1)), n]
+        start = np.searchsorted(ones, lo)
+        for hi in his:
+            want = ones[start:np.searchsorted(ones, hi, side="right")].tolist()
+            assert sv.ones_in_range(lo, hi) == want, (lo, hi)
+
+
 def test_sparse_from_ones_validation():
     with pytest.raises(RangeError):
         SparseBitVector.from_ones([0], 5)

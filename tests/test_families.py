@@ -144,6 +144,22 @@ def test_build_families_matches_slow(n, trade, seed):
         assert flags.ones_in_range(1, n) == want.tolist(), ("distinct", t, b)
 
 
+@pytest.mark.parametrize("trade", [1, 4])
+def test_candidate_families_nest_by_tier(trade):
+    """Family (t, b) lies inside (t + 1, b) on every scale: the window test
+    needs 2**(b - t) occurrences, which halves as the tier rises.  Mode's
+    rounds share their flag symbols because of this."""
+    arr = zipf_string(3000, 40, skew=1.1, seed=trade)
+    arr = np.unique(arr, return_inverse=True)[1].astype(np.int64) + 1
+    cand, _ = build_families(arr, int(arr.max()), IndexConfig(trade=trade))
+    pairs = [(t, b) for t, b in cand if (t + 1, b) in cand]
+    assert len(pairs) >= 20
+    for t, b in pairs:
+        inner, outer = cand[(t, b)].to_numpy_bool(), cand[(t + 1, b)].to_numpy_bool()
+        assert not (inner & ~outer).any(), (t, b)
+    assert sum(cand[key].ones for key in pairs) > 1000
+
+
 @pytest.mark.parametrize("n, checked", [(64, True), (512, True), (513, False)])
 def test_self_check_runs_up_to_512(monkeypatch, n, checked):
     arr = np.resize(np.arange(1, 5, dtype=np.int64), n)

@@ -199,8 +199,8 @@ def test_leftmost_far_before_first_flag(trade):
 
 @pytest.mark.parametrize("trade", [1, 4])
 def test_flagged_path_ops_per_candidate(trade):
-    """One access per in-range flag; a rank for the leftmost occurrence and
-    the certificate's select and rank per candidate."""
+    """One access per in-range flag and two ranks per candidate, which count
+    it in the range; no select."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
     bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
     maj = bundle.majority
@@ -222,7 +222,8 @@ def test_flagged_path_ops_per_candidate(trade):
         tier, scale = 1 - math.frexp(tau)[1], length.bit_length() - 1
         in_range = len(maj.candidate_flags[(tier, scale)].ones_in_range(lo, hi))
         assert d.ops.accesses <= in_range
-        assert d.ops.sequence_ops <= in_range + 3 * d.candidates
+        assert d.ops.selects == 0
+        assert d.ops.sequence_ops == 2 * d.candidates
     assert flagged >= 100
 
 
@@ -257,6 +258,37 @@ def test_mode_random_vs_oracle():
             got = bundle.query_mode(lo, hi)
             assert got == oracle.oracle_mode(ref, lo, hi)
             assert bundle.majority.diagnostics.iterations <= iter_bound(hi - lo + 1, got[1])
+
+
+@pytest.mark.parametrize("trade", [1, 4])
+def test_mode_rounds_share_flag_work(trade):
+    """When every halving round takes the flagged path, the mode query
+    accesses each flag of the last round's family at most once and ranks
+    each symbol found there at most twice: the earlier rounds' flags are a
+    subset of the last round's."""
+    data = zipf_string(200_000, 256, skew=1.1, seed=1)
+    maj = IndexBundle.from_values(data, IndexConfig(trade=trade)).majority
+    rng = random.Random(trade)
+    checked = 0
+    for _ in range(200):
+        length = min(data.size, int(2 ** rng.uniform(6, math.log2(data.size))))
+        lo = rng.randint(1, data.size - length + 1)
+        hi = lo + length - 1
+        got = maj.query_mode(lo, hi)
+        d = maj.diagnostics
+        scale = length.bit_length() - 1
+        rounds = range(1, d.iterations + 1)
+        if not all(threshold_count(2.0 ** -s, length) < length and 2.0 ** -s >= 1 / 256
+                   and (s, scale) in maj.candidate_flags for s in rounds):
+            continue
+        checked += 1
+        counts = np.bincount(data[lo - 1:hi])
+        assert got == (int(counts.argmax()), int(counts.max()))
+        flags = maj.candidate_flags[(d.iterations, scale)].ones_in_range(lo, hi)
+        assert d.ops.accesses <= len(flags)
+        assert d.ops.ranks <= 2 * len({int(data[k - 1]) for k in flags})
+        assert d.ops.selects == 0
+    assert checked >= 150
 
 
 # -- diagnostics -----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from rfq import IndexConfig, oracle
+from rfq import IndexConfig, oracle, threshold_count
 from rfq.corpus import uniform_string, zipf_string
 from rfq.errors import DomainError, RangeError
 from rfq.indexfile import IndexBundle
@@ -139,6 +139,34 @@ def test_random_vs_oracle(cfg, seed):
             assert d.ops.sequence_ops <= cap
             # returned-or-verified candidates stay near the majority count
             assert d.candidates <= 64 * math.ceil(1.0 / tau) + sigma_eff
+
+
+def test_listing_path_ops_per_candidate():
+    """At trade 1 a minority query lists candidates and counts each from its
+    leftmost occurrence with one rank; no select."""
+    data = zipf_string(200_000, 256, skew=1.1, seed=1)
+    mino = IndexBundle.from_values(data, IndexConfig(trade=1)).minority
+    rng = random.Random(1)
+    listed = 0
+    for _ in range(400):
+        length = min(data.size, int(2 ** rng.uniform(4, math.log2(data.size))))
+        lo = rng.randint(1, data.size - length + 1)
+        hi = lo + length - 1
+        tau = rng.choice([0.5, 0.3, 0.1, 0.02, 0.005])
+        got = mino.query_minority(lo, hi, tau)
+        d = mino.diagnostics
+        counts = np.bincount(data[lo - 1:hi])
+        thr = threshold_count(tau, length)
+        if got is None:
+            assert not ((counts >= 1) & (counts <= thr)).any()
+        else:
+            assert 1 <= counts[got[0]] == got[1] <= thr
+        if d.path != "listing":
+            continue
+        listed += 1
+        assert d.ops.selects == 0
+        assert d.ops.ranks <= d.candidates
+    assert listed >= 300
 
 
 def test_boundary_exact_count_is_minority():
