@@ -166,7 +166,7 @@ def _directories(words: array, n_bits: int):
 class BitVector:
     """Uncompressed bitvector with O(1) rank and sampled select."""
 
-    __slots__ = ("n_bits", "ones", "words", "_cum", "_sel1", "_sel0")
+    __slots__ = ("n_bits", "ones", "words", "cum", "_sel1", "_sel0")
 
     def __init__(self, words: array, n_bits: int):
         words = _as_words(words)
@@ -176,7 +176,7 @@ class BitVector:
             raise FormatError("stray bits beyond declared length")
         self.n_bits = n_bits
         self.words = words
-        self._cum, self.ones, self._sel1, self._sel0 = _directories(words, n_bits)
+        self.cum, self.ones, self._sel1, self._sel0 = _directories(words, n_bits)
 
     # -- construction helpers -------------------------------------------------
 
@@ -213,18 +213,27 @@ class BitVector:
         off = p & 63
         if off:
             wi = p >> 6
-            return self._cum[wi] + (self.words[wi] & ((1 << off) - 1)).bit_count()
-        return self._cum[p >> 6]
+            return self.cum[wi] + (self.words[wi] & ((1 << off) - 1)).bit_count()
+        return self.cum[p >> 6]
 
     def rank0(self, p: int) -> int:
         return p - self.rank1(p)
+
+    def rank1_array(self, positions: np.ndarray) -> np.ndarray:
+        """rank1 at each prefix length of an int64 array, all within [0, n_bits]."""
+        words = np.frombuffer(self.words, dtype=np.uint64)
+        wi = positions >> 6
+        # a prefix ending on a word boundary takes no bits of the word it names
+        mask = (np.uint64(1) << (positions & 63).astype(np.uint64)) - np.uint64(1)
+        last = words[np.minimum(wi, words.size - 1)] & mask
+        return np.asarray(self.cum)[wi].astype(np.int64) + np.bitwise_count(last)
 
     def select1(self, r: int) -> int:
         if r < 1:
             raise RangeError(f"occurrence index {r} must be positive")
         if r > self.ones:
             raise NotFoundError(f"only {self.ones} set bits, asked for #{r}")
-        cum, sel = self._cum, self._sel1
+        cum, sel = self.cum, self._sel1
         i = (r - 1) >> _SAMPLE_SHIFT
         # the last word with fewer than r ones before it lies between the
         # words holding the samples around r
@@ -238,7 +247,7 @@ class BitVector:
             raise RangeError(f"occurrence index {r} must be positive")
         if r > zeros:
             raise NotFoundError(f"only {zeros} clear bits, asked for #{r}")
-        cum, sel = self._cum, self._sel0
+        cum, sel = self.cum, self._sel0
         i = (r - 1) >> _SAMPLE_SHIFT
         lo = sel[i]
         hi = sel[i + 1] if i + 1 < len(sel) else len(self.words) - 1
@@ -296,9 +305,11 @@ class SparseBitVector:
 
     Stores the 1-positions split into fixed low bits and a unary-coded high
     part, costing about 2 + lg(n/m) bits per set bit.  Supports the same
-    rank/select interface as BitVector; select0 binary-searches over
-    select1, which is acceptable since this variant only backs compressed
-    configurations.
+    rank/select interface as BitVector.  rank1 finds its bucket with one
+    select0 on the upper part and the bucket's end at the next clear bit
+    after it, then binary-searches the bucket's lows; select0
+    binary-searches over select1, which is acceptable since this variant
+    only backs flag families and compressed configurations.
     """
 
     __slots__ = ("n_bits", "ones", "low_width", "low", "upper")
@@ -341,12 +352,6 @@ class SparseBitVector:
 
     # -- queries ---------------------------------------------------------------
 
-    def _bucket_bounds(self, h: int) -> tuple[int, int]:
-        """Indices (0-based) of ones in buckets < h and <= h."""
-        lo = self.upper.select0(h) - h if h > 0 else 0
-        hi = self.upper.select0(h + 1) - (h + 1)
-        return lo, hi
-
     def rank1(self, p: int) -> int:
         if p < 0 or p > self.n_bits:
             raise RangeError(f"prefix length {p} out of [0, {self.n_bits}]")
@@ -354,7 +359,17 @@ class SparseBitVector:
             return 0
         v = p - 1
         h = v >> self.low_width
-        lo, hi = self._bucket_bounds(h)
+        # bucket h's ones run in the upper part from just past its h-th zero
+        # (offset q) up to the next zero, which every bucket ends with
+        q = self.upper.select0(h) if h else 0
+        words = self.upper.words
+        wi = q >> 6
+        z = (words[wi] ^ _M64) & (_M64 << (q & 63))
+        while not z:
+            wi += 1
+            z = words[wi] ^ _M64
+        lo = q - h  # ones in buckets before h
+        hi = lo + (wi << 6) + (z & -z).bit_length() - 1 - q
         target = v & ((1 << self.low_width) - 1)
         # count lows <= target within the bucket
         while lo < hi:
@@ -367,6 +382,10 @@ class SparseBitVector:
 
     def rank0(self, p: int) -> int:
         return p - self.rank1(p)
+
+    def rank1_array(self, positions: np.ndarray) -> np.ndarray:
+        """rank1 at each prefix length of an int64 array, one call each."""
+        return np.fromiter((self.rank1(int(p)) for p in positions), np.int64, len(positions))
 
     def select1(self, r: int) -> int:
         if r < 1:

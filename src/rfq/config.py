@@ -17,11 +17,13 @@ class IndexConfig:
     trade is the sparsification factor g, an int in [1, 2**32 - 1]: the
     position directory keeps one summary cell per g entries, and the
     documented per-query work bound scales with g**2.  compressed stores
-    each level of the binary wavelet matrix in the sparse encoding when
-    that is smaller.  Inputs shorter than `families.FAMILY_MIN_N` get no
-    flag families, and builds of at most `families.SELF_CHECK_MAX_N`
-    positions check their families against the slow reference builders;
-    neither is configurable.
+    each level of the Huffman-shaped wavelet matrix in the sparse encoding
+    when that is smaller, which pays off where one symbol fills most of a
+    level, and packs the code-length table at the longest length's bit
+    width instead of a byte a symbol.  Inputs shorter than
+    `families.FAMILY_MIN_N` get no flag families, and builds of at most
+    `families.SELF_CHECK_MAX_N` positions check their families against the
+    slow reference builders; neither is configurable.
     """
 
     trade: int = 1

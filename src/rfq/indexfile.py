@@ -9,10 +9,12 @@ order of the original symbols (lexicographic for tokens).
 A build makes the sequence, the listing engine and, in one call to
 `families.build_families`, every flag family of both sides.
 
-File layout (magic ``RFQI``, format version 5): the config echo (trade
+File layout (magic ``RFQI``, format version 6): the config echo (trade
 as u32, compressed as a u8 of 0 or 1), the remap kind and its table,
-then the four structural sections: sequence, listing, majority families,
-minority families.  On load the remap table must hold exactly sigma
+then the four structural sections: sequence (with its code lengths, see
+`sequence`), listing, majority families, minority families.  On load the
+code lengths must form a complete prefix code within the length cap
+before any level is read, the remap table must hold exactly sigma
 entries in strictly increasing order, the listing's block size must equal
 the trade, and every flag family must span the sequence under a strictly
 rising (tier, scale) key within lg sigma and lg n.  Everything derived

@@ -18,17 +18,18 @@ Dispatch picks one of four strategies:
   position inside the range, so the candidates cover the answer; two
   ranks, rank(a, hi) - rank(a, lo - 1), count a candidate in the range.
 * sequential: no family covers the scale, which only happens when the
-  range is short relative to 1/tau; scan it once with `RangeScan`, which
-  visits each symbol at its leftmost occurrence (plain), or chunk by chunk
-  (segmented, used when sparsification makes short uncovered ranges
-  longer).
+  range is short relative to 1/tau.  At trade 1 one top-down split walk
+  over the range counts the symbols, dropping every node that holds at
+  most the threshold's number of positions.  Sparsified indexes scan the
+  range chunk by chunk with `RangeScan` instead (segmented), certifying
+  each symbol at its leftmost occurrence.
 
 The listing and segmented paths meet a candidate at its in-range leftmost
 occurrence r, which they learn with its symbol, and certify it with one
-rank, rank(a, hi) - r + 1, which is also the exact count; the plain
-sequential scan counts each symbol as it sweeps it.  No path certifies
-with select: on the wavelet matrix a select level is a binary search
-where a rank level is one count read.
+rank, rank(a, hi) - r + 1, which is also the exact count; the split walk
+ends in each kept symbol's exact count.  No path certifies with select:
+on the wavelet matrix a select level is a binary search where a rank
+level is one count read.
 
 Mode runs the majority rounds at tau = 1/2, 1/4, ... over one range.  At
 a fixed scale the flags of tier t are a subset of those of tier t + 1, so
@@ -237,16 +238,14 @@ class MajorityIndex:
                 out.append((a, occ))
 
     def _sequential(self, lo, hi, thr, out, diag):
-        """Scan a short range once, skipping processed symbols as we go."""
-        seq = self.seq
+        """Count a short range's symbols in one top-down split walk that
+        drops every node holding at most thr positions.  The nodes of a
+        level are disjoint and each kept one holds more than thr of the
+        range's positions, so fewer than ceil(1/tau) survive per level."""
         diag.path = "sequential"
-        scan = RangeScan(seq, lo, hi)
-        for k in scan.heads():
-            diag.candidates += 1
-            a, r = seq.locate(k)
-            occ = 1 + scan.sweep(a, r, k)[0]
-            if occ > thr:
-                out.append((a, occ))
+        heavy = self.seq.range_counts(lo, hi, thr)
+        diag.candidates += len(heavy)
+        out.extend(heavy.items())
 
     def _segmented(self, lo, hi, tau, thr, out, diag):
         """Chunked scan for sparsified indexes.

@@ -1,33 +1,53 @@
-"""Binary wavelet matrix with rank, select, access, and partial rank.
+"""Huffman-shaped binary wavelet matrix with rank, select, access, and partial rank.
 
 Symbols are 1..sigma, and the alphabet must be dense (every value
-occurs).  Inside, symbol a is the code a - 1 in L = ceil(lg sigma) bits,
-most significant bit first.  Level l holds one bit per position, bit
-L - 1 - l of the code, listed in the order the level above leaves the
-positions; the next level's order is the stable partition of this one,
-zeros first.  A level is therefore one bitvector plus its zero count, and
-a position maps one level down with a single rank (Claude, Navarro and
-Ordonez, "The wavelet matrix", Inf. Syst. 2015).
+occurs).  Each symbol gets a prefix-free code whose length is optimal for
+the symbol counts among codes of at most ceil(lg sigma) + 1 bits, found
+by package-merge (Larmore and Hirschberg, "A fast algorithm for optimal
+length-limited Huffman codes", JACM 1990).  The cap keeps a rare symbol
+within one level of the fixed-length code, and that code is among the
+candidates, so the codes never cost more than ceil(lg sigma) bits a
+symbol.  The matrix is the Huffman-shaped wavelet matrix of Claude,
+Navarro and Ordonez ("The wavelet matrix", Inf. Syst. 2015).
 
-Below the last level each symbol's occurrences form one block, in text
-order.  Where each block starts follows from the symbol counts, so rank
-costs one rank1 per level, select walks bottom-up with one select per
-level, and `locate` returns a position's symbol together with its partial
-rank from one downward walk.
+Level l holds bit l of every code longer than l, most significant bit
+first, in the order the level above leaves the positions: the stable
+partition of level l - 1 by its bits, zeros first, less the positions
+whose code ended there.  Codes are assigned level by level so that those
+positions are one block at the front.  In matrix order the code trie's
+nodes at depth d are the zero children of the internal nodes at depth
+d - 1, then their one children.  The first of them are the leaves of
+depth d, taken in increasing symbol order by the symbols whose codes have
+d bits; the rest are the internal nodes of depth d, in that order.  Each
+level is therefore one bitvector with its zero count and the number of
+positions that end below it, and a position maps one level down with one
+rank.  Ending codes come first, so a frequent symbol's bits are mostly
+zeros, which keeps the sparse level encoding worth choosing.
+
+`locate` and `rank` walk only a code's levels.  On a plain level they
+take the bit and the rank from one read of the words and one of the
+rank directory, with no bitvector call; sparse levels answer through
+their own methods.  Within the ending block each symbol's occurrences
+form one run in text order, so the walk ends in the symbol and its
+partial rank.  Select walks a code bottom-up with one select per level.
 
 Each level is a plain bitvector or, in compressed mode, the sparse
 positional encoding when that is smaller.  The file stores n, sigma, the
-compressed flag and the levels; the counts are derived on load by the
-same top-down split walk that `range_counts(1, n)` makes.
+compressed flag, one code-length byte per symbol and the levels.  The
+lengths are checked in O(sigma) before any level is read; the codes
+follow from them, and the counts from one level-by-level split walk at
+load.
 """
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
-from .bits import BitVector, SparseBitVector, bitvector_from_bytes
+from .bits import BitVector, SparseBitVector, _typed, bitvector_from_bytes
 from .counters import OpTally
-from .errors import DomainError, FormatError, LogicError, NotFoundError, RangeError
+from .errors import DomainError, FormatError, LogicError, RangeError
 from .serial import ByteReader, ByteWriter
 
 
@@ -37,6 +57,140 @@ def _check_dense(counts: np.ndarray) -> None:
         raise DomainError(f"alphabet is not dense: symbol {missing} never occurs")
 
 
+def length_cap(sigma: int) -> int:
+    """Longest code allowed over sigma symbols: ceil(lg sigma) + 1 bits."""
+    return (sigma - 1).bit_length() + 1
+
+
+def code_lengths(counts: np.ndarray) -> np.ndarray:
+    """Optimal code lengths of at most `length_cap` bits for positive counts.
+
+    Package-merge: the deepest list holds the symbols by count; each list
+    above merges them with the sums of consecutive pairs of the list
+    below, symbols first among equals.  The first 2 sigma - 2 items of
+    the top list are taken, a taken pair takes both its items one list
+    down, and a symbol's code length is the number of lists in which it
+    is taken.  Within a list the taken items are a prefix, so counting
+    them is all the bookkeeping needed.
+    """
+    sigma = int(counts.size)
+    if sigma == 1:
+        return np.zeros(1, dtype=np.uint8)
+    order = np.argsort(counts, kind="stable")
+    w = counts[order].astype(np.int64)
+    ramp = np.arange(sigma)
+    items = w
+    leaf_at = []  # per list from the second deepest up: where its symbols sit
+    for _ in range(length_cap(sigma) - 1):
+        h = items.size // 2
+        pairs = items[0 : 2 * h : 2] + items[1 : 2 * h : 2]
+        at = ramp + np.searchsorted(pairs, w, side="left")
+        items = np.empty(sigma + h, dtype=np.int64)
+        items[at] = w
+        items[np.arange(h) + np.searchsorted(w, pairs, side="right")] = pairs
+        leaf_at.append(at)
+    sorted_lens = np.zeros(sigma, dtype=np.uint8)
+    take = 2 * sigma - 2
+    for at in reversed(leaf_at):
+        leaves = int(np.searchsorted(at, take))
+        sorted_lens[:leaves] += 1
+        take = 2 * (take - leaves)
+    sorted_lens[:take] += 1  # the deepest list holds symbols only
+    lens = np.empty(sigma, dtype=np.uint8)
+    lens[order] = sorted_lens
+    return lens
+
+
+def _check_lengths(lens: np.ndarray) -> None:
+    """FormatError unless `lens` are the lengths of a complete prefix code
+    within the cap (a single symbol has the empty code)."""
+    sigma = int(lens.size)
+    cap = length_cap(sigma)
+    if sigma > 1 and not lens.all():
+        raise FormatError("code length 0 with more than one symbol")
+    top = int(lens.max())
+    if top > cap:
+        raise FormatError(f"code length {top} above the cap of {cap} bits")
+    hist = np.bincount(lens, minlength=cap + 1).tolist()
+    kraft = sum(c << (cap - d) for d, c in enumerate(hist))
+    if kraft != 1 << cap:
+        raise FormatError(f"code lengths break Kraft equality: {kraft} / 2**{cap}")
+
+
+def _write_lengths(w: ByteWriter, lens: np.ndarray, packed: bool) -> None:
+    """One byte a symbol, or, packed, a width byte and then each length in
+    that many bits, the first in the low bits of the first byte."""
+    if not packed:
+        w.raw(lens.tobytes())
+        return
+    width = int(lens.max()).bit_length()
+    w.u8(width)
+    bits = np.unpackbits(lens[:, None], axis=1, count=width, bitorder="little")
+    w.raw(np.packbits(bits.reshape(-1), bitorder="little").tobytes())
+
+
+def _read_lengths(r: ByteReader, sigma: int, packed: bool) -> np.ndarray:
+    if not packed:
+        return np.frombuffer(r.raw(sigma), dtype=np.uint8)
+    width = r.u8()
+    if width > length_cap(sigma).bit_length():
+        raise FormatError(f"code lengths packed {width} bits wide, above the cap")
+    raw = np.frombuffer(r.raw((sigma * width + 7) // 8), dtype=np.uint8)
+    if not width:
+        return np.zeros(sigma, dtype=np.uint8)
+    bits = np.unpackbits(raw, count=sigma * width, bitorder="little").reshape(sigma, width)
+    return np.packbits(bits, axis=1, bitorder="little").reshape(sigma)
+
+
+def _lengths_bits(sigma: int, width: int, packed: bool) -> int:
+    return 8 + 8 * ((sigma * width + 7) // 8) if packed else 8 * sigma
+
+
+def _ends(lens: np.ndarray, counts: np.ndarray) -> list[int]:
+    """Per level, the number of positions whose code ends there."""
+    per = np.zeros(int(lens.max()) + 1, dtype=np.int64)
+    np.add.at(per, lens, counts)
+    return per[1:].tolist()
+
+
+class _Shape:
+    """The code trie that code lengths determine, level by level.
+
+    leaf_sym lists the symbols (0-based) by (length, symbol): the leaves of
+    each depth in matrix order.  For level l, inner[l] internal nodes sit at
+    depth l, leaves[l] codes end at depth l + 1, and the first of them is
+    leaf_sym[first[l]].  code holds each symbol's bits, the first level's
+    most significant.
+    """
+
+    def __init__(self, lens: np.ndarray):
+        sigma = int(lens.size)
+        depth = int(lens.max())
+        per = np.bincount(lens, minlength=depth + 1)
+        starts = (np.cumsum(per) - per).tolist()
+        per = per.tolist()
+        self.depth = depth
+        self.leaf_sym = np.argsort(lens, kind="stable")
+        self.leaves = per[1:]
+        self.first = starts[1:]
+        self.inner = [1]
+        for d in range(1, depth):
+            self.inner.append(2 * self.inner[-1] - per[d])
+        # walk each leaf up from its slot at its depth; at depth d the slots
+        # are the zero children of inner[d - 1] nodes, then their one children
+        d = lens[self.leaf_sym].astype(np.int64)
+        slot = np.arange(sigma) - np.asarray(starts, dtype=np.int64)[d]
+        code = np.zeros(sigma, dtype=np.int64)
+        for lvl in range(depth - 1, -1, -1):
+            live = d > lvl
+            s = slot[live]
+            bit = s >= self.inner[lvl]
+            slot[live] = s - bit * self.inner[lvl] + per[lvl]
+            code[live] |= bit.astype(np.int64) << (d[live] - 1 - lvl)
+        self.code = np.empty(sigma, dtype=np.int64)
+        self.code[self.leaf_sym] = code
+
+
 class WaveletSequence:
     def __init__(self):
         self.n = 0
@@ -44,8 +198,17 @@ class WaveletSequence:
         self.compressed = False
         self.counts: np.ndarray | None = None  # per-symbol totals
         self.tally = OpTally()
-        self._levels: list[tuple] = []  # (BitVector | SparseBitVector, zeros), top first
-        self._starts: list[int] = []  # per symbol code: block start below the last level
+        self._levels: list = []  # BitVector | SparseBitVector, top first
+        # per symbol code: code bits, code length, and where its run starts
+        # below its last level, counted from the end of the ending block
+        # that the level drops (so <= 0)
+        self._code = array("q")
+        self._len = array("B")
+        self._base = array("q")
+        self._leaf_sym = array("q")  # symbol codes in leaf order
+        # per level: (words, cum, store, zeros - ends, ends, inner, leaves,
+        # first leaf); words and cum are None on a sparse level
+        self._steps: list[tuple] = []
 
     # -- construction ------------------------------------------------------------
 
@@ -67,13 +230,21 @@ class WaveletSequence:
         seq.n = int(arr.size)
         seq.sigma = sigma
         seq.compressed = compressed
-        depth = (sigma - 1).bit_length()  # 0 when sigma == 1
-        codes = arr - 1
+        lens = code_lengths(counts)
+        shape = _Shape(lens)
+        depth = shape.depth
+        ends = _ends(lens, counts)
+        # each position's code, left-aligned to the depth so every level
+        # reads its bit with one shift
+        aligned = shape.code << (depth - lens.astype(np.int64))
+        codes = aligned.astype(np.min_scalar_type((1 << depth) - 1))[arr - 1]
+        levels = []
         for lvl in range(depth):
             bits = ((codes >> (depth - 1 - lvl)) & 1).astype(bool)
-            seq._add_level(seq._encode_level(bits))
-            codes = np.concatenate((codes[~bits], codes[bits]))
-        seq._set_counts(counts)
+            levels.append(seq._encode_level(bits))
+            if lvl + 1 < depth:  # the codes ending here lead the next order
+                codes = np.concatenate((codes[~bits], codes[bits]))[ends[lvl]:]
+        seq._assemble(lens, shape, levels, counts)
         return seq
 
     def _encode_level(self, bits: np.ndarray):
@@ -83,27 +254,53 @@ class WaveletSequence:
         sparse = SparseBitVector.from_numpy_bool(bits)
         return sparse if sparse.size_bits() < plain.size_bits() else plain
 
-    def _add_level(self, store) -> None:
-        self._levels.append((store, store.n_bits - store.ones))
-
-    def _set_counts(self, counts: np.ndarray) -> None:
-        """Store the counts and derive each symbol's block start.
-
-        Below the last level the blocks are ordered by the bit-reversed
-        code, since the last partition (by the lowest bit) is the outermost.
-        """
-        depth = len(self._levels)
-        codes = np.arange(self.sigma, dtype=np.int64)
-        rev = np.zeros(self.sigma, dtype=np.int64)
-        for i in range(depth):
-            rev |= ((codes >> i) & 1) << (depth - 1 - i)
-        order = np.argsort(rev)
-        starts = np.empty(self.sigma, dtype=np.int64)
-        starts[order] = np.cumsum(counts[order]) - counts[order]
+    def _assemble(self, lens: np.ndarray, shape: _Shape, levels: list, counts: np.ndarray) -> None:
+        """Store the levels and counts and derive the per-symbol and
+        per-level tables the walks read."""
+        self._levels = levels
         self.counts = counts
-        self._starts = starts.tolist()
+        ends = _ends(lens, counts)
+        # a symbol's run starts after the runs of the leaves before it at its
+        # depth; counted from the end of the ending block, which its level
+        # drops, it starts minus the counts of its own leaf and those after it
+        base = np.zeros(self.sigma, dtype=np.int64)
+        if shape.depth:
+            cnt = counts[shape.leaf_sym]
+            run_end = np.cumsum(cnt)
+            after_depth = np.asarray(shape.first + [self.sigma], dtype=np.int64)
+            depth_of = lens[shape.leaf_sym].astype(np.int64)
+            base[shape.leaf_sym] = run_end - cnt - run_end[after_depth[depth_of] - 1]
+        self._code = _typed(shape.code, "q")
+        self._len = _typed(lens, "B")
+        self._base = _typed(base, "q")
+        self._leaf_sym = _typed(shape.leaf_sym, "q")
+        self._steps = []
+        for lvl, store in enumerate(levels):
+            plain = isinstance(store, BitVector)
+            zeros = store.n_bits - store.ones
+            self._steps.append((
+                store.words if plain else None,
+                store.cum if plain else None,
+                store,
+                zeros - ends[lvl],
+                ends[lvl],
+                shape.inner[lvl],
+                shape.leaves[lvl],
+                shape.first[lvl],
+            ))
 
     # -- basic properties ----------------------------------------------------------
+
+    @property
+    def depth(self) -> int:
+        """Number of levels: the longest code's length."""
+        return len(self._levels)
+
+    def code(self, a: int) -> str:
+        """Symbol a's code as a string of bits, the top level's first."""
+        self._check_symbol(a)
+        length = self._len[a - 1]
+        return format(self._code[a - 1], f"0{length}b") if length else ""
 
     def symbol_count(self, a: int) -> int:
         self._check_symbol(a)
@@ -124,64 +321,95 @@ class WaveletSequence:
     # -- core walks (untallied internals) --------------------------------------------
 
     def _locate(self, k: int) -> tuple[int, int]:
-        """(symbol code, occurrence index of position k among its symbol)."""
-        p = k
-        code = 0
-        for store, zeros in self._levels:
-            bit = store.get(p)
-            r1 = store.rank1(p)
-            p = zeros + r1 if bit else p - r1
-            code = (code << 1) | bit
-        return code, p - self._starts[code]
+        """(symbol code, occurrence index of position k among its symbol).
 
-    def _rank(self, code: int, k: int) -> int:
+        p is k's position in the level, node its internal node's index at
+        that depth; the bit picks the child, which is a leaf when it falls
+        among the depth's first `leaves` slots.
+        """
         p = k
-        shift = len(self._levels)
-        for store, zeros in self._levels:
-            shift -= 1
-            r1 = store.rank1(p)
-            p = zeros + r1 if (code >> shift) & 1 else p - r1
-        return p - self._starts[code]
-
-    def _select(self, code: int, r: int) -> int | None:
-        if r > int(self.counts[code]):
-            return None
-        p = self._starts[code] + r
-        shift = 0
-        for store, zeros in reversed(self._levels):
-            if (code >> shift) & 1:
-                p = store.select1(p - zeros)
+        node = 0
+        for words, cum, store, z1, ends, inner, leaves, first in self._steps:
+            if cum is None:
+                bit = store.get(p)
+                r1 = store.rank1(p)
             else:
-                p = store.select0(p)
-            shift += 1
+                q = p - 1
+                w = words[q >> 6]
+                bit = w >> (q & 63) & 1
+                r1 = cum[q >> 6] + (w & ((2 << (q & 63)) - 1)).bit_count()
+            if bit:
+                p = z1 + r1
+                node += inner
+            else:
+                p -= r1 + ends
+            if node < leaves:
+                c = self._leaf_sym[first + node]
+                return c, p - self._base[c]
+            node -= leaves
+        return 0, p  # a single symbol has the empty code
+
+    def _rank(self, c: int, k: int) -> int:
+        p = k
+        code = self._code[c]
+        shift = self._len[c]
+        for words, cum, store, z1, ends, _, _, _ in self._steps[:shift]:
+            shift -= 1
+            if cum is None:
+                r1 = store.rank1(p)
+            else:
+                off = p & 63
+                r1 = cum[p >> 6] + (words[p >> 6] & ((1 << off) - 1)).bit_count() if off else cum[p >> 6]
+            if code >> shift & 1:
+                p = z1 + r1
+            else:
+                p -= r1 + ends
+        return p - self._base[c]
+
+    def _select(self, c: int, r: int) -> int | None:
+        if r > int(self.counts[c]):
+            return None
+        p = self._base[c] + r
+        code = self._code[c]
+        for lvl in range(self._len[c] - 1, -1, -1):
+            _, _, store, z1, ends, _, _, _ = self._steps[lvl]
+            if code & 1:
+                p = store.select1(p - z1)
+            else:
+                p = store.select0(p + ends)
+            code >>= 1
         return p
 
-    def _split_walk(self, cl: int, cr: int) -> tuple[dict[int, int], int]:
-        """Counts of the symbols at top-level positions cl+1..cr, and the
-        number of rank1 calls made.
+    def _split_walk(self, cl: int, cr: int, thr: int = 0) -> tuple[dict[int, int], int]:
+        """Symbols occurring more than thr times at top-level positions
+        cl+1..cr, with their counts, and the number of rank1 calls made.
 
-        A node stops splitting once its code range holds a single symbol:
-        the levels below only reorder its positions.
+        A node whose range holds at most thr positions is dropped: no
+        symbol below it can clear thr.
         """
-        depth, sigma = len(self._levels), self.sigma
         out: dict[int, int] = {}
+        if cr - cl <= thr:
+            return out, 0
+        if not self._steps:
+            return {1: cr - cl}, 0
+        steps, leaf_sym = self._steps, self._leaf_sym
         ranks = 0
         stack = [(0, 0, cl, cr)]
         while stack:
             lvl, node, s, e = stack.pop()
-            shift = depth - lvl
-            base = node << shift
-            if shift == 0 or base + 1 >= sigma:
-                out[base + 1] = e - s
-                continue
-            store, zeros = self._levels[lvl]
+            _, _, store, z1, ends, inner, leaves, first = steps[lvl]
             r1s = store.rank1(s)
             r1e = store.rank1(e)
             ranks += 2
-            if e - r1e > s - r1s:
-                stack.append((lvl + 1, node << 1, s - r1s, e - r1e))
-            if r1e > r1s:
-                stack.append((lvl + 1, (node << 1) | 1, zeros + r1s, zeros + r1e))
+            for child, cs, ce in (
+                (node, s - r1s - ends, e - r1e - ends),
+                (node + inner, z1 + r1s, z1 + r1e),
+            ):
+                if ce - cs > thr:
+                    if child < leaves:
+                        out[leaf_sym[first + child] + 1] = ce - cs
+                    else:
+                        stack.append((lvl + 1, child - leaves, cs, ce))
         return out, ranks
 
     # -- public operations (tallied) --------------------------------------------------
@@ -236,27 +464,42 @@ class WaveletSequence:
             raise LogicError(f"occurrence {r - 1} of symbol {code + 1} is missing")
         return p
 
-    def range_counts(self, lo: int, hi: int) -> dict[int, int]:
-        """Histogram of symbols in S[lo..hi] via one top-down split walk."""
+    def range_counts(self, lo: int, hi: int, thr: int = 0) -> dict[int, int]:
+        """Counts of the symbols occurring more than thr times in S[lo..hi],
+        from one top-down split walk that drops every node holding at most
+        thr positions (thr = 0 gives the whole histogram)."""
         self._check_pos(lo)
         self._check_pos(hi)
         if lo > hi:
             raise RangeError(f"empty range [{lo}, {hi}]")
-        out, ranks = self._split_walk(lo - 1, hi)
+        out, ranks = self._split_walk(lo - 1, hi, thr)
         self.tally.ranks += ranks
         return out
 
     def to_array(self) -> np.ndarray:
-        """Rebuild the raw sequence (1-based symbols), bottom level first."""
-        order = np.argsort(self._starts)  # codes in bottom-level block order
-        vals = np.repeat(order + 1, self.counts[order])
-        for store, zeros in reversed(self._levels):
+        """Rebuild the raw sequence (1-based symbols), bottom level first.
+
+        Below each level the order is the ending block, each symbol's run
+        in leaf order, then the next level's positions.
+        """
+        if not self._levels:
+            return np.ones(self.n, dtype=np.int64)
+        leaf_sym = np.frombuffer(self._leaf_sym, dtype=np.int64)
+        # two buffers take turns: a level decodes its positions straight
+        # behind the ending runs of the level above, the order that level
+        # partitioned them into, and level 0 decodes into the whole of bufs[1]
+        bufs = np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64)
+        for lvl in range(self.depth - 1, -1, -1):
+            _, _, store, z1, ends, _, leaves, first = self._steps[lvl]
+            part = bufs[lvl & 1][: store.n_bits]
+            syms = leaf_sym[first : first + leaves]
+            part[:ends] = np.repeat(syms + 1, self.counts[syms])
+            above = self._steps[lvl - 1][4] if lvl else 0
+            up = bufs[(lvl + 1) & 1][above : above + store.n_bits]
             bits = store.to_numpy_bool()
-            up = np.empty_like(vals)
-            up[~bits] = vals[:zeros]
-            up[bits] = vals[zeros:]
-            vals = up
-        return vals
+            up[~bits] = part[: z1 + ends]
+            up[bits] = part[z1 + ends :]
+        return bufs[1]
 
     # -- serialization ------------------------------------------------------------------
 
@@ -264,7 +507,8 @@ class WaveletSequence:
         w.u64(self.n)
         w.u32(self.sigma)
         w.u8(1 if self.compressed else 0)
-        for store, _ in self._levels:
+        _write_lengths(w, np.frombuffer(self._len, dtype=np.uint8), self.compressed)
+        for store in self._levels:
             w.blob(store.to_bytes())
 
     @classmethod
@@ -275,21 +519,21 @@ class WaveletSequence:
         seq.compressed = bool(r.u8())
         if not 1 <= seq.sigma <= seq.n:
             raise FormatError(f"alphabet size {seq.sigma} outside [1, n = {seq.n}]")
-        for lvl in range((seq.sigma - 1).bit_length()):
+        lens = _read_lengths(r, seq.sigma, seq.compressed)
+        _check_lengths(lens)
+        shape = _Shape(lens)
+        levels = []
+        for lvl in range(shape.depth):
             store = bitvector_from_bytes(r.blob())
-            if store.n_bits != seq.n:
-                raise FormatError(f"level {lvl} holds {store.n_bits} bits, expected {seq.n}")
-            seq._add_level(store)
-        try:
-            found, _ = seq._split_walk(0, seq.n)
-        except (RangeError, NotFoundError) as exc:
-            raise FormatError(f"inconsistent sequence levels: {exc}") from exc
-        # the walk emits only non-empty nodes, so every count is positive
-        if len(found) != seq.sigma or max(found) > seq.sigma or sum(found.values()) != seq.n:
-            raise FormatError("sequence levels do not describe a dense alphabet of size sigma")
-        counts = np.zeros(seq.sigma, dtype=np.int64)
-        counts[np.fromiter(found, dtype=np.int64, count=len(found)) - 1] = list(found.values())
-        seq._set_counts(counts)
+            held = levels[-1].n_bits if levels else seq.n
+            if lvl == 0 and store.n_bits != seq.n:
+                raise FormatError(f"level 0 holds {store.n_bits} bits, expected {seq.n}")
+            if not 2 * shape.inner[lvl] <= store.n_bits <= held:
+                raise FormatError(f"level {lvl} holds {store.n_bits} bits, outside "
+                                  f"[{2 * shape.inner[lvl]}, {held}]")
+            levels.append(store)
+        counts = _leaf_counts(levels, shape, seq.n)
+        seq._assemble(lens, shape, levels, counts)
         return seq
 
     def to_bytes(self) -> bytes:
@@ -298,5 +542,36 @@ class WaveletSequence:
         return w.getvalue()
 
     def size_bits(self) -> int:
-        # n, sigma and the compressed flag, then each level as a u64-prefixed blob
-        return 8 * (8 + 4 + 1) + sum(64 + store.size_bits() for store, _ in self._levels)
+        # n, sigma, the compressed flag and the code lengths, then each level
+        # as a u64-prefixed blob
+        table = _lengths_bits(self.sigma, self.depth.bit_length(), self.compressed)
+        return 8 * (8 + 4 + 1) + table + sum(64 + s.size_bits() for s in self._levels)
+
+
+def _leaf_counts(levels: list, shape: _Shape, n: int) -> np.ndarray:
+    """Each symbol's count, from a split walk over the whole sequence that
+    handles all nodes of one depth at once; FormatError where the levels
+    do not fit the code trie.
+
+    The internal nodes of a level tile it in order, given by their
+    boundaries; one rank at each boundary splits them into the next
+    depth's slots, whose leading leaves must cover exactly the positions
+    that end there, each leaf at least one.
+    """
+    if not levels:
+        return np.array([n], dtype=np.int64)  # one symbol, the empty code
+    counts = np.zeros(shape.leaf_sym.size, dtype=np.int64)
+    bounds = np.array([0, n], dtype=np.int64)
+    for lvl, store in enumerate(levels):
+        below = levels[lvl + 1].n_bits if lvl + 1 < len(levels) else 0
+        ends = store.n_bits - below
+        r1 = store.rank1_array(bounds)
+        zeros = store.n_bits - store.ones
+        slots = np.concatenate((bounds - r1, zeros + r1[1:]))
+        leaves, first = shape.leaves[lvl], shape.first[lvl]
+        runs = np.diff(slots[: leaves + 1])
+        if slots[leaves] != ends or (runs <= 0).any():
+            raise FormatError(f"sequence level {lvl} does not fit its code lengths")
+        counts[shape.leaf_sym[first : first + leaves]] = runs
+        bounds = slots[leaves:] - ends
+    return counts

@@ -25,7 +25,7 @@ from .errors import FormatError
 
 MAGIC_BITS = b"RFQB"
 MAGIC_INDEX = b"RFQI"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _SWAP = sys.byteorder == "big"  # the file is little-endian, array('Q') native
 

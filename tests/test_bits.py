@@ -228,6 +228,38 @@ def test_sparse_ones_in_range_every_range(n, density, bits, loaded):
             assert sv.ones_in_range(lo, hi) == want, (lo, hi)
 
 
+def bucket_bits():
+    """131072 bits holding 330 ones, so the sparse low width is 9 (buckets of
+    512 positions): buckets 3, 10, 20 and 30 hold 200, 65, 64 and 1 ones,
+    and every other bucket none."""
+    bits = np.zeros(1 << 17, dtype=bool)
+    rng = np.random.default_rng(17)
+    for bucket, ones in ((3, 200), (10, 65), (20, 64), (30, 1)):
+        bits[bucket * 512 + rng.choice(512, ones, replace=False)] = True
+    return bits
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+def test_sparse_rank_every_prefix_across_buckets(loaded):
+    bits = bucket_bits()
+    sv = SparseBitVector.from_numpy_bool(bits)
+    if loaded:
+        sv = bitvector_from_bytes(sv.to_bytes())
+    assert (sv.low_width, sv.ones) == (9, 330)
+    want = np.concatenate(([0], np.cumsum(bits)))
+    got = [sv.rank1(p) for p in range(bits.size + 1)]
+    assert got == want.tolist()
+    assert sv.rank1_array(np.arange(0, bits.size + 1, 97)).tolist() == want[::97].tolist()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
+def test_plain_rank_array_every_prefix(n):
+    bits = np.random.default_rng(n).random(n) < 0.4
+    bv = BitVector.from_numpy_bool(bits)
+    want = np.concatenate(([0], np.cumsum(bits)))
+    assert bv.rank1_array(np.arange(n + 1)).tolist() == want.tolist()
+
+
 def test_sparse_from_ones_validation():
     with pytest.raises(RangeError):
         SparseBitVector.from_ones([0], 5)

@@ -227,6 +227,33 @@ def test_flagged_path_ops_per_candidate(trade):
     assert flagged >= 100
 
 
+def test_sequential_path_is_one_pruned_split_walk():
+    """Short uncovered trade-1 ranges: two ranks per kept node, fewer than
+    ceil(1/tau) kept nodes a level, and no access or select."""
+    data = zipf_string(200_000, 256, skew=1.1, seed=1)
+    maj = IndexBundle.from_values(data, IndexConfig(trade=1)).majority
+    depth = maj.seq.depth
+    rng = random.Random(5)
+    seen = 0
+    for _ in range(600):
+        tau = rng.choice([0.5, 0.1, 1 / 64, 0.005])
+        length = rng.randint(2, 400)
+        lo = rng.randint(1, data.size - length + 1)
+        hi = lo + length - 1
+        got = maj.query_majorities(lo, hi, tau)
+        d = maj.diagnostics
+        if d.path != "sequential":
+            continue
+        seen += 1
+        counts = np.bincount(data[lo - 1:hi])
+        want = [(a, int(c)) for a, c in enumerate(counts) if c > threshold_count(tau, length)]
+        assert got == want
+        assert d.candidates == len(got)
+        assert d.ops.accesses == d.ops.selects == d.ops.partial_ranks == 0
+        assert d.ops.ranks <= 2 * depth * (math.ceil(1 / tau) - 1)
+    assert seen >= 100
+
+
 # -- mode ---------------------------------------------------------------------------
 
 

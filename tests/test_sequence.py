@@ -1,5 +1,6 @@
 """Order-statistics sequence: access/rank/select and friends."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rfq.corpus import zipf_string
 from rfq.errors import DomainError, RangeError
-from rfq.sequence import WaveletSequence
+from rfq.sequence import WaveletSequence, code_lengths, length_cap
 from rfq.serial import ByteReader
 
 
@@ -111,6 +113,82 @@ def test_single_symbol_alphabet():
     assert seq.partial_rank(7) == 7
     assert seq.range_counts(2, 5) == {1: 4}
     assert seq.size_bits() < 4000
+
+
+# -- code shape ----------------------------------------------------------------------
+
+
+def code_bits(seq) -> int:
+    """Bits the levels hold: each occurrence walks its symbol's code."""
+    return sum(int(seq.counts[a - 1]) * len(seq.code(a)) for a in range(1, seq.sigma + 1))
+
+
+@pytest.mark.parametrize("sigma", [3, 8, 12])
+def test_geometric_counts_stay_within_cap(sigma):
+    # counts 1, 2, 4, ...: plain Huffman gives the rarest symbols sigma - 1 bits
+    data = np.repeat(np.arange(1, sigma + 1), 1 << np.arange(sigma))
+    np.random.default_rng(sigma).shuffle(data)
+    seq = build(data)
+    cap = math.ceil(math.log2(sigma)) + 1
+    assert length_cap(sigma) == cap
+    longest = max(len(seq.code(a)) for a in range(1, sigma + 1))
+    assert longest <= cap and seq.depth == longest
+    if sigma - 1 > cap:
+        assert longest == cap  # the cap binds
+    assert seq.to_array().tolist() == data.tolist()
+    for k in range(1, data.size + 1, 7):
+        assert seq.locate(k) == (data[k - 1], int((data[:k] == data[k - 1]).sum()))
+
+
+def test_code_lengths_are_optimal_within_cap():
+    # against every complete prefix code of at most `cap` bits over 2..5 symbols
+    rng = random.Random(11)
+    for _ in range(60):
+        sigma = rng.randint(2, 5)
+        counts = np.asarray([rng.randint(1, 40) for _ in range(sigma)])
+        cap = length_cap(sigma)
+        best = min(
+            sum(c * l for c, l in zip(counts, lens))
+            for lens in itertools.product(range(1, cap + 1), repeat=sigma)
+            if sum(2 ** (cap - l) for l in lens) == 2**cap
+        )
+        assert int((counts * code_lengths(counts)).sum()) == best
+
+
+@pytest.mark.parametrize("sigma, skew", [(2, 1.1), (5, 0.0), (40, 1.1), (257, 1.3), (1000, 1.1)])
+def test_codes_are_complete_and_end_in_blocks(sigma, skew):
+    data = zipf_string(3000, sigma, skew=skew, seed=sigma).tolist()
+    seq = build(data)
+    sigma = seq.sigma
+    codes = [seq.code(a) for a in range(1, sigma + 1)]
+    cap = length_cap(sigma)
+    assert all(1 <= len(c) <= cap for c in codes)
+    assert sum(2 ** (cap - len(c)) for c in codes) == 2**cap  # Kraft equality
+    # replay the matrix order: at every level the positions whose code ends
+    # there lead the stable partition by the level's bit
+    order = [codes[v - 1] for v in data]
+    for lvl in range(seq.depth):
+        part = [c for c in order if c[lvl] == "0"] + [c for c in order if c[lvl] == "1"]
+        ended = [len(c) == lvl + 1 for c in part]
+        assert ended == sorted(ended, reverse=True), lvl
+        order = [c for c in part if len(c) > lvl + 1]
+    assert order == []
+    # ending codes take the zero children first
+    top = int(np.argmax(seq.counts)) + 1
+    if len(seq.code(top)) == 1:
+        assert seq.code(top) == "0"
+
+
+@pytest.mark.parametrize("n, sigma, skew", [(5000, 40, 1.1), (20000, 256, 1.1),
+                                            (3000, 1024, 1.3), (2000, 16, 2.0)])
+def test_zipf_sequence_within_fixed_width_and_entropy(n, sigma, skew):
+    seq = build(zipf_string(n, sigma, skew=skew, seed=1))
+    bits = code_bits(seq)
+    assert bits <= n * math.ceil(math.log2(seq.sigma))  # never above the fixed-width matrix
+    assert bits <= n * (seq.entropy_h0() + 1)
+    # headers: n, sigma, flag and a byte per code length; per level a blob
+    # prefix, the bitvector header and at most one partly filled word
+    assert seq.size_bits() <= bits + 8 * (13 + seq.sigma) + seq.depth * (64 + 8 * 31 + 64)
 
 
 # -- operation accounting ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Byte-level primitives and full index round trips."""
 
+import math
 import random
 import struct
 import tracemalloc
@@ -11,6 +12,7 @@ from rfq import BitVector, IndexConfig, SparseBitVector, oracle
 from rfq.corpus import zipf_string
 from rfq.errors import ConfigError, DomainError, FormatError
 from rfq.indexfile import IndexBundle
+from rfq.sequence import WaveletSequence
 from rfq.serial import ByteReader, ByteWriter
 
 
@@ -161,26 +163,113 @@ def test_format_errors():
     with pytest.raises(FormatError):
         IndexBundle.from_bytes(blob[:-3])  # truncated
 
-    # the sequence section is n (u64), sigma (u32), compressed (u8), then
-    # one bitvector blob per level
-    seq_bytes = bundle.seq.to_bytes()
+    # the sequence section is n (u64), sigma (u32), compressed (u8), one
+    # code-length byte per symbol, then one bitvector blob per level
+    seq = bundle.seq
+    seq_bytes = seq.to_bytes()
     at = blob.index(seq_bytes)
     rest = blob[at + len(seq_bytes):]
-    n, sigma = bundle.seq.n, bundle.seq.sigma
+    n, sigma = seq.n, seq.sigma
     with pytest.raises(FormatError):  # sigma = n + 1
         IndexBundle.from_bytes(blob[:at + 8] + struct.pack("<I", n + 1) + blob[at + 12:])
-    # all-zero levels: one level short of n, then full length, where the
-    # derived counts hold only symbol 1
+    # all-zero levels of the right sizes (the first one bit short, then
+    # whole), which send every position to the first leaf
+    lens = [len(seq.code(a)) for a in range(1, sigma + 1)]
+    held = [sum(int(c) for c, ln in zip(seq.counts, lens) if ln > lvl) for lvl in range(seq.depth)]
     for first_len in (n - 1, n):
         w = ByteWriter()
         w.u64(n)
         w.u32(sigma)
         w.u8(0)
+        w.raw(bytes(lens))
         w.blob(BitVector.from_bits([0] * first_len).to_bytes())
-        for _ in range(1, (sigma - 1).bit_length()):
-            w.blob(BitVector.from_bits([0] * n).to_bytes())
+        for size in held[1:]:
+            w.blob(BitVector.from_bits([0] * size).to_bytes())
         with pytest.raises(FormatError):
             IndexBundle.from_bytes(blob[:at] + w.getvalue() + rest)
+
+
+def sequence_parts(compressed=False):
+    """A sequence's bytes split into its fixed header (n, sigma, compressed),
+    its code-length table and its levels."""
+    seq = WaveletSequence.build(zipf_string(400, 12, skew=1.2, seed=4), compressed=compressed)
+    blob = seq.to_bytes()
+    end = 13 + (1 + (seq.sigma * seq.depth.bit_length() + 7) // 8 if compressed else seq.sigma)
+    return blob[:13], blob[13:end], blob[end:], seq
+
+
+def with_lengths(lens) -> bytes:
+    """The test sequence's header and this code-length table, and no level."""
+    head, _, _, _ = sequence_parts()
+    return head + bytes(lens)
+
+
+def hostile_lengths(case: str) -> list[int]:
+    _, table, _, seq = sequence_parts()
+    lens = list(table)
+    cap = math.ceil(math.log2(seq.sigma)) + 1
+    longest = lens.index(max(lens))
+    if case == "zero":
+        lens[longest] = 0
+    elif case == "above-cap":
+        lens[longest] = cap + 1
+    elif case == "255-bits":
+        lens = [255] * len(lens)
+    elif case == "kraft-under":  # one code a bit longer leaves a gap
+        lens[lens.index(min(lens))] += 1
+    elif case == "kraft-over":  # one code a bit shorter overlaps another
+        lens[longest] -= 1
+    return lens
+
+
+@pytest.mark.parametrize("case, message", [
+    ("zero", "code length 0"),
+    ("above-cap", "above the cap"),
+    ("255-bits", "above the cap"),
+    ("kraft-under", "Kraft"),
+    ("kraft-over", "Kraft"),
+])
+def test_hostile_code_lengths_rejected_before_levels(case, message):
+    # the table is followed by no level at all: a check that read levels
+    # first would fail with "truncated" instead
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=message):
+            WaveletSequence.read_from(ByteReader(with_lengths(hostile_lengths(case))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_truncated_code_lengths_rejected():
+    head, table, _, _ = sequence_parts()
+    with pytest.raises(FormatError, match="truncated"):
+        WaveletSequence.read_from(ByteReader(head + table[:-1]))
+
+
+def test_hostile_code_lengths_in_a_bundle():
+    bundle = IndexBundle.from_values(zipf_string(400, 12, skew=1.2, seed=4), IndexConfig())
+    blob = bundle.to_bytes()
+    at = blob.index(bundle.seq.to_bytes()) + 13
+    lens = bytearray(blob[at:at + bundle.seq.sigma])
+    lens[0] = 0
+    with pytest.raises(FormatError, match="code length 0"):
+        IndexBundle.from_bytes(blob[:at] + bytes(lens) + blob[at + len(lens):])
+
+
+def test_packed_code_lengths_checked():
+    # compressed sequences pack the table: a width byte, then the lengths
+    head, table, levels, seq = sequence_parts(compressed=True)
+    back = WaveletSequence.read_from(ByteReader(head + table + levels))
+    assert [back.code(a) for a in range(1, seq.sigma + 1)] == \
+        [seq.code(a) for a in range(1, seq.sigma + 1)]
+    with pytest.raises(FormatError, match="wide"):
+        WaveletSequence.read_from(ByteReader(head + b"\x09" + table[1:]))
+    packed = bytearray(table)
+    packed[1] ^= 0x01  # the first symbol's length, off by one in its low bit
+    with pytest.raises(FormatError, match="Kraft|code length 0"):
+        WaveletSequence.read_from(ByteReader(head + bytes(packed)))
 
 
 # the header after magic and version: trade (u32), compressed code (u8),
@@ -207,6 +296,15 @@ def test_version_2_file_rejected():
         IndexBundle.from_bytes(v2)
 
 
+def as_version_5(bundle: IndexBundle) -> bytes:
+    """A bundle's file under the layout version 5 wrote: every version
+    field 5, and no code-length table in the sequence section."""
+    blob = bundle.to_bytes()
+    at = blob.index(bundle.seq.to_bytes()) + 13  # past n, sigma and compressed
+    v5 = (blob[:at] + blob[at + bundle.seq.sigma:]).replace(b"RFQB\x06\x00", b"RFQB\x05\x00")
+    return b"RFQI\x05\x00" + v5[6:]
+
+
 def as_version_4(blob: bytes) -> bytes:
     """A version-5 file under the header version 4 wrote: every version
     field 4, and chunk_len (u32) after trade."""
@@ -224,15 +322,21 @@ def as_version_3(blob: bytes) -> bytes:
 
 
 def test_version_3_file_rejected():
-    blob = IndexBundle.from_values(zipf_string(100, 5, seed=1), IndexConfig()).to_bytes()
+    bundle = IndexBundle.from_values(zipf_string(100, 5, seed=1), IndexConfig())
     with pytest.raises(FormatError, match="unsupported format version 3"):
-        IndexBundle.from_bytes(as_version_3(blob))
+        IndexBundle.from_bytes(as_version_3(as_version_5(bundle)))
 
 
 def test_version_4_file_rejected():
-    blob = IndexBundle.from_values(zipf_string(100, 5, seed=1), IndexConfig()).to_bytes()
+    bundle = IndexBundle.from_values(zipf_string(100, 5, seed=1), IndexConfig())
     with pytest.raises(FormatError, match="unsupported format version 4"):
-        IndexBundle.from_bytes(as_version_4(blob))
+        IndexBundle.from_bytes(as_version_4(as_version_5(bundle)))
+
+
+def test_version_5_file_rejected():
+    bundle = IndexBundle.from_values(zipf_string(100, 5, seed=1), IndexConfig())
+    with pytest.raises(FormatError, match="unsupported format version 5"):
+        IndexBundle.from_bytes(as_version_5(bundle))
 
 
 @pytest.mark.parametrize("field, value", [
