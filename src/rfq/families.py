@@ -2,33 +2,46 @@
 
 Two families of sparse bitvectors drive the query algorithms.  All are
 indexed by a tier t (coarse threshold class, thresholds behave like
-2**-t) and a scale b (range-length class, lengths behave like 2**b), and
-all partition positions into aligned blocks of length 2**(b-1):
+2**-t) and a scale b (range-length class: a range of scale b has length
+in [2**b, 2**(b+1))), and each partitions positions into aligned blocks:
 
-* candidate flags: position k is set when its symbol occurs at least
-  2**(b-t) times in the window of radius 2**(b+1) around k, and k is the
-  leftmost or rightmost occurrence of that symbol inside its block.  Any
-  element frequent enough in a range of the matching scale has a set
-  position inside the range.  A flag only names the symbol: the query
-  finds the symbol's leftmost occurrence in the range with one rank on
-  the sequence, so no positions beyond the flags are stored.
+* candidate flags, on blocks of 2**b: position k is set when its symbol
+  occurs at least 2**(b-t) times in the window of radius 2**(b+1) around
+  k, and k is the leftmost or rightmost occurrence of that symbol inside
+  its block.  A range of scale b either equals one block or crosses a
+  block boundary.  When it crosses one, each symbol of the range has its
+  last occurrence in the range's first block, or its first occurrence in
+  a later block, inside the range; the window around that occurrence
+  covers the whole range.  So any element frequent enough in a range of
+  the matching scale has a set position inside the range, and a range
+  meets at most three blocks, with two flags a symbol in each.  A flag
+  only names the symbol: the query finds the symbol's leftmost
+  occurrence in the range with one rank on the sequence, so no positions
+  beyond the flags are stored.
 
-* distinct flags: inside each block, the first occurrences of the first
-  2**t distinct symbols and the last occurrences of the last 2**t
-  distinct ones.  A range of the matching scale either has all its
-  distinct symbols flagged somewhere inside, or gets 2**t flagged
-  distinct candidates from a single block; either way an infrequent
-  element is among the flagged ones when it exists.
+* distinct flags, on blocks of 2**(b-1): inside each block, the first
+  occurrences of the first 2**t distinct symbols and the last
+  occurrences of the last 2**t distinct ones.  A range of the matching
+  scale holds a whole block, so it either has all its distinct symbols
+  flagged somewhere inside, or gets 2**t flagged distinct candidates from
+  that block; either way an infrequent element is among the flagged ones
+  when it exists.
+
+Every boundary of a 2**b block is also one of a 2**(b-1) block, so each
+candidate family is a subset of what the same test flags on blocks of
+2**(b-1).  Files whose candidate families were built on the shorter
+blocks therefore still answer correctly, and load under the same format.
 
 `build_families` makes every family of an index in one pass over the
-scales.  Per scale it counts the windows and ranks the block runs once,
-through a `FlagWorkspace` that sorts the occurrences once for the whole
-pass; the tier only sets the threshold those are compared against, so
-each tier's families are one compare each.  The majority side gets
-candidate families from tier 1 (tier 0 serves only tau = 1.0, which no
-range majority meets), the minority side distinct families from tier 0
-and only at trade g > 1 (at g = 1 its queries all take the listing
-path), and inputs shorter than `FAMILY_MIN_N` get none.
+scales.  Per scale it counts the windows once, and it ranks the block
+runs once per block length, through a `FlagWorkspace` that sorts the
+occurrences once for the whole pass: scale b's candidate blocks are
+scale b + 1's distinct blocks.  The tier only sets the threshold those
+are compared against, so each tier's families are one compare each.  The
+majority side gets candidate families from tier 1 (tier 0 serves only
+tau = 1.0, which no range majority meets), the minority side distinct
+families from tier 0 and only at trade g > 1 (at g = 1 its queries all
+take the listing path), and inputs shorter than `FAMILY_MIN_N` get none.
 Positions are 1-based in the produced bitvectors.  The slow reference
 builders recompute the same sets from an occurrence matrix; builds of at
 most `SELF_CHECK_MAX_N` positions check every family against them.
@@ -54,8 +67,9 @@ class FlagWorkspace:
     """Sorted-occurrence scaffolding for family construction.
 
     Built once per input.  The window counts depend only on the radius and
-    the block ranks only on the scale; each method computes its array
-    afresh, and the builder asks for each once per scale.
+    the block ranks only on the block length; each method computes its
+    array afresh, and the builder asks for each radius and each block
+    length once.
 
     Occurrences are sorted by (symbol, position) and packed into one int64
     key each: the symbol's rank among the distinct symbols (below n) above
@@ -99,6 +113,8 @@ class FlagWorkspace:
         holds the k-th symbol to appear in its block, or the k-th to appear
         last counted back from the block's end (the smaller k if both), and
         _NO_RANK when it is neither a first nor a last occurrence there.
+        These are the distinct blocks of this scale and the candidate
+        blocks of the scale below.
         """
         n = self.n
         blk = np.arange(n, dtype=np.int64) >> (scale - 1)
@@ -149,8 +165,11 @@ def build_families(arr: np.ndarray, sigma: int, config):
             )
         return flags_from_bits(bits)
 
-    for b in range(config.scale_cutoff(t_min), n.bit_length()):
-        ranks = ws.block_ranks(b)
+    b0 = config.scale_cutoff(t_min)
+    wide = ws.block_ranks(b0) if config.trade > 1 else None
+    for b in range(b0, n.bit_length()):
+        # ranks on blocks of 2**(b-1) for distinct flags, wide on 2**b for candidates
+        ranks, wide = wide, ws.block_ranks(b + 1)
         if config.scale_cutoff(1) <= b:
             counts = ws.window_counts(1 << (b + 1))
         for t in range(t_min, t_max + 1):
@@ -158,7 +177,7 @@ def build_families(arr: np.ndarray, sigma: int, config):
                 break
             key = (t, b)
             if t >= 1:
-                cand[key] = flags("candidate", key, candidate_bits(counts, ranks, 1 << (b - t)),
+                cand[key] = flags("candidate", key, candidate_bits(counts, wide, 1 << (b - t)),
                                   lambda: candidate_flag_bits_slow(arr, t, b))
             if config.trade > 1:
                 dist[key] = flags("distinct", key, distinct_bits(ranks, t),
@@ -198,19 +217,36 @@ def read_family_keys(r, seq):
         yield key
 
 
-def read_flags(r, n: int) -> SparseBitVector:
-    """One stored family: a sparse bitvector over all n positions."""
+def read_flags(r, n: int, key) -> SparseBitVector:
+    """One stored family: a sparse bitvector over all n positions, holding
+    no more flags than any family built under its (tier, scale) key."""
     flags = bitvector_from_bytes(r.blob())
     if not isinstance(flags, SparseBitVector):
         raise FormatError("flag family is not a sparse bitvector")
     if flags.n_bits != n:
         raise FormatError(f"flag family covers {flags.n_bits} positions, sequence {n}")
+    cap = expected_ones_cap(n, *key)
+    if flags.ones > cap:
+        raise FormatError(f"flag family {key} holds {flags.ones} flags, at most {cap} possible")
     return flags
 
 
 def expected_ones_cap(n: int, tier: int, scale: int) -> int:
-    """Generous provable ceiling on candidate/distinct flag counts."""
-    nblocks = (n + (1 << (scale - 1)) - 1) >> (scale - 1)
+    """Generous provable ceiling on candidate/distinct flag counts.
+
+    Counted over the nblocks aligned blocks of h = 2**(scale-1) positions.
+    A distinct family flags at most 2**tier first and 2**tier last
+    occurrences in each.  A candidate block of 2h positions flags at most
+    two positions of each symbol that occurs 2**(scale-tier) times within
+    radius 4h of one of them: a span of 10h positions, so at most
+    5 * 2**tier symbols and 10 * 2**tier flags, over at most
+    (nblocks + 1) / 2 such blocks.  Both stay within 16 * 2**tier * nblocks,
+    and so do candidate families that files hold on blocks of h (span 9h,
+    9 * 2**tier flags a block), which therefore still load.  Scale 0
+    counts blocks of one position.
+    """
+    h = max(scale - 1, 0)
+    nblocks = (n + (1 << h) - 1) >> h
     return 16 * (1 << tier) * nblocks + 64
 
 
@@ -229,7 +265,7 @@ def candidate_flag_bits_slow(arr: np.ndarray, tier: int, scale: int) -> np.ndarr
     n = arr.size
     eq, qual = _qualifies_slow(arr, 1 << (scale + 1), 1 << (scale - tier))
     idx = np.arange(n)
-    blen = 1 << (scale - 1)
+    blen = 1 << scale
     same_blk = (idx[None, :] // blen) == (idx[:, None] // blen)
     both = eq & same_blk
     first = both.argmax(axis=1) == idx

@@ -14,9 +14,12 @@ Dispatch picks one of four strategies:
   answer, so list the distinct symbols and certify each.
 * flagged: a candidate family matching the query's tier and scale exists;
   enumerate its set positions inside the range and take each new symbol
-  a found there as a candidate.  Every range majority has a flagged
-  position inside the range, so the candidates cover the answer; two
-  ranks, rank(a, hi) - rank(a, lo - 1), count a candidate in the range.
+  a found there as a candidate.  The family flags a frequent symbol at
+  its first and last occurrence in every aligned block of 2**scale
+  positions, and a range of that scale meets at most three blocks, so
+  every range majority has a flagged position inside the range and each
+  candidate has at most six, one access each.  Two ranks,
+  rank(a, hi) - rank(a, lo - 1), count a candidate in the range.
 * sequential: no family covers the scale, which only happens when the
   range is short relative to 1/tau.  At trade 1 one top-down split walk
   over the range counts the symbols, dropping every node that holds at
@@ -317,4 +320,4 @@ class MajorityIndex:
 
     @staticmethod
     def read_families(r: ByteReader, seq: WaveletSequence) -> dict:
-        return {key: read_flags(r, seq.n) for key in read_family_keys(r, seq)}
+        return {key: read_flags(r, seq.n, key) for key in read_family_keys(r, seq)}

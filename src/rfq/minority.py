@@ -166,5 +166,5 @@ class MinorityIndex:
 
     @staticmethod
     def read_families(r: ByteReader, seq: WaveletSequence) -> dict:
-        return {key: read_flags(r, seq.n) for key in read_family_keys(r, seq)}
+        return {key: read_flags(r, seq.n, key) for key in read_family_keys(r, seq)}
 

@@ -99,13 +99,16 @@ def _without_bit(flags: SparseBitVector, victim: int) -> SparseBitVector:
 def inject_fault(bundle: IndexBundle, seed: int = 0, samples: int = 4000):
     """Clear one candidate-family bit; return a witness query that exposes it.
 
-    Every block where a majority occurs in range contributes at least one
-    in-range flag, so a removable single point of failure exists only when
-    the majority's flags collapse to one position (its occurrences confined
-    to a boundary block whose other extreme sits outside the range).  The
-    hunt samples ranges at each family's own tier and scale until it finds
-    such a single-flag majority; removing that flag then provably changes
-    the answer.  Returns the witness description, or None when the corpus
+    A family of scale b flags a symbol at its first and last occurrence in
+    each aligned block of 2**b positions, and a range of that scale equals
+    one block or crosses a block boundary, so every block where a majority
+    occurs in range contributes at least one in-range flag.  A removable
+    single point of failure exists only when the majority's flags collapse
+    to one position: its in-range occurrences confined to one block whose
+    other extreme occurrence sits outside the range.  The hunt samples
+    ranges at each family's own tier and scale until it finds such a
+    single-flag majority; removing that flag then provably changes the
+    answer.  Returns the witness description, or None when the corpus
     offers no such configuration (the fault would be masked everywhere).
     On success the bundle is left with the fault applied.
     """

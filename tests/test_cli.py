@@ -119,9 +119,10 @@ def test_inject_fault_witness(tmp_path, capsys):
 
 
 def test_inject_fault_masked_exits_nonzero(tmp_path, capsys):
-    src = tmp_path / "dense.bin"
-    rng = np.random.default_rng(4)
-    src.write_bytes(bytes(rng.integers(1, 3, size=300).tolist()))
+    # 1, 2, 1, 2, ...: every range of a covered scale holds two flags of each
+    # symbol (see test_verify.py), so any removed flag is masked
+    src = tmp_path / "alternating.bin"
+    src.write_bytes(bytes(i % 2 + 1 for i in range(512)))
     assert main(["build", str(src)]) == 0
     capsys.readouterr()
     assert main(["verify", str(src) + ".rfq", "--inject-fault"]) == 1
@@ -177,6 +178,16 @@ def test_corrupt_header_field_exits_three(abra_index, capsys):
     with open(abra_index, "wb") as fh:
         fh.write(blob[:10] + b"\x07" + blob[11:])  # compressed code other than 0 or 1
     assert main(["info", abra_index]) == 3
+
+
+def test_impossibly_dense_family_exits_three(tmp_path, capsys):
+    bundle = rfq.IndexBundle.from_values(np.resize(np.arange(1, 9), 3000))
+    key = max(bundle.majority.candidate_flags)
+    bundle.majority.candidate_flags[key] = rfq.SparseBitVector.from_ones(range(1, 3001), 3000)
+    idx = tmp_path / "dense.rfq"
+    bundle.save(idx)
+    assert main(["info", str(idx)]) == 3
+    assert "holds 3000 flags" in capsys.readouterr().err
 
 
 def test_corrupt_token_table_exits_three(tmp_path, capsys):

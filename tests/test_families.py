@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from rfq import IndexConfig
+from rfq import IndexConfig, threshold_count
 from rfq.errors import LogicError
 from rfq.families import (
     FlagWorkspace,
@@ -30,10 +30,11 @@ def fast_bits(kind, arr, tier, scale):
     """One (tier, scale) family from the per-scale arrays, as the builder
     derives it."""
     w = ws(arr)
-    ranks = w.block_ranks(scale)
     if kind == "distinct":
-        return distinct_bits(ranks, tier)
-    return candidate_bits(w.window_counts(1 << (scale + 1)), ranks, 1 << (scale - tier))
+        return distinct_bits(w.block_ranks(scale), tier)  # blocks of 2**(scale-1)
+    # blocks of 2**scale
+    return candidate_bits(w.window_counts(1 << (scale + 1)), w.block_ranks(scale + 1),
+                          1 << (scale - tier))
 
 
 def test_distinct_bits_frozen():
@@ -46,11 +47,12 @@ def test_distinct_bits_frozen():
 
 def test_candidate_bits_frozen():
     w = ws([1, 2, 1, 2, 3, 3, 3, 3])
-    counts, ranks = w.window_counts(8), w.block_ranks(2)
-    # need 4 nearby occurrences: only the run of 3s qualifies
-    assert np.flatnonzero(candidate_bits(counts, ranks, 4)).tolist() == [4, 5, 6, 7]
+    # scale 2: blocks of four, windows of radius 8
+    counts, ranks = w.window_counts(8), w.block_ranks(3)
+    # need 4 nearby occurrences: only the run of 3s qualifies, at its block's ends
+    assert np.flatnonzero(candidate_bits(counts, ranks, 4)).tolist() == [4, 7]
     # halving the requirement admits every symbol
-    assert np.flatnonzero(candidate_bits(counts, ranks, 2)).tolist() == list(range(8))
+    assert np.flatnonzero(candidate_bits(counts, ranks, 2)).tolist() == [0, 1, 2, 3, 4, 7]
 
 
 def test_window_counts_with_wide_symbols():
@@ -158,6 +160,67 @@ def test_candidate_families_nest_by_tier(trade):
         inner, outer = cand[(t, b)].to_numpy_bool(), cand[(t + 1, b)].to_numpy_bool()
         assert not (inner & ~outer).any(), (t, b)
     assert sum(cand[key].ones for key in pairs) > 1000
+
+
+def small_corpus(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "uniform":
+        arr = rng.integers(1, 4, size=n)
+    elif kind == "zipf":
+        arr = np.minimum(rng.zipf(1.5, size=n), 8)
+    else:  # runs of random lengths
+        arr = np.repeat(rng.integers(1, 5, size=n), rng.integers(1, 9, size=n))[:n]
+    return np.unique(arr, return_inverse=True)[1].astype(np.int64) + 1
+
+
+@pytest.mark.parametrize("kind", ["uniform", "zipf", "runs"])
+@pytest.mark.parametrize("trade", [1, 4])
+@pytest.mark.parametrize("n", [100, 131])
+def test_every_majority_has_a_flag_in_range(kind, trade, n):
+    """Every range of every built (t, b) family's scale: each symbol above
+    the threshold of tau = 2**-t, the lowest of the tier, holds a flag of
+    the family inside the range.  Neither n is a multiple of the largest
+    block, so the last block is clipped."""
+    arr = small_corpus(kind, n)
+    sigma = int(arr.max())
+    cand, _ = build_families(arr, sigma, IndexConfig(trade=trade))
+    assert cand
+    onehot = np.arange(sigma + 1)[None, :] == arr[:, None]
+    prefix = np.vstack([np.zeros(sigma + 1, dtype=np.int64), np.cumsum(onehot, axis=0)])
+    one_block = clipped = 0
+    for (t, b), flags in cand.items():
+        flagged = onehot & flags.to_numpy_bool()[:, None]
+        fprefix = np.vstack([np.zeros(sigma + 1, dtype=np.int64), np.cumsum(flagged, axis=0)])
+        blen = 1 << b
+        for length in range(blen, min(2 * blen, n + 1)):
+            lo = np.arange(1, n - length + 2)
+            hi = lo + length - 1
+            major = prefix[hi] - prefix[lo - 1] > threshold_count(2.0 ** -t, length)
+            held = fprefix[hi] - fprefix[lo - 1] > 0
+            assert not (major & ~held).any(), ((t, b), length)
+            has = major.any(axis=1)
+            one_block += int((has & ((lo - 1) % blen == 0) & (length == blen)).sum())
+            clipped += int((has & (hi > n - n % blen)).sum())
+    assert one_block and clipped
+
+
+@pytest.mark.parametrize("trade", [1, 4])
+def test_candidate_families_lie_inside_half_block_ones(trade):
+    """Every boundary of a 2**b block is one of a 2**(b-1) block, so the
+    families flag a subset of what the same test flags on the shorter
+    blocks, and fewer flags in all."""
+    arr = zipf_string(3000, 40, skew=1.1, seed=trade)
+    arr = np.unique(arr, return_inverse=True)[1].astype(np.int64) + 1
+    cand, _ = build_families(arr, int(arr.max()), IndexConfig(trade=trade))
+    w = ws(arr)
+    new_ones = old_ones = 0
+    for (t, b), flags in cand.items():
+        old = candidate_bits(w.window_counts(1 << (b + 1)), w.block_ranks(b), 1 << (b - t))
+        new = flags.to_numpy_bool()
+        assert not (new & ~old).any(), (t, b)
+        new_ones += int(new.sum())
+        old_ones += int(old.sum())
+    assert new_ones < old_ones
 
 
 @pytest.mark.parametrize("n, checked", [(64, True), (512, True), (513, False)])

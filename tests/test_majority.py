@@ -163,9 +163,10 @@ def test_exact_boundary_exclusion():
 
 
 def far_leftmost_ranges(n):
-    """Ranges starting two or four places into an aligned block of their
-    scale, whose block opens with symbol 1 before the range does: symbol
-    1's first flag in the range is then its last occurrence in that block."""
+    """Ranges starting two or four places into an aligned block of half
+    their scale's length, inside a candidate block (2**scale long) that
+    opens with symbol 1 before the range does: symbol 1's first flag in the
+    range is then its last occurrence in that candidate block."""
     for scale in (12, 13):
         blen = 1 << (scale - 1)
         for start in (blen, 2 * blen):
@@ -200,7 +201,9 @@ def test_leftmost_far_before_first_flag(trade):
 @pytest.mark.parametrize("trade", [1, 4])
 def test_flagged_path_ops_per_candidate(trade):
     """One access per in-range flag and two ranks per candidate, which count
-    it in the range; no select."""
+    it in the range; no select.  A range meets at most three candidate
+    blocks, each flagging a symbol at most twice, so at most six flags a
+    candidate."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
     bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
     maj = bundle.majority
@@ -222,6 +225,7 @@ def test_flagged_path_ops_per_candidate(trade):
         tier, scale = 1 - math.frexp(tau)[1], length.bit_length() - 1
         in_range = len(maj.candidate_flags[(tier, scale)].ones_in_range(lo, hi))
         assert d.ops.accesses <= in_range
+        assert d.ops.accesses <= 6 * d.candidates
         assert d.ops.selects == 0
         assert d.ops.sequence_ops == 2 * d.candidates
     assert flagged >= 100

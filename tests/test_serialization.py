@@ -11,6 +11,7 @@ import pytest
 from rfq import BitVector, IndexConfig, SparseBitVector, oracle
 from rfq.corpus import zipf_string
 from rfq.errors import ConfigError, DomainError, FormatError
+from rfq.families import FlagWorkspace, candidate_bits
 from rfq.indexfile import IndexBundle
 from rfq.sequence import WaveletSequence
 from rfq.serial import ByteReader, ByteWriter
@@ -510,6 +511,56 @@ def test_family_key_within_bounds(side, grow):
         bundle.minority.distinct_flags[key] = bundle.minority.distinct_flags[(0, 11)]
     with pytest.raises(FormatError, match=rf"family key \({key[0]}, {key[1]}\) outside"):
         IndexBundle.from_bytes(bundle.to_bytes())
+
+
+def all_ones(n):
+    return SparseBitVector.from_ones(range(1, n + 1), n)
+
+
+@pytest.mark.parametrize("side", ["candidate", "distinct"])
+def test_family_denser_than_possible_rejected(side):
+    # an all-ones family used to load and make every query of its key walk
+    # all n flags; at scale 11 over 3000 positions at most 160 can be set
+    bundle = family_bundle()
+    families = {"candidate": bundle.majority.candidate_flags,
+                "distinct": bundle.minority.distinct_flags}[side]
+    families[(1, 11)] = all_ones(3000)
+    with pytest.raises(FormatError, match=r"family \(1, 11\) holds 3000 flags, at most 160"):
+        IndexBundle.from_bytes(bundle.to_bytes())
+
+
+@pytest.mark.parametrize("trade", [1, 4])
+def test_half_block_candidate_families_still_answer(trade):
+    """Candidate families flagged on blocks of 2**(b-1), as the format's
+    files once held them, are supersets of the families built now: such a
+    file loads under the same format version and answers like the oracle."""
+    data = zipf_string(3000, 40, skew=1.1, seed=7)
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
+    ws = FlagWorkspace(bundle.seq.to_array())
+    cand = bundle.majority.candidate_flags
+    old = {}
+    for t, b in cand:
+        bits = candidate_bits(ws.window_counts(1 << (b + 1)), ws.block_ranks(b), 1 << (b - t))
+        old[(t, b)] = SparseBitVector.from_numpy_bool(bits)
+    assert sum(f.ones for f in old.values()) > sum(f.ones for f in cand.values())
+    bundle.majority.candidate_flags = old
+    back = IndexBundle.from_bytes(bundle.to_bytes())
+    assert {k: f.ones for k, f in back.majority.candidate_flags.items()} == \
+        {k: f.ones for k, f in old.items()}
+    ref = data.tolist()
+    rng = random.Random(trade)
+    served = [(t, b) for t, b in old if 2.0 ** -t >= 1 / back.seq.sigma]  # not listing
+    flagged = 0
+    for t, b in served:
+        for _ in range(20):
+            length = rng.randint(1 << b, min((1 << (b + 1)) - 1, 3000))
+            lo = rng.randint(1, 3000 - length + 1)
+            hi = lo + length - 1
+            tau = 2.0 ** -t
+            assert back.query_majorities(lo, hi, tau) == oracle.oracle_majorities(ref, lo, hi, tau)
+            flagged += back.majority.diagnostics.path == "flagged"
+            assert back.query_mode(lo, hi) == oracle.oracle_mode(ref, lo, hi)
+    assert flagged == 20 * len(served)
 
 
 def test_save_load(tmp_path):
