@@ -1,8 +1,8 @@
 """Compressed sequence index answering range majority, minority, and mode
-queries whose frequency threshold is chosen per query, with work
-proportional to 1/threshold."""
+queries whose frequency threshold is chosen per query, each by one pruned
+split walk over a Huffman-shaped wavelet matrix."""
 
-from .bits import BitVector, RmqIndex, SparseBitVector
+from .bits import BitVector, SparseBitVector
 from .config import IndexConfig, space_preset
 from .counters import OpTally, QueryDiagnostics
 from .errors import (
@@ -15,11 +15,10 @@ from .errors import (
     RfqError,
 )
 from .indexfile import IndexBundle
-from .listing import ListingIndex
 from .majority import MajorityIndex, threshold_count
 from .minority import MinorityIndex
 from .sequence import WaveletSequence
-from .verify import VerifyReport, inject_fault, verify_index
+from .verify import VerifyReport, verify_index
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,6 @@ __all__ = [
     "FormatError",
     "IndexBundle",
     "IndexConfig",
-    "ListingIndex",
     "LogicError",
     "MajorityIndex",
     "MinorityIndex",
@@ -39,11 +37,9 @@ __all__ = [
     "QueryDiagnostics",
     "RangeError",
     "RfqError",
-    "RmqIndex",
     "SparseBitVector",
     "VerifyReport",
     "WaveletSequence",
-    "inject_fault",
     "space_preset",
     "threshold_count",
     "verify_index",

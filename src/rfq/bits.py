@@ -21,7 +21,7 @@ The range-minimum index takes O(n) words: byte-sized in-block offsets for
 16-cell blocks plus a sparse table over the blocks' minima (Fischer &
 Heun, SICOMP 2011): about 8 bytes a value on top of the values, which it
 keeps in the caller's integer dtype, where a sparse table over every cell
-takes 8 lg n.
+takes 8 lg n.  No index part uses it since the listing engine retired.
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ class SparseBitVector:
     select0 on the upper part and the bucket's end at the next clear bit
     after it, then binary-searches the bucket's lows; select0
     binary-searches over select1, which is acceptable since this variant
-    only backs flag families and compressed configurations.
+    only backs the sparse levels of compressed sequences.
     """
 
     __slots__ = ("n_bits", "ones", "low_width", "low", "upper")
@@ -349,6 +349,32 @@ class SparseBitVector:
     @classmethod
     def from_numpy_bool(cls, arr: np.ndarray) -> "SparseBitVector":
         return cls.from_ones(np.flatnonzero(arr) + 1, int(arr.shape[0]))
+
+    @classmethod
+    def from_parts(cls, n_bits: int, ones: int, low_words, upper_words) -> "SparseBitVector":
+        """The vector with `ones` set bits among `n_bits` whose low and upper
+        parts are these words; FormatError where they do not describe one.
+        The parts' shapes follow from n_bits and ones (`word_counts`)."""
+        low_width, upper_len = _sparse_shape(n_bits, ones)
+        low = PackedArray(low_width, ones, low_words)
+        upper = BitVector(upper_words, upper_len)
+        if upper.ones != ones:
+            raise FormatError(f"sparse upper part holds {upper.ones} ones, header says {ones}")
+        # consecutive ones of the upper part share a bucket, whose lows must rise
+        same_bucket = np.diff(np.flatnonzero(upper.to_numpy_bool())) == 1
+        lows = low.to_numpy()
+        if (same_bucket & (lows[1:] <= lows[:-1])).any():
+            raise FormatError("sparse set positions are not strictly increasing")
+        sbv = cls(n_bits, ones, low_width, low, upper)
+        if ones and sbv.select1(ones) > n_bits:
+            raise FormatError(f"sparse set position beyond {n_bits} bits")
+        return sbv
+
+    @staticmethod
+    def word_counts(n_bits: int, ones: int) -> tuple[int, int]:
+        """Words of the low part and of the upper part."""
+        low_width, upper_len = _sparse_shape(n_bits, ones)
+        return (low_width * ones + 63) // 64, (upper_len + 63) // 64
 
     # -- queries ---------------------------------------------------------------
 
@@ -512,22 +538,11 @@ def bitvector_from_bytes(data: bytes):
         low_width = r.u8()
         if low_width != want_width:
             raise FormatError(f"sparse low width {low_width}, expected {want_width}")
-        low = PackedArray(low_width, ones, r.words())
+        low_words = r.words()
         upper_len = r.u64()
         if upper_len != want_upper:
             raise FormatError(f"sparse upper part holds {upper_len} bits, expected {want_upper}")
-        upper = BitVector(r.words(), upper_len)
-        if upper.ones != ones:
-            raise FormatError(f"sparse upper part holds {upper.ones} ones, header says {ones}")
-        # consecutive ones of the upper part share a bucket, whose lows must rise
-        same_bucket = np.diff(np.flatnonzero(upper.to_numpy_bool())) == 1
-        lows = low.to_numpy()
-        if (same_bucket & (lows[1:] <= lows[:-1])).any():
-            raise FormatError("sparse set positions are not strictly increasing")
-        sbv = SparseBitVector(n_bits, ones, low_width, low, upper)
-        if ones and sbv.select1(ones) > n_bits:
-            raise FormatError(f"sparse set position beyond {n_bits} bits")
-        return sbv
+        return SparseBitVector.from_parts(n_bits, ones, low_words, r.words())
     raise FormatError(f"unknown bitvector kind {kind}")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .config import IndexConfig, space_preset
 from .errors import ConfigError, DomainError, FormatError, RangeError, RfqError
 from .indexfile import IndexBundle
-from .verify import inject_fault, verify_index
+from .verify import verify_index
 
 
 def _read_input(path: str, fmt: str):
@@ -62,8 +62,7 @@ def _space_lines(rep: dict) -> list[str]:
         f"sigma {rep['sigma']}",
         f"entropy_h0 {rep['entropy_h0']:.4f} bits/symbol",
     ]
-    for key in ("sequence_bits", "listing_bits", "candidate_bits", "distinct_bits"):
-        lines.append(f"{key} {rep[key]}")
+    lines.append(f"sequence_bits {rep['sequence_bits']}")
     lines.append(f"total_bits {rep['total_bits']}")
     lines.append(f"bits_per_symbol {rep['total_bits'] / n:.3f}")
     return lines
@@ -123,22 +122,6 @@ def _cmd_query(args) -> int:
 def _cmd_verify(args) -> int:
     bundle = IndexBundle.load(args.index)
     seed = _seed_of(args)
-    if args.inject_fault:
-        witness = inject_fault(bundle, seed=seed)
-        if witness is None:
-            print("fault injection: no single-flag candidate found; removal masked")
-            return 1
-        if args.json:
-            print(json.dumps(witness, default=str))
-        else:
-            t, b = witness["family"]
-            print(f"removed candidate flag at position {witness['removed_bit']} "
-                  f"(tier {t}, scale {b})")
-            print(f"witness query: majorities [{witness['lo']}, {witness['hi']}] "
-                  f"tau={witness['tau']}")
-            print(f"corrupted index: {witness['got']}")
-            print(f"oracle:          {witness['want']}")
-        return 0
     report = verify_index(bundle, queries=args.queries, seed=seed)
     if args.json:
         print(json.dumps({
@@ -160,8 +143,6 @@ def _cmd_info(args) -> int:
     rep = bundle.size_report()
     cfg = bundle.config
     rep["config"] = {"trade": cfg.trade, "compressed": cfg.compressed}
-    rep["majority_families"] = len(bundle.majority.candidate_flags)
-    rep["minority_families"] = len(bundle.minority.distinct_flags)
     domain = "tokens" if bundle.tokens is not None else (
         "ints" if bundle.originals is not None else "dense")
     rep["symbol_domain"] = domain
@@ -170,8 +151,7 @@ def _cmd_info(args) -> int:
     else:
         for line in _space_lines(rep):
             print(line)
-        for k in ("majority_families", "minority_families", "symbol_domain"):
-            print(f"{k} {rep[k]}")
+        print(f"symbol_domain {rep['symbol_domain']}")
         print(f"config {rep['config']}")
     return 0
 
@@ -189,11 +169,11 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("-o", "--output", default=None)
     b.add_argument("--format", choices=("bytes", "u32le", "tokens"), default="bytes")
     b.add_argument("--trade", type=int, default=None,
-                   help="space/time knob g; 1 stores everything, larger g shrinks "
-                        "the index and slows queries by about g^2")
+                   help="accepted and echoed in the file header, but inert: "
+                        "no structure is sparsified any more")
     b.add_argument("--compressed", action="store_true")
     b.add_argument("--space-preset", action="store_true",
-                   help="start from the small-footprint configuration")
+                   help="start from space_preset() (trade 256, inert like --trade)")
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=_cmd_build)
 
@@ -210,8 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("index")
     v.add_argument("--queries", type=int, default=1000)
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--inject-fault", action="store_true",
-                   help="corrupt one candidate flag and show a query that notices")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=_cmd_verify)
 

@@ -1,7 +1,8 @@
 """Operation tallies and per-query diagnostics.
 
 Every sequence-level primitive (access, rank, select, partial rank) bumps a
-counter on the sequence it runs against.  Query code snapshots the tally
+counter on the sequence it runs against; the range walks count their
+rank1 calls as ranks.  Query code snapshots the tally
 before working and publishes the difference, so the test suite can assert
 the advertised work bounds instead of trusting asymptotic hand-waving.
 """
@@ -55,7 +56,6 @@ class QueryDiagnostics:
     tau: float = 0.0
     path: str = ""
     candidates: int = 0
-    probes: int = 0
     iterations: int = 0
     elapsed_ns: int = 0
     ops: OpTally = field(default_factory=OpTally)
@@ -68,7 +68,6 @@ class QueryDiagnostics:
             "tau": self.tau,
             "path": self.path,
             "candidates": self.candidates,
-            "probes": self.probes,
             "iterations": self.iterations,
             "elapsed_ns": self.elapsed_ns,
             "accesses": self.ops.accesses,

@@ -1,4 +1,4 @@
-"""A whole index in one file: sequence, listing engine, flag families.
+"""A whole index in one file: the symbol remapping and the sequence.
 
 The bundle owns the symbol remapping.  Builders accept arbitrary integers
 (or token strings) and translate them onto the dense 1..sigma domain the
@@ -6,20 +6,29 @@ core structures require; query results are translated back, so callers
 only ever see their own symbols.  Ties and orderings follow the sorted
 order of the original symbols (lexicographic for tokens).
 
-A build makes the sequence, the listing engine and, in one call to
-`families.build_families`, every flag family of both sides.
+A build makes the Huffman-shaped wavelet matrix and nothing else: every
+query is a split walk over it (see `majority` and `minority`).
 
-File layout (magic ``RFQI``, format version 6): the config echo (trade
-as u32, compressed as a u8 of 0 or 1), the remap kind and its table,
-then the four structural sections: sequence (with its code lengths, see
-`sequence`), listing, majority families, minority families.  On load the
-code lengths must form a complete prefix code within the length cap
-before any level is read, the remap table must hold exactly sigma
-entries in strictly increasing order, the listing's block size must equal
-the trade, and every flag family must span the sequence under a strictly
-rising (tier, scale) key within lg sigma and lg n.  Everything derived
-(rank directories, range-minimum tables) is rebuilt lazily after load,
-so the file stores only what the space accounting counts.
+File layout (magic ``RFQI``, format version 7), after the magic and the
+version, two checked sections, each a u64 length, its payload and the
+payload's CRC32:
+
+1. header: the config echo (trade as u32, compressed as a u8 of 0 or 1),
+   then the remap kind and its table;
+2. sequence: n, sigma, the compressed flag, the code-length table, the
+   level header and the level word stream (see `sequence`).
+
+Each section's CRC32 is compared before the section is decoded, so a
+damaged file fails with `FormatError` instead of decoding to a different
+sequence.  A CRC catches damage, not a crafted consistent file, so the
+structural checks stay: the code lengths must form a complete prefix
+code within the length cap before any level is read, each level's size
+must fit the code trie before its words are read, the levels must split
+into the leaves the code lengths promise, the remap table must hold
+exactly sigma entries in strictly increasing order, and the sequence's
+compressed flag must match the header's.  Rank directories and the
+per-node largest counts are rebuilt at load, so the file stores only
+what the space accounting counts.
 """
 
 from __future__ import annotations
@@ -28,8 +37,6 @@ import numpy as np
 
 from .config import IndexConfig
 from .errors import ConfigError, DomainError, FormatError
-from .families import build_families
-from .listing import ListingIndex
 from .majority import MajorityIndex
 from .minority import MinorityIndex
 from .sequence import WaveletSequence
@@ -83,11 +90,7 @@ class IndexBundle:
     def _build(cls, dense, config, originals, tokens) -> "IndexBundle":
         config = config or IndexConfig()
         seq = WaveletSequence.build(dense, compressed=config.compressed)
-        listing = ListingIndex.for_sequence(seq, config.trade, dense)
-        cand, dist = build_families(dense, seq.sigma, config)
-        maj = MajorityIndex(seq, config, listing, cand)
-        mino = MinorityIndex(seq, config, listing, dist)
-        return cls(maj, mino, originals, tokens)
+        return cls(MajorityIndex(seq, config), MinorityIndex(seq, config), originals, tokens)
 
     # -- symbol translation ---------------------------------------------------
 
@@ -125,35 +128,34 @@ class IndexBundle:
     # -- space ------------------------------------------------------------------
 
     def size_report(self) -> dict:
-        rep = self.majority.size_report()
-        rep.update(self.minority.size_report())
-        rep["total_bits"] = 8 * len(self.to_bytes())
-        rep["n"] = self.seq.n
-        rep["sigma"] = self.seq.sigma
-        rep["entropy_h0"] = self.seq.entropy_h0()
-        return rep
+        return {
+            "sequence_bits": self.seq.size_bits(),
+            "total_bits": 8 * len(self.to_bytes()),
+            "n": self.seq.n,
+            "sigma": self.seq.sigma,
+            "entropy_h0": self.seq.entropy_h0(),
+        }
 
     # -- serialization ------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
+        head = ByteWriter()
+        cfg = self.config
+        head.u32(cfg.trade)
+        head.u8(int(cfg.compressed))
+        if self.tokens is not None:
+            head.u8(_REMAP_TOKENS)
+            head.blob("\n".join(self.tokens).encode("utf-8"))
+        elif self.originals is not None:
+            head.u8(_REMAP_INTS)
+            head.words([int(v) & 0xFFFFFFFFFFFFFFFF for v in self.originals])
+        else:
+            head.u8(_REMAP_IDENTITY)
         w = ByteWriter()
         w.raw(MAGIC_INDEX)
         w.u16(FORMAT_VERSION)
-        cfg = self.config
-        w.u32(cfg.trade)
-        w.u8(int(cfg.compressed))
-        if self.tokens is not None:
-            w.u8(_REMAP_TOKENS)
-            w.blob("\n".join(self.tokens).encode("utf-8"))
-        elif self.originals is not None:
-            w.u8(_REMAP_INTS)
-            w.words([int(v) & 0xFFFFFFFFFFFFFFFF for v in self.originals])
-        else:
-            w.u8(_REMAP_IDENTITY)
-        self.seq.write_to(w)
-        self.majority.listing.write_to(w)
-        self.majority.write_families(w)
-        self.minority.write_families(w)
+        w.checked(head.getvalue())
+        w.checked(self.seq.to_bytes())
         return w.getvalue()
 
     @classmethod
@@ -161,42 +163,44 @@ class IndexBundle:
         r = ByteReader(data)
         r.expect_magic(MAGIC_INDEX)
         r.expect_version()
-        trade, compressed = r.u32(), r.u8()
+        head = ByteReader(r.checked())
+        trade, compressed = head.u32(), head.u8()
         if compressed > 1:
             raise FormatError(f"corrupt index header: compressed code {compressed}")
         try:
             cfg = IndexConfig(trade=trade, compressed=bool(compressed))
         except ConfigError as exc:
             raise FormatError(f"corrupt index header: {exc}") from exc
-        kind = r.u8()
+        kind = head.u8()
         table = None
         if kind == _REMAP_TOKENS:
             try:
-                table = r.blob().decode("utf-8").split("\n")
+                table = head.blob().decode("utf-8").split("\n")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"token table is not UTF-8: {exc}") from exc
         elif kind == _REMAP_INTS:
-            table = np.frombuffer(r.words(), dtype=np.int64).tolist()  # two's complement
+            table = np.frombuffer(head.words(), dtype=np.int64).tolist()  # two's complement
         elif kind != _REMAP_IDENTITY:
             raise FormatError(f"unknown remap kind {kind}")
-        seq = WaveletSequence.read_from(r)
+        if not head.done():
+            raise FormatError("trailing bytes after the remap table")
+        body = ByteReader(r.checked())
+        if not r.done():
+            raise FormatError("trailing bytes after index payload")
+        seq = WaveletSequence.read_from(body)
+        if not body.done():
+            raise FormatError("trailing bytes after the sequence")
+        if seq.compressed != cfg.compressed:
+            raise FormatError("sequence and header disagree on the compressed flag")
         if table is not None:
             # answers index the table by dense symbol, and ties follow its order
             if len(table) != seq.sigma:
                 raise FormatError(f"remap table has {len(table)} entries, sigma is {seq.sigma}")
             if any(a >= b for a, b in zip(table, table[1:])):
                 raise FormatError("remap table is not strictly increasing")
-        listing = ListingIndex.read_from(r, seq)
-        if listing.block != cfg.trade:
-            raise FormatError(f"listing block size {listing.block} differs from trade {cfg.trade}")
-        cand = MajorityIndex.read_families(r, seq)
-        dist = MinorityIndex.read_families(r, seq)
-        if not r.done():
-            raise FormatError("trailing bytes after index payload")
-        maj = MajorityIndex(seq, cfg, listing, cand)
-        mino = MinorityIndex(seq, cfg, listing, dist)
         originals = np.array(table, dtype=np.int64) if kind == _REMAP_INTS else None
-        return cls(maj, mino, originals, table if kind == _REMAP_TOKENS else None)
+        return cls(MajorityIndex(seq, cfg), MinorityIndex(seq, cfg), originals,
+                   table if kind == _REMAP_TOKENS else None)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:

@@ -31,12 +31,31 @@ their own methods.  Within the ending block each symbol's occurrences
 form one run in text order, so the walk ends in the symbol and its
 partial rank.  Select walks a code bottom-up with one select per level.
 
+The range queries are top-down split walks over the code trie: a node's
+positions inside a range map to its children's with two ranks.  Each
+child slot carries the largest whole-sequence count of the symbols below
+it, derived in O(sigma) from the counts and the code lengths and never
+stored.  A range count never exceeds the whole-sequence count, so a node
+whose range holds at most thr positions, or whose largest count is at
+most thr, holds no symbol occurring more than thr times.
+`range_counts` keeps only the other nodes, fewer than ceil(1/tau) per
+level for thr = floor(tau * length); `range_minority` expands those same
+heavy nodes until one of their children is nonempty and light, then
+descends along any nonempty child to a leaf, whose size is a count of at
+most thr.  The walk is complete: a minority's leaf is nonempty and light,
+and the highest light node on its root path has a heavy parent, which
+the walk expands.  Both cost O(lg sigma / tau) level steps, where the
+paper's O(1/tau) assumes constant-time access and rank.
+
 Each level is a plain bitvector or, in compressed mode, the sparse
 positional encoding when that is smaller.  The file stores n, sigma, the
-compressed flag, one code-length byte per symbol and the levels.  The
-lengths are checked in O(sigma) before any level is read; the codes
-follow from them, and the counts from one level-by-level split walk at
-load.
+compressed flag, the code-length table, one header for all levels (per
+level its kind, its bit length and, when sparse, its number of ones) and
+then every level's words as one stream, whose word counts follow from
+that header.  The lengths are checked in O(sigma) before any level is
+read, each level's size against the code trie before any word is read;
+the codes follow from the lengths, and the counts from one
+level-by-level split walk at load.
 """
 
 from __future__ import annotations
@@ -45,7 +64,7 @@ from array import array
 
 import numpy as np
 
-from .bits import BitVector, SparseBitVector, _typed, bitvector_from_bytes
+from .bits import BitVector, SparseBitVector, _typed
 from .counters import OpTally
 from .errors import DomainError, FormatError, LogicError, RangeError
 from .serial import ByteReader, ByteWriter
@@ -206,8 +225,10 @@ class WaveletSequence:
         self._len = array("B")
         self._base = array("q")
         self._leaf_sym = array("q")  # symbol codes in leaf order
+        self._top = 0  # the largest symbol count
         # per level: (words, cum, store, zeros - ends, ends, inner, leaves,
-        # first leaf); words and cum are None on a sparse level
+        # first leaf, largest count below each child slot); words and cum
+        # are None on a sparse level
         self._steps: list[tuple] = []
 
     # -- construction ------------------------------------------------------------
@@ -274,8 +295,9 @@ class WaveletSequence:
         self._len = _typed(lens, "B")
         self._base = _typed(base, "q")
         self._leaf_sym = _typed(shape.leaf_sym, "q")
+        self._top = int(counts.max())
         self._steps = []
-        for lvl, store in enumerate(levels):
+        for lvl, (store, top) in enumerate(zip(levels, _slot_max(shape, counts))):
             plain = isinstance(store, BitVector)
             zeros = store.n_bits - store.ones
             self._steps.append((
@@ -287,6 +309,7 @@ class WaveletSequence:
                 shape.inner[lvl],
                 shape.leaves[lvl],
                 shape.first[lvl],
+                top,
             ))
 
     # -- basic properties ----------------------------------------------------------
@@ -318,6 +341,12 @@ class WaveletSequence:
         if not (1 <= k <= self.n):
             raise RangeError(f"position {k} outside [1, {self.n}]")
 
+    def _check_range(self, lo: int, hi: int) -> None:
+        self._check_pos(lo)
+        self._check_pos(hi)
+        if lo > hi:
+            raise RangeError(f"empty range [{lo}, {hi}]")
+
     # -- core walks (untallied internals) --------------------------------------------
 
     def _locate(self, k: int) -> tuple[int, int]:
@@ -329,7 +358,7 @@ class WaveletSequence:
         """
         p = k
         node = 0
-        for words, cum, store, z1, ends, inner, leaves, first in self._steps:
+        for words, cum, store, z1, ends, inner, leaves, first, _ in self._steps:
             if cum is None:
                 bit = store.get(p)
                 r1 = store.rank1(p)
@@ -353,7 +382,7 @@ class WaveletSequence:
         p = k
         code = self._code[c]
         shift = self._len[c]
-        for words, cum, store, z1, ends, _, _, _ in self._steps[:shift]:
+        for words, cum, store, z1, ends, _, _, _, _ in self._steps[:shift]:
             shift -= 1
             if cum is None:
                 r1 = store.rank1(p)
@@ -372,7 +401,7 @@ class WaveletSequence:
         p = self._base[c] + r
         code = self._code[c]
         for lvl in range(self._len[c] - 1, -1, -1):
-            _, _, store, z1, ends, _, _, _ = self._steps[lvl]
+            _, _, store, z1, ends, _, _, _, _ = self._steps[lvl]
             if code & 1:
                 p = store.select1(p - z1)
             else:
@@ -380,15 +409,16 @@ class WaveletSequence:
             code >>= 1
         return p
 
-    def _split_walk(self, cl: int, cr: int, thr: int = 0) -> tuple[dict[int, int], int]:
+    def _split_walk(self, cl: int, cr: int, thr: int) -> tuple[dict[int, int], int]:
         """Symbols occurring more than thr times at top-level positions
         cl+1..cr, with their counts, and the number of rank1 calls made.
 
-        A node whose range holds at most thr positions is dropped: no
-        symbol below it can clear thr.
+        A child is dropped when its range holds at most thr positions or
+        no symbol below it occurs more than thr times in the whole
+        sequence: no symbol below it can clear thr.
         """
         out: dict[int, int] = {}
-        if cr - cl <= thr:
+        if cr - cl <= thr or self._top <= thr:
             return out, 0
         if not self._steps:
             return {1: cr - cl}, 0
@@ -397,20 +427,81 @@ class WaveletSequence:
         stack = [(0, 0, cl, cr)]
         while stack:
             lvl, node, s, e = stack.pop()
-            _, _, store, z1, ends, inner, leaves, first = steps[lvl]
-            r1s = store.rank1(s)
-            r1e = store.rank1(e)
+            words, cum, store, z1, ends, inner, leaves, first, top = steps[lvl]
+            if cum is None:
+                r1s, r1e = store.rank1(s), store.rank1(e)
+            else:  # _rank_pair, inlined on the path every majority and mode takes
+                off = s & 63
+                r1s = cum[s >> 6] + (words[s >> 6] & ((1 << off) - 1)).bit_count() if off else cum[s >> 6]
+                off = e & 63
+                r1e = cum[e >> 6] + (words[e >> 6] & ((1 << off) - 1)).bit_count() if off else cum[e >> 6]
+            ranks += 2
+            cs, ce = s - r1s - ends, e - r1e - ends
+            if ce - cs > thr and top[node] > thr:
+                if node < leaves:
+                    out[leaf_sym[first + node] + 1] = ce - cs
+                else:
+                    stack.append((lvl + 1, node - leaves, cs, ce))
+            child = node + inner
+            cs, ce = z1 + r1s, z1 + r1e
+            if ce - cs > thr and top[child] > thr:
+                if child < leaves:
+                    out[leaf_sym[first + child] + 1] = ce - cs
+                else:
+                    stack.append((lvl + 1, child - leaves, cs, ce))
+        return out, ranks
+
+    def _minority_walk(self, cl: int, cr: int, thr: int) -> tuple[tuple[int, int] | None, int]:
+        """Some symbol occurring 1..thr times at top-level positions
+        cl+1..cr with its count, or None, and the number of rank1 calls.
+
+        Heavy nodes, those the majority walk keeps, are expanded; the first
+        nonempty child that is not heavy leads down to a witness.
+        """
+        if cr - cl <= thr or self._top <= thr:  # every symbol present qualifies
+            return self._leaf_below(0, 0, cl, cr)
+        if not self._steps:  # the one symbol occurs more than thr times
+            return None, 0
+        steps = self._steps
+        ranks = 0
+        stack = [(0, 0, cl, cr)]
+        while stack:
+            lvl, node, s, e = stack.pop()
+            words, cum, store, z1, ends, inner, leaves, first, top = steps[lvl]
+            r1s, r1e = _rank_pair(words, cum, store, s, e)
             ranks += 2
             for child, cs, ce in (
                 (node, s - r1s - ends, e - r1e - ends),
                 (node + inner, z1 + r1s, z1 + r1e),
             ):
-                if ce - cs > thr:
+                if ce == cs:
+                    continue
+                if ce - cs <= thr or top[child] <= thr:
                     if child < leaves:
-                        out[leaf_sym[first + child] + 1] = ce - cs
-                    else:
-                        stack.append((lvl + 1, child - leaves, cs, ce))
-        return out, ranks
+                        return (self._leaf_sym[first + child] + 1, ce - cs), ranks
+                    found, more = self._leaf_below(lvl + 1, child - leaves, cs, ce)
+                    return found, ranks + more
+                if child >= leaves:  # a heavy leaf is no minority
+                    stack.append((lvl + 1, child - leaves, cs, ce))
+        return None, ranks
+
+    def _leaf_below(self, lvl: int, node: int, s: int, e: int) -> tuple[tuple[int, int], int]:
+        """(symbol, count) of a leaf below internal node `node` of level lvl
+        whose positions s+1..e are nonempty, following nonempty children,
+        and the number of rank1 calls made."""
+        if not self._steps:
+            return (1, e - s), 0
+        steps, ranks = self._steps, 0
+        while True:
+            words, cum, store, z1, ends, inner, leaves, first, _ = steps[lvl]
+            r1s, r1e = _rank_pair(words, cum, store, s, e)
+            ranks += 2
+            child, cs, ce = node, s - r1s - ends, e - r1e - ends
+            if ce == cs:
+                child, cs, ce = node + inner, z1 + r1s, z1 + r1e
+            if child < leaves:
+                return (self._leaf_sym[first + child] + 1, ce - cs), ranks
+            lvl, node, s, e = lvl + 1, child - leaves, cs, ce
 
     # -- public operations (tallied) --------------------------------------------------
 
@@ -466,15 +557,22 @@ class WaveletSequence:
 
     def range_counts(self, lo: int, hi: int, thr: int = 0) -> dict[int, int]:
         """Counts of the symbols occurring more than thr times in S[lo..hi],
-        from one top-down split walk that drops every node holding at most
-        thr positions (thr = 0 gives the whole histogram)."""
-        self._check_pos(lo)
-        self._check_pos(hi)
-        if lo > hi:
-            raise RangeError(f"empty range [{lo}, {hi}]")
+        from one pruned top-down split walk (thr = 0 gives the whole
+        histogram)."""
+        self._check_range(lo, hi)
         out, ranks = self._split_walk(lo - 1, hi, thr)
         self.tally.ranks += ranks
         return out
+
+    def range_minority(self, lo: int, hi: int, thr: int) -> tuple[int, int] | None:
+        """Some (symbol, count) with 1 <= count <= thr in S[lo..hi], or None
+        when every symbol there occurs more than thr times."""
+        self._check_range(lo, hi)
+        if thr < 1:
+            return None
+        found, ranks = self._minority_walk(lo - 1, hi, thr)
+        self.tally.ranks += ranks
+        return found
 
     def to_array(self) -> np.ndarray:
         """Rebuild the raw sequence (1-based symbols), bottom level first.
@@ -490,7 +588,7 @@ class WaveletSequence:
         # partitioned them into, and level 0 decodes into the whole of bufs[1]
         bufs = np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64)
         for lvl in range(self.depth - 1, -1, -1):
-            _, _, store, z1, ends, _, leaves, first = self._steps[lvl]
+            _, _, store, z1, ends, _, leaves, first, _ = self._steps[lvl]
             part = bufs[lvl & 1][: store.n_bits]
             syms = leaf_sym[first : first + leaves]
             part[:ends] = np.repeat(syms + 1, self.counts[syms])
@@ -508,8 +606,15 @@ class WaveletSequence:
         w.u32(self.sigma)
         w.u8(1 if self.compressed else 0)
         _write_lengths(w, np.frombuffer(self._len, dtype=np.uint8), self.compressed)
-        for store in self._levels:
-            w.blob(store.to_bytes())
+        for store in self._levels:  # the level header
+            sparse = isinstance(store, SparseBitVector)
+            w.u8(int(sparse))
+            w.u64(store.n_bits)
+            if sparse:
+                w.u64(store.ones)
+        for store in self._levels:  # the word stream
+            for words in _level_words(store):
+                w.words(words, counted=False)
 
     @classmethod
     def read_from(cls, r: ByteReader) -> "WaveletSequence":
@@ -522,16 +627,31 @@ class WaveletSequence:
         lens = _read_lengths(r, seq.sigma, seq.compressed)
         _check_lengths(lens)
         shape = _Shape(lens)
-        levels = []
+        header = []
+        held = seq.n
         for lvl in range(shape.depth):
-            store = bitvector_from_bytes(r.blob())
-            held = levels[-1].n_bits if levels else seq.n
-            if lvl == 0 and store.n_bits != seq.n:
-                raise FormatError(f"level 0 holds {store.n_bits} bits, expected {seq.n}")
-            if not 2 * shape.inner[lvl] <= store.n_bits <= held:
-                raise FormatError(f"level {lvl} holds {store.n_bits} bits, outside "
+            kind = r.u8()
+            if kind > int(seq.compressed):
+                raise FormatError(f"level {lvl} has kind {kind} in a "
+                                  f"{'compressed' if seq.compressed else 'plain'} sequence")
+            n_bits = r.u64()
+            if lvl == 0 and n_bits != seq.n:
+                raise FormatError(f"level 0 holds {n_bits} bits, expected {seq.n}")
+            if not 2 * shape.inner[lvl] <= n_bits <= held:
+                raise FormatError(f"level {lvl} holds {n_bits} bits, outside "
                                   f"[{2 * shape.inner[lvl]}, {held}]")
-            levels.append(store)
+            held = n_bits
+            ones = r.u64() if kind else None
+            if kind and ones > n_bits:
+                raise FormatError(f"level {lvl} holds {ones} ones in {n_bits} bits")
+            header.append((n_bits, ones))
+        levels = []
+        for n_bits, ones in header:
+            if ones is None:
+                levels.append(BitVector(r.words((n_bits + 63) // 64), n_bits))
+            else:
+                low, upper = SparseBitVector.word_counts(n_bits, ones)
+                levels.append(SparseBitVector.from_parts(n_bits, ones, r.words(low), r.words(upper)))
         counts = _leaf_counts(levels, shape, seq.n)
         seq._assemble(lens, shape, levels, counts)
         return seq
@@ -542,10 +662,49 @@ class WaveletSequence:
         return w.getvalue()
 
     def size_bits(self) -> int:
-        # n, sigma, the compressed flag and the code lengths, then each level
-        # as a u64-prefixed blob
+        # n, sigma, the compressed flag and the code lengths; per level its
+        # kind, its bit length and, when sparse, its ones; then the words
         table = _lengths_bits(self.sigma, self.depth.bit_length(), self.compressed)
-        return 8 * (8 + 4 + 1) + table + sum(64 + s.size_bits() for s in self._levels)
+        header = sum(8 + 64 + 64 * isinstance(s, SparseBitVector) for s in self._levels)
+        words = sum(len(words) for s in self._levels for words in _level_words(s))
+        return 8 * (8 + 4 + 1) + table + header + 64 * words
+
+
+def _level_words(store) -> tuple:
+    """A level's word arrays, in stream order."""
+    if isinstance(store, SparseBitVector):
+        return store.low.words, store.upper.words
+    return (store.words,)
+
+
+def _rank_pair(words, cum, store, s: int, e: int) -> tuple[int, int]:
+    """rank1 at s and at e on one level, read straight from a plain level's
+    words and rank directory."""
+    if cum is None:
+        return store.rank1(s), store.rank1(e)
+    off = s & 63
+    r1s = cum[s >> 6] + (words[s >> 6] & ((1 << off) - 1)).bit_count() if off else cum[s >> 6]
+    off = e & 63
+    r1e = cum[e >> 6] + (words[e >> 6] & ((1 << off) - 1)).bit_count() if off else cum[e >> 6]
+    return r1s, r1e
+
+
+def _slot_max(shape: _Shape, counts: np.ndarray) -> list[array]:
+    """Per level, the largest symbol count below each child slot: a leaf
+    slot's own count, an internal one's the larger of its children's.
+
+    At each depth the slots are the leaves, then the internal nodes in
+    order, and internal node j of level l has slots j and inner[l] + j one
+    level down, so the levels fill bottom-up in O(sigma).
+    """
+    out = []
+    below = np.zeros(0, dtype=np.int64)  # per internal node of the level below
+    for lvl in range(shape.depth - 1, -1, -1):
+        first, leaves, inner = shape.first[lvl], shape.leaves[lvl], shape.inner[lvl]
+        slots = np.concatenate((counts[shape.leaf_sym[first : first + leaves]], below))
+        out.append(_typed(slots, "q"))
+        below = np.maximum(slots[:inner], slots[inner:])
+    return out[::-1]
 
 
 def _leaf_counts(levels: list, shape: _Shape, n: int) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Little-endian section framing used by every serializable structure.
 
 Layout conventions: fixed-width integers are little-endian; variable
-payloads are length-prefixed with a u64.  Bit structures start with the
-magic ``RFQB``, whole index bundles with ``RFQI``.  Derived directories
-(rank/select samples, range-minimum tables) are never written; they are
-rebuilt when a payload is loaded.
+payloads are length-prefixed with a u64.  A checked section is such a
+payload followed by its CRC32 (`zlib.crc32`, u32), which the reader
+compares before it hands the payload on to be decoded.  Bit structures
+start with the magic ``RFQB``, whole index bundles with ``RFQI``.
+Derived directories (rank/select samples, the code trie's per-node
+largest counts) are never written; they are rebuilt when a payload is
+loaded.
 
 Word arrays are held in memory as one typed buffer, ``array('Q')`` in the
 host's byte order: they are written with a single buffer copy and read
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import struct
 import sys
+import zlib
 from array import array
 
 import numpy as np
@@ -25,7 +29,7 @@ from .errors import FormatError
 
 MAGIC_BITS = b"RFQB"
 MAGIC_INDEX = b"RFQI"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _SWAP = sys.byteorder == "big"  # the file is little-endian, array('Q') native
 
@@ -62,13 +66,20 @@ class ByteWriter:
         self.u64(len(data))
         self.buf += data
 
-    def words(self, words) -> None:
-        """Length-prefixed array of 64-bit words (an array('Q') or any ints)."""
+    def checked(self, data: bytes) -> None:
+        """A length-prefixed payload and its CRC32."""
+        self.blob(data)
+        self.u32(zlib.crc32(data))
+
+    def words(self, words, counted: bool = True) -> None:
+        """Array of 64-bit words (an array('Q') or any ints), behind a u64
+        count unless the reader knows it from elsewhere."""
         if not isinstance(words, array) or words.typecode != "Q" or _SWAP:
             words = array("Q", words)
             if _SWAP:
                 words.byteswap()
-        self.u64(len(words))
+        if counted:
+            self.u64(len(words))
         self.buf += words
 
     def np_u32(self, arr) -> None:
@@ -110,9 +121,17 @@ class ByteReader:
         n = self.u64()
         return self._take(n)
 
-    def words(self) -> array:
-        """Length-prefixed 64-bit words, as one array('Q')."""
-        n = self.u64()
+    def checked(self) -> bytes:
+        """A checked section's payload; FormatError unless its CRC32 matches."""
+        data = self.blob()
+        if zlib.crc32(data) != self.u32():
+            raise FormatError("section checksum mismatch")
+        return data
+
+    def words(self, count: int | None = None) -> array:
+        """64-bit words, as one array('Q'): `count` of them, or as many as
+        the u64 count in front of them says."""
+        n = self.u64() if count is None else count
         if 8 * n > len(self.data) - self.pos:
             raise FormatError(f"truncated payload: {n} words declared")
         start = self.pos

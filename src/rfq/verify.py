@@ -2,16 +2,9 @@
 
 The verifier replays random queries (majority, minority, mode) through
 the index's own dispatch and compares against recomputation from the raw
-sequence.  The tau pool deliberately
-includes exact fraction boundaries k/len, where a symbol's count can land
-exactly on tau times the range length, and dyadic taus that hit family
-tiers dead on.
-
-Fault injection clears one set bit from a candidate family and then hunts
-for a query whose answer changes, demonstrating that verification actually
-exercises the flagged structures rather than some fallback path.  A
-cleared bit can be masked by neighbouring flags of the same symbol, so the
-hunt tries several bits before giving up.
+sequence.  The tau pool deliberately includes exact fraction boundaries
+k/len, where a symbol's count can land exactly on tau times the range
+length, and dyadic taus, the thresholds of mode's halving rounds.
 """
 
 from __future__ import annotations
@@ -20,7 +13,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .bits import SparseBitVector
 from .indexfile import IndexBundle
 from .oracle import oracle_majorities, oracle_minorities, oracle_mode
 
@@ -88,59 +80,3 @@ def verify_index(bundle: IndexBundle, queries: int = 1000, seed: int = 0) -> Ver
                 report.mismatches.append(dict(kind="mode", lo=lo, hi=hi, got=got, want=want))
     report.elapsed_s = time.perf_counter() - t0
     return report
-
-
-def _without_bit(flags: SparseBitVector, victim: int) -> SparseBitVector:
-    kept = [flags.select1(r) for r in range(1, flags.ones + 1)]
-    kept.remove(victim)
-    return SparseBitVector.from_ones(kept, flags.n_bits)
-
-
-def inject_fault(bundle: IndexBundle, seed: int = 0, samples: int = 4000):
-    """Clear one candidate-family bit; return a witness query that exposes it.
-
-    A family of scale b flags a symbol at its first and last occurrence in
-    each aligned block of 2**b positions, and a range of that scale equals
-    one block or crosses a block boundary, so every block where a majority
-    occurs in range contributes at least one in-range flag.  A removable
-    single point of failure exists only when the majority's flags collapse
-    to one position: its in-range occurrences confined to one block whose
-    other extreme occurrence sits outside the range.  The hunt samples
-    ranges at each family's own tier and scale until it finds such a
-    single-flag majority; removing that flag then provably changes the
-    answer.  Returns the witness description, or None when the corpus
-    offers no such configuration (the fault would be masked everywhere).
-    On success the bundle is left with the fault applied.
-    """
-    rng = random.Random(seed)
-    maj = bundle.majority
-    data = bundle.seq.to_array().tolist()
-    n = len(data)
-    populated = [key for key in maj.family_keys() if maj.candidate_flags[key].ones > 0]
-    if not populated:
-        return None
-    for _ in range(samples):
-        t, b = populated[rng.randrange(len(populated))]
-        tau = 2.0 ** -t
-        length = rng.randint(1 << b, min((1 << (b + 1)) - 1, n))
-        lo = rng.randint(1, n - length + 1)
-        hi = lo + length - 1
-        want = oracle_majorities(data, lo, hi, tau)
-        if not want:
-            continue
-        flags = maj.candidate_flags[(t, b)]
-        in_range = flags.ones_in_range(lo, hi)
-        for a, _occ in want:
-            pos_a = [p for p in in_range if data[p - 1] == a]
-            if len(pos_a) != 1:
-                continue
-            victim = pos_a[0]
-            maj.candidate_flags[(t, b)] = _without_bit(flags, victim)
-            got = maj.query_majorities(lo, hi, tau)
-            if got != want:
-                return dict(
-                    family=(t, b), removed_bit=victim, kind="majority",
-                    lo=lo, hi=hi, tau=tau, got=got, want=want,
-                )
-            maj.candidate_flags[(t, b)] = flags  # somehow masked; restore
-    return None

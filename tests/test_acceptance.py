@@ -18,7 +18,6 @@ import pytest
 from rfq import IndexConfig, oracle, space_preset
 from rfq.corpus import uniform_string, zipf_string
 from rfq.indexfile import IndexBundle
-from rfq.listing import ListingIndex
 from rfq.sequence import WaveletSequence
 
 Entry = namedtuple("Entry", "data ref sigma_drawn sigma_eff trade bundle")
@@ -28,8 +27,8 @@ Entry = namedtuple("Entry", "data ref sigma_drawn sigma_eff trade bundle")
 RECORDS = []
 
 
-def record(diag, trade, sigma_eff):
-    RECORDS.append((diag.tau, trade, sigma_eff, diag.candidates,
+def record(diag, sigma_eff):
+    RECORDS.append((diag.tau, sigma_eff, diag.candidates,
                     diag.ops.sequence_ops))
 
 
@@ -40,8 +39,9 @@ def candidate_cap(tau, sigma_eff):
     return cap
 
 
-def ops_cap(tau, trade):
-    return 64 * math.ceil(1.0 / tau) * trade * trade
+def ops_cap(tau):
+    # trade is inert, so the g**2 factor the cap once carried is gone
+    return 64 * math.ceil(1.0 / tau)
 
 
 def tau_pool(sigma_drawn):
@@ -88,8 +88,8 @@ def test_majorities_match_oracle_everywhere(corpus):
                 assert got == want, (n, lo, hi, tau, got, want)
                 d = ent.bundle.majority.diagnostics
                 assert d.candidates <= candidate_cap(tau, ent.sigma_eff)
-                assert d.ops.sequence_ops <= ops_cap(tau, ent.trade)
-                record(d, ent.trade, ent.sigma_eff)
+                assert d.ops.sequence_ops <= ops_cap(tau)
+                record(d, ent.sigma_eff)
                 cases += 1
     elapsed = time.perf_counter() - t0
     print(f"\nmajority equivalence: {cases} cases, 0 mismatches, {elapsed:.1f}s")
@@ -113,27 +113,27 @@ def test_minorities_valid_and_presence_agrees(corpus):
                 else:
                     assert got is None, (n, lo, hi, tau, got)
                 d = ent.bundle.minority.diagnostics
-                assert d.ops.sequence_ops <= ops_cap(tau, ent.trade)
-                record(d, ent.trade, ent.sigma_eff)
+                assert d.ops.sequence_ops <= ops_cap(tau)
+                record(d, ent.sigma_eff)
                 paths[d.path] = paths.get(d.path, 0) + 1
                 cases += 1
     print(f"\nminority agreement: {cases} cases, 0 misses, paths {sorted(paths.items())}")
     assert cases >= 15_000
-    assert paths.get("listing") and paths.get("flagged")
+    assert set(paths) == {"empty", "walk"} and paths["walk"] > cases // 2
 
 
 def test_work_scales_with_inverse_tau(corpus):
     """Per-query caps over the whole recorded population, plus the scaling law.
 
     Candidates stay within 64/tau (plus sigma when tau undercuts 1/sigma)
-    and sequence operations within 64/tau times the squared sparsification
-    trade.  On a million-symbol Zipf corpus the mean operation count grows
-    as (1/tau)^slope with slope within 0.15 of linear.
+    and sequence operations, the walk's rank1 calls, within 64/tau.  On a
+    million-symbol Zipf corpus the mean operation count grows as
+    (1/tau)^slope with slope within 0.15 of linear.
     """
     assert RECORDS, "oracle equivalence tests populate the query log"
-    for tau, trade, sigma_eff, cands, ops in RECORDS:
+    for tau, sigma_eff, cands, ops in RECORDS:
         assert cands <= candidate_cap(tau, sigma_eff)
-        assert ops <= ops_cap(tau, trade)
+        assert ops <= ops_cap(tau)
     print(f"\nwork bounds: {len(RECORDS)} recorded queries within caps")
 
     data = zipf_string(10**6, 256, skew=1.1, seed=7)
@@ -177,7 +177,9 @@ def test_mode_matches_oracle_with_doubling_bound(corpus):
 
 
 def test_full_and_sparsified_listing_agree():
-    """Identical distinct sets across sparsification levels; probe cap holds."""
+    """The whole-histogram walk, range_counts(lo, hi, 0), lists exactly the
+    range's distinct symbols with their exact counts, on plain and
+    compressed levels, within two rank1 calls per internal trie node."""
     rng = random.Random(5)
     checked = 0
     for _ in range(100):
@@ -186,20 +188,18 @@ def test_full_and_sparsified_listing_agree():
         data = [rng.randint(1, sigma) for _ in range(n)]
         for a, k in zip(range(1, sigma + 1), rng.sample(range(n), sigma)):
             data[k] = a
-        seq = WaveletSequence.build(np.asarray(data))
-        listers = {g: ListingIndex.for_sequence(seq, g) for g in (1, 2, 8, 64)}
+        seqs = [WaveletSequence.build(np.asarray(data), compressed=c) for c in (False, True)]
         for lo, hi in ranges_for(rng, n, 12):
-            results = {}
-            for g, lister in listers.items():
-                got = lister.query_leftmost(lo, hi)
-                results[g] = {(data[k - 1], k) for k in got}
-                reported = lister.last_stats["reported"]
-                assert lister.last_stats["probes"] <= g * (2 * reported + 2)
-            baseline = results[1]
-            assert baseline == oracle.oracle_distinct_with_leftmost(data, lo, hi)
-            assert all(r == baseline for r in results.values())
+            want = oracle.oracle_distinct_with_leftmost(data, lo, hi)
+            counts = oracle.oracle_counts(data, lo, hi)
+            for seq in seqs:
+                snap = seq.tally.snapshot()
+                got = seq.range_counts(lo, hi, 0)
+                assert set(got) == {a for a, _ in want}
+                assert got == counts
+                assert seq.tally.since(snap).ranks <= 2 * (sigma - 1)
             checked += 1
-    print(f"\nlisting: {checked} ranges identical across g in (1, 2, 8, 64)")
+    print(f"\ndistinct listing: {checked} ranges exact on plain and compressed levels")
 
 
 def test_space_stays_within_envelopes():
@@ -276,7 +276,7 @@ def test_exact_boundary_counts_are_never_majorities():
         assert got == oracle.oracle_majorities(data, lo, hi, tau)
         d = bundle.majority.diagnostics
         assert d.candidates <= candidate_cap(tau, int(max(data)))
-        assert d.ops.sequence_ops <= ops_cap(tau, bundle.config.trade)
+        assert d.ops.sequence_ops <= ops_cap(tau)
         minors = oracle.oracle_minorities(data, lo, hi, tau)
         assert (1, occ) in minors
         hit = bundle.query_minority(lo, hi, tau)
@@ -286,7 +286,7 @@ def test_exact_boundary_counts_are_never_majorities():
 
 def test_resident_memory_tracks_serialized_size():
     """A loaded trade-1 bundle, after its first query of each kind, holds at
-    most 8 times its serialized size (n = 50k, Zipf over 256 symbols)."""
+    most 4 times its serialized size (n = 50k, Zipf over 256 symbols)."""
     data = zipf_string(50_000, 256, skew=1.1, seed=10)
     blob = IndexBundle.from_values(data, IndexConfig(trade=1)).to_bytes()
     n = data.size
@@ -300,5 +300,5 @@ def test_resident_memory_tracks_serialized_size():
     finally:
         tracemalloc.stop()
     ratio = held / len(blob)
-    assert ratio <= 8, ratio
+    assert ratio <= 4, ratio
     print(f"\nresident: {held} bytes held, {len(blob)} serialized, {ratio:.1f}x")

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import rfq
 from rfq.cli import main
+from rfq.serial import ByteReader, ByteWriter
 
 
 @pytest.fixture
@@ -107,26 +109,29 @@ def test_verify_seed_from_environment(abra_index, capsys, monkeypatch):
 
 
 def test_inject_fault_witness(tmp_path, capsys):
+    # a fault in a file, one flipped bit of the sequence section, is
+    # noticed by its checksum before any query runs
     src = tmp_path / "runs.bin"
     src.write_bytes(bytes((i // 8) % 8 + 1 for i in range(512)))
     assert main(["build", str(src)]) == 0
     capsys.readouterr()
-    assert main(["verify", str(src) + ".rfq", "--inject-fault", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "removed candidate flag" in out
-    assert "witness query" in out
-    assert "corrupted index" in out
+    idx = tmp_path / "runs.bin.rfq"
+    blob = bytearray(idx.read_bytes())
+    blob[-40] ^= 0x10
+    idx.write_bytes(bytes(blob))
+    assert main(["verify", str(idx), "--seed", "0"]) == 3
+    assert "checksum" in capsys.readouterr().err
 
 
-def test_inject_fault_masked_exits_nonzero(tmp_path, capsys):
-    # 1, 2, 1, 2, ...: every range of a covered scale holds two flags of each
-    # symbol (see test_verify.py), so any removed flag is masked
+def test_inject_fault_masked_exits_nonzero(tmp_path):
+    # --inject-fault removed a candidate flag; with the families gone it is
+    # retired, and the option is an unknown argument
     src = tmp_path / "alternating.bin"
     src.write_bytes(bytes(i % 2 + 1 for i in range(512)))
     assert main(["build", str(src)]) == 0
-    capsys.readouterr()
-    assert main(["verify", str(src) + ".rfq", "--inject-fault"]) == 1
-    assert "masked" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(src) + ".rfq", "--inject-fault"])
+    assert exc.value.code == 2
 
 
 def test_info(abra_index, capsys):
@@ -181,13 +186,24 @@ def test_corrupt_header_field_exits_three(abra_index, capsys):
 
 
 def test_impossibly_dense_family_exits_three(tmp_path, capsys):
+    # a crafted file, checksums intact, whose top level is one bit short
     bundle = rfq.IndexBundle.from_values(np.resize(np.arange(1, 9), 3000))
-    key = max(bundle.majority.candidate_flags)
-    bundle.majority.candidate_flags[key] = rfq.SparseBitVector.from_ones(range(1, 3001), 3000)
-    idx = tmp_path / "dense.rfq"
-    bundle.save(idx)
+    seq = bundle.seq.to_bytes()
+    levels = 13 + bundle.seq.sigma  # n, sigma, flag, code lengths
+    bad = seq[:levels + 1] + struct.pack("<Q", 2999) + seq[levels + 9:]
+    head = ByteWriter()
+    head.u32(1)
+    head.u8(0)
+    head.u8(0)  # identity remap
+    w = ByteWriter()
+    w.raw(b"RFQI")
+    w.u16(7)
+    w.checked(head.getvalue())
+    w.checked(bad)
+    idx = tmp_path / "short.rfq"
+    idx.write_bytes(w.getvalue())
     assert main(["info", str(idx)]) == 3
-    assert "holds 3000 flags" in capsys.readouterr().err
+    assert "level 0 holds 2999 bits" in capsys.readouterr().err
 
 
 def test_corrupt_token_table_exits_three(tmp_path, capsys):
@@ -199,6 +215,17 @@ def test_corrupt_token_table_exits_three(tmp_path, capsys):
     at = blob.index(b"cat")
     idx.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])  # not UTF-8
     capsys.readouterr()
+    assert main(["info", str(idx)]) == 3
+    assert "checksum" in capsys.readouterr().err  # damaged in place
+    r = ByteReader(blob)
+    r.raw(6)  # magic and version
+    head, seq = r.checked(), r.checked()
+    w = ByteWriter()
+    w.raw(blob[:6])
+    at = head.index(b"cat")
+    w.checked(head[:at] + b"\xff" + head[at + 1:])
+    w.checked(seq)
+    idx.write_bytes(w.getvalue())  # crafted, with fresh checksums
     assert main(["info", str(idx)]) == 3
     assert "not UTF-8" in capsys.readouterr().err
 

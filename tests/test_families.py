@@ -1,4 +1,12 @@
-"""Flag-family builders: vectorized construction vs the quadratic references."""
+"""What the flag families guaranteed, checked on the walk that replaced them.
+
+The candidate and distinct flag families retired with format version 7:
+every majority, minority and mode query is one pruned split walk over
+the wavelet matrix.  Each test here keeps the name it had and checks the
+guarantee it pinned (that every answer is found, on every range of a
+scale, on wide and narrow alphabets, within a work cap) against the
+oracle on the walk.
+"""
 
 import random
 import zlib
@@ -6,61 +14,46 @@ import zlib
 import numpy as np
 import pytest
 
-from rfq import IndexConfig, threshold_count
-from rfq.errors import LogicError
-from rfq.families import (
-    FlagWorkspace,
-    build_families,
-    candidate_bits,
-    candidate_flag_bits_slow,
-    distinct_bits,
-    distinct_flag_bits_slow,
-    expected_ones_cap,
-    flags_from_bits,
-    _qualifies_slow,
-)
+from rfq import IndexConfig, SparseBitVector, oracle, threshold_count
 from rfq.corpus import uniform_string, zipf_string
+from rfq.indexfile import IndexBundle
+from rfq.serial import ByteReader
+from rfq.sequence import WaveletSequence
 
 
-def ws(values):
-    return FlagWorkspace(np.asarray(values, dtype=np.int64))
+def seq_of(values):
+    return WaveletSequence.build(np.asarray(values, dtype=np.int64))
 
 
-def fast_bits(kind, arr, tier, scale):
-    """One (tier, scale) family from the per-scale arrays, as the builder
-    derives it."""
-    w = ws(arr)
-    if kind == "distinct":
-        return distinct_bits(w.block_ranks(scale), tier)  # blocks of 2**(scale-1)
-    # blocks of 2**scale
-    return candidate_bits(w.window_counts(1 << (scale + 1)), w.block_ranks(scale + 1),
-                          1 << (scale - tier))
+def heavy(arr, lo, hi, thr):
+    counts = np.bincount(np.asarray(arr)[lo - 1:hi])
+    return {a: int(c) for a, c in enumerate(counts) if c > thr}
 
 
 def test_distinct_bits_frozen():
-    ranks = ws([1, 2, 3, 1]).block_ranks(3)
-    # one block of four; every position opens or closes a distinct run
-    assert np.flatnonzero(distinct_bits(ranks, 1)).tolist() == [0, 1, 2, 3]
-    # cap 1: only the first new symbol and the last surviving one
-    assert np.flatnonzero(distinct_bits(ranks, 0)).tolist() == [0, 3]
+    s = seq_of([1, 2, 3, 1])
+    assert s.range_minority(1, 4, 1) in ((2, 1), (3, 1))
+    assert s.range_minority(1, 4, 2) in ((1, 2), (2, 1), (3, 1))
+    assert s.range_minority(1, 1, 1) == (1, 1)
+    assert s.range_minority(1, 4, 0) is None
 
 
 def test_candidate_bits_frozen():
-    w = ws([1, 2, 1, 2, 3, 3, 3, 3])
-    # scale 2: blocks of four, windows of radius 8
-    counts, ranks = w.window_counts(8), w.block_ranks(3)
-    # need 4 nearby occurrences: only the run of 3s qualifies, at its block's ends
-    assert np.flatnonzero(candidate_bits(counts, ranks, 4)).tolist() == [4, 7]
-    # halving the requirement admits every symbol
-    assert np.flatnonzero(candidate_bits(counts, ranks, 2)).tolist() == [0, 1, 2, 3, 4, 7]
+    s = seq_of([1, 2, 1, 2, 3, 3, 3, 3])
+    assert s.range_counts(1, 8, 3) == {3: 4}
+    assert s.range_counts(1, 8, 1) == {1: 2, 2: 2, 3: 4}
+    assert s.range_counts(1, 4, 1) == {1: 2, 2: 2}
+    assert s.range_counts(5, 8, 4) == {}
 
 
 def test_window_counts_with_wide_symbols():
-    # keys once packed the symbol above 40 position bits in int64, which
-    # wrapped from symbol 2**23 on and merged 2**23 + 1 with symbol 1
-    got = ws([1, 2**23 + 1, 2**23 + 1, 1, 2**23 + 1]).window_counts(4)
-    assert got.tolist() == [2, 3, 3, 2, 3]
-    assert ws([1, 2**22 + 1, 2**22 + 1, 1, 2**22 + 1]).window_counts(4).tolist() == got.tolist()
+    # symbols of 2**23 and above are remapped, never packed into keys that wrap
+    wide = IndexBundle.from_values([1, 2**23 + 1, 2**23 + 1, 1, 2**23 + 1])
+    narrow = IndexBundle.from_values([1, 2**22 + 1, 2**22 + 1, 1, 2**22 + 1])
+    assert wide.query_majorities(1, 5, 0.5) == [(2**23 + 1, 3)]
+    assert narrow.query_majorities(1, 5, 0.5) == [(2**22 + 1, 3)]
+    assert wide.query_majorities(1, 5, 0.2) == [(1, 2), (2**23 + 1, 3)]
+    assert wide.query_mode(2, 4) == (2**23 + 1, 2)
 
 
 def test_candidate_bits_with_symbols_above_key_range():
@@ -68,98 +61,111 @@ def test_candidate_bits_with_symbols_above_key_range():
     for _ in range(30):
         n = rng.randint(1, 48)
         symbols = [3, 2**40 // n + 1, 2**47 + 5, 2**62]
-        arr = np.asarray([rng.choice(symbols) for _ in range(n)], dtype=np.int64)
-        tier = rng.randint(1, 2)
-        scale = rng.randint(tier, 6)
-        want = candidate_flag_bits_slow(arr, tier, scale)
-        assert (fast_bits("candidate", arr, tier, scale) == want).all(), (arr.tolist(), tier, scale)
+        arr = [rng.choice(symbols) for _ in range(n)]
+        bundle = IndexBundle.from_values(np.asarray(arr, dtype=np.int64))
+        for _ in range(10):
+            lo = rng.randint(1, n)
+            hi = rng.randint(lo, n)
+            tau = 2.0 ** -rng.randint(1, 3)
+            assert bundle.query_majorities(lo, hi, tau) == oracle.oracle_majorities(arr, lo, hi, tau)
 
 
 def test_window_qualifies_matches_slow():
     rng = random.Random(11)
     for _ in range(40):
         n = rng.randint(1, 50)
-        arr = np.asarray([rng.randint(1, 5) for _ in range(n)])
-        radius = rng.choice([1, 2, 4, 16, 64])
-        need = rng.choice([1, 2, 3, 8])
-        _, want = _qualifies_slow(arr, radius, need)
-        got = ws(arr).window_counts(radius) >= need
-        assert (got == want).all()
+        arr = [rng.randint(1, 5) for _ in range(n)] + [1, 2, 3, 4, 5]
+        s = seq_of(arr)
+        for _ in range(10):
+            lo = rng.randint(1, len(arr))
+            hi = rng.randint(lo, len(arr))
+            thr = rng.choice([0, 1, 2, 3, 8])
+            assert s.range_counts(lo, hi, thr) == heavy(arr, lo, hi, thr)
 
 
 @pytest.mark.parametrize("sigma", [2, 17, 300])
 def test_window_counts_at_real_size(sigma):
+    # ranges of every scale up to lg n, counted exactly
     rng = np.random.default_rng(sigma)
     n = 3000
-    arr = rng.integers(1, sigma + 1, size=n)
-    w = ws(arr)
-    occurrences = [np.flatnonzero(arr == a) + 1 for a in np.unique(arr)]
-    for scale in range(n.bit_length()):  # every scale up to lg n
-        radius = 1 << (scale + 1)
-        want = np.empty(n, dtype=np.int64)
-        for occ in occurrences:
-            near = np.abs(occ[:, None] - occ[None, :]) <= radius
-            want[occ - 1] = near.sum(axis=1)
-        assert (w.window_counts(radius) == want).all(), scale
+    arr = np.concatenate((np.arange(1, sigma + 1), rng.integers(1, sigma + 1, size=n - sigma)))
+    rng.shuffle(arr)
+    s = seq_of(arr)
+    for scale in range(n.bit_length() - 1):
+        for _ in range(5):
+            length = int(rng.integers(1 << scale, min(2 << scale, n + 1)))
+            lo = int(rng.integers(1, n - length + 2))
+            hi = lo + length - 1
+            assert s.range_counts(lo, hi, 0) == heavy(arr, lo, hi, 0), scale
 
 
 @pytest.mark.parametrize("kind", ["candidate", "distinct"])
 def test_fast_matches_slow(kind):
+    """candidate: majorities at tau = 2**-tier on ranges of every scale;
+    distinct: a valid minority there, or None when none exists."""
     rng = random.Random(zlib.crc32(kind.encode()) % 1000)
     for _ in range(60):
         n = rng.randint(1, 48)
-        sigma = rng.choice([1, 2, 4, 6])
-        arr = np.asarray([rng.randint(1, sigma) for _ in range(n)])
+        sigma = min(n, rng.choice([1, 2, 4, 6]))
+        arr = [rng.randint(1, sigma) for _ in range(n)]
+        arr[:sigma] = range(1, sigma + 1)
+        bundle = IndexBundle.from_values(np.asarray(arr))
         tier = rng.randint(0, 3)
-        scale = rng.randint(max(tier, 1), 6)
-        got = fast_bits(kind, arr, tier, scale)
+        scale = rng.randint(0, n.bit_length() - 1)
+        length = rng.randint(1 << scale, min(2 << scale, n + 1) - 1)
+        lo = rng.randint(1, n - length + 1)
+        hi = lo + length - 1
+        tau = 2.0 ** -tier
         if kind == "candidate":
-            want = candidate_flag_bits_slow(arr, tier, scale)
+            assert bundle.query_majorities(lo, hi, tau) == oracle.oracle_majorities(arr, lo, hi, tau)
         else:
-            want = distinct_flag_bits_slow(arr, tier, scale)
-        assert (got == want).all(), (kind, arr.tolist(), tier, scale)
+            want = oracle.oracle_minorities(arr, lo, hi, tau)
+            got = bundle.query_minority(lo, hi, tau)
+            assert got in want if want else got is None
 
 
 @pytest.mark.parametrize("seed", [2, 5])
 @pytest.mark.parametrize("trade", [1, 2, 8])
 @pytest.mark.parametrize("n", [600, 700])
 def test_build_families_matches_slow(n, trade, seed):
-    """Every family the builder emits, above the self-check length."""
+    """Every (tier, scale) class a build once made families for: ranges of
+    each scale at tau = 2**-tier answer like the oracle, at every trade."""
     if n == 600:
         arr = uniform_string(n, 6, seed=trade * 10 + seed)
     else:
         arr = zipf_string(n, 40, skew=1.1, seed=trade * 10 + seed)
-    arr = np.unique(arr, return_inverse=True)[1].astype(np.int64) + 1  # dense, as built
+    ref = arr.tolist()
     sigma = int(arr.max())
-    cfg = IndexConfig(trade=trade)
-    cand, dist = build_families(arr, sigma, cfg)
-    cutoff = cfg.scale_cutoff
-    keys = [(t, b) for t in range((sigma - 1).bit_length() + 1) for b in range(n.bit_length())
-            if cutoff(t) <= b]
-    assert sorted(cand) == [k for k in keys if k[0] >= 1]
-    assert sorted(dist) == (keys if trade > 1 else [])
-    for (t, b), flags in cand.items():
-        want = np.flatnonzero(candidate_flag_bits_slow(arr, t, b)) + 1
-        assert flags.ones_in_range(1, n) == want.tolist(), ("candidate", t, b)
-    for (t, b), flags in dist.items():
-        want = np.flatnonzero(distinct_flag_bits_slow(arr, t, b)) + 1
-        assert flags.ones_in_range(1, n) == want.tolist(), ("distinct", t, b)
+    bundle = IndexBundle.from_values(arr, IndexConfig(trade=trade))
+    rng = random.Random(n * seed + trade)
+    for t in range((sigma - 1).bit_length() + 1):
+        for b in range(n.bit_length()):
+            length = rng.randint(1 << b, min(2 << b, n + 1) - 1)
+            lo = rng.randint(1, n - length + 1)
+            hi = lo + length - 1
+            tau = 2.0 ** -t
+            assert bundle.query_majorities(lo, hi, tau) == oracle.oracle_majorities(ref, lo, hi, tau)
+            want = oracle.oracle_minorities(ref, lo, hi, tau)
+            got = bundle.query_minority(lo, hi, tau)
+            assert got in want if want else got is None, (t, b)
 
 
 @pytest.mark.parametrize("trade", [1, 4])
 def test_candidate_families_nest_by_tier(trade):
-    """Family (t, b) lies inside (t + 1, b) on every scale: the window test
-    needs 2**(b - t) occurrences, which halves as the tier rises.  Mode's
-    rounds share their flag symbols because of this."""
+    """The answers of tier t lie inside those of tier t + 1, with the same
+    counts: each halving round of mode reports a superset of the last."""
     arr = zipf_string(3000, 40, skew=1.1, seed=trade)
-    arr = np.unique(arr, return_inverse=True)[1].astype(np.int64) + 1
-    cand, _ = build_families(arr, int(arr.max()), IndexConfig(trade=trade))
-    pairs = [(t, b) for t, b in cand if (t + 1, b) in cand]
-    assert len(pairs) >= 20
-    for t, b in pairs:
-        inner, outer = cand[(t, b)].to_numpy_bool(), cand[(t + 1, b)].to_numpy_bool()
-        assert not (inner & ~outer).any(), (t, b)
-    assert sum(cand[key].ones for key in pairs) > 1000
+    maj = IndexBundle.from_values(arr, IndexConfig(trade=trade)).majority
+    rng = random.Random(trade)
+    nested = 0
+    for _ in range(200):
+        lo = rng.randint(1, 3000)
+        hi = rng.randint(lo, 3000)
+        answers = [dict(maj.query_majorities(lo, hi, 2.0 ** -t)) for t in range(1, 7)]
+        for inner, outer in zip(answers, answers[1:]):
+            assert inner.items() <= outer.items()
+            nested += bool(inner)
+    assert nested > 300
 
 
 def small_corpus(kind, n):
@@ -177,84 +183,86 @@ def small_corpus(kind, n):
 @pytest.mark.parametrize("trade", [1, 4])
 @pytest.mark.parametrize("n", [100, 131])
 def test_every_majority_has_a_flag_in_range(kind, trade, n):
-    """Every range of every built (t, b) family's scale: each symbol above
-    the threshold of tau = 2**-t, the lowest of the tier, holds a flag of
-    the family inside the range.  Neither n is a multiple of the largest
-    block, so the last block is clipped."""
+    """Every range of every length, at tau = 2**-t for each tier t up to
+    lg sigma: the walk reports exactly the symbols above the threshold,
+    with their counts.  Neither n is a power of two."""
     arr = small_corpus(kind, n)
     sigma = int(arr.max())
-    cand, _ = build_families(arr, sigma, IndexConfig(trade=trade))
-    assert cand
+    seq = IndexBundle.from_values(arr, IndexConfig(trade=trade)).seq
     onehot = np.arange(sigma + 1)[None, :] == arr[:, None]
     prefix = np.vstack([np.zeros(sigma + 1, dtype=np.int64), np.cumsum(onehot, axis=0)])
-    one_block = clipped = 0
-    for (t, b), flags in cand.items():
-        flagged = onehot & flags.to_numpy_bool()[:, None]
-        fprefix = np.vstack([np.zeros(sigma + 1, dtype=np.int64), np.cumsum(flagged, axis=0)])
-        blen = 1 << b
-        for length in range(blen, min(2 * blen, n + 1)):
-            lo = np.arange(1, n - length + 2)
-            hi = lo + length - 1
-            major = prefix[hi] - prefix[lo - 1] > threshold_count(2.0 ** -t, length)
-            held = fprefix[hi] - fprefix[lo - 1] > 0
-            assert not (major & ~held).any(), ((t, b), length)
-            has = major.any(axis=1)
-            one_block += int((has & ((lo - 1) % blen == 0) & (length == blen)).sum())
-            clipped += int((has & (hi > n - n % blen)).sum())
-    assert one_block and clipped
+    found = 0
+    for t in range(1, max(sigma - 1, 1).bit_length() + 1):
+        for lo in range(1, n + 1):
+            counts = prefix[lo:] - prefix[lo - 1]  # row j: the range lo..lo + j
+            for hi in range(lo, n + 1):
+                row = counts[hi - lo]
+                thr = threshold_count(2.0 ** -t, hi - lo + 1)
+                want = {a: int(c) for a, c in enumerate(row) if c > thr}
+                assert seq.range_counts(lo, hi, thr) == want, (t, lo, hi)
+                found += len(want)
+    assert found
 
 
 @pytest.mark.parametrize("trade", [1, 4])
 def test_candidate_families_lie_inside_half_block_ones(trade):
-    """Every boundary of a 2**b block is one of a 2**(b-1) block, so the
-    families flag a subset of what the same test flags on the shorter
-    blocks, and fewer flags in all."""
+    """The nodes the pruned walk ranks lie inside those a walk pruned by
+    node size alone would rank: largest-count pruning never adds a rank1
+    call, and on this corpus it saves some."""
     arr = zipf_string(3000, 40, skew=1.1, seed=trade)
-    arr = np.unique(arr, return_inverse=True)[1].astype(np.int64) + 1
-    cand, _ = build_families(arr, int(arr.max()), IndexConfig(trade=trade))
-    w = ws(arr)
-    new_ones = old_ones = 0
-    for (t, b), flags in cand.items():
-        old = candidate_bits(w.window_counts(1 << (b + 1)), w.block_ranks(b), 1 << (b - t))
-        new = flags.to_numpy_bool()
-        assert not (new & ~old).any(), (t, b)
-        new_ones += int(new.sum())
-        old_ones += int(old.sum())
-    assert new_ones < old_ones
-
-
-@pytest.mark.parametrize("n, checked", [(64, True), (512, True), (513, False)])
-def test_self_check_runs_up_to_512(monkeypatch, n, checked):
-    arr = np.resize(np.arange(1, 5, dtype=np.int64), n)
-    monkeypatch.setattr("rfq.families.distinct_flag_bits_slow",
-                        lambda a, t, b: np.zeros(a.size, dtype=bool))
-    if checked:
-        with pytest.raises(LogicError, match="distinct flags self-check failed"):
-            build_families(arr, 4, IndexConfig(trade=2))
-    else:
-        assert build_families(arr, 4, IndexConfig(trade=2))[1]
+    seq = IndexBundle.from_values(arr, IndexConfig(trade=trade)).seq
+    prefixes = {}
+    for a in range(1, seq.sigma + 1):
+        code = seq.code(a)
+        for d in range(len(code)):
+            prefixes.setdefault(code[:d], []).append(a)
+    nodes = [(np.asarray(s), int(seq.counts[np.asarray(s) - 1].max())) for s in prefixes.values()]
+    rng = random.Random(trade)
+    pruned_total = sized_total = 0
+    for _ in range(200):
+        lo = rng.randint(1, 3000)
+        hi = rng.randint(lo, 3000)
+        thr = threshold_count(2.0 ** -rng.randint(1, 6), hi - lo + 1)
+        counts = np.bincount(arr[lo - 1:hi], minlength=seq.sigma + 1)
+        sized = sum(int(counts[s].sum()) > thr for s, _ in nodes)
+        snap = seq.tally.snapshot()
+        seq.range_counts(lo, hi, thr)
+        ranks = seq.tally.since(snap).ranks
+        assert ranks <= 2 * sized
+        pruned_total += ranks
+        sized_total += 2 * sized
+    assert pruned_total < sized_total
 
 
 def test_short_inputs_get_no_families():
+    # a file holds the header section and the sequence section, nothing else
     arr = np.resize(np.arange(1, 5, dtype=np.int64), 63)
-    assert build_families(arr, 4, IndexConfig(trade=2)) == ({}, {})
+    bundle = IndexBundle.from_values(arr, IndexConfig(trade=2))
+    r = ByteReader(bundle.to_bytes())
+    r.raw(6)  # magic and version
+    r.checked()
+    assert r.checked() == bundle.seq.to_bytes()
+    assert r.done()
 
 
 def test_ones_stay_under_cap():
+    # two rank1 calls per kept internal node, fewer than ceil(1/tau) kept a level
     rng = random.Random(23)
     for _ in range(30):
         n = rng.randint(1, 400)
-        arr = np.asarray([rng.randint(1, 8) for _ in range(n)])
-        tier = rng.randint(0, 3)
-        scale = rng.randint(max(tier, 1), 8)
-        cap = expected_ones_cap(n, tier, scale)
-        assert int(fast_bits("candidate", arr, tier, scale).sum()) <= cap
-        assert int(fast_bits("distinct", arr, tier, scale).sum()) <= cap
+        arr = [rng.randint(1, 8) for _ in range(n)] + list(range(1, 9))
+        maj = IndexBundle.from_values(np.asarray(arr)).majority
+        for _ in range(10):
+            lo = rng.randint(1, len(arr))
+            hi = rng.randint(lo, len(arr))
+            tier = rng.randint(0, 3)
+            maj.query_majorities(lo, hi, 2.0 ** -tier)
+            assert maj.diagnostics.ops.ranks <= 2 * maj.seq.depth * max(2**tier - 1, 0)
 
 
 def test_flags_from_bits():
     bits = np.zeros(100, dtype=bool)
     bits[[0, 17, 99]] = True
-    sv = flags_from_bits(bits)
+    sv = SparseBitVector.from_numpy_bool(bits)
     assert sv.n_bits == 100
     assert sv.ones_in_range(1, 100) == [1, 18, 100]

@@ -31,6 +31,12 @@ def ops_cap(tau: float, trade: int) -> int:
     return 64 * math.ceil(1.0 / tau) * trade * trade
 
 
+def walk_cap(tau: float, depth: int) -> int:
+    """rank1 calls of one pruned walk: two per kept internal node, fewer
+    than ceil(1/tau) kept a level."""
+    return 2 * depth * (math.ceil(1 / tau) - 1)
+
+
 # -- frozen queries --------------------------------------------------------------
 
 
@@ -85,21 +91,24 @@ def test_paths_small_index(canon_idx):
     canon_idx.query_majorities(4, 8, 1.0)
     assert canon_idx.diagnostics.path == "empty"
     canon_idx.query_majorities(1, 11, 0.05)
-    assert canon_idx.diagnostics.path == "listing"
+    assert canon_idx.diagnostics.path == "walk"
     canon_idx.query_majorities(1, 11, 0.5)
-    assert canon_idx.diagnostics.path == "sequential"
+    assert canon_idx.diagnostics.path == "walk"
 
 
 def test_flagged_and_segmented_paths():
+    """Ranges that took the flagged path (trade 1, covered scale) and the
+    segmented scan (trade 4, short input) now take the walk."""
     data = uniform_string(256, 4, seed=3)
     flagged = majority_index(data, IndexConfig(trade=1))
-    flagged.query_majorities(65, 128, 0.5)
-    assert flagged.diagnostics.path == "flagged"
+    assert flagged.query_majorities(65, 128, 0.5) == \
+        oracle.oracle_majorities(data.tolist(), 65, 128, 0.5)
+    assert flagged.diagnostics.path == "walk"
 
     small = uniform_string(40, 4, seed=3)
     seg = majority_index(small, IndexConfig(trade=4))
     seg.query_majorities(1, 40, 0.5)
-    assert seg.diagnostics.path == "segmented"
+    assert seg.diagnostics.path == "walk"
     ref = small.tolist()
     for lo, hi, tau in [(1, 40, 0.5), (3, 30, 0.25), (10, 17, 0.13)]:
         assert seg.query_majorities(lo, hi, tau) == \
@@ -107,7 +116,7 @@ def test_flagged_and_segmented_paths():
 
 
 def test_flagged_path_with_no_set_bits_in_range():
-    # all symbols distinct in the probed window: family exists, zero flags land
+    # all symbols distinct in the probed window: every node is pruned at the top
     data = np.asarray(([1, 2, 3, 4, 5, 6, 7, 8] * 40)[:320])
     idx = majority_index(data, IndexConfig(trade=1))
     got = idx.query_majorities(9, 24, 0.5)
@@ -159,14 +168,14 @@ def test_exact_boundary_exclusion():
     assert idx.query_majorities(1, 4, 0.49) == [(1, 2)]
 
 
-# -- flagged path -------------------------------------------------------------------
+# -- the walk ------------------------------------------------------------------------
 
 
 def far_leftmost_ranges(n):
     """Ranges starting two or four places into an aligned block of half
-    their scale's length, inside a candidate block (2**scale long) that
-    opens with symbol 1 before the range does: symbol 1's first flag in the
-    range is then its last occurrence in that candidate block."""
+    their scale's length, inside a block of 2**scale that opens with
+    symbol 1 before the range does.  These once put a majority's first
+    flag far past its leftmost occurrence in the range."""
     for scale in (12, 13):
         blen = 1 << (scale - 1)
         for start in (blen, 2 * blen):
@@ -179,36 +188,31 @@ def far_leftmost_ranges(n):
 @pytest.mark.parametrize("trade", [1, 4, 16])
 def test_leftmost_far_before_first_flag(trade):
     """A majority whose first in-range occurrence lies more than 1,024 of its
-    own occurrences before its first flagged position in the range."""
+    own occurrences before the rest of its run in the range."""
     rng = np.random.default_rng(12)
     n = 3 << 13
     data = np.where(rng.random(n) < 0.7, 1, rng.integers(2, 6, size=n))
     data[::512] = 1  # every block of 512 or more opens with symbol 1
     maj = majority_index(data, IndexConfig(trade=trade))
     ref = data.tolist()
-    ones = np.cumsum(data == 1)  # ones[k - 1]: occurrences of 1 in 1..k
     for scale, lo, hi in far_leftmost_ranges(n):
         for tau in (0.5, 0.3, 0.26):
             got = maj.query_majorities(lo, hi, tau)
-            assert maj.diagnostics.path == "flagged"
+            assert maj.diagnostics.path == "walk"
             assert got == oracle.oracle_majorities(ref, lo, hi, tau)
             assert got[0][0] == 1
-            flags = maj.candidate_flags[(1 - math.frexp(tau)[1], scale)]
-            first = next(k for k in flags.ones_in_range(lo, hi) if data[k - 1] == 1)
-            assert ones[first - 2] - ones[lo - 2] > 1024  # occurrences in lo..first-1
 
 
 @pytest.mark.parametrize("trade", [1, 4])
 def test_flagged_path_ops_per_candidate(trade):
-    """One access per in-range flag and two ranks per candidate, which count
-    it in the range; no select.  A range meets at most three candidate
-    blocks, each flagging a symbol at most twice, so at most six flags a
-    candidate."""
+    """Every majority query that is not empty is one pruned walk: rank1
+    calls only, two per kept internal node and fewer than ceil(1/tau) kept
+    a level; no access or select, and each kept leaf is an answer."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
-    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
-    maj = bundle.majority
+    maj = IndexBundle.from_values(data, IndexConfig(trade=trade)).majority
+    depth = maj.seq.depth
     rng = random.Random(trade)
-    flagged = 0
+    walked = 0
     for _ in range(400):
         length = min(data.size, int(2 ** rng.uniform(4, math.log2(data.size))))
         lo = rng.randint(1, data.size - length + 1)
@@ -216,23 +220,19 @@ def test_flagged_path_ops_per_candidate(trade):
         tau = rng.choice([0.5, 0.3, 0.1, 0.02, 0.005])
         got = maj.query_majorities(lo, hi, tau)
         d = maj.diagnostics
-        if d.path != "flagged":
-            continue
-        flagged += 1
         counts = np.bincount(data[lo - 1:hi])
         want = [(a, int(c)) for a, c in enumerate(counts) if c > threshold_count(tau, length)]
         assert got == want
-        tier, scale = 1 - math.frexp(tau)[1], length.bit_length() - 1
-        in_range = len(maj.candidate_flags[(tier, scale)].ones_in_range(lo, hi))
-        assert d.ops.accesses <= in_range
-        assert d.ops.accesses <= 6 * d.candidates
-        assert d.ops.selects == 0
-        assert d.ops.sequence_ops == 2 * d.candidates
-    assert flagged >= 100
+        assert d.path == "walk"
+        walked += 1
+        assert d.candidates == len(got)
+        assert d.ops.accesses == d.ops.selects == d.ops.partial_ranks == 0
+        assert d.ops.ranks <= walk_cap(tau, depth)
+    assert walked == 400
 
 
 def test_sequential_path_is_one_pruned_split_walk():
-    """Short uncovered trade-1 ranges: two ranks per kept node, fewer than
+    """Short trade-1 ranges: two ranks per kept node, fewer than
     ceil(1/tau) kept nodes a level, and no access or select."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
     maj = IndexBundle.from_values(data, IndexConfig(trade=1)).majority
@@ -246,7 +246,7 @@ def test_sequential_path_is_one_pruned_split_walk():
         hi = lo + length - 1
         got = maj.query_majorities(lo, hi, tau)
         d = maj.diagnostics
-        if d.path != "sequential":
+        if d.path != "walk":
             continue
         seen += 1
         counts = np.bincount(data[lo - 1:hi])
@@ -254,8 +254,56 @@ def test_sequential_path_is_one_pruned_split_walk():
         assert got == want
         assert d.candidates == len(got)
         assert d.ops.accesses == d.ops.selects == d.ops.partial_ranks == 0
-        assert d.ops.ranks <= 2 * depth * (math.ceil(1 / tau) - 1)
+        assert d.ops.ranks <= walk_cap(tau, depth)
     assert seen >= 100
+
+
+def trie_nodes(seq):
+    """The internal code-trie nodes, numbered: per (node, symbol below it)
+    pair, the node's number and the symbol, and per node the largest
+    whole-sequence count among its symbols."""
+    ids, node_of, sym_of = {}, [], []
+    for a in range(1, seq.sigma + 1):
+        code = seq.code(a)
+        for d in range(len(code)):
+            node_of.append(ids.setdefault(code[:d], len(ids)))
+            sym_of.append(a)
+    node_of, sym_of = np.asarray(node_of), np.asarray(sym_of)
+    top = np.zeros(len(ids), dtype=np.int64)
+    np.maximum.at(top, node_of, seq.counts[sym_of - 1])
+    return node_of, sym_of, top
+
+
+def test_max_count_pruning_cuts_rank_calls():
+    """On a near-unique input (sigma 65,536) no symbol clears a majority
+    threshold, and the walk skips every node whose symbols all occur at
+    most thr times in the whole sequence.  It makes exactly two rank1
+    calls per internal node that holds more than thr of the range's
+    positions and has a symbol occurring more than thr times in all,
+    far fewer than the walk pruned by node size alone."""
+    rng = np.random.default_rng(65536)
+    sigma = 1 << 16
+    data = np.concatenate((np.arange(1, sigma + 1), rng.integers(1, sigma + 1, size=sigma // 2)))
+    rng.shuffle(data)
+    maj = majority_index(data, IndexConfig())
+    node_of, sym_of, top = trie_nodes(maj.seq)
+    pruned_total = unpruned_total = 0
+    for _ in range(40):
+        length = int(2 ** rng.uniform(8, 16))
+        lo = int(rng.integers(1, data.size - length + 2))
+        hi = lo + length - 1
+        tau = float(2.0 ** -rng.integers(1, 9))
+        thr = threshold_count(tau, length)
+        assert maj.query_majorities(lo, hi, tau) == [
+            (a, int(c)) for a, c in enumerate(np.bincount(data[lo - 1:hi])) if c > thr]
+        in_range = np.bincount(data[lo - 1:hi], minlength=sigma + 1)
+        size = np.bincount(node_of, weights=in_range[sym_of], minlength=top.size)
+        unpruned = int((size > thr).sum())
+        pruned = int(((size > thr) & (top > thr)).sum())
+        assert maj.diagnostics.ops.ranks == 2 * pruned
+        pruned_total += 2 * pruned
+        unpruned_total += 2 * unpruned
+    assert pruned_total * 2 < unpruned_total, (pruned_total, unpruned_total)
 
 
 # -- mode ---------------------------------------------------------------------------
@@ -293,33 +341,24 @@ def test_mode_random_vs_oracle():
 
 @pytest.mark.parametrize("trade", [1, 4])
 def test_mode_rounds_share_flag_work(trade):
-    """When every halving round takes the flagged path, the mode query
-    accesses each flag of the last round's family at most once and ranks
-    each symbol found there at most twice: the earlier rounds' flags are a
-    subset of the last round's."""
+    """Mode's halving rounds are walks: no access or select, and round s
+    makes at most walk_cap(2**-s) rank1 calls, so the whole query stays
+    within the sum over its rounds."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
     maj = IndexBundle.from_values(data, IndexConfig(trade=trade)).majority
+    depth = maj.seq.depth
     rng = random.Random(trade)
-    checked = 0
     for _ in range(200):
         length = min(data.size, int(2 ** rng.uniform(6, math.log2(data.size))))
         lo = rng.randint(1, data.size - length + 1)
         hi = lo + length - 1
         got = maj.query_mode(lo, hi)
         d = maj.diagnostics
-        scale = length.bit_length() - 1
-        rounds = range(1, d.iterations + 1)
-        if not all(threshold_count(2.0 ** -s, length) < length and 2.0 ** -s >= 1 / 256
-                   and (s, scale) in maj.candidate_flags for s in rounds):
-            continue
-        checked += 1
         counts = np.bincount(data[lo - 1:hi])
         assert got == (int(counts.argmax()), int(counts.max()))
-        flags = maj.candidate_flags[(d.iterations, scale)].ones_in_range(lo, hi)
-        assert d.ops.accesses <= len(flags)
-        assert d.ops.ranks <= 2 * len({int(data[k - 1]) for k in flags})
-        assert d.ops.selects == 0
-    assert checked >= 150
+        assert d.iterations <= iter_bound(length, got[1])
+        assert d.ops.accesses == d.ops.selects == 0
+        assert d.ops.ranks <= sum(walk_cap(2.0 ** -s, depth) for s in range(1, d.iterations + 1))
 
 
 # -- diagnostics -----------------------------------------------------------------------

@@ -28,8 +28,15 @@ def canon_min():
 
 @pytest.fixture(scope="module")
 def canon_g2():
-    # below the family floor, so g = 2 serves every range by the scan
+    # trade is inert: this index answers like canon_min
     return minority_index(CANON, IndexConfig(trade=2))
+
+
+def walk_cap(tau: float, depth: int) -> int:
+    """rank1 calls of one minority walk: two per expanded heavy node, fewer
+    than ceil(1/tau) a level, plus two a level on the way down to the
+    witness."""
+    return 2 * depth * math.ceil(1 / tau)
 
 
 def test_frozen(canon_min):
@@ -69,41 +76,46 @@ def test_validation(canon_min):
 
 
 def test_small_index_has_no_families(canon_g2):
-    # 11 positions is below the family floor; g > 1 falls back to scanning
-    assert canon_g2.distinct_flags == {}
+    # the index is the sequence alone at every trade, however short the input
     canon_g2.query_minority(4, 8, 0.5)
-    assert canon_g2.diagnostics.path == "sequential"
+    assert canon_g2.diagnostics.path == "walk"
+    assert not hasattr(canon_g2, "distinct_flags")
 
 
 def test_flagged_path_serves_tier_zero():
-    # tau = 1.0 maps to tier 0, which only the minority side keeps
+    # tau = 1.0 makes every present symbol a minority: the walk goes
+    # straight down from the root, two rank1 calls a level
     data = uniform_string(256, 4, seed=3)
     idx = minority_index(data, IndexConfig(trade=2))
-    assert (0, 6) in idx.distinct_flags
     got = idx.query_minority(65, 128, 1.0)
-    assert idx.diagnostics.path == "flagged"
+    assert idx.diagnostics.path == "walk"
     assert got in oracle.oracle_minorities(data.tolist(), 65, 128, 1.0)
+    assert idx.diagnostics.ops.ranks <= 2 * idx.seq.depth
 
 
-@pytest.mark.parametrize("trade, lo, hi, tau, path", [
-    (1, 65, 128, 0.5, "listing"),  # g = 1 always lists
-    (2, 65, 128, 0.5, "flagged"),  # family (1, 6) covers the range
-    (2, 10, 17, 0.5, "sequential"),  # scale 3 is below the tier-1 cutoff
+@pytest.mark.parametrize("trade, lo, hi, tau, old_path", [
+    (1, 65, 128, 0.5, "listing"),  # g = 1 always listed
+    (2, 65, 128, 0.5, "flagged"),  # family (1, 6) covered the range
+    (2, 10, 17, 0.5, "sequential"),  # scale 3 was below the tier-1 cutoff
     (2, 65, 128, 0.2, "listing"),  # tau < 1/sigma
 ])
-def test_dispatch_path_per_config(trade, lo, hi, tau, path):
+def test_dispatch_path_per_config(trade, lo, hi, tau, old_path):
+    """Every config and range that took old_path now takes the walk."""
     data = uniform_string(256, 4, seed=3)
     bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
     got = bundle.query_minority(lo, hi, tau)
-    assert bundle.minority.diagnostics.path == path
+    assert bundle.minority.diagnostics.path == "walk"
     want = oracle.oracle_minorities(data.tolist(), lo, hi, tau)
     assert got in want if want else got is None
 
 
 def test_distinct_families_only_above_trade_one():
+    # no trade builds families: the files differ only in the trade echo
     data = uniform_string(256, 4, seed=3)
-    assert IndexBundle.from_values(data, IndexConfig(trade=1)).minority.distinct_flags == {}
-    assert IndexBundle.from_values(data, IndexConfig(trade=2)).minority.distinct_flags
+    one = IndexBundle.from_values(data, IndexConfig(trade=1))
+    two = IndexBundle.from_values(data, IndexConfig(trade=2))
+    assert one.size_report() == two.size_report()
+    assert one.seq.to_bytes() == two.seq.to_bytes()
 
 
 @pytest.mark.parametrize("cfg, seed", [
@@ -142,12 +154,13 @@ def test_random_vs_oracle(cfg, seed):
 
 
 def test_listing_path_ops_per_candidate():
-    """At trade 1 a minority query lists candidates and counts each from its
-    leftmost occurrence with one rank; no select."""
+    """A minority query is one walk: rank1 calls only, within walk_cap,
+    and the witness's count is exact."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
     mino = IndexBundle.from_values(data, IndexConfig(trade=1)).minority
+    depth = mino.seq.depth
     rng = random.Random(1)
-    listed = 0
+    walked = 0
     for _ in range(400):
         length = min(data.size, int(2 ** rng.uniform(4, math.log2(data.size))))
         lo = rng.randint(1, data.size - length + 1)
@@ -161,12 +174,12 @@ def test_listing_path_ops_per_candidate():
             assert not ((counts >= 1) & (counts <= thr)).any()
         else:
             assert 1 <= counts[got[0]] == got[1] <= thr
-        if d.path != "listing":
+        if d.path != "walk":
             continue
-        listed += 1
-        assert d.ops.selects == 0
-        assert d.ops.ranks <= d.candidates
-    assert listed >= 300
+        walked += 1
+        assert d.ops.accesses == d.ops.selects == d.ops.partial_ranks == 0
+        assert d.ops.ranks <= walk_cap(tau, depth)
+    assert walked >= 300
 
 
 def test_boundary_exact_count_is_minority():

@@ -4,17 +4,18 @@ import math
 import random
 import struct
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
 from rfq import BitVector, IndexConfig, SparseBitVector, oracle
+from rfq.cli import main as cli_main
 from rfq.corpus import zipf_string
 from rfq.errors import ConfigError, DomainError, FormatError
-from rfq.families import FlagWorkspace, candidate_bits
 from rfq.indexfile import IndexBundle
 from rfq.sequence import WaveletSequence
-from rfq.serial import ByteReader, ByteWriter
+from rfq.serial import FORMAT_VERSION, MAGIC_INDEX, ByteReader, ByteWriter
 
 
 # -- writer/reader primitives -------------------------------------------------------
@@ -149,6 +150,84 @@ def test_mode_tie_breaks_to_lexicographic_smallest_token():
     assert bundle.query_mode(1, 4) == ("a", 2)
 
 
+# -- the v7 file: two checked sections ------------------------------------------------
+
+
+def sections(blob: bytes) -> tuple[bytes, bytes]:
+    """A bundle file's two checked payloads: the header (config echo and
+    remap table) and the sequence."""
+    r = ByteReader(blob)
+    r.raw(len(MAGIC_INDEX) + 2)  # magic and version
+    return r.checked(), r.checked()
+
+
+def sealed(head: bytes, seq: bytes) -> bytes:
+    """A version-7 file around these payloads, each with its own CRC32, so
+    that the loader's structural checks are what a test reaches."""
+    w = ByteWriter()
+    w.raw(MAGIC_INDEX)
+    w.u16(FORMAT_VERSION)
+    w.checked(head)
+    w.checked(seq)
+    return w.getvalue()
+
+
+def level_parts(seq_payload: bytes, depth: int, table_len: int):
+    """A sequence payload split into its prefix (n, sigma, compressed flag
+    and code lengths), its level header as [kind, bit length, ones or None]
+    records, and its word stream."""
+    r = ByteReader(seq_payload)
+    r.raw(13 + table_len)
+    records = []
+    for _ in range(depth):
+        kind, n_bits = r.u8(), r.u64()
+        records.append([kind, n_bits, r.u64() if kind else None])
+    return seq_payload[:13 + table_len], records, seq_payload[r.pos:]
+
+
+def joined(prefix: bytes, records, stream: bytes) -> bytes:
+    w = ByteWriter()
+    w.raw(prefix)
+    for kind, n_bits, ones in records:
+        w.u8(kind)
+        w.u64(n_bits)
+        if ones is not None:
+            w.u64(ones)
+    w.raw(stream)
+    return w.getvalue()
+
+
+def table_len(seq) -> int:
+    """Bytes of a sequence's code-length table: one a symbol, or packed."""
+    if seq.compressed:
+        return 1 + (seq.sigma * seq.depth.bit_length() + 7) // 8
+    return seq.sigma
+
+
+def record_words(kind, n_bits, ones) -> list[int]:
+    """Word counts of one level's parts in the stream, in stream order."""
+    if kind:
+        return list(SparseBitVector.word_counts(n_bits, ones))
+    return [(n_bits + 63) // 64]
+
+
+def edited_levels(bundle, edit) -> bytes:
+    """The bundle's file with edit(records, stream) -> (records, stream)
+    applied to its level header and word stream, resealed."""
+    head, body = sections(bundle.to_bytes())
+    prefix, records, stream = level_parts(body, bundle.seq.depth, table_len(bundle.seq))
+    records, stream = edit(records, stream)
+    return sealed(head, joined(prefix, records, stream))
+
+
+_HEAD_AT = 6 + 8  # the header payload, past magic, version and its length
+
+
+def sequence_at(blob: bytes) -> int:
+    """Where a bundle file's sequence payload starts."""
+    return len(blob) - 4 - len(sections(blob)[1])
+
+
 def test_format_errors():
     data = zipf_string(100, 5, seed=1)
     bundle = IndexBundle.from_values(data, IndexConfig())
@@ -165,37 +244,38 @@ def test_format_errors():
         IndexBundle.from_bytes(blob[:-3])  # truncated
 
     # the sequence section is n (u64), sigma (u32), compressed (u8), one
-    # code-length byte per symbol, then one bitvector blob per level
+    # code-length byte per symbol, the level header and the word stream
+    head, body = sections(blob)
     seq = bundle.seq
-    seq_bytes = seq.to_bytes()
-    at = blob.index(seq_bytes)
-    rest = blob[at + len(seq_bytes):]
     n, sigma = seq.n, seq.sigma
-    with pytest.raises(FormatError):  # sigma = n + 1
-        IndexBundle.from_bytes(blob[:at + 8] + struct.pack("<I", n + 1) + blob[at + 12:])
+    with pytest.raises(FormatError, match="alphabet size"):  # sigma = n + 1
+        IndexBundle.from_bytes(sealed(head, body[:8] + struct.pack("<I", n + 1) + body[12:]))
     # all-zero levels of the right sizes (the first one bit short, then
     # whole), which send every position to the first leaf
     lens = [len(seq.code(a)) for a in range(1, sigma + 1)]
     held = [sum(int(c) for c, ln in zip(seq.counts, lens) if ln > lvl) for lvl in range(seq.depth)]
     for first_len in (n - 1, n):
+        sizes = [first_len] + held[1:]
         w = ByteWriter()
         w.u64(n)
         w.u32(sigma)
         w.u8(0)
         w.raw(bytes(lens))
-        w.blob(BitVector.from_bits([0] * first_len).to_bytes())
-        for size in held[1:]:
-            w.blob(BitVector.from_bits([0] * size).to_bytes())
+        for size in sizes:
+            w.u8(0)
+            w.u64(size)
+        for size in sizes:
+            w.words(BitVector.from_bits([0] * size).words, counted=False)
         with pytest.raises(FormatError):
-            IndexBundle.from_bytes(blob[:at] + w.getvalue() + rest)
+            IndexBundle.from_bytes(sealed(head, w.getvalue()))
 
 
 def sequence_parts(compressed=False):
     """A sequence's bytes split into its fixed header (n, sigma, compressed),
-    its code-length table and its levels."""
+    its code-length table and its levels (level header and word stream)."""
     seq = WaveletSequence.build(zipf_string(400, 12, skew=1.2, seed=4), compressed=compressed)
     blob = seq.to_bytes()
-    end = 13 + (1 + (seq.sigma * seq.depth.bit_length() + 7) // 8 if compressed else seq.sigma)
+    end = 13 + table_len(seq)
     return blob[:13], blob[13:end], blob[end:], seq
 
 
@@ -252,11 +332,12 @@ def test_truncated_code_lengths_rejected():
 def test_hostile_code_lengths_in_a_bundle():
     bundle = IndexBundle.from_values(zipf_string(400, 12, skew=1.2, seed=4), IndexConfig())
     blob = bundle.to_bytes()
-    at = blob.index(bundle.seq.to_bytes()) + 13
-    lens = bytearray(blob[at:at + bundle.seq.sigma])
-    lens[0] = 0
-    with pytest.raises(FormatError, match="code length 0"):
-        IndexBundle.from_bytes(blob[:at] + bytes(lens) + blob[at + len(lens):])
+    at = sequence_at(blob) + 13  # the first symbol's code length
+    with pytest.raises(FormatError, match="checksum"):  # damaged in place
+        IndexBundle.from_bytes(blob[:at] + b"\x00" + blob[at + 1:])
+    head, body = sections(blob)
+    with pytest.raises(FormatError, match="code length 0"):  # crafted, with a fresh CRC
+        IndexBundle.from_bytes(sealed(head, body[:13] + b"\x00" + body[14:]))
 
 
 def test_packed_code_lengths_checked():
@@ -273,9 +354,9 @@ def test_packed_code_lengths_checked():
         WaveletSequence.read_from(ByteReader(head + bytes(packed)))
 
 
-# the header after magic and version: trade (u32), compressed code (u8),
-# then the remap kind (u8) and its table
-_TRADE_AT, _COMPRESSED_AT, _REMAP_AT = 6, 10, 11
+# the header section's payload: trade (u32), compressed code (u8), then the
+# remap kind (u8) and its table
+_TRADE_AT, _COMPRESSED_AT, _REMAP_AT = 0, 4, 5
 
 
 @pytest.mark.parametrize("at,value", [
@@ -285,32 +366,59 @@ _TRADE_AT, _COMPRESSED_AT, _REMAP_AT = 6, 10, 11
 def test_corrupt_header_fields(at, value):
     blob = IndexBundle.from_values(zipf_string(100, 5, seed=1),
                                    IndexConfig()).to_bytes()
-    with pytest.raises(FormatError, match="corrupt index header"):
-        IndexBundle.from_bytes(blob[:at] + value + blob[at + len(value):])
+    with pytest.raises(FormatError, match="checksum"):  # damaged in place
+        IndexBundle.from_bytes(blob[:_HEAD_AT + at] + value + blob[_HEAD_AT + at + len(value):])
+    head, body = sections(blob)
+    with pytest.raises(FormatError, match="corrupt index header"):  # crafted
+        IndexBundle.from_bytes(sealed(head[:at] + value + head[at + len(value):], body))
+
+
+# A version-6 file, as the version-6 writer left it for
+# IndexBundle.from_values([1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]): the header
+# fields unchecked, then the sequence section, whose levels are
+# self-describing bitvector blobs, and empty listing and family sections.
+V6_CANON = bytes.fromhex(
+    "5246514906000100000000000b00000000000000050000000001030303031f00"
+    "000000000000524651420600000b000000000000000100000000000000560300"
+    "00000000001f0000000000000052465142060000060000000000000001000000"
+    "000000002a000000000000001f00000000000000524651420600000600000000"
+    "000000010000000000000012000000000000000b000000000000000100000000"
+    "000000"
+)
+_V6_SEQ_AT, _V6_SIGMA = 12, 5  # after magic, version, trade, compressed, remap kind
+
+
+def test_version_6_file_rejected(tmp_path, capsys):
+    with pytest.raises(FormatError, match="unsupported format version 6"):
+        IndexBundle.from_bytes(V6_CANON)
+    path = tmp_path / "v6.rfq"
+    path.write_bytes(V6_CANON)
+    assert cli_main(["query", str(path), "mode", "1", "11"]) == 3
+    assert "unsupported format version 6" in capsys.readouterr().err
 
 
 def test_version_2_file_rejected():
-    blob = IndexBundle.from_values(zipf_string(100, 5, seed=1),
-                                   IndexConfig()).to_bytes()
-    v2 = blob[:4] + struct.pack("<H", 2) + blob[6:]
+    v2 = V6_CANON[:4] + struct.pack("<H", 2) + V6_CANON[6:]
     with pytest.raises(FormatError, match="unsupported format version 2"):
         IndexBundle.from_bytes(v2)
 
 
-def as_version_5(bundle: IndexBundle) -> bytes:
-    """A bundle's file under the layout version 5 wrote: every version
+def as_version_5(blob: bytes) -> bytes:
+    """A version-6 file under the layout version 5 wrote: every version
     field 5, and no code-length table in the sequence section."""
-    blob = bundle.to_bytes()
-    at = blob.index(bundle.seq.to_bytes()) + 13  # past n, sigma and compressed
-    v5 = (blob[:at] + blob[at + bundle.seq.sigma:]).replace(b"RFQB\x06\x00", b"RFQB\x05\x00")
+    at = _V6_SEQ_AT + 13  # past n, sigma and compressed
+    v5 = (blob[:at] + blob[at + _V6_SIGMA:]).replace(b"RFQB\x06\x00", b"RFQB\x05\x00")
     return b"RFQI\x05\x00" + v5[6:]
+
+
+_V6_COMPRESSED_AT = 10
 
 
 def as_version_4(blob: bytes) -> bytes:
     """A version-5 file under the header version 4 wrote: every version
     field 4, and chunk_len (u32) after trade."""
     v4 = blob.replace(b"RFQB\x05\x00", b"RFQB\x04\x00")
-    return b"RFQI\x04\x00" + v4[6:_COMPRESSED_AT] + struct.pack("<I", 1024) + v4[_COMPRESSED_AT:]
+    return b"RFQI\x04\x00" + v4[6:_V6_COMPRESSED_AT] + struct.pack("<I", 1024) + v4[_V6_COMPRESSED_AT:]
 
 
 def as_version_3(blob: bytes) -> bytes:
@@ -318,26 +426,23 @@ def as_version_3(blob: bytes) -> bytes:
     header with every version field 3, and family_min_n (u32) and a
     build-check code (u8) after compressed."""
     v3 = as_version_4(blob).replace(b"RFQB\x04\x00", b"RFQB\x03\x00")
-    at = _COMPRESSED_AT + 4 + 1  # past chunk_len and compressed
+    at = _V6_COMPRESSED_AT + 4 + 1  # past chunk_len and compressed
     return b"RFQI\x03\x00" + v3[6:at] + struct.pack("<IB", 64, 0) + v3[at:]
 
 
 def test_version_3_file_rejected():
-    bundle = IndexBundle.from_values(zipf_string(100, 5, seed=1), IndexConfig())
     with pytest.raises(FormatError, match="unsupported format version 3"):
-        IndexBundle.from_bytes(as_version_3(as_version_5(bundle)))
+        IndexBundle.from_bytes(as_version_3(as_version_5(V6_CANON)))
 
 
 def test_version_4_file_rejected():
-    bundle = IndexBundle.from_values(zipf_string(100, 5, seed=1), IndexConfig())
     with pytest.raises(FormatError, match="unsupported format version 4"):
-        IndexBundle.from_bytes(as_version_4(as_version_5(bundle)))
+        IndexBundle.from_bytes(as_version_4(as_version_5(V6_CANON)))
 
 
 def test_version_5_file_rejected():
-    bundle = IndexBundle.from_values(zipf_string(100, 5, seed=1), IndexConfig())
     with pytest.raises(FormatError, match="unsupported format version 5"):
-        IndexBundle.from_bytes(as_version_5(bundle))
+        IndexBundle.from_bytes(as_version_5(V6_CANON))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -358,29 +463,22 @@ def test_largest_u32_config_round_trips():
     assert_same_answers(bundle, back, queries_for(300, random.Random(4), count=10))
 
 
-def remap_split(bundle):
-    """A bundle's bytes before and after its remap table, which runs from
-    just past the remap kind up to the sequence section."""
-    blob = bundle.to_bytes()
-    return blob[:_REMAP_AT + 1], blob[blob.index(bundle.seq.to_bytes()):]
-
-
 def token_table(raw: bytes) -> bytes:
     bundle = IndexBundle.from_tokens("the cat sat on the mat the end".split(),
                                      IndexConfig())
-    head, tail = remap_split(bundle)
+    head, body = sections(bundle.to_bytes())
     w = ByteWriter()
     w.blob(raw)
-    return head + w.getvalue() + tail
+    return sealed(head[:_REMAP_AT + 1] + w.getvalue(), body)
 
 
 def int_table(values) -> bytes:
     bundle = IndexBundle.from_values(np.asarray([1000, -5, 1000, 7, -5, 1000, 7]),
                                      IndexConfig())
-    head, tail = remap_split(bundle)
+    head, body = sections(bundle.to_bytes())
     w = ByteWriter()
     w.words([v & 0xFFFFFFFFFFFFFFFF for v in values])
-    return head + w.getvalue() + tail
+    return sealed(head[:_REMAP_AT + 1] + w.getvalue(), body)
 
 
 @pytest.mark.parametrize("blob,message", [
@@ -397,170 +495,171 @@ def test_corrupt_remap_table(blob, message):
         IndexBundle.from_bytes(blob())
 
 
-def listing_section(trade, data=None):
-    """A bundle's bytes, split around its listing section: n (u64), block
-    (u32), then for block > 1 the block minima as a u32 array."""
-    if data is None:
-        data = zipf_string(100, 5, seed=1)
-    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
-    blob = bundle.to_bytes()
-    at = blob.index(bundle.seq.to_bytes()) + len(bundle.seq.to_bytes())
-    w = ByteWriter()
-    bundle.majority.listing.write_to(w)
-    end = at + len(w.getvalue())
-    return blob[:at], blob[at:end], blob[end:], bundle
+# -- the level header and the word stream ---------------------------------------------
+#
+# Version 7 dropped the listing and flag-family sections, whose load checks
+# the tests below were first written for.  Each keeps its name and checks
+# the level-header or section check that now guards the same kind of
+# damage: a wrong size, a missing or extra word, a hostile length, an
+# out-of-range field or a changed payload.
+
+
+def level_bundle(compressed=False):
+    # compressed, the input is skewed enough that the top level is sparse
+    return IndexBundle.from_values(zipf_string(3000, 40, skew=3.0 if compressed else 1.1, seed=3),
+                                   IndexConfig(compressed=compressed))
 
 
 def test_listing_block_zero_rejected():
-    head, listing, tail, _ = listing_section(1)
-    bad = listing[:8] + struct.pack("<I", 0) + listing[12:]
-    with pytest.raises(FormatError, match="block size is 0"):
-        IndexBundle.from_bytes(head + bad + tail)
+    # a level below the top one declared empty, though internal nodes sit there
+    def edit(records, stream):
+        records[1][1] = 0
+        return records, stream
+    with pytest.raises(FormatError, match=r"level 1 holds 0 bits, outside \[[1-9]"):
+        IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
 
 
 def test_listing_length_must_match_sequence():
-    head, listing, tail, bundle = listing_section(1)
-    bad = struct.pack("<Q", bundle.seq.n - 1) + listing[8:]
-    with pytest.raises(FormatError, match="listing covers 99 positions"):
-        IndexBundle.from_bytes(head + bad + tail)
+    def edit(records, stream):
+        records[0][1] -= 1
+        return records, stream
+    with pytest.raises(FormatError, match="level 0 holds 2999 bits, expected 3000"):
+        IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
 
 
 def test_listing_block_minima_count_checked():
-    head, listing, tail, bundle = listing_section(4)
-    minima = bundle.majority.listing.cprime
-    assert minima.size == 25
-    w = ByteWriter()
-    w.u64(bundle.seq.n)
-    w.u32(4)
-    w.np_u32(minima[:-1])  # one block minimum short
-    with pytest.raises(FormatError, match="24 block minima, expected 25"):
-        IndexBundle.from_bytes(head + w.getvalue() + tail)
+    # the stream must hold exactly the words the level header implies
+    for cut in (lambda s: s[:-8], lambda s: s + bytes(8)):
+        blob = edited_levels(level_bundle(), lambda records, stream: (records, cut(stream)))
+        with pytest.raises(FormatError, match="truncated|trailing bytes after the sequence"):
+            IndexBundle.from_bytes(blob)
 
 
 def test_listing_block_minima_values_checked():
-    # minima too large let the recursion skip blocks that hold answers
+    """The stored block minima were what caught a damaged sequence at
+    trade > 1; the sequence section's CRC32 catches it now, at any trade."""
     data = zipf_string(2000, 50, seed=3)
-    head, _, tail, bundle = listing_section(4, data)
-    w = ByteWriter()
-    w.u64(bundle.seq.n)
-    w.u32(4)
-    w.np_u32(np.full(500, 2000))
-    with pytest.raises(FormatError, match="block minima disagree"):
-        IndexBundle.from_bytes(head + w.getvalue() + tail)
+    for trade in (1, 4):
+        blob = IndexBundle.from_values(data, IndexConfig(trade=trade)).to_bytes()
+        head, body = sections(blob)
+        at = len(blob) - 4 - len(body) // 2  # a word in the middle of the stream
+        bad = blob[:at] + bytes(8) + blob[at + 8:]
+        with pytest.raises(FormatError, match="section checksum mismatch"):
+            IndexBundle.from_bytes(bad)
 
 
 def test_listing_block_must_match_trade():
-    # a block far past n declares one block; its minima used to be taken
-    # over a padded copy of 2**32 - 1 cells (16 GiB)
-    head, _, tail, bundle = listing_section(2, zipf_string(2999, 40, seed=3))
-    w = ByteWriter()
-    w.u64(bundle.seq.n)
-    w.u32(2**32 - 1)
-    w.np_u32(np.zeros(1, dtype=np.uint32))  # the true minimum of its one block
+    # a level declaring 2**64 - 1 bits (and n as large, so the sizes agree)
+    # is refused before a word is allocated
+    bundle = level_bundle()
+    head, body = sections(bundle.to_bytes())
+    huge = struct.pack("<Q", 2**64 - 1)
+    prefix, records, stream = level_parts(body, bundle.seq.depth, table_len(bundle.seq))
+    prefix = huge + prefix[8:]
+    records[0][1] = 2**64 - 1
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match="block size 4294967295 differs from trade 2"):
-            IndexBundle.from_bytes(head + w.getvalue() + tail)
+        with pytest.raises(FormatError, match="truncated"):
+            IndexBundle.from_bytes(sealed(head, joined(prefix, records, stream)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20, peak
 
 
-def family_bundle():
-    """A trade-2 bundle with candidate and distinct families."""
-    return IndexBundle.from_values(zipf_string(3000, 40, skew=1.1, seed=3), IndexConfig(trade=2))
-
-
-def truncated(flags, n_bits):
-    return SparseBitVector.from_ones(flags.ones_in_range(1, n_bits), n_bits)
-
-
 @pytest.mark.parametrize("side", ["candidate", "distinct"])
 def test_family_length_must_match_sequence(side):
-    # families cut to n/2 bits used to load, then answer wrongly or raise
-    # a raw RangeError from rank past their end
-    bundle = family_bundle()
-    families = {"candidate": bundle.majority.candidate_flags,
-                "distinct": bundle.minority.distinct_flags}[side]
-    for key, flags in families.items():
-        families[key] = truncated(flags, 1500)
-    with pytest.raises(FormatError, match="covers 1500 positions, sequence 3000"):
-        IndexBundle.from_bytes(bundle.to_bytes())
+    """candidate: a level holding more bits than the level above it;
+    distinct: levels of the sizes the code lengths promise whose bits do
+    not split into those leaves."""
+    if side == "candidate":
+        def edit(records, stream):
+            records[2][1] = records[1][1] + 1
+            return records, stream
+        with pytest.raises(FormatError, match="level 2 holds"):
+            IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
+    else:
+        def edit(records, stream):
+            return records, bytes(len(stream))  # every bit zero
+        with pytest.raises(FormatError, match="does not fit its code lengths"):
+            IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
 
 
 @pytest.mark.parametrize("side", ["majority", "minority"])
 def test_family_keys_must_rise(side):
-    bundle = family_bundle()
-    index = getattr(bundle, side)
-    keys = index.family_keys()
-    index.family_keys = lambda: keys[1:] + keys[:1]  # write one key out of order
-    with pytest.raises(FormatError, match="does not follow"):
-        IndexBundle.from_bytes(bundle.to_bytes())
+    """Each section must end where its payload ends: majority, the header
+    section with a byte after the remap table; minority, the sequence
+    section with a byte after the word stream."""
+    head, body = sections(level_bundle().to_bytes())
+    if side == "majority":
+        blob, message = sealed(head + b"\x00", body), "after the remap table"
+    else:
+        blob, message = sealed(head, body + b"\x00"), "after the sequence"
+    with pytest.raises(FormatError, match=message):
+        IndexBundle.from_bytes(blob)
 
 
 @pytest.mark.parametrize("side", ["majority", "minority"])
 @pytest.mark.parametrize("grow", [(1, 0), (0, 1)], ids=["tier", "scale"])
 def test_family_key_within_bounds(side, grow):
-    bundle = family_bundle()
-    # sigma 40 gives tiers up to 6, n = 3000 scales up to 11
-    key = (6 + grow[0], 11 + grow[1])
-    if side == "majority":
-        bundle.majority.candidate_flags[key] = bundle.majority.candidate_flags[(1, 11)]
+    """Level kinds: plain (majority) sequences hold plain levels only, and
+    compressed (minority) ones plain or sparse levels; a kind past the
+    bound (tier) is refused, and so is a compressed flag the header does
+    not echo (scale)."""
+    compressed = side == "minority"
+    bundle = level_bundle(compressed)
+    if grow == (1, 0):
+        def edit(records, stream):
+            records[0][0] = 1 + compressed
+            records[0][2] = 0
+            return records, stream
+        with pytest.raises(FormatError, match="level 0 has kind"):
+            IndexBundle.from_bytes(edited_levels(bundle, edit))
     else:
-        bundle.minority.distinct_flags[key] = bundle.minority.distinct_flags[(0, 11)]
-    with pytest.raises(FormatError, match=rf"family key \({key[0]}, {key[1]}\) outside"):
-        IndexBundle.from_bytes(bundle.to_bytes())
-
-
-def all_ones(n):
-    return SparseBitVector.from_ones(range(1, n + 1), n)
+        head, body = sections(bundle.to_bytes())
+        flipped = head[:_COMPRESSED_AT] + bytes([not compressed]) + head[_COMPRESSED_AT + 1:]
+        with pytest.raises(FormatError, match="disagree on the compressed flag"):
+            IndexBundle.from_bytes(sealed(flipped, body))
 
 
 @pytest.mark.parametrize("side", ["candidate", "distinct"])
 def test_family_denser_than_possible_rejected(side):
-    # an all-ones family used to load and make every query of its key walk
-    # all n flags; at scale 11 over 3000 positions at most 160 can be set
-    bundle = family_bundle()
-    families = {"candidate": bundle.majority.candidate_flags,
-                "distinct": bundle.minority.distinct_flags}[side]
-    families[(1, 11)] = all_ones(3000)
-    with pytest.raises(FormatError, match=r"family \(1, 11\) holds 3000 flags, at most 160"):
-        IndexBundle.from_bytes(bundle.to_bytes())
+    """A sparse level whose header declares more ones than bits
+    (candidate), or whose upper part holds one fewer one than its header
+    declares (distinct)."""
+    bundle = level_bundle(compressed=True)
+    lvl = next(i for i, s in enumerate(bundle.seq._levels) if isinstance(s, SparseBitVector))
+
+    def edit(records, stream):
+        kind, n_bits, ones = records[lvl]
+        if side == "candidate":
+            records[lvl][2] = n_bits + 1
+            return records, stream
+        before = sum(sum(record_words(*r)) for r in records[:lvl])
+        low, upper = record_words(kind, n_bits, ones)
+        words = array("Q", stream[8 * (before + low):8 * (before + low + upper)])
+        last = max(i for i, w in enumerate(words) if w)
+        words[last] &= words[last] - 1  # clear its lowest set bit
+        at = 8 * (before + low)
+        return records, stream[:at] + words.tobytes() + stream[at + 8 * upper:]
+    message = "ones in" if side == "candidate" else "upper part holds"
+    with pytest.raises(FormatError, match=message):
+        IndexBundle.from_bytes(edited_levels(bundle, edit))
 
 
-@pytest.mark.parametrize("trade", [1, 4])
-def test_half_block_candidate_families_still_answer(trade):
-    """Candidate families flagged on blocks of 2**(b-1), as the format's
-    files once held them, are supersets of the families built now: such a
-    file loads under the same format version and answers like the oracle."""
-    data = zipf_string(3000, 40, skew=1.1, seed=7)
-    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
-    ws = FlagWorkspace(bundle.seq.to_array())
-    cand = bundle.majority.candidate_flags
-    old = {}
-    for t, b in cand:
-        bits = candidate_bits(ws.window_counts(1 << (b + 1)), ws.block_ranks(b), 1 << (b - t))
-        old[(t, b)] = SparseBitVector.from_numpy_bool(bits)
-    assert sum(f.ones for f in old.values()) > sum(f.ones for f in cand.values())
-    bundle.majority.candidate_flags = old
-    back = IndexBundle.from_bytes(bundle.to_bytes())
-    assert {k: f.ones for k, f in back.majority.candidate_flags.items()} == \
-        {k: f.ones for k, f in old.items()}
-    ref = data.tolist()
-    rng = random.Random(trade)
-    served = [(t, b) for t, b in old if 2.0 ** -t >= 1 / back.seq.sigma]  # not listing
-    flagged = 0
-    for t, b in served:
-        for _ in range(20):
-            length = rng.randint(1 << b, min((1 << (b + 1)) - 1, 3000))
-            lo = rng.randint(1, 3000 - length + 1)
-            hi = lo + length - 1
-            tau = 2.0 ** -t
-            assert back.query_majorities(lo, hi, tau) == oracle.oracle_majorities(ref, lo, hi, tau)
-            flagged += back.majority.diagnostics.path == "flagged"
-            assert back.query_mode(lo, hi) == oracle.oracle_mode(ref, lo, hi)
-    assert flagged == 20 * len(served)
+def test_level_stream_framing():
+    """One level header and one word stream: each plain level costs its
+    kind byte and its u64 bit length on top of its words, where a
+    standalone bitvector blob costs about 280 bits of framing."""
+    rng = random.Random(257)
+    n, sigma = 800, 257
+    data = [1 if rng.random() < 0.9 else rng.randint(1, sigma) for _ in range(n)]
+    for a, k in zip(range(1, sigma + 1), rng.sample(range(n), sigma)):
+        data[k] = a
+    seq = WaveletSequence.build(np.asarray(data))
+    words = sum(len(s.words) for s in seq._levels)
+    assert seq.size_bits() == 8 * len(seq.to_bytes())
+    assert seq.size_bits() == 8 * (13 + sigma) + seq.depth * (8 + 64) + 64 * words
 
 
 def test_save_load(tmp_path):

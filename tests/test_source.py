@@ -1,6 +1,8 @@
 """Checks over the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import rfq
@@ -17,3 +19,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_traced_modules_stay_importable():
+    # the benchmark's tracer imports rfq.<module> for every module it lists
+    # and fails outright on a missing one; a class or function it lists
+    # that is gone is reported as absent instead
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = sorted({mod for mod, _, _ in tracer.TRACED})
+    assert modules
+    for mod in modules:
+        importlib.import_module(f"rfq.{mod}")

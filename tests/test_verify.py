@@ -1,10 +1,10 @@
-"""Randomized verification and targeted fault injection."""
+"""Randomized verification against the oracle."""
 
 import random
 
 import numpy as np
 
-from rfq import IndexConfig, inject_fault, oracle, verify_index
+from rfq import IndexConfig, oracle, verify_index
 from rfq.corpus import zipf_string
 from rfq.indexfile import IndexBundle
 from rfq.verify import _tau_pool
@@ -29,39 +29,40 @@ def test_tau_pool_domain():
         assert 0.0 < tau <= 1.0
 
 
-def test_fault_injection_produces_witness():
-    # runs of eight never cross a candidate block boundary: a majority whose
-    # only run in the range's blocks straddles a range edge leaves exactly
-    # one flag inside the range
+def test_fault_injection_produces_witness(monkeypatch):
+    # a walk that miscounts symbol 1 by one: verification reports witness
+    # queries, each with the index's answer and the oracle's
     data = np.asarray([(i // 8) % 8 + 1 for i in range(512)])
     bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
-    witness = inject_fault(bundle, seed=0)
-    assert witness is not None
-    for key in ("family", "removed_bit", "lo", "hi", "tau", "got", "want"):
-        assert key in witness
-    lo, hi, tau = witness["lo"], witness["hi"], witness["tau"]
-    # the bundle keeps the fault: replaying the witness query reproduces it
-    got = bundle.majority.query_majorities(lo, hi, tau)
-    want = oracle.oracle_majorities(data.tolist(), lo, hi, tau)
-    assert got == witness["got"]
-    assert want == witness["want"]
-    assert got != want
-    removed_sym = int(data[witness["removed_bit"] - 1])
-    assert removed_sym in {a for a, _ in want}
-    assert removed_sym not in {a for a, _ in got}
+    walk = type(bundle.seq).range_counts
+
+    def faulty(seq, lo, hi, thr=0):
+        out = walk(seq, lo, hi, thr)
+        if 1 in out:
+            out[1] += 1
+        return out
+
+    monkeypatch.setattr(type(bundle.seq), "range_counts", faulty)
+    rep = verify_index(bundle, queries=300, seed=0)
+    assert not rep.ok
+    kinds = {mm["kind"] for mm in rep.mismatches}
+    assert kinds == {"majority", "mode"}  # minority walks do not go through range_counts
+    for mm in rep.mismatches:
+        if mm["kind"] == "majority":
+            lo, hi, tau = mm["lo"], mm["hi"], mm["tau"]
+            assert mm["want"] == oracle.oracle_majorities(data.tolist(), lo, hi, tau)
+            assert mm["got"] != mm["want"]
 
 
 def test_fault_injection_honest_none():
-    # 1, 2, 1, 2, ...: each symbol's flags in a block sit within its first
-    # two and last two positions, so a range of a covered scale (at least
-    # eight long) holds two flags of each symbol, both ends of the block it
-    # equals or both sides of a boundary it crosses; no single bit removal
-    # can change an answer
+    # verification only reads: a clean bundle reports no mismatch and its
+    # bytes do not change
     data = np.arange(300) % 2 + 1
     bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
     blob = bundle.to_bytes()
-    assert inject_fault(bundle, seed=0, samples=800) is None
-    assert bundle.to_bytes() == blob  # untouched when no witness exists
+    rep = verify_index(bundle, queries=800, seed=0)
+    assert rep.ok and rep.mismatches == []
+    assert bundle.to_bytes() == blob
 
 
 def test_verify_reports_seeded_and_reproducible():
