@@ -2,7 +2,7 @@
 queries whose frequency threshold is chosen per query, each by one pruned
 split walk over a Huffman-shaped wavelet matrix."""
 
-from .bits import BitVector, SparseBitVector
+from .bits import BitVector
 from .config import IndexConfig, space_preset
 from .counters import OpTally, QueryDiagnostics
 from .errors import (
@@ -37,7 +37,6 @@ __all__ = [
     "QueryDiagnostics",
     "RangeError",
     "RfqError",
-    "SparseBitVector",
     "VerifyReport",
     "WaveletSequence",
     "space_preset",

@@ -171,7 +171,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trade", type=int, default=None,
                    help="accepted and echoed in the file header, but inert: "
                         "no structure is sparsified any more")
-    b.add_argument("--compressed", action="store_true")
+    b.add_argument("--compressed", action="store_true",
+                   help="accepted and echoed in the file header, but inert: "
+                        "every level is stored plain")
     b.add_argument("--space-preset", action="store_true",
                    help="start from space_preset() (trade 256, inert like --trade)")
     b.add_argument("--json", action="store_true")

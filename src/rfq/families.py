@@ -8,7 +8,8 @@ access and rank those candidates needed walks a whole code, so the
 flagged paths cost the same O(lg sigma / tau) level steps as one pruned
 split walk over the matrix, with larger constants, while the families
 took most of the index's bits.  Every query now runs such a walk (see
-`majority` and `minority`), and format version 7 has no family sections.
+`majority` and `minority`), and since format version 7 the file has no
+family sections.
 
 The module stays, empty, because tracing tools import each rfq module by
 name and report the classes and functions it no longer has as absent.

@@ -9,14 +9,14 @@ order of the original symbols (lexicographic for tokens).
 A build makes the Huffman-shaped wavelet matrix and nothing else: every
 query is a split walk over it (see `majority` and `minority`).
 
-File layout (magic ``RFQI``, format version 7), after the magic and the
+File layout (magic ``RFQI``, format version 8), after the magic and the
 version, two checked sections, each a u64 length, its payload and the
 payload's CRC32:
 
-1. header: the config echo (trade as u32, compressed as a u8 of 0 or 1),
-   then the remap kind and its table;
-2. sequence: n, sigma, the compressed flag, the code-length table, the
-   level header and the level word stream (see `sequence`).
+1. header: the config echo (trade as u32, compressed as a u8 of 0 or 1,
+   both inert), then the remap kind and its table;
+2. sequence: n, sigma, the packed code-length table, the level header
+   (each level's bit length) and the level word stream (see `sequence`).
 
 Each section's CRC32 is compared before the section is decoded, so a
 damaged file fails with `FormatError` instead of decoding to a different
@@ -24,11 +24,10 @@ sequence.  A CRC catches damage, not a crafted consistent file, so the
 structural checks stay: the code lengths must form a complete prefix
 code within the length cap before any level is read, each level's size
 must fit the code trie before its words are read, the levels must split
-into the leaves the code lengths promise, the remap table must hold
-exactly sigma entries in strictly increasing order, and the sequence's
-compressed flag must match the header's.  Rank directories and the
-per-node largest counts are rebuilt at load, so the file stores only
-what the space accounting counts.
+into the leaves the code lengths promise, and the remap table must hold
+exactly sigma entries in strictly increasing order.  Rank directories
+and the per-node largest counts are rebuilt at load, so the file stores
+only what the space accounting counts.
 """
 
 from __future__ import annotations
@@ -64,9 +63,14 @@ class IndexBundle:
 
     @classmethod
     def from_values(cls, values, config: IndexConfig | None = None) -> "IndexBundle":
-        arr = np.asarray(values, dtype=np.int64)
+        arr = np.asarray(values)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("input must be a non-empty 1-d integer sequence")
+        # a float would be truncated and a value past int64 wrap, so both
+        # are refused (Python ints beyond int64 arrive as an object array)
+        if arr.dtype.kind not in "iu" or (arr.dtype.kind == "u" and arr.max() >= 2**63):
+            raise DomainError(f"input must hold integers within int64, got {arr.dtype} values")
+        arr = arr.astype(np.int64, copy=False)
         originals, dense0 = np.unique(arr, return_inverse=True)
         dense = dense0.astype(np.int64) + 1
         sigma = int(originals.size)
@@ -89,7 +93,7 @@ class IndexBundle:
     @classmethod
     def _build(cls, dense, config, originals, tokens) -> "IndexBundle":
         config = config or IndexConfig()
-        seq = WaveletSequence.build(dense, compressed=config.compressed)
+        seq = WaveletSequence.build(dense)
         return cls(MajorityIndex(seq, config), MinorityIndex(seq, config), originals, tokens)
 
     # -- symbol translation ---------------------------------------------------
@@ -190,8 +194,6 @@ class IndexBundle:
         seq = WaveletSequence.read_from(body)
         if not body.done():
             raise FormatError("trailing bytes after the sequence")
-        if seq.compressed != cfg.compressed:
-            raise FormatError("sequence and header disagree on the compressed flag")
         if table is not None:
             # answers index the table by dense symbol, and ties follow its order
             if len(table) != seq.sigma:

@@ -31,12 +31,13 @@ constants.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 
 from .config import IndexConfig
 from .counters import QueryDiagnostics
-from .errors import DomainError, LogicError, RangeError
-from .sequence import WaveletSequence
+from .errors import DomainError, LogicError
+from .sequence import WaveletSequence, check_range
 
 _MODE_ITER_GUARD = 80
 
@@ -51,6 +52,13 @@ def threshold_count(tau: float, length: int) -> int:
     return int(math.floor(tau * length))
 
 
+def check_tau(tau) -> float:
+    """tau as a float; DomainError unless it is a real number in (0, 1]."""
+    if isinstance(tau, numbers.Real) and 0.0 < float(tau) <= 1.0:
+        return float(tau)
+    raise DomainError(f"tau must be in (0, 1], got {tau!r}")
+
+
 class MajorityIndex:
     """Query-time-threshold range majority and mode over a fixed sequence."""
 
@@ -62,12 +70,11 @@ class MajorityIndex:
     def query_majorities(self, lo: int, hi: int, tau: float):
         """All (symbol, count) with count > floor(tau * range length), sorted."""
         seq = self.seq
-        self._check_range(lo, hi)
-        if not (isinstance(tau, (int, float)) and 0.0 < tau <= 1.0):
-            raise DomainError(f"tau must be in (0, 1], got {tau!r}")
+        lo, hi = check_range(lo, hi, seq.n)
+        tau = check_tau(tau)
         t0 = time.perf_counter_ns()
         snap = seq.tally.snapshot()
-        diag = QueryDiagnostics(kind="majority", lo=lo, hi=hi, tau=float(tau))
+        diag = QueryDiagnostics(kind="majority", lo=lo, hi=hi, tau=tau)
         out = self._majorities(lo, hi, tau, diag)
         diag.ops = seq.tally.since(snap)
         diag.elapsed_ns = time.perf_counter_ns() - t0
@@ -81,7 +88,7 @@ class MajorityIndex:
         Cost adapts to the mode's actual frequency.
         """
         seq = self.seq
-        self._check_range(lo, hi)
+        lo, hi = check_range(lo, hi, seq.n)
         t0 = time.perf_counter_ns()
         snap = seq.tally.snapshot()
         diag = QueryDiagnostics(kind="mode", lo=lo, hi=hi)
@@ -112,10 +119,3 @@ class MajorityIndex:
         heavy = self.seq.range_counts(lo, hi, thr)
         diag.candidates += len(heavy)
         return sorted(heavy.items())
-
-    def _check_range(self, lo, hi):
-        n = self.seq.n
-        if not (1 <= lo <= n and 1 <= hi <= n):
-            raise RangeError(f"range [{lo}, {hi}] outside 1..{n}")
-        if lo > hi:
-            raise RangeError(f"empty range [{lo}, {hi}]")

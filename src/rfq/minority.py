@@ -22,9 +22,8 @@ import time
 
 from .config import IndexConfig
 from .counters import QueryDiagnostics
-from .errors import DomainError, RangeError
-from .majority import threshold_count
-from .sequence import WaveletSequence
+from .majority import check_tau, threshold_count
+from .sequence import WaveletSequence, check_range
 
 
 class MinorityIndex:
@@ -38,14 +37,11 @@ class MinorityIndex:
     def query_minority(self, lo: int, hi: int, tau: float):
         """Some (symbol, count) with 1 <= count <= floor(tau * length), or None."""
         seq = self.seq
-        n = seq.n
-        if not (1 <= lo <= n and 1 <= hi <= n) or lo > hi:
-            raise RangeError(f"range [{lo}, {hi}] outside 1..{n}")
-        if not (isinstance(tau, (int, float)) and 0.0 < tau <= 1.0):
-            raise DomainError(f"tau must be in (0, 1], got {tau!r}")
+        lo, hi = check_range(lo, hi, seq.n)
+        tau = check_tau(tau)
         t0 = time.perf_counter_ns()
         snap = seq.tally.snapshot()
-        diag = QueryDiagnostics(kind="minority", lo=lo, hi=hi, tau=float(tau))
+        diag = QueryDiagnostics(kind="minority", lo=lo, hi=hi, tau=tau)
         thr = threshold_count(tau, hi - lo + 1)
         found = None
         if thr == 0:

@@ -62,15 +62,6 @@ def oracle_mode(seq, lo: int, hi: int) -> tuple[int, int]:
     return best
 
 
-def oracle_prev_occurrence(seq, k: int) -> int:
-    """Position of the previous occurrence of seq[k], or 0 if none."""
-    _check_range(seq, k, k)
-    for p in range(k - 1, 0, -1):
-        if seq[p - 1] == seq[k - 1]:
-            return p
-    return 0
-
-
 def oracle_distinct_with_leftmost(seq, lo: int, hi: int) -> set[tuple[int, int]]:
     """(element, leftmost position) for every distinct element in range."""
     _check_range(seq, lo, hi)

@@ -1,4 +1,4 @@
-"""Huffman-shaped binary wavelet matrix with rank, select, access, and partial rank.
+"""Huffman-shaped binary wavelet matrix and the split walks every query runs.
 
 Symbols are 1..sigma, and the alphabet must be dense (every value
 occurs).  Each symbol gets a prefix-free code whose length is optimal for
@@ -19,17 +19,11 @@ nodes at depth d are the zero children of the internal nodes at depth
 d - 1, then their one children.  The first of them are the leaves of
 depth d, taken in increasing symbol order by the symbols whose codes have
 d bits; the rest are the internal nodes of depth d, in that order.  Each
-level is therefore one bitvector with its zero count and the number of
-positions that end below it, and a position maps one level down with one
-rank.  Ending codes come first, so a frequent symbol's bits are mostly
-zeros, which keeps the sparse level encoding worth choosing.
-
-`locate` and `rank` walk only a code's levels.  On a plain level they
-take the bit and the rank from one read of the words and one of the
-rank directory, with no bitvector call; sparse levels answer through
-their own methods.  Within the ending block each symbol's occurrences
-form one run in text order, so the walk ends in the symbol and its
-partial rank.  Select walks a code bottom-up with one select per level.
+level is therefore one plain bitvector with its zero count and the
+number of positions that end below it, and a range of positions maps one
+level down with two rank1 calls, read straight from the level's words
+and rank directory.  Within the ending block each symbol's occurrences
+form one run in text order.
 
 The range queries are top-down split walks over the code trie: a node's
 positions inside a range map to its children's with two ranks.  Each
@@ -47,27 +41,40 @@ and the highest light node on its root path has a heavy parent, which
 the walk expands.  Both cost O(lg sigma / tau) level steps, where the
 paper's O(1/tau) assumes constant-time access and rank.
 
-Each level is a plain bitvector or, in compressed mode, the sparse
-positional encoding when that is smaller.  The file stores n, sigma, the
-compressed flag, the code-length table, one header for all levels (per
-level its kind, its bit length and, when sparse, its number of ones) and
-then every level's words as one stream, whose word counts follow from
-that header.  The lengths are checked in O(sigma) before any level is
-read, each level's size against the code trie before any word is read;
-the codes follow from the lengths, and the counts from one
+The file stores n, sigma, the code-length table packed at the longest
+length's bit width, one header for all levels (each level's bit length)
+and then every level's words as one stream, whose word counts follow
+from that header.  The lengths are checked in O(sigma) before any level
+is read, each level's size against the code trie before any word is
+read; the codes follow from the lengths, and the counts from one
 level-by-level split walk at load.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 
 import numpy as np
 
-from .bits import BitVector, SparseBitVector, _typed
+from .bits import BitVector, _typed
 from .counters import OpTally
-from .errors import DomainError, FormatError, LogicError, RangeError
+from .errors import DomainError, FormatError, RangeError
 from .serial import ByteReader, ByteWriter
+
+
+def check_range(lo, hi, n: int) -> tuple[int, int]:
+    """The range [lo, hi] as plain ints; RangeError unless both ends are
+    integers (Python or NumPy) with 1 <= lo <= hi <= n."""
+    try:
+        lo, hi = operator.index(lo), operator.index(hi)
+    except TypeError:
+        raise RangeError(f"range ends must be integers, got {lo!r} and {hi!r}") from None
+    if not (1 <= lo <= n and 1 <= hi <= n):
+        raise RangeError(f"range [{lo}, {hi}] outside 1..{n}")
+    if lo > hi:
+        raise RangeError(f"empty range [{lo}, {hi}]")
+    return lo, hi
 
 
 def _check_dense(counts: np.ndarray) -> None:
@@ -136,21 +143,16 @@ def _check_lengths(lens: np.ndarray) -> None:
         raise FormatError(f"code lengths break Kraft equality: {kraft} / 2**{cap}")
 
 
-def _write_lengths(w: ByteWriter, lens: np.ndarray, packed: bool) -> None:
-    """One byte a symbol, or, packed, a width byte and then each length in
-    that many bits, the first in the low bits of the first byte."""
-    if not packed:
-        w.raw(lens.tobytes())
-        return
+def _write_lengths(w: ByteWriter, lens: np.ndarray) -> None:
+    """A width byte, then each length in that many bits, the first in the
+    low bits of the first byte."""
     width = int(lens.max()).bit_length()
     w.u8(width)
     bits = np.unpackbits(lens[:, None], axis=1, count=width, bitorder="little")
     w.raw(np.packbits(bits.reshape(-1), bitorder="little").tobytes())
 
 
-def _read_lengths(r: ByteReader, sigma: int, packed: bool) -> np.ndarray:
-    if not packed:
-        return np.frombuffer(r.raw(sigma), dtype=np.uint8)
+def _read_lengths(r: ByteReader, sigma: int) -> np.ndarray:
     width = r.u8()
     if width > length_cap(sigma).bit_length():
         raise FormatError(f"code lengths packed {width} bits wide, above the cap")
@@ -161,8 +163,8 @@ def _read_lengths(r: ByteReader, sigma: int, packed: bool) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").reshape(sigma)
 
 
-def _lengths_bits(sigma: int, width: int, packed: bool) -> int:
-    return 8 + 8 * ((sigma * width + 7) // 8) if packed else 8 * sigma
+def _lengths_bits(sigma: int, width: int) -> int:
+    return 8 + 8 * ((sigma * width + 7) // 8)
 
 
 def _ends(lens: np.ndarray, counts: np.ndarray) -> list[int]:
@@ -214,27 +216,21 @@ class WaveletSequence:
     def __init__(self):
         self.n = 0
         self.sigma = 0
-        self.compressed = False
         self.counts: np.ndarray | None = None  # per-symbol totals
         self.tally = OpTally()
-        self._levels: list = []  # BitVector | SparseBitVector, top first
-        # per symbol code: code bits, code length, and where its run starts
-        # below its last level, counted from the end of the ending block
-        # that the level drops (so <= 0)
-        self._code = array("q")
-        self._len = array("B")
-        self._base = array("q")
+        self._levels: list[BitVector] = []  # top first
+        self._code = array("q")  # per symbol: code bits
+        self._len = array("B")  # per symbol: code length
         self._leaf_sym = array("q")  # symbol codes in leaf order
         self._top = 0  # the largest symbol count
-        # per level: (words, cum, store, zeros - ends, ends, inner, leaves,
-        # first leaf, largest count below each child slot); words and cum
-        # are None on a sparse level
+        # per level: (words, cum, zeros - ends, ends, inner, leaves, first
+        # leaf, largest count below each child slot)
         self._steps: list[tuple] = []
 
     # -- construction ------------------------------------------------------------
 
     @classmethod
-    def build(cls, data, sigma: int | None = None, compressed: bool = False) -> "WaveletSequence":
+    def build(cls, data, sigma: int | None = None) -> "WaveletSequence":
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("sequence must be a non-empty 1-d array")
@@ -250,7 +246,6 @@ class WaveletSequence:
         seq = cls()
         seq.n = int(arr.size)
         seq.sigma = sigma
-        seq.compressed = compressed
         lens = code_lengths(counts)
         shape = _Shape(lens)
         depth = shape.depth
@@ -262,18 +257,11 @@ class WaveletSequence:
         levels = []
         for lvl in range(depth):
             bits = ((codes >> (depth - 1 - lvl)) & 1).astype(bool)
-            levels.append(seq._encode_level(bits))
+            levels.append(BitVector.from_numpy_bool(bits))
             if lvl + 1 < depth:  # the codes ending here lead the next order
                 codes = np.concatenate((codes[~bits], codes[bits]))[ends[lvl]:]
         seq._assemble(lens, shape, levels, counts)
         return seq
-
-    def _encode_level(self, bits: np.ndarray):
-        plain = BitVector.from_numpy_bool(bits)
-        if not self.compressed:
-            return plain
-        sparse = SparseBitVector.from_numpy_bool(bits)
-        return sparse if sparse.size_bits() < plain.size_bits() else plain
 
     def _assemble(self, lens: np.ndarray, shape: _Shape, levels: list, counts: np.ndarray) -> None:
         """Store the levels and counts and derive the per-symbol and
@@ -281,36 +269,15 @@ class WaveletSequence:
         self._levels = levels
         self.counts = counts
         ends = _ends(lens, counts)
-        # a symbol's run starts after the runs of the leaves before it at its
-        # depth; counted from the end of the ending block, which its level
-        # drops, it starts minus the counts of its own leaf and those after it
-        base = np.zeros(self.sigma, dtype=np.int64)
-        if shape.depth:
-            cnt = counts[shape.leaf_sym]
-            run_end = np.cumsum(cnt)
-            after_depth = np.asarray(shape.first + [self.sigma], dtype=np.int64)
-            depth_of = lens[shape.leaf_sym].astype(np.int64)
-            base[shape.leaf_sym] = run_end - cnt - run_end[after_depth[depth_of] - 1]
         self._code = _typed(shape.code, "q")
         self._len = _typed(lens, "B")
-        self._base = _typed(base, "q")
         self._leaf_sym = _typed(shape.leaf_sym, "q")
         self._top = int(counts.max())
-        self._steps = []
-        for lvl, (store, top) in enumerate(zip(levels, _slot_max(shape, counts))):
-            plain = isinstance(store, BitVector)
-            zeros = store.n_bits - store.ones
-            self._steps.append((
-                store.words if plain else None,
-                store.cum if plain else None,
-                store,
-                zeros - ends[lvl],
-                ends[lvl],
-                shape.inner[lvl],
-                shape.leaves[lvl],
-                shape.first[lvl],
-                top,
-            ))
+        self._steps = [
+            (store.words, store.cum, store.n_bits - store.ones - ends[lvl], ends[lvl],
+             shape.inner[lvl], shape.leaves[lvl], shape.first[lvl], top)
+            for lvl, (store, top) in enumerate(zip(levels, _slot_max(shape, counts)))
+        ]
 
     # -- basic properties ----------------------------------------------------------
 
@@ -337,77 +304,7 @@ class WaveletSequence:
         if not (1 <= a <= self.sigma):
             raise DomainError(f"symbol {a} outside alphabet [1, {self.sigma}]")
 
-    def _check_pos(self, k: int) -> None:
-        if not (1 <= k <= self.n):
-            raise RangeError(f"position {k} outside [1, {self.n}]")
-
-    def _check_range(self, lo: int, hi: int) -> None:
-        self._check_pos(lo)
-        self._check_pos(hi)
-        if lo > hi:
-            raise RangeError(f"empty range [{lo}, {hi}]")
-
-    # -- core walks (untallied internals) --------------------------------------------
-
-    def _locate(self, k: int) -> tuple[int, int]:
-        """(symbol code, occurrence index of position k among its symbol).
-
-        p is k's position in the level, node its internal node's index at
-        that depth; the bit picks the child, which is a leaf when it falls
-        among the depth's first `leaves` slots.
-        """
-        p = k
-        node = 0
-        for words, cum, store, z1, ends, inner, leaves, first, _ in self._steps:
-            if cum is None:
-                bit = store.get(p)
-                r1 = store.rank1(p)
-            else:
-                q = p - 1
-                w = words[q >> 6]
-                bit = w >> (q & 63) & 1
-                r1 = cum[q >> 6] + (w & ((2 << (q & 63)) - 1)).bit_count()
-            if bit:
-                p = z1 + r1
-                node += inner
-            else:
-                p -= r1 + ends
-            if node < leaves:
-                c = self._leaf_sym[first + node]
-                return c, p - self._base[c]
-            node -= leaves
-        return 0, p  # a single symbol has the empty code
-
-    def _rank(self, c: int, k: int) -> int:
-        p = k
-        code = self._code[c]
-        shift = self._len[c]
-        for words, cum, store, z1, ends, _, _, _, _ in self._steps[:shift]:
-            shift -= 1
-            if cum is None:
-                r1 = store.rank1(p)
-            else:
-                off = p & 63
-                r1 = cum[p >> 6] + (words[p >> 6] & ((1 << off) - 1)).bit_count() if off else cum[p >> 6]
-            if code >> shift & 1:
-                p = z1 + r1
-            else:
-                p -= r1 + ends
-        return p - self._base[c]
-
-    def _select(self, c: int, r: int) -> int | None:
-        if r > int(self.counts[c]):
-            return None
-        p = self._base[c] + r
-        code = self._code[c]
-        for lvl in range(self._len[c] - 1, -1, -1):
-            _, _, store, z1, ends, _, _, _, _ = self._steps[lvl]
-            if code & 1:
-                p = store.select1(p - z1)
-            else:
-                p = store.select0(p + ends)
-            code >>= 1
-        return p
+    # -- the walks (untallied internals) ---------------------------------------------
 
     def _split_walk(self, cl: int, cr: int, thr: int) -> tuple[dict[int, int], int]:
         """Symbols occurring more than thr times at top-level positions
@@ -427,14 +324,12 @@ class WaveletSequence:
         stack = [(0, 0, cl, cr)]
         while stack:
             lvl, node, s, e = stack.pop()
-            words, cum, store, z1, ends, inner, leaves, first, top = steps[lvl]
-            if cum is None:
-                r1s, r1e = store.rank1(s), store.rank1(e)
-            else:  # _rank_pair, inlined on the path every majority and mode takes
-                off = s & 63
-                r1s = cum[s >> 6] + (words[s >> 6] & ((1 << off) - 1)).bit_count() if off else cum[s >> 6]
-                off = e & 63
-                r1e = cum[e >> 6] + (words[e >> 6] & ((1 << off) - 1)).bit_count() if off else cum[e >> 6]
+            words, cum, z1, ends, inner, leaves, first, top = steps[lvl]
+            # _rank_pair, inlined on the path every majority and mode takes
+            off = s & 63
+            r1s = cum[s >> 6] + (words[s >> 6] & ((1 << off) - 1)).bit_count() if off else cum[s >> 6]
+            off = e & 63
+            r1e = cum[e >> 6] + (words[e >> 6] & ((1 << off) - 1)).bit_count() if off else cum[e >> 6]
             ranks += 2
             cs, ce = s - r1s - ends, e - r1e - ends
             if ce - cs > thr and top[node] > thr:
@@ -467,8 +362,8 @@ class WaveletSequence:
         stack = [(0, 0, cl, cr)]
         while stack:
             lvl, node, s, e = stack.pop()
-            words, cum, store, z1, ends, inner, leaves, first, top = steps[lvl]
-            r1s, r1e = _rank_pair(words, cum, store, s, e)
+            words, cum, z1, ends, inner, leaves, first, top = steps[lvl]
+            r1s, r1e = _rank_pair(words, cum, s, e)
             ranks += 2
             for child, cs, ce in (
                 (node, s - r1s - ends, e - r1e - ends),
@@ -493,8 +388,8 @@ class WaveletSequence:
             return (1, e - s), 0
         steps, ranks = self._steps, 0
         while True:
-            words, cum, store, z1, ends, inner, leaves, first, _ = steps[lvl]
-            r1s, r1e = _rank_pair(words, cum, store, s, e)
+            words, cum, z1, ends, inner, leaves, first, _ = steps[lvl]
+            r1s, r1e = _rank_pair(words, cum, s, e)
             ranks += 2
             child, cs, ce = node, s - r1s - ends, e - r1e - ends
             if ce == cs:
@@ -505,61 +400,11 @@ class WaveletSequence:
 
     # -- public operations (tallied) --------------------------------------------------
 
-    def access(self, k: int) -> int:
-        self._check_pos(k)
-        self.tally.accesses += 1
-        code, _ = self._locate(k)
-        return code + 1
-
-    def rank(self, a: int, k: int) -> int:
-        self._check_symbol(a)
-        if k < 0 or k > self.n:
-            raise RangeError(f"prefix length {k} outside [0, {self.n}]")
-        self.tally.ranks += 1
-        if k == 0:
-            return 0
-        return self._rank(a - 1, k)
-
-    def select(self, a: int, r: int) -> int | None:
-        self._check_symbol(a)
-        if r < 1:
-            raise RangeError(f"occurrence index {r} must be positive")
-        self.tally.selects += 1
-        return self._select(a - 1, r)
-
-    def partial_rank(self, k: int) -> int:
-        """rank(S[k], k) without knowing S[k] beforehand."""
-        self._check_pos(k)
-        self.tally.partial_ranks += 1
-        return self._locate(k)[1]
-
-    def locate(self, k: int) -> tuple[int, int]:
-        """(S[k], partial rank at k) from a single descent."""
-        self._check_pos(k)
-        self.tally.accesses += 1
-        self.tally.partial_ranks += 1
-        code, r = self._locate(k)
-        return code + 1, r
-
-    def prev_occurrence(self, k: int) -> int:
-        """Position of the previous occurrence of S[k], or 0."""
-        self._check_pos(k)
-        self.tally.accesses += 1
-        self.tally.partial_ranks += 1
-        code, r = self._locate(k)
-        if r == 1:
-            return 0
-        self.tally.selects += 1
-        p = self._select(code, r - 1)
-        if p is None:
-            raise LogicError(f"occurrence {r - 1} of symbol {code + 1} is missing")
-        return p
-
     def range_counts(self, lo: int, hi: int, thr: int = 0) -> dict[int, int]:
         """Counts of the symbols occurring more than thr times in S[lo..hi],
         from one pruned top-down split walk (thr = 0 gives the whole
         histogram)."""
-        self._check_range(lo, hi)
+        lo, hi = check_range(lo, hi, self.n)
         out, ranks = self._split_walk(lo - 1, hi, thr)
         self.tally.ranks += ranks
         return out
@@ -567,7 +412,7 @@ class WaveletSequence:
     def range_minority(self, lo: int, hi: int, thr: int) -> tuple[int, int] | None:
         """Some (symbol, count) with 1 <= count <= thr in S[lo..hi], or None
         when every symbol there occurs more than thr times."""
-        self._check_range(lo, hi)
+        lo, hi = check_range(lo, hi, self.n)
         if thr < 1:
             return None
         found, ranks = self._minority_walk(lo - 1, hi, thr)
@@ -588,11 +433,12 @@ class WaveletSequence:
         # partitioned them into, and level 0 decodes into the whole of bufs[1]
         bufs = np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64)
         for lvl in range(self.depth - 1, -1, -1):
-            _, _, store, z1, ends, _, leaves, first, _ = self._steps[lvl]
+            store = self._levels[lvl]
+            _, _, z1, ends, _, leaves, first, _ = self._steps[lvl]
             part = bufs[lvl & 1][: store.n_bits]
             syms = leaf_sym[first : first + leaves]
             part[:ends] = np.repeat(syms + 1, self.counts[syms])
-            above = self._steps[lvl - 1][4] if lvl else 0
+            above = self._steps[lvl - 1][3] if lvl else 0
             up = bufs[(lvl + 1) & 1][above : above + store.n_bits]
             bits = store.to_numpy_bool()
             up[~bits] = part[: z1 + ends]
@@ -604,36 +450,25 @@ class WaveletSequence:
     def write_to(self, w: ByteWriter) -> None:
         w.u64(self.n)
         w.u32(self.sigma)
-        w.u8(1 if self.compressed else 0)
-        _write_lengths(w, np.frombuffer(self._len, dtype=np.uint8), self.compressed)
+        _write_lengths(w, np.frombuffer(self._len, dtype=np.uint8))
         for store in self._levels:  # the level header
-            sparse = isinstance(store, SparseBitVector)
-            w.u8(int(sparse))
             w.u64(store.n_bits)
-            if sparse:
-                w.u64(store.ones)
         for store in self._levels:  # the word stream
-            for words in _level_words(store):
-                w.words(words, counted=False)
+            w.words(store.words, counted=False)
 
     @classmethod
     def read_from(cls, r: ByteReader) -> "WaveletSequence":
         seq = cls()
         seq.n = r.u64()
         seq.sigma = r.u32()
-        seq.compressed = bool(r.u8())
         if not 1 <= seq.sigma <= seq.n:
             raise FormatError(f"alphabet size {seq.sigma} outside [1, n = {seq.n}]")
-        lens = _read_lengths(r, seq.sigma, seq.compressed)
+        lens = _read_lengths(r, seq.sigma)
         _check_lengths(lens)
         shape = _Shape(lens)
-        header = []
+        sizes = []
         held = seq.n
         for lvl in range(shape.depth):
-            kind = r.u8()
-            if kind > int(seq.compressed):
-                raise FormatError(f"level {lvl} has kind {kind} in a "
-                                  f"{'compressed' if seq.compressed else 'plain'} sequence")
             n_bits = r.u64()
             if lvl == 0 and n_bits != seq.n:
                 raise FormatError(f"level 0 holds {n_bits} bits, expected {seq.n}")
@@ -641,17 +476,8 @@ class WaveletSequence:
                 raise FormatError(f"level {lvl} holds {n_bits} bits, outside "
                                   f"[{2 * shape.inner[lvl]}, {held}]")
             held = n_bits
-            ones = r.u64() if kind else None
-            if kind and ones > n_bits:
-                raise FormatError(f"level {lvl} holds {ones} ones in {n_bits} bits")
-            header.append((n_bits, ones))
-        levels = []
-        for n_bits, ones in header:
-            if ones is None:
-                levels.append(BitVector(r.words((n_bits + 63) // 64), n_bits))
-            else:
-                low, upper = SparseBitVector.word_counts(n_bits, ones)
-                levels.append(SparseBitVector.from_parts(n_bits, ones, r.words(low), r.words(upper)))
+            sizes.append(n_bits)
+        levels = [BitVector(r.words((n_bits + 63) // 64), n_bits) for n_bits in sizes]
         counts = _leaf_counts(levels, shape, seq.n)
         seq._assemble(lens, shape, levels, counts)
         return seq
@@ -662,26 +488,16 @@ class WaveletSequence:
         return w.getvalue()
 
     def size_bits(self) -> int:
-        # n, sigma, the compressed flag and the code lengths; per level its
-        # kind, its bit length and, when sparse, its ones; then the words
-        table = _lengths_bits(self.sigma, self.depth.bit_length(), self.compressed)
-        header = sum(8 + 64 + 64 * isinstance(s, SparseBitVector) for s in self._levels)
-        words = sum(len(words) for s in self._levels for words in _level_words(s))
-        return 8 * (8 + 4 + 1) + table + header + 64 * words
+        # n, sigma and the packed code lengths; per level its bit length;
+        # then the words
+        table = _lengths_bits(self.sigma, self.depth.bit_length())
+        words = sum(len(store.words) for store in self._levels)
+        return 8 * (8 + 4) + table + 64 * self.depth + 64 * words
 
 
-def _level_words(store) -> tuple:
-    """A level's word arrays, in stream order."""
-    if isinstance(store, SparseBitVector):
-        return store.low.words, store.upper.words
-    return (store.words,)
-
-
-def _rank_pair(words, cum, store, s: int, e: int) -> tuple[int, int]:
-    """rank1 at s and at e on one level, read straight from a plain level's
-    words and rank directory."""
-    if cum is None:
-        return store.rank1(s), store.rank1(e)
+def _rank_pair(words, cum, s: int, e: int) -> tuple[int, int]:
+    """rank1 at s and at e on one level, read straight from its words and
+    rank directory."""
     off = s & 63
     r1s = cum[s >> 6] + (words[s >> 6] & ((1 << off) - 1)).bit_count() if off else cum[s >> 6]
     off = e & 63

@@ -3,11 +3,10 @@
 Layout conventions: fixed-width integers are little-endian; variable
 payloads are length-prefixed with a u64.  A checked section is such a
 payload followed by its CRC32 (`zlib.crc32`, u32), which the reader
-compares before it hands the payload on to be decoded.  Bit structures
-start with the magic ``RFQB``, whole index bundles with ``RFQI``.
-Derived directories (rank/select samples, the code trie's per-node
-largest counts) are never written; they are rebuilt when a payload is
-loaded.
+compares before it hands the payload on to be decoded.  An index file
+starts with the magic ``RFQI`` and the format version.  Derived
+directories (the per-word rank counts, the code trie's per-node largest
+counts) are never written; they are rebuilt when a payload is loaded.
 
 Word arrays are held in memory as one typed buffer, ``array('Q')`` in the
 host's byte order: they are written with a single buffer copy and read
@@ -23,13 +22,10 @@ import sys
 import zlib
 from array import array
 
-import numpy as np
-
 from .errors import FormatError
 
-MAGIC_BITS = b"RFQB"
 MAGIC_INDEX = b"RFQI"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 _SWAP = sys.byteorder == "big"  # the file is little-endian, array('Q') native
 
@@ -82,10 +78,6 @@ class ByteWriter:
             self.u64(len(words))
         self.buf += words
 
-    def np_u32(self, arr) -> None:
-        a = np.ascontiguousarray(arr, dtype="<u4")
-        self.blob(a.tobytes())
-
     def getvalue(self) -> bytes:
         return bytes(self.buf)
 
@@ -137,13 +129,6 @@ class ByteReader:
         start = self.pos
         self.pos += 8 * n
         return words_from_bytes(memoryview(self.data)[start : self.pos])
-
-    def np_u32(self):
-        """Length-prefixed u32 values, in the host's byte order."""
-        data = self.blob()
-        if len(data) % 4:
-            raise FormatError(f"u32 array of {len(data)} bytes")
-        return np.frombuffer(data, dtype="<u4").astype(np.uint32)
 
     def expect_magic(self, magic: bytes) -> None:
         got = self._take(len(magic))

@@ -18,7 +18,6 @@ import pytest
 from rfq import IndexConfig, oracle, space_preset
 from rfq.corpus import uniform_string, zipf_string
 from rfq.indexfile import IndexBundle
-from rfq.sequence import WaveletSequence
 
 Entry = namedtuple("Entry", "data ref sigma_drawn sigma_eff trade bundle")
 
@@ -178,8 +177,9 @@ def test_mode_matches_oracle_with_doubling_bound(corpus):
 
 def test_full_and_sparsified_listing_agree():
     """The whole-histogram walk, range_counts(lo, hi, 0), lists exactly the
-    range's distinct symbols with their exact counts, on plain and
-    compressed levels, within two rank1 calls per internal trie node."""
+    range's distinct symbols with their exact counts, in bundles built
+    plain and with the inert compressed option (byte-identical
+    sequences), within two rank1 calls per internal trie node."""
     rng = random.Random(5)
     checked = 0
     for _ in range(100):
@@ -188,7 +188,9 @@ def test_full_and_sparsified_listing_agree():
         data = [rng.randint(1, sigma) for _ in range(n)]
         for a, k in zip(range(1, sigma + 1), rng.sample(range(n), sigma)):
             data[k] = a
-        seqs = [WaveletSequence.build(np.asarray(data), compressed=c) for c in (False, True)]
+        seqs = [IndexBundle.from_values(np.asarray(data), IndexConfig(compressed=c)).seq
+                for c in (False, True)]
+        assert seqs[0].to_bytes() == seqs[1].to_bytes()
         for lo, hi in ranges_for(rng, n, 12):
             want = oracle.oracle_distinct_with_leftmost(data, lo, hi)
             counts = oracle.oracle_counts(data, lo, hi)
@@ -199,7 +201,7 @@ def test_full_and_sparsified_listing_agree():
                 assert got == counts
                 assert seq.tally.since(snap).ranks <= 2 * (sigma - 1)
             checked += 1
-    print(f"\ndistinct listing: {checked} ranges exact on plain and compressed levels")
+    print(f"\ndistinct listing: {checked} ranges exact, plain and compressed options")
 
 
 def test_space_stays_within_envelopes():

@@ -1,4 +1,23 @@
-"""Plain and sparse bitvectors, packed arrays, and the range-min table."""
+"""Plain bitvectors, the one level kind of the wavelet matrix.
+
+Format version 8 retired the packed arrays, the sparse (Elias-Fano)
+bitvectors, bitvector select and the standalone bitvector blobs, and the
+range-minimum index, which no index part had read since the listing
+engine retired.  Each test written for them keeps its name and checks
+the fact it pinned on the structure that carries it now:
+
+* select's answers are where rank1 steps (`test_select_every_rank`,
+  `test_bitvector_select_rank_inverse`, `test_sparse_select0`);
+* the fixed-width layout of packed arrays is the word layout of
+  `BitVector`, and the packed code-length table (`test_packed_array_*`);
+* a sparse level's ranks and ranges are a plain level's, reached through
+  the sequence built with the inert compressed option (`test_sparse_*`);
+* a standalone blob's round trip is a level's trip through the word
+  stream (`test_bitvector_bytes_*`, `test_*_size_bits_is_serialized_size`);
+* the range-minimum index's leftmost answers with ties are the largest
+  counts the split walks prune by, kept per code-trie node with ties
+  (`test_rmq_*`).
+"""
 
 import random
 import tracemalloc
@@ -7,51 +26,68 @@ from array import array
 import numpy as np
 import pytest
 
-from rfq.bits import (
-    BitVector,
-    PackedArray,
-    RmqIndex,
-    SparseBitVector,
-    bitvector_from_bytes,
-)
-from rfq.errors import DomainError, FormatError, NotFoundError, RangeError
-from rfq.serial import FORMAT_VERSION, MAGIC_BITS, ByteWriter
+from rfq import IndexBundle, IndexConfig
+from rfq.bits import BitVector
+from rfq.corpus import densify
+from rfq.errors import FormatError, RangeError
+from rfq.sequence import WaveletSequence, _Shape, _slot_max, code_lengths
+from rfq.serial import ByteReader, ByteWriter
 
 
 def brute_rank(bits, p):
     return sum(bits[:p])
 
 
-def brute_select(bits, r):
-    seen = 0
-    for i, b in enumerate(bits):
-        seen += b
-        if b and seen == r:
-            return i + 1
-    return None
+def loaded(bv: BitVector) -> BitVector:
+    """The vector after a trip through the level word stream."""
+    w = ByteWriter()
+    w.words(bv.words, counted=False)
+    return BitVector(ByteReader(w.getvalue()).words(len(bv.words)), bv.n_bits)
 
 
-# -- PackedArray ------------------------------------------------------------------
+def same(a: BitVector, b: BitVector) -> bool:
+    return (a.n_bits, a.ones, a.words, a.cum) == (b.n_bits, b.ones, b.words, b.cum)
+
+
+def two_symbol_seq(bits: np.ndarray, compressed: bool = True) -> WaveletSequence:
+    """The sequence of a bundle over 1 + bits, built with the compressed
+    option that once stored such a level sparse (one symbol when the bits
+    are all equal)."""
+    return IndexBundle.from_values(1 + bits.astype(np.int64), IndexConfig(compressed=compressed)).seq
+
+
+# -- fixed-width values over the words (PackedArray retired) ----------------------
 
 
 @pytest.mark.parametrize("width", [0, 1, 3, 7, 8, 13, 32, 40, 63, 64])
 def test_packed_array_round_trip(width):
+    """137 values of `width` bits laid end to end, value i at bits
+    [i * width, (i + 1) * width), some straddling two words: the words
+    reassemble each value, to_numpy_bool restores every bit, and rank1 at
+    each value boundary is the running popcount."""
     rng = random.Random(width)
     vals = [rng.randrange(1 << width) if width else 0 for _ in range(137)]
     if width:
         vals[::5] = [v | 1 << (width - 1) for v in vals[::5]]  # top bit set
-    pa = PackedArray.from_values(width, vals)
-    assert [pa.get(i) for i in range(len(vals))] == vals
-    assert pa.to_numpy().tolist() == vals
-    as_u64 = np.array(vals, dtype=np.uint64)
-    for arr in (as_u64, as_u64.view(np.int64)):
-        assert PackedArray.from_values(width, arr).words == pa.words
+    bits = np.array([v >> j & 1 for v in vals for j in range(width)], dtype=bool)
+    bv = BitVector.from_numpy_bool(bits)
+    assert bv.n_bits == 137 * width
+    stream = sum(w << (64 * i) for i, w in enumerate(bv.words))
+    assert [stream >> (i * width) & ((1 << width) - 1) for i in range(137)] == vals
+    assert bv.to_numpy_bool().tolist() == bits.tolist()
+    running = np.concatenate(([0], np.cumsum([v.bit_count() for v in vals])))
+    assert [bv.rank1(i * width) for i in range(138)] == running.tolist()
 
 
 def test_packed_array_width_zero_is_free():
-    pa = PackedArray.from_values(0, [0] * 1000)
-    assert pa.get(999) == 0
-    assert not pa.words
+    # the one packed array left is the code-length table: a single symbol
+    # has the empty code, so the table is a zero width byte and no bits
+    seq = WaveletSequence.build(np.ones(1000, dtype=np.int64))
+    blob = seq.to_bytes()
+    assert len(blob) == 8 + 4 + 1 and blob[-1] == 0
+    assert seq.size_bits() == 8 * len(blob)
+    assert WaveletSequence.read_from(ByteReader(blob)).to_array().tolist() == [1] * 1000
+    assert not BitVector.from_numpy_bool(np.zeros(0, dtype=bool)).words
 
 
 # -- BitVector ---------------------------------------------------------------------
@@ -61,14 +97,10 @@ def test_bitvector_exhaustive_bytes():
     for pattern in range(256):
         bits = [(pattern >> i) & 1 for i in range(8)]
         bv = BitVector.from_bits(bits)
-        for p in range(9):
-            assert bv.rank1(p) == brute_rank(bits, p)
-            assert bv.rank0(p) == p - brute_rank(bits, p)
-        for r in range(1, sum(bits) + 1):
-            assert bv.select1(r) == brute_select(bits, r)
-        zeros = [1 - b for b in bits]
-        for r in range(1, sum(zeros) + 1):
-            assert bv.select0(r) == brute_select(zeros, r)
+        assert bv.to_numpy_bool().tolist() == [bool(b) for b in bits]
+        want = [brute_rank(bits, p) for p in range(9)]
+        assert [bv.rank1(p) for p in range(9)] == want
+        assert bv.rank1_array(np.arange(9)).tolist() == want
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 511, 512, 513, 1500])
@@ -80,35 +112,26 @@ def test_bitvector_block_boundaries(n):
     assert bv.ones == sum(bits)
     for p in [0, 1, n // 2, n - 1, n]:
         assert bv.rank1(p) == brute_rank(bits, p)
-    for r in [1, max(1, bv.ones // 2), bv.ones]:
-        if bv.ones:
-            assert bv.select1(r) == brute_select(bits, r)
-    for p in range(1, n + 1):
-        assert bv.get(p) == bits[p - 1]
+    assert bv.to_numpy_bool().tolist() == [bool(b) for b in bits]
 
 
 @pytest.mark.parametrize("density", [0, 0.01, 0.5, 0.99, 1])
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 511, 512, 513, 4095, 4097, 70001])
 def test_select_every_rank(n, density):
-    # spans several select samples and superblocks, skewed densities and a
-    # partial last word; the sparse select0 must agree with the plain one
+    """Select retired; what it answered is where rank1 steps.  The r-th one
+    sits where rank1 reaches r and the r-th zero where p - rank1(p)
+    reaches r, over every one and zero, with rank1_array across the rank
+    directory's words and a partial last word at skewed densities."""
     arr = np.random.default_rng(n).random(n) < density
     bv = BitVector.from_numpy_bool(arr)
-    for bit, select in ((1, bv.select1), (0, bv.select0)):
-        want = (np.flatnonzero(arr == bit) + 1).tolist()
-        assert [select(r) for r in range(1, len(want) + 1)] == want
-        with pytest.raises(RangeError):
-            select(0)
-        with pytest.raises(NotFoundError):
-            select(len(want) + 1)
-    sparse = SparseBitVector.from_numpy_bool(arr)
-    zeros = bv.n_bits - bv.ones
-    assert [sparse.select0(r) for r in range(1, zeros + 1)] == [
-        bv.select0(r) for r in range(1, zeros + 1)]
+    for bit in (1, 0):
+        where = np.flatnonzero(arr == bit) + 1
+        r1 = bv.rank1_array(where)
+        got = r1 if bit else where - r1
+        assert got.tolist() == list(range(1, where.size + 1))
+        assert (bv.rank1_array(where - 1) == r1 - bit).all()
     with pytest.raises(RangeError):
-        sparse.select0(0)
-    with pytest.raises(NotFoundError):
-        sparse.select0(zeros + 1)
+        bv.rank1(n + 1)
 
 
 @pytest.mark.parametrize("density", [0, 0.01, 0.5, 0.99, 1])
@@ -126,10 +149,11 @@ def test_bitvector_select_rank_inverse():
     rng = random.Random(7)
     bits = [rng.random() < 0.3 for _ in range(2000)]
     bv = BitVector.from_bits(bits)
-    for r in range(1, bv.ones + 1):
-        p = bv.select1(r)
+    where = [i + 1 for i, b in enumerate(bits) if b]
+    assert len(where) == bv.ones
+    for r, p in enumerate(where, 1):
         assert bv.rank1(p) == r
-        assert bv.get(p) == 1
+        assert bv.rank1(p - 1) == r - 1
 
 
 def test_bitvector_errors():
@@ -137,13 +161,13 @@ def test_bitvector_errors():
     with pytest.raises(RangeError):
         bv.rank1(4)
     with pytest.raises(RangeError):
-        bv.get(0)
-    with pytest.raises(RangeError):
-        bv.select1(0)
-    with pytest.raises(NotFoundError):
-        bv.select1(3)
-    with pytest.raises(NotFoundError):
-        bv.select0(2)
+        bv.rank1(-1)
+    with pytest.raises(FormatError, match="word count"):
+        BitVector(array("Q", [5]), 65)
+    with pytest.raises(FormatError, match="word count"):
+        BitVector(array("Q"), -1)
+    with pytest.raises(FormatError, match="stray bits"):
+        BitVector(array("Q", [0b1101]), 3)
 
 
 def test_bitvector_from_ones_and_numpy():
@@ -152,50 +176,56 @@ def test_bitvector_from_ones_and_numpy():
         False, True, False, False, True, True, False, False]
     arr = np.zeros(100, dtype=bool)
     arr[[0, 42, 99]] = True
-    assert BitVector.from_numpy_bool(arr).select1(2) == 43
+    bv = BitVector.from_numpy_bool(arr)
+    assert (bv.rank1(42), bv.rank1(43)) == (1, 2)  # the second one is at 43
 
 
-# -- SparseBitVector ----------------------------------------------------------------
+# -- what sparse levels held, on plain levels -------------------------------------------
 
 
 @pytest.mark.parametrize("n,density", [(50, 0.5), (1000, 0.02), (1000, 0.3),
                                        (4096, 0.001), (64, 1.0)])
 def test_sparse_matches_plain(n, density):
+    """A bundle built with the compressed option, which chose the sparse
+    encoding on inputs like these, holds the plain sequence byte for byte
+    and counts every sampled prefix and range alike."""
     rng = random.Random(int(n * density))
-    bits = [rng.random() < density for _ in range(n)]
-    plain = BitVector.from_bits(bits)
-    sparse = SparseBitVector.from_ones(
-        [i + 1 for i, b in enumerate(bits) if b], n)
-    assert sparse.ones == plain.ones
-    assert sparse.n_bits == n
-    for p in range(0, n + 1, max(1, n // 97)):
-        assert sparse.rank1(p) == plain.rank1(p)
-    for r in range(1, plain.ones + 1):
-        assert sparse.select1(r) == plain.select1(r)
-    for p in range(1, n + 1, max(1, n // 53)):
-        assert sparse.get(p) == plain.get(p)
+    bits = np.array([rng.random() < density for _ in range(n)])
+    plain, comp = two_symbol_seq(bits, False), two_symbol_seq(bits, True)
+    assert comp.to_bytes() == plain.to_bytes()
+    data, _ = densify(1 + bits)
+    for p in range(1, n + 1, max(1, n // 97)):
+        want = dict(zip(*np.unique(data[:p], return_counts=True)))
+        assert comp.range_counts(1, p) == {int(a): int(c) for a, c in want.items()}
+    assert comp.to_array().tolist() == data.tolist()
 
 
 def test_sparse_empty_and_full():
-    empty = SparseBitVector.from_ones([], 1000)
-    assert empty.ones == 0
-    assert empty.rank1(1000) == 0
-    assert empty.ones_in_range(1, 1000) == []
-    full = SparseBitVector.from_ones(list(range(1, 9)), 8)
-    assert full.rank1(8) == 8
-    assert full.select1(8) == 8
+    empty = BitVector.from_ones([], 1000)
+    assert empty.ones == 0 and empty.rank1(1000) == 0
+    assert not empty.to_numpy_bool().any()
+    full = BitVector.from_ones(list(range(1, 9)), 8)
+    assert full.rank1(8) == 8 and full.to_numpy_bool().all()
+    # in the matrix an all-equal level does not exist: one symbol, no level
+    for bits in (np.zeros(1000, dtype=bool), np.ones(8, dtype=bool)):
+        seq = two_symbol_seq(bits)
+        assert seq.depth == 0 and seq.range_counts(1, bits.size) == {1: bits.size}
 
 
 def test_sparse_ones_in_range():
-    sv = SparseBitVector.from_ones([3, 9, 10, 40, 41, 900], 1000)
-    assert sv.ones_in_range(9, 41) == [9, 10, 40, 41]
-    assert sv.ones_in_range(1, 1000) == [3, 9, 10, 40, 41, 900]
-    assert sv.ones_in_range(42, 899) == []
-    assert sv.ones_in_range(900, 900) == [900]
+    bv = BitVector.from_ones([3, 9, 10, 40, 41, 900], 1000)
+    bits = bv.to_numpy_bool()
+
+    def ones_in_range(lo, hi):
+        return (np.flatnonzero(bits[lo - 1:hi]) + lo).tolist()
+    for (lo, hi), want in (((9, 41), [9, 10, 40, 41]), ((1, 1000), [3, 9, 10, 40, 41, 900]),
+                           ((42, 899), []), ((900, 900), [900])):
+        assert ones_in_range(lo, hi) == want
+        assert bv.rank1(hi) - bv.rank1(lo - 1) == len(want)
 
 
 def sparse_cases():
-    """(length, density name, bool array) for the ones_in_range sweep."""
+    """(length, density name, bool array) for the every-range sweep."""
     for n in (1, 63, 64, 65, 130, 1000):
         rng = np.random.default_rng(n)
         single = np.zeros(n, dtype=bool)
@@ -204,34 +234,37 @@ def sparse_cases():
         yield n, "single", single
         yield n, "0.01", rng.random(n) < 0.01
         yield n, "0.5", rng.random(n) < 0.5
-        yield n, "full", np.ones(n, dtype=bool)  # low width 0
+        yield n, "full", np.ones(n, dtype=bool)
 
 
-@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("loaded_", [False, True], ids=["built", "loaded"])
 @pytest.mark.parametrize("n, density, bits", [
     pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in sparse_cases()])
-def test_sparse_ones_in_range_every_range(n, density, bits, loaded):
-    """Every (lo, hi) up to length 130; at length 1000 every lo with each hi
-    up to 64 places on, and with hi = n (past the last one)."""
-    sv = SparseBitVector.from_numpy_bool(bits)
-    if loaded:
-        sv = bitvector_from_bytes(sv.to_bytes())
-    if density == "full":
-        assert sv.low_width == 0
-    ones = np.flatnonzero(sv.to_numpy_bool()) + 1
-    assert ones.tolist() == (np.flatnonzero(bits) + 1).tolist()
+def test_sparse_ones_in_range_every_range(n, density, bits, loaded_):
+    """The sequence over 1 + bits, built with the compressed option and
+    optionally reloaded, counts every range exactly: every (lo, hi) up to
+    length 130; at length 1000 every lo with each hi up to 64 places on,
+    and with hi = n."""
+    seq = two_symbol_seq(bits)
+    if loaded_:
+        seq = WaveletSequence.read_from(ByteReader(seq.to_bytes()))
+    data, _ = densify(1 + bits)
+    assert seq.to_array().tolist() == data.tolist()
+    sigma = seq.sigma
+    prefix = np.zeros((sigma + 1, n + 1), dtype=np.int64)
+    for a in range(1, sigma + 1):
+        prefix[a, 1:] = np.cumsum(data == a)
     for lo in range(1, n + 1):
         his = range(lo, n + 1) if n <= 130 else [*range(lo, min(lo + 65, n + 1)), n]
-        start = np.searchsorted(ones, lo)
         for hi in his:
-            want = ones[start:np.searchsorted(ones, hi, side="right")].tolist()
-            assert sv.ones_in_range(lo, hi) == want, (lo, hi)
+            want = {a: int(prefix[a, hi] - prefix[a, lo - 1]) for a in range(1, sigma + 1)}
+            assert seq.range_counts(lo, hi) == {a: c for a, c in want.items() if c}, (lo, hi)
 
 
 def bucket_bits():
-    """131072 bits holding 330 ones, so the sparse low width is 9 (buckets of
-    512 positions): buckets 3, 10, 20 and 30 hold 200, 65, 64 and 1 ones,
-    and every other bucket none."""
+    """131072 bits holding 330 ones: 200, 65, 64 and 1 ones in the
+    512-position windows 3, 10, 20 and 30 (the sparse encoding's buckets),
+    and none elsewhere."""
     bits = np.zeros(1 << 17, dtype=bool)
     rng = np.random.default_rng(17)
     for bucket, ones in ((3, 200), (10, 65), (20, 64), (30, 1)):
@@ -239,17 +272,17 @@ def bucket_bits():
     return bits
 
 
-@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
-def test_sparse_rank_every_prefix_across_buckets(loaded):
+@pytest.mark.parametrize("loaded_", [False, True], ids=["built", "loaded"])
+def test_sparse_rank_every_prefix_across_buckets(loaded_):
     bits = bucket_bits()
-    sv = SparseBitVector.from_numpy_bool(bits)
-    if loaded:
-        sv = bitvector_from_bytes(sv.to_bytes())
-    assert (sv.low_width, sv.ones) == (9, 330)
+    bv = BitVector.from_numpy_bool(bits)
+    if loaded_:
+        bv = loaded(bv)
+    assert bv.ones == 330
     want = np.concatenate(([0], np.cumsum(bits)))
-    got = [sv.rank1(p) for p in range(bits.size + 1)]
+    got = [bv.rank1(p) for p in range(bits.size + 1)]
     assert got == want.tolist()
-    assert sv.rank1_array(np.arange(0, bits.size + 1, 97)).tolist() == want[::97].tolist()
+    assert bv.rank1_array(np.arange(0, bits.size + 1, 97)).tolist() == want[::97].tolist()
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
@@ -262,186 +295,185 @@ def test_plain_rank_array_every_prefix(n):
 
 def test_sparse_from_ones_validation():
     with pytest.raises(RangeError):
-        SparseBitVector.from_ones([0], 5)
-    with pytest.raises(DomainError):
-        SparseBitVector.from_ones([2, 2], 5)
+        BitVector.from_ones([0], 5)
     with pytest.raises(RangeError):
-        SparseBitVector.from_ones([6], 5)
+        BitVector.from_ones([6], 5)
+    # a repeated position sets its bit once
+    assert BitVector.from_ones([2, 2], 5).to_numpy_bool().tolist() == [
+        False, True, False, False, False]
 
 
 def test_sparse_from_ones_unsorted_array():
     rng = np.random.default_rng(5)
     ones = rng.choice(np.arange(1, 5001), size=300, replace=False)
     given = ones.copy()
-    got = SparseBitVector.from_ones(ones, 5000)
-    assert got == SparseBitVector.from_ones(sorted(ones.tolist()), 5000)
+    got = BitVector.from_ones(ones, 5000)
+    assert same(got, BitVector.from_ones(sorted(ones.tolist()), 5000))
     assert (ones == given).all()  # the caller's array is left as it was
-    with pytest.raises(DomainError):
-        SparseBitVector.from_ones(np.append(ones, ones[7]), 5000)
+    assert got.ones == 300
     with pytest.raises(RangeError):
-        SparseBitVector.from_ones(np.append(ones, 0), 5000)
+        BitVector.from_ones(np.append(ones, 0), 5000)
     with pytest.raises(RangeError):
-        SparseBitVector.from_ones(np.append(ones, 5001), 5000)
+        BitVector.from_ones(np.append(ones, 5001), 5000)
 
 
 def test_sparse_select0():
     bits = [0, 1, 1, 0, 0, 1, 0]
-    sv = SparseBitVector.from_ones([2, 3, 6], 7)
-    zeros = [1 - b for b in bits]
-    for r in range(1, sum(zeros) + 1):
-        assert sv.select0(r) == brute_select(zeros, r)
+    bv = BitVector.from_ones([2, 3, 6], 7)
+    zeros = [p for p in range(1, 8) if not bits[p - 1]]
+    assert [p - bv.rank1(p) for p in zeros] == list(range(1, len(zeros) + 1))
 
 
-# -- serialization -------------------------------------------------------------------
+# -- levels through the word stream ---------------------------------------------------
 
 
-@pytest.mark.parametrize("cls", [BitVector, SparseBitVector])
-def test_bitvector_bytes_round_trip(cls):
+@pytest.mark.parametrize("kind", ["BitVector", "SparseBitVector"])
+def test_bitvector_bytes_round_trip(kind):
+    """BitVector: a level's words through the writer and the reader give an
+    equal vector.  SparseBitVector: the same positions as a sequence with
+    the compressed option, where sparse levels were written, reload byte
+    for byte."""
     rng = random.Random(99)
     ones = sorted(rng.sample(range(1, 5001), 180))
-    orig = cls.from_ones(ones, 5000)
-    back = bitvector_from_bytes(orig.to_bytes())
-    assert type(back) is cls
-    assert back == orig
-    assert back.to_bytes() == orig.to_bytes()
+    orig = BitVector.from_ones(ones, 5000)
+    if kind == "BitVector":
+        assert same(loaded(orig), orig)
+        return
+    seq = two_symbol_seq(orig.to_numpy_bool())
+    back = WaveletSequence.read_from(ByteReader(seq.to_bytes()))
+    assert back.to_bytes() == seq.to_bytes()
+    assert same(back._levels[0], seq._levels[0])
 
 
 def test_words_are_one_typed_buffer():
-    """Built and loaded vectors hold their words as array('Q') and agree."""
+    """Built and loaded vectors, and a loaded sequence's levels, hold their
+    words as array('Q') and agree."""
     arr = np.random.default_rng(3).random(5000) < 0.05
     ones = np.flatnonzero(arr) + 1
     plain = [BitVector.from_numpy_bool(arr), BitVector.from_ones(ones, arr.size)]
     plain.append(BitVector(list(plain[0].words), arr.size))  # words given as ints
-    sparse = SparseBitVector.from_ones(ones, arr.size)
-    packed = PackedArray.from_values(13, np.arange(700) * 11)
-    for bv in plain + [bitvector_from_bytes(plain[0].to_bytes())]:
+    for bv in plain + [loaded(plain[0])]:
         assert type(bv.words) is array and bv.words.typecode == "Q"
-        assert bv == plain[0]
-    back = bitvector_from_bytes(sparse.to_bytes())
-    for sv in (sparse, back, SparseBitVector.from_ones([], 100)):
-        for words in (sv.low.words, sv.upper.words):
-            assert type(words) is array and words.typecode == "Q"
-    assert back == sparse
-    assert type(packed.words) is array and packed.words.typecode == "Q"
-    assert PackedArray(13, 700, packed.words).to_numpy().tolist() == (np.arange(700) * 11).tolist()
+        assert same(bv, plain[0])
+    seq = two_symbol_seq(arr)
+    for level in WaveletSequence.read_from(ByteReader(seq.to_bytes()))._levels:
+        assert type(level.words) is array and level.words.typecode == "Q"
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 70001])
 def test_plain_size_bits_is_serialized_size(n):
+    # a level of n bits puts ceil(n / 64) words in the stream, and no more
     bv = BitVector.from_numpy_bool(np.random.default_rng(n).random(n) < 0.5)
-    assert bv.size_bits() == 8 * len(bv.to_bytes())
+    w = ByteWriter()
+    w.words(bv.words, counted=False)
+    assert len(w.getvalue()) == 8 * ((n + 63) // 64)
+    assert same(loaded(bv), bv)
 
 
 @pytest.mark.parametrize("density", [0, 0.01, 0.5, 1])
 def test_sparse_size_bits_is_serialized_size(density):
     for n in (1, 64, 70001):
-        sv = SparseBitVector.from_numpy_bool(np.random.default_rng(n).random(n) < density)
-        assert sv.size_bits() == 8 * len(sv.to_bytes()), n
-
-
-def sparse_blob(n_bits, ones, low_width, lows, upper_bits):
-    """A kind-1 bitvector blob written field by field, consistent or not."""
-    w = ByteWriter()
-    w.raw(MAGIC_BITS)
-    w.u16(FORMAT_VERSION)
-    w.u8(1)
-    w.u64(n_bits)
-    w.u64(ones)
-    w.u8(low_width)
-    w.words(PackedArray.from_values(low_width, lows).words)
-    upper = BitVector.from_bits(upper_bits)
-    w.u64(upper.n_bits)
-    w.words(upper.words)
-    return w.getvalue()
+        seq = two_symbol_seq(np.random.default_rng(n).random(n) < density)
+        assert seq.size_bits() == 8 * len(seq.to_bytes()), n
 
 
 def test_sparse_bytes_rejects_inconsistent_fields():
-    # 100 ones in 1000 bits and 99 in 1000 both give 4 low bits and 63 buckets
-    rng = random.Random(4)
-    sv = SparseBitVector.from_ones(sorted(rng.sample(range(1, 1000), 99)) + [1000], 1000)
-    n, m, width = sv.n_bits, sv.ones, sv.low_width
-    lows = sv.low.to_numpy().tolist()
-    upper = sv.upper.to_numpy_bool().tolist()
-    assert sparse_blob(n, m, width, lows, upper) == sv.to_bytes()
-    with pytest.raises(FormatError, match="ones in"):
-        bitvector_from_bytes(sparse_blob(n, n + 1, width, lows, upper))
-    with pytest.raises(FormatError, match="low width"):
-        bitvector_from_bytes(sparse_blob(n, m, width + 1, lows, upper))
-    with pytest.raises(FormatError, match="upper part holds 164 bits"):
-        bitvector_from_bytes(sparse_blob(n, m, width, lows, upper + [False]))
-    # the header claims one set bit fewer than the upper part holds; the upper
-    # part drops its last (terminating) zero so its length fits m - 1 ones
-    assert upper[-1] is False
-    with pytest.raises(FormatError, match="header says 99"):
-        bitvector_from_bytes(sparse_blob(n, m - 1, width, lows[:-1], upper[:-1]))
-    # the last set bit (1000 = bucket 62, low 7) decodes to 1008
-    with pytest.raises(FormatError, match="beyond 1000 bits"):
-        bitvector_from_bytes(sparse_blob(n, m, width, lows[:-1] + [15], upper))
-    # positions 3 and 5 share bucket 0 (low width 4); swapping their lows
-    # would make select1 return 5 for the 1st one and 3 for the 2nd
-    sv = SparseBitVector.from_ones([3, 5, 9, 21, 27, 40, 77], 100)
-    lows = sv.low.to_numpy().tolist()
-    assert sv.low_width == 4 and lows[:2] == [2, 4]
-    swapped = sparse_blob(100, 7, 4, [4, 2] + lows[2:], sv.upper.to_numpy_bool().tolist())
-    with pytest.raises(FormatError, match="not strictly increasing"):
-        bitvector_from_bytes(swapped)
+    """A two-symbol sequence's one level: a declared length other than n, a
+    stream one word short, and a set bit past the declared length are each
+    refused by the loader."""
+    bits = np.random.default_rng(4).random(1000) < 0.1
+    blob = two_symbol_seq(bits).to_bytes()
+    at = len(blob) - 8 * 16 - 8  # the level's u64 length, then 16 words
+    assert int.from_bytes(blob[at:at + 8], "little") == 1000
+    with pytest.raises(FormatError, match="level 0 holds 999 bits"):
+        WaveletSequence.read_from(ByteReader(blob[:at] + (999).to_bytes(8, "little") + blob[at + 8:]))
+    with pytest.raises(FormatError, match="truncated"):
+        WaveletSequence.read_from(ByteReader(blob[:-8]))
+    last = bytearray(blob)
+    last[-1] |= 0x80  # bit 1023 of a 1000-bit level
+    with pytest.raises(FormatError, match="stray bits"):
+        WaveletSequence.read_from(ByteReader(bytes(last)))
 
 
 def test_bitvector_bytes_bad_magic():
-    blob = BitVector.from_bits([1, 0]).to_bytes()
-    with pytest.raises(FormatError):
-        bitvector_from_bytes(b"XXXX" + blob[4:])
+    # standalone bitvector blobs and their RFQB magic are gone; a file
+    # starting with that magic is refused
+    blob = IndexBundle.from_values([1, 2, 1]).to_bytes()
+    with pytest.raises(FormatError, match="bad magic"):
+        IndexBundle.from_bytes(b"RFQB" + blob[4:])
 
 
-# -- RmqIndex ------------------------------------------------------------------------
+# -- the largest counts the walks prune by (RmqIndex retired) --------------------------
 
 
-def test_rmq_frozen():
-    idx = RmqIndex([0, 0, 0, 1, 0, 4, 0, 6, 2, 3, 8])
-    assert idx.query(4, 8) == 5
-    assert idx.query(1, 11) == 1
-    assert idx.query(8, 8) == 8
-    assert RmqIndex([3, 1, 1, 2]).query(1, 4) == 2
-    assert RmqIndex([7]).query(1, 1) == 1
+def slot_max_by_code(seq) -> list[tuple[int, int, int]]:
+    """(symbol, level, stored largest count) for every slot a symbol's code
+    passes, found by following the code down the matrix: at each level the
+    bit picks the child slot, which is a leaf among the first `leaves`."""
+    out = []
+    for a in range(1, seq.sigma + 1):
+        node = 0
+        for lvl, bit in enumerate(seq.code(a)):
+            _, _, _, _, inner, leaves, _, top = seq._steps[lvl]
+            child = node + inner * int(bit)
+            out.append((a, lvl, top[child]))
+            node = child - leaves
+    return out
+
+
+def check_slot_max(counts: list[int]) -> WaveletSequence:
+    """Every slot on every code's path stores the largest count among the
+    symbols whose codes share its prefix, and the pruned walk over the
+    whole sequence returns exactly the symbols above every threshold."""
+    data = np.repeat(np.arange(1, len(counts) + 1), counts)
+    np.random.default_rng(len(counts)).shuffle(data)
+    seq = WaveletSequence.build(data)
+    codes = {a: seq.code(a) for a in range(1, seq.sigma + 1)}
+    for a, lvl, top in slot_max_by_code(seq):
+        prefix = codes[a][:lvl + 1]
+        assert top == max(counts[b - 1] for b, c in codes.items() if c.startswith(prefix))
+    for thr in range(max(counts) + 1):
+        want = {a: c for a, c in enumerate(counts, 1) if c > thr}
+        assert seq.range_counts(1, data.size, thr) == want, thr
+    return seq
+
+
+def test_rmq_frozen(canon_seq):
+    # canon counts 5, 2, 2, 1, 1: level 0's slots are symbol 1's leaf and
+    # the node above the other four; level 1's the nodes 10 and 11; level
+    # 2's the leaves 100, 110, 101 and 111
+    assert [canon_seq.code(a) for a in range(1, 6)] == ["0", "100", "110", "101", "111"]
+    assert [step[7].tolist() for step in canon_seq._steps] == [[5, 2], [2, 2], [2, 2, 1, 1]]
+    check_slot_max([5, 2, 2, 1, 1])
 
 
 def test_rmq_leftmost_ties_random():
     rng = random.Random(5)
-    for _ in range(60):
-        vals = [rng.randint(0, 6) for _ in range(rng.randint(1, 80))]
-        idx = RmqIndex(vals)
-        for _ in range(40):
-            l = rng.randint(1, len(vals))
-            r = rng.randint(l, len(vals))
-            got = idx.query(l, r)
-            lowest = min(vals[l - 1:r])
-            assert vals[got - 1] == lowest
-            assert got == l + vals[l - 1:r].index(lowest)
+    for _ in range(30):
+        check_slot_max([rng.randint(1, 6) for _ in range(rng.randint(2, 40))])
 
 
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 31, 32, 33, 100])
 def test_rmq_every_range_with_ties(n):
+    """n symbols whose counts come from alphabets of 1, 2 and 4 values, so
+    most largest counts are ties."""
     rng = random.Random(n)
     for alphabet in (1, 2, 4):
-        vals = [rng.randrange(alphabet) for _ in range(n)]
-        idx = RmqIndex(vals)
-        for l in range(1, n + 1):
-            for r in range(l, n + 1):
-                lowest = min(vals[l - 1:r])
-                assert idx.query(l, r) == l + vals[l - 1:r].index(lowest), (vals, l, r)
-    with pytest.raises(RangeError):
-        idx.query(1, n + 1)
+        check_slot_max([1 + rng.randrange(alphabet) for _ in range(n)])
 
 
 def test_rmq_space_is_linear():
-    """At most 16 bytes a value beyond the values themselves (an n lg n
-    sparse table of int64 holds 8 lg n)."""
-    vals = np.random.default_rng(9).integers(0, 1 << 20, size=1 << 17)
+    """The largest counts take one 8-byte cell per child slot, 2 (sigma - 1)
+    of them, and are derived in O(sigma) words of working space."""
+    sigma = 1 << 17
+    counts = np.random.default_rng(9).integers(1, 1 << 20, size=sigma)
+    shape = _Shape(code_lengths(counts))
     tracemalloc.start()
     try:
-        idx = RmqIndex(vals)
-        held = tracemalloc.get_traced_memory()[0]
+        tops = _slot_max(shape, counts)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert idx.values is vals
-    assert held <= 16 * vals.size, held / vals.size
+    assert sum(len(t) for t in tops) == 2 * (sigma - 1)
+    assert held <= 18 * sigma, held / sigma  # 16 bytes of cells a symbol, and array slack
+    assert peak <= 64 * sigma, peak / sigma

@@ -3,7 +3,6 @@
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +11,9 @@ import numpy as np
 import pytest
 
 import rfq
+from conftest import joined_sequence, split_sequence
 from rfq.cli import main
-from rfq.serial import ByteReader, ByteWriter
+from rfq.serial import FORMAT_VERSION, ByteReader, ByteWriter
 
 
 @pytest.fixture
@@ -188,16 +188,15 @@ def test_corrupt_header_field_exits_three(abra_index, capsys):
 def test_impossibly_dense_family_exits_three(tmp_path, capsys):
     # a crafted file, checksums intact, whose top level is one bit short
     bundle = rfq.IndexBundle.from_values(np.resize(np.arange(1, 9), 3000))
-    seq = bundle.seq.to_bytes()
-    levels = 13 + bundle.seq.sigma  # n, sigma, flag, code lengths
-    bad = seq[:levels + 1] + struct.pack("<Q", 2999) + seq[levels + 9:]
+    prefix, sizes, stream = split_sequence(bundle.seq.to_bytes(), bundle.seq.depth)
+    bad = joined_sequence(prefix, [2999] + sizes[1:], stream)
     head = ByteWriter()
     head.u32(1)
     head.u8(0)
     head.u8(0)  # identity remap
     w = ByteWriter()
     w.raw(b"RFQI")
-    w.u16(7)
+    w.u16(FORMAT_VERSION)
     w.checked(head.getvalue())
     w.checked(bad)
     idx = tmp_path / "short.rfq"

@@ -14,7 +14,7 @@ import zlib
 import numpy as np
 import pytest
 
-from rfq import IndexConfig, SparseBitVector, oracle, threshold_count
+from rfq import BitVector, IndexConfig, oracle, threshold_count
 from rfq.corpus import uniform_string, zipf_string
 from rfq.indexfile import IndexBundle
 from rfq.serial import ByteReader
@@ -261,8 +261,12 @@ def test_ones_stay_under_cap():
 
 
 def test_flags_from_bits():
+    # flags were read back from a sparse bitvector; the plain bitvector,
+    # the one level kind left, gives the same positions and their ranks
     bits = np.zeros(100, dtype=bool)
     bits[[0, 17, 99]] = True
-    sv = SparseBitVector.from_numpy_bool(bits)
-    assert sv.n_bits == 100
-    assert sv.ones_in_range(1, 100) == [1, 18, 100]
+    bv = BitVector.from_numpy_bool(bits)
+    assert bv.n_bits == 100
+    ones = (np.flatnonzero(bv.to_numpy_bool()) + 1).tolist()
+    assert ones == [1, 18, 100]
+    assert [bv.rank1(p) for p in ones] == [1, 2, 3]

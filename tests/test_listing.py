@@ -26,12 +26,6 @@ def distinct(seq, lo, hi):
     return set(seq.range_counts(lo, hi, 0))
 
 
-def test_prev_occurrence_array_frozen(canon, canon_seq):
-    got = [canon_seq.prev_occurrence(k) for k in range(1, len(canon) + 1)]
-    assert got == [0, 0, 0, 1, 0, 4, 0, 6, 2, 3, 8]
-    assert got == [oracle.oracle_prev_occurrence(canon, k) for k in range(1, len(canon) + 1)]
-
-
 def test_query_frozen(canon, canon_seq):
     assert canon_seq.range_counts(4, 8, 0) == {1: 3, 4: 1, 5: 1}
     assert distinct(canon_seq, 4, 8) == \

@@ -1,5 +1,6 @@
 """Query-time-fraction range majority index against the oracle."""
 
+import json
 import math
 import random
 
@@ -82,6 +83,33 @@ def test_validation(canon_idx):
         canon_idx.query_majorities(1, 5, 0.0)
     with pytest.raises(DomainError):
         canon_idx.query_majorities(1, 5, 1.001)
+
+
+def test_one_range_check_for_every_kind():
+    """Majority, minority and mode read both ends with operator.index: a
+    float end is a RangeError, NumPy integer ends give plain int answers
+    that json can write, and tau is read once as a float, so a NumPy
+    float tau is accepted."""
+    bundle = IndexBundle.from_values(np.asarray(CANON))
+    kinds = {
+        "majority": lambda lo, hi, tau: bundle.query_majorities(lo, hi, tau),
+        "minority": lambda lo, hi, tau: bundle.query_minority(lo, hi, tau),
+        "mode": lambda lo, hi, tau: bundle.query_mode(lo, hi),
+    }
+    for kind, query in kinds.items():
+        for lo, hi in ((1.0, 4), (1, 4.0), ("1", 4), (None, 4)):
+            with pytest.raises(RangeError):
+                query(lo, hi, 0.5)
+        got = query(np.int64(1), np.int32(6), np.float32(0.4))
+        assert got == query(1, 6, 0.4), kind
+        flat = [got] if kind != "majority" else got
+        assert flat and all(type(v) is int for pair in flat for v in pair), (kind, got)
+        json.dumps(got)
+    assert bundle.query_majorities(np.int64(1), np.int64(6), 0.4) == [(1, 3)]
+    with pytest.raises(DomainError):
+        bundle.query_majorities(1, 4, "0.5")
+    with pytest.raises(DomainError):
+        bundle.query_minority(1, 4, np.float64("nan"))
 
 
 # -- dispatch paths ----------------------------------------------------------------
@@ -226,7 +254,7 @@ def test_flagged_path_ops_per_candidate(trade):
         assert d.path == "walk"
         walked += 1
         assert d.candidates == len(got)
-        assert d.ops.accesses == d.ops.selects == d.ops.partial_ranks == 0
+        assert d.ops.sequence_ops == d.ops.ranks  # rank1 is the only operation
         assert d.ops.ranks <= walk_cap(tau, depth)
     assert walked == 400
 
@@ -253,7 +281,7 @@ def test_sequential_path_is_one_pruned_split_walk():
         want = [(a, int(c)) for a, c in enumerate(counts) if c > threshold_count(tau, length)]
         assert got == want
         assert d.candidates == len(got)
-        assert d.ops.accesses == d.ops.selects == d.ops.partial_ranks == 0
+        assert d.ops.sequence_ops == d.ops.ranks  # rank1 is the only operation
         assert d.ops.ranks <= walk_cap(tau, depth)
     assert seen >= 100
 
@@ -357,7 +385,7 @@ def test_mode_rounds_share_flag_work(trade):
         counts = np.bincount(data[lo - 1:hi])
         assert got == (int(counts.argmax()), int(counts.max()))
         assert d.iterations <= iter_bound(length, got[1])
-        assert d.ops.accesses == d.ops.selects == 0
+        assert d.ops.sequence_ops == d.ops.ranks  # rank1 is the only operation
         assert d.ops.ranks <= sum(walk_cap(2.0 ** -s, depth) for s in range(1, d.iterations + 1))
 
 

@@ -177,7 +177,7 @@ def test_listing_path_ops_per_candidate():
         if d.path != "walk":
             continue
         walked += 1
-        assert d.ops.accesses == d.ops.selects == d.ops.partial_ranks == 0
+        assert d.ops.sequence_ops == d.ops.ranks  # rank1 is the only operation
         assert d.ops.ranks <= walk_cap(tau, depth)
     assert walked >= 300
 

@@ -48,11 +48,6 @@ def test_threshold_frozen():
     assert oracle.majority_threshold(1 / 2048, 2048) == 1
 
 
-def test_prev_occurrence_frozen(canon):
-    got = [oracle.oracle_prev_occurrence(canon, k) for k in range(1, 12)]
-    assert got == [0, 0, 0, 1, 0, 4, 0, 6, 2, 3, 8]
-
-
 def test_distinct_with_leftmost_frozen(canon):
     assert oracle.oracle_distinct_with_leftmost(canon, 4, 8) == {
         (1, 4), (4, 5), (5, 7)}

@@ -1,4 +1,13 @@
-"""Order-statistics sequence: access/rank/select and friends."""
+"""Huffman-shaped wavelet matrix: its codes, its levels and its walks.
+
+The matrix answers range queries only, through `range_counts` and
+`range_minority`, and `to_array` decodes it.  The sequence operations
+access, rank, select, partial rank, locate and previous occurrence were
+retired with format version 8, since no query read them; the tests that
+checked them keep their names and check the same facts (a position's
+symbol, a prefix's count, an occurrence's position) through the walks
+against brute force.
+"""
 
 import itertools
 import math
@@ -9,14 +18,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rfq import IndexBundle, IndexConfig
 from rfq.corpus import zipf_string
 from rfq.errors import DomainError, RangeError
 from rfq.sequence import WaveletSequence, code_lengths, length_cap
 from rfq.serial import ByteReader
 
 
-def build(values, **kw):
-    return WaveletSequence.build(np.asarray(values, dtype=np.int64), **kw)
+def build(values):
+    return WaveletSequence.build(np.asarray(values, dtype=np.int64))
+
+
+def bundle_seq(values, compressed):
+    """The sequence an IndexBundle builds over dense values, plain or with
+    the inert compressed option."""
+    return IndexBundle.from_values(np.asarray(values), IndexConfig(compressed=compressed)).seq
+
+
+def prefix_count(seq, a: int, k: int) -> int:
+    """Occurrences of a among the first k positions, from one walk."""
+    return seq.range_counts(1, k).get(a, 0) if k else 0
 
 
 # -- frozen behavior on the canonical string -------------------------------------
@@ -25,19 +46,20 @@ def build(values, **kw):
 def test_frozen_ops(canon_seq):
     s = canon_seq
     assert s.n == 11 and s.sigma == 5
-    assert s.access(5) == 4
-    assert s.rank(1, 5) == 2
-    assert s.rank(3, 11) == 2
-    assert s.rank(4, 0) == 0
-    assert s.select(1, 3) == 6
-    assert s.select(5, 2) is None
-    assert s.partial_rank(6) == 3
-    assert s.locate(4) == (1, 2)
-    assert s.prev_occurrence(4) == 1
-    assert s.prev_occurrence(2) == 0
-    assert s.prev_occurrence(11) == 8
+    assert s.range_counts(5, 5) == {4: 1}  # the symbol at position 5
+    assert prefix_count(s, 1, 5) == 2
+    assert prefix_count(s, 3, 11) == 2
+    # the third 1 is at position 6, and 5 has no second occurrence
+    assert (prefix_count(s, 1, 5), prefix_count(s, 1, 6)) == (2, 3)
+    assert s.symbol_count(5) == 1
     assert s.range_counts(4, 8) == {1: 3, 4: 1, 5: 1}
     assert s.range_counts(1, 11) == {1: 5, 2: 2, 3: 2, 4: 1, 5: 1}
+    assert s.range_counts(1, 11, 2) == {1: 5}
+    assert s.range_minority(4, 8, 1) in ((4, 1), (5, 1))
+    assert s.range_minority(1, 11, 2) in ((2, 2), (3, 2), (4, 1), (5, 1))
+    assert s.range_minority(1, 4, 1) in ((2, 1), (3, 1))
+    assert s.range_minority(1, 1, 1) == (1, 1)
+    assert s.range_minority(6, 6, 0) is None
     assert s.to_array().tolist() == [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
 
@@ -48,20 +70,14 @@ def test_symbol_counts_and_entropy(canon_seq):
 
 
 def test_validation(canon_seq):
-    with pytest.raises(RangeError):
-        canon_seq.access(0)
-    with pytest.raises(RangeError):
-        canon_seq.access(12)
-    with pytest.raises(RangeError):
-        canon_seq.rank(1, 12)
+    for walk in (canon_seq.range_counts, canon_seq.range_minority):
+        for lo, hi in ((0, 5), (1, 12), (5, 4), (1.0, 4), (1, "4")):
+            with pytest.raises(RangeError):
+                walk(lo, hi, 1)
     with pytest.raises(DomainError):
-        canon_seq.rank(6, 3)
+        canon_seq.symbol_count(6)
     with pytest.raises(DomainError):
-        canon_seq.select(0, 1)
-    with pytest.raises(RangeError):
-        canon_seq.select(1, 0)
-    with pytest.raises(RangeError):
-        canon_seq.range_counts(5, 4)
+        canon_seq.code(0)
 
 
 def test_rejects_sparse_alphabet():
@@ -85,19 +101,21 @@ def test_random_vs_brute(pow2, compressed):
         data = [rng.randint(1, sigma) for _ in range(n)]
         for a, k in zip(range(1, sigma + 1), rng.sample(range(n), sigma)):
             data[k] = a  # keep the alphabet dense
-        seq = build(data, compressed=compressed)
+        seq = bundle_seq(data, compressed)
         assert seq.to_array().tolist() == data
         for _ in range(60):
             k = rng.randint(1, n)
             a = rng.randint(1, sigma)
-            assert seq.access(k) == data[k - 1]
-            assert seq.rank(a, k) == data[:k].count(a)
-            assert seq.partial_rank(k) == data[:k].count(data[k - 1])
-            r = rng.randint(1, max(1, data.count(a)))
-            want = [i + 1 for i, v in enumerate(data) if v == a]
-            assert seq.select(a, r) == (want[r - 1] if r <= len(want) else None)
-            prev = [i + 1 for i, v in enumerate(data[:k - 1]) if v == data[k - 1]]
-            assert seq.prev_occurrence(k) == (prev[-1] if prev else 0)
+            assert seq.range_counts(k, k) == {data[k - 1]: 1}
+            assert prefix_count(seq, a, k) == data[:k].count(a)
+            lo = rng.randint(1, n)
+            hi = rng.randint(lo, n)
+            want = Counter(data[lo - 1:hi])
+            thr = rng.randint(0, hi - lo + 1)
+            assert seq.range_counts(lo, hi, thr) == {b: c for b, c in want.items() if c > thr}
+            got = seq.range_minority(lo, hi, thr)
+            light = {(b, c) for b, c in want.items() if c <= thr}
+            assert got in light if light else got is None
         lo = rng.randint(1, n)
         hi = rng.randint(lo, n)
         assert seq.range_counts(lo, hi) == dict(Counter(data[lo - 1:hi]))
@@ -105,13 +123,14 @@ def test_random_vs_brute(pow2, compressed):
 
 def test_single_symbol_alphabet():
     seq = build([1] * 9)
-    assert seq.sigma == 1
-    assert seq.access(4) == 1
-    assert seq.rank(1, 9) == 9
-    assert seq.select(1, 9) == 9
-    assert seq.select(1, 10) is None
-    assert seq.partial_rank(7) == 7
+    assert seq.sigma == 1 and seq.depth == 0
+    assert seq.to_array().tolist() == [1] * 9
+    assert prefix_count(seq, 1, 9) == 9
+    assert seq.range_counts(7, 7) == {1: 1}
     assert seq.range_counts(2, 5) == {1: 4}
+    assert seq.range_counts(2, 5, 4) == {}
+    assert seq.range_minority(2, 5, 4) == (1, 4)
+    assert seq.range_minority(2, 5, 3) is None
     assert seq.size_bits() < 4000
 
 
@@ -137,7 +156,9 @@ def test_geometric_counts_stay_within_cap(sigma):
         assert longest == cap  # the cap binds
     assert seq.to_array().tolist() == data.tolist()
     for k in range(1, data.size + 1, 7):
-        assert seq.locate(k) == (data[k - 1], int((data[:k] == data[k - 1]).sum()))
+        a = int(data[k - 1])
+        assert seq.range_counts(k, k) == {a: 1}
+        assert prefix_count(seq, a, k) == int((data[:k] == a).sum())
 
 
 def test_code_lengths_are_optimal_within_cap():
@@ -186,37 +207,32 @@ def test_zipf_sequence_within_fixed_width_and_entropy(n, sigma, skew):
     bits = code_bits(seq)
     assert bits <= n * math.ceil(math.log2(seq.sigma))  # never above the fixed-width matrix
     assert bits <= n * (seq.entropy_h0() + 1)
-    # headers: n, sigma, flag and a byte per code length; per level a blob
-    # prefix, the bitvector header and at most one partly filled word
-    assert seq.size_bits() <= bits + 8 * (13 + seq.sigma) + seq.depth * (64 + 8 * 31 + 64)
+    # headers: n, sigma, a width byte and at most a byte per code length;
+    # per level its u64 bit length and at most one partly filled word
+    assert seq.size_bits() <= bits + 8 * (13 + seq.sigma) + seq.depth * (64 + 64)
 
 
 # -- operation accounting ----------------------------------------------------------
 
 
 def test_tally_policy(canon_seq):
+    # each walk counts its rank1 calls, two per trie node it splits; rank1
+    # is the only sequence operation, so sequence_ops is the same number
     s = canon_seq
     snap = s.tally.snapshot()
-    s.rank(1, 5)
-    s.select(1, 1)
-    s.access(3)
-    s.partial_rank(2)
+    s.range_counts(1, 11)
     d = s.tally.since(snap)
-    assert (d.ranks, d.selects, d.accesses, d.partial_ranks) == (1, 1, 1, 1)
-    # plain symbol reads do not count toward the work bound
-    assert d.sequence_ops == 3
+    assert d.ranks == 2 * (s.sigma - 1)  # every internal node of the trie
+    assert d.sequence_ops == d.ranks
 
     snap = s.tally.snapshot()
-    s.locate(4)
-    d = s.tally.since(snap)
-    assert (d.accesses, d.partial_ranks, d.ranks, d.selects) == (1, 1, 0, 0)
+    s.range_counts(1, 11, 11)  # no node can hold a symbol above 11: no rank
+    s.range_minority(1, 11, 0)  # threshold 0: no symbol qualifies, no rank
+    assert s.tally.since(snap).ranks == 0
 
     snap = s.tally.snapshot()
-    s.prev_occurrence(2)  # first occurrence: no select needed
-    assert s.tally.since(snap).selects == 0
-    snap = s.tally.snapshot()
-    s.prev_occurrence(11)
-    assert s.tally.since(snap).selects == 1
+    s.range_minority(1, 11, 2)
+    assert 2 <= s.tally.since(snap).ranks <= 2 * s.depth * 2
 
 
 # -- serialization and size ---------------------------------------------------------
@@ -227,13 +243,12 @@ def test_tally_policy(canon_seq):
 def test_bytes_round_trip(sigma, compressed):
     rng = random.Random(10 * sigma + compressed)
     n = 800
-    # mostly symbol 1, so compressed mode picks the sparse encoding
+    # mostly symbol 1, where compressed mode once picked the sparse encoding
     data = [1 if rng.random() < 0.9 else rng.randint(1, sigma) for _ in range(n)]
     for a, k in zip(range(1, sigma + 1), rng.sample(range(n), sigma)):
         data[k] = a
-    seq = build(data, compressed=compressed)
-    if compressed and sigma > 1:
-        assert seq.size_bits() < build(data).size_bits()
+    seq = bundle_seq(data, compressed)
+    assert seq.to_bytes() == build(data).to_bytes()  # compressed is inert
     # a built matrix decodes its levels into a fresh array each time, so a
     # caller that changes one cannot change the next
     decoded = seq.to_array()
@@ -248,13 +263,11 @@ def test_bytes_round_trip(sigma, compressed):
     assert back.counts.tolist() == seq.counts.tolist()
     assert back.to_array().tolist() == seq.to_array().tolist() == data
     for k in range(1, n + 1, 17):
-        a = rng.randint(1, sigma)
-        assert back.rank(a, k) == seq.rank(a, k)
-        r = rng.randint(1, seq.symbol_count(a) + 1)
-        assert back.select(a, r) == seq.select(a, r)
-        assert back.locate(k) == seq.locate(k)
         lo = rng.randint(1, k)
+        thr = rng.randint(0, k - lo + 1)
         assert back.range_counts(lo, k) == seq.range_counts(lo, k)
+        assert back.range_counts(lo, k, thr) == seq.range_counts(lo, k, thr)
+        assert back.range_minority(lo, k, thr) == seq.range_minority(lo, k, thr)
 
 
 @pytest.mark.parametrize("n,sigma", [(5000, 657), (20000, 953)])
@@ -269,15 +282,20 @@ def test_plain_size_envelope(n, sigma):
 
 
 def test_compressed_no_larger_on_skewed_data():
+    """The compressed option is inert: on input where it once stored sparse
+    levels (3,000 of 3,200 symbols equal; format 7 held 2,952 sequence
+    bits compressed against 4,816 plain), it builds a sequence
+    byte-identical to the plain one, 4,696 bits in format 8."""
     rng = random.Random(3)
     data = [1] * 3000 + [rng.randint(2, 16) for _ in range(200)]
     rng.shuffle(data)
     for a, k in zip(range(2, 17), rng.sample(range(len(data)), 15)):
         data[k] = a
-    plain = build(data)
-    comp = build(data, compressed=True)
-    assert comp.size_bits() <= plain.size_bits()
-    assert comp.to_array().tolist() == plain.to_array().tolist()
+    plain = bundle_seq(data, False)
+    comp = bundle_seq(data, True)
+    assert comp.to_bytes() == plain.to_bytes()
+    assert comp.size_bits() == plain.size_bits() == 4696
+    assert comp.to_array().tolist() == data
 
 
 # -- properties ---------------------------------------------------------------------
@@ -286,23 +304,26 @@ def test_compressed_no_larger_on_skewed_data():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=120), st.data())
 def test_rank_select_inverse(values, data):
+    # the r-th occurrence of a is where a's prefix count steps from r - 1 to r
     sigma = max(values)
     values = values + list(range(1, sigma + 1))  # densify
     seq = build(values)
     a = data.draw(st.integers(1, sigma))
-    total = values.count(a)
-    r = data.draw(st.integers(1, total))
-    p = seq.select(a, r)
-    assert p is not None
-    assert seq.rank(a, p) == r
-    assert seq.rank(a, p - 1) == r - 1
-    assert seq.access(p) == a
+    where = [i + 1 for i, v in enumerate(values) if v == a]
+    r = data.draw(st.integers(1, len(where)))
+    p = where[r - 1]
+    assert prefix_count(seq, a, p) == r
+    assert prefix_count(seq, a, p - 1) == r - 1
+    assert seq.range_counts(p, p) == {a: 1}
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=80))
 def test_partial_rank_matches_rank(values):
+    # a position's symbol and its count in the prefix up to it, from walks
     values = values + [1, 2, 3, 4]
     seq = build(values)
     for k in range(1, len(values) + 1):
-        assert seq.partial_rank(k) == seq.rank(values[k - 1], k)
+        a = values[k - 1]
+        assert seq.range_counts(k, k) == {a: 1}
+        assert prefix_count(seq, a, k) == values[:k].count(a)

@@ -9,7 +9,8 @@ from array import array
 import numpy as np
 import pytest
 
-from rfq import BitVector, IndexConfig, SparseBitVector, oracle
+from conftest import joined_sequence, split_sequence
+from rfq import BitVector, IndexConfig, oracle
 from rfq.cli import main as cli_main
 from rfq.corpus import zipf_string
 from rfq.errors import ConfigError, DomainError, FormatError
@@ -29,7 +30,7 @@ def test_primitive_round_trip():
     w.u64(2**63 + 5)
     w.blob(b"payload")
     w.words([0, 1, 2**64 - 1])
-    w.np_u32(np.asarray([7, 0, 4_000_000_000], dtype=np.uint32))
+    w.words([7, 2**63], counted=False)
     r = ByteReader(w.getvalue())
     assert r.u8() == 200
     assert r.u16() == 40_000
@@ -37,7 +38,7 @@ def test_primitive_round_trip():
     assert r.u64() == 2**63 + 5
     assert r.blob() == b"payload"
     assert list(r.words()) == [0, 1, 2**64 - 1]
-    assert r.np_u32().tolist() == [7, 0, 4_000_000_000]
+    assert list(r.words(2)) == [7, 2**63]
     assert r.done()
 
 
@@ -68,9 +69,9 @@ def test_reader_truncation_and_magic():
     with pytest.raises(FormatError):
         ByteReader(data).expect_magic(b"NOPE")
     w = ByteWriter()
-    w.blob(b"abc")  # not a whole number of u32 values
+    w.blob(b"abc")  # a blob one byte short of its declared length
     with pytest.raises(FormatError):
-        ByteReader(w.getvalue()).np_u32()
+        ByteReader(w.getvalue()[:-1]).blob()
 
 
 # -- bundle round trips ---------------------------------------------------------------
@@ -139,6 +140,27 @@ def test_remap_tokens():
     assert back.query_minority(1, 8, 0.5) == bundle.query_minority(1, 8, 0.5)
 
 
+@pytest.mark.parametrize("values", [
+    [1.5, 2.5, 1.5],  # truncated to 1, 2, 1, the mode (1, 2) was not in the input
+    np.asarray([1.0, 2.0]),
+    [2**63],  # raised a raw OverflowError
+    [-2**63 - 1, 1],
+    [True, False],
+    ["1", "2"],
+], ids=["floats", "float-array", "past-int64", "below-int64", "bools", "strings"])
+def test_from_values_refuses_non_integers(values):
+    with pytest.raises(DomainError, match="integers within int64"):
+        IndexBundle.from_values(values)
+
+
+def test_from_values_takes_every_integer_dtype():
+    for dtype in (np.uint8, np.int16, np.uint32, np.int64, np.uint64):
+        bundle = IndexBundle.from_values(np.asarray([7, 3, 7], dtype=dtype))
+        assert bundle.query_mode(1, 3) == (7, 2)
+    big = IndexBundle.from_values([2**63 - 1, -2**63, 2**63 - 1])
+    assert big.query_mode(1, 3) == (2**63 - 1, 2)
+
+
 def test_tokens_with_newline_are_rejected():
     with pytest.raises(DomainError):
         IndexBundle.from_tokens(["a\nb", "c", "c"], IndexConfig())
@@ -150,7 +172,7 @@ def test_mode_tie_breaks_to_lexicographic_smallest_token():
     assert bundle.query_mode(1, 4) == ("a", 2)
 
 
-# -- the v7 file: two checked sections ------------------------------------------------
+# -- the v8 file: two checked sections ------------------------------------------------
 
 
 def sections(blob: bytes) -> tuple[bytes, bytes]:
@@ -162,8 +184,8 @@ def sections(blob: bytes) -> tuple[bytes, bytes]:
 
 
 def sealed(head: bytes, seq: bytes) -> bytes:
-    """A version-7 file around these payloads, each with its own CRC32, so
-    that the loader's structural checks are what a test reaches."""
+    """A current-version file around these payloads, each with its own
+    CRC32, so that the loader's structural checks are what a test reaches."""
     w = ByteWriter()
     w.raw(MAGIC_INDEX)
     w.u16(FORMAT_VERSION)
@@ -172,52 +194,14 @@ def sealed(head: bytes, seq: bytes) -> bytes:
     return w.getvalue()
 
 
-def level_parts(seq_payload: bytes, depth: int, table_len: int):
-    """A sequence payload split into its prefix (n, sigma, compressed flag
-    and code lengths), its level header as [kind, bit length, ones or None]
-    records, and its word stream."""
-    r = ByteReader(seq_payload)
-    r.raw(13 + table_len)
-    records = []
-    for _ in range(depth):
-        kind, n_bits = r.u8(), r.u64()
-        records.append([kind, n_bits, r.u64() if kind else None])
-    return seq_payload[:13 + table_len], records, seq_payload[r.pos:]
-
-
-def joined(prefix: bytes, records, stream: bytes) -> bytes:
-    w = ByteWriter()
-    w.raw(prefix)
-    for kind, n_bits, ones in records:
-        w.u8(kind)
-        w.u64(n_bits)
-        if ones is not None:
-            w.u64(ones)
-    w.raw(stream)
-    return w.getvalue()
-
-
-def table_len(seq) -> int:
-    """Bytes of a sequence's code-length table: one a symbol, or packed."""
-    if seq.compressed:
-        return 1 + (seq.sigma * seq.depth.bit_length() + 7) // 8
-    return seq.sigma
-
-
-def record_words(kind, n_bits, ones) -> list[int]:
-    """Word counts of one level's parts in the stream, in stream order."""
-    if kind:
-        return list(SparseBitVector.word_counts(n_bits, ones))
-    return [(n_bits + 63) // 64]
-
-
 def edited_levels(bundle, edit) -> bytes:
-    """The bundle's file with edit(records, stream) -> (records, stream)
-    applied to its level header and word stream, resealed."""
+    """The bundle's file with edit(sizes, stream) -> (sizes, stream)
+    applied to its level header (each level's bit length) and word
+    stream, resealed."""
     head, body = sections(bundle.to_bytes())
-    prefix, records, stream = level_parts(body, bundle.seq.depth, table_len(bundle.seq))
-    records, stream = edit(records, stream)
-    return sealed(head, joined(prefix, records, stream))
+    prefix, sizes, stream = split_sequence(body, bundle.seq.depth)
+    sizes, stream = edit(sizes, stream)
+    return sealed(head, joined_sequence(prefix, sizes, stream))
 
 
 _HEAD_AT = 6 + 8  # the header payload, past magic, version and its length
@@ -243,8 +227,8 @@ def test_format_errors():
     with pytest.raises(FormatError):
         IndexBundle.from_bytes(blob[:-3])  # truncated
 
-    # the sequence section is n (u64), sigma (u32), compressed (u8), one
-    # code-length byte per symbol, the level header and the word stream
+    # the sequence section is n (u64), sigma (u32), the packed code
+    # lengths, the level header and the word stream
     head, body = sections(blob)
     seq = bundle.seq
     n, sigma = seq.n, seq.sigma
@@ -252,42 +236,44 @@ def test_format_errors():
         IndexBundle.from_bytes(sealed(head, body[:8] + struct.pack("<I", n + 1) + body[12:]))
     # all-zero levels of the right sizes (the first one bit short, then
     # whole), which send every position to the first leaf
-    lens = [len(seq.code(a)) for a in range(1, sigma + 1)]
-    held = [sum(int(c) for c, ln in zip(seq.counts, lens) if ln > lvl) for lvl in range(seq.depth)]
+    prefix, held, _ = split_sequence(body, seq.depth)
     for first_len in (n - 1, n):
         sizes = [first_len] + held[1:]
         w = ByteWriter()
-        w.u64(n)
-        w.u32(sigma)
-        w.u8(0)
-        w.raw(bytes(lens))
-        for size in sizes:
-            w.u8(0)
-            w.u64(size)
         for size in sizes:
             w.words(BitVector.from_bits([0] * size).words, counted=False)
         with pytest.raises(FormatError):
-            IndexBundle.from_bytes(sealed(head, w.getvalue()))
+            IndexBundle.from_bytes(sealed(head, joined_sequence(prefix, sizes, w.getvalue())))
 
 
-def sequence_parts(compressed=False):
-    """A sequence's bytes split into its fixed header (n, sigma, compressed),
-    its code-length table and its levels (level header and word stream)."""
-    seq = WaveletSequence.build(zipf_string(400, 12, skew=1.2, seed=4), compressed=compressed)
+def sequence_parts():
+    """A sequence's bytes split into its fixed header (n, sigma), its
+    packed code-length table and its levels (level header and word
+    stream)."""
+    seq = WaveletSequence.build(zipf_string(400, 12, skew=1.2, seed=4))
     blob = seq.to_bytes()
-    end = 13 + table_len(seq)
-    return blob[:13], blob[13:end], blob[end:], seq
+    prefix, sizes, stream = split_sequence(blob, seq.depth)
+    return blob[:12], prefix[12:], joined_sequence(b"", sizes, stream), seq
+
+
+def packed_lengths(lens) -> bytes:
+    """A code-length table as the file packs it: a width byte, then each
+    length in that many bits, the first in the low bits of the first byte."""
+    lens = np.asarray(lens, dtype=np.uint8)
+    width = int(lens.max()).bit_length()
+    bits = np.unpackbits(lens[:, None], axis=1, count=width, bitorder="little")
+    return bytes([width]) + np.packbits(bits.reshape(-1), bitorder="little").tobytes()
 
 
 def with_lengths(lens) -> bytes:
     """The test sequence's header and this code-length table, and no level."""
     head, _, _, _ = sequence_parts()
-    return head + bytes(lens)
+    return head + packed_lengths(lens)
 
 
 def hostile_lengths(case: str) -> list[int]:
-    _, table, _, seq = sequence_parts()
-    lens = list(table)
+    _, _, _, seq = sequence_parts()
+    lens = [len(seq.code(a)) for a in range(1, seq.sigma + 1)]
     cap = math.ceil(math.log2(seq.sigma)) + 1
     longest = lens.index(max(lens))
     if case == "zero":
@@ -332,7 +318,7 @@ def test_truncated_code_lengths_rejected():
 def test_hostile_code_lengths_in_a_bundle():
     bundle = IndexBundle.from_values(zipf_string(400, 12, skew=1.2, seed=4), IndexConfig())
     blob = bundle.to_bytes()
-    at = sequence_at(blob) + 13  # the first symbol's code length
+    at = sequence_at(blob) + 13  # the first symbols' code lengths, past the width byte
     with pytest.raises(FormatError, match="checksum"):  # damaged in place
         IndexBundle.from_bytes(blob[:at] + b"\x00" + blob[at + 1:])
     head, body = sections(blob)
@@ -341,8 +327,9 @@ def test_hostile_code_lengths_in_a_bundle():
 
 
 def test_packed_code_lengths_checked():
-    # compressed sequences pack the table: a width byte, then the lengths
-    head, table, levels, seq = sequence_parts(compressed=True)
+    # the table is packed: a width byte, then the lengths
+    head, table, levels, seq = sequence_parts()
+    assert table == packed_lengths([len(seq.code(a)) for a in range(1, seq.sigma + 1)])
     back = WaveletSequence.read_from(ByteReader(head + table + levels))
     assert [back.code(a) for a in range(1, seq.sigma + 1)] == \
         [seq.code(a) for a in range(1, seq.sigma + 1)]
@@ -395,6 +382,26 @@ def test_version_6_file_rejected(tmp_path, capsys):
     path.write_bytes(V6_CANON)
     assert cli_main(["query", str(path), "mode", "1", "11"]) == 3
     assert "unsupported format version 6" in capsys.readouterr().err
+
+
+# A version-7 file, as the version-7 writer left it for the same input: the
+# checked header section, then the checked sequence section with its
+# compressed flag, a code-length byte per symbol and a kind byte per level.
+V7_CANON = bytes.fromhex(
+    "524651490700060000000000000001000000000006729e7a4500000000000000"
+    "0b0000000000000005000000000103030303000b000000000000000006000000"
+    "0000000000060000000000000056030000000000002a00000000000000120000"
+    "0000000000399f036a"
+)
+
+
+def test_version_7_file_rejected(tmp_path, capsys):
+    with pytest.raises(FormatError, match="unsupported format version 7"):
+        IndexBundle.from_bytes(V7_CANON)
+    path = tmp_path / "v7.rfq"
+    path.write_bytes(V7_CANON)
+    assert cli_main(["info", str(path)]) == 3
+    assert "unsupported format version 7" in capsys.readouterr().err
 
 
 def test_version_2_file_rejected():
@@ -455,6 +462,14 @@ def test_config_fields_are_u32_ints(field, value):
         IndexConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [2, "no", None])
+def test_compressed_must_be_a_bool(value):
+    # 2 once built a file its own loader refused ("compressed code 2");
+    # "no" and None failed in to_bytes with a raw ValueError or TypeError
+    with pytest.raises(ConfigError, match="compressed must be a bool"):
+        IndexConfig(compressed=value)
+
+
 def test_largest_u32_config_round_trips():
     cfg = IndexConfig(trade=2**32 - 1)
     bundle = IndexBundle.from_values(zipf_string(300, 9, seed=2), cfg)
@@ -498,31 +513,30 @@ def test_corrupt_remap_table(blob, message):
 # -- the level header and the word stream ---------------------------------------------
 #
 # Version 7 dropped the listing and flag-family sections, whose load checks
-# the tests below were first written for.  Each keeps its name and checks
-# the level-header or section check that now guards the same kind of
-# damage: a wrong size, a missing or extra word, a hostile length, an
-# out-of-range field or a changed payload.
+# the tests below were first written for, and version 8 the sparse level
+# kind.  Each keeps its name and checks the level-header or section check
+# that now guards the same kind of damage: a wrong size, a missing or extra
+# word, a hostile length, an out-of-range field or a changed payload.
 
 
 def level_bundle(compressed=False):
-    # compressed, the input is skewed enough that the top level is sparse
-    return IndexBundle.from_values(zipf_string(3000, 40, skew=3.0 if compressed else 1.1, seed=3),
+    return IndexBundle.from_values(zipf_string(3000, 40, skew=1.1, seed=3),
                                    IndexConfig(compressed=compressed))
 
 
 def test_listing_block_zero_rejected():
     # a level below the top one declared empty, though internal nodes sit there
-    def edit(records, stream):
-        records[1][1] = 0
-        return records, stream
+    def edit(sizes, stream):
+        sizes[1] = 0
+        return sizes, stream
     with pytest.raises(FormatError, match=r"level 1 holds 0 bits, outside \[[1-9]"):
         IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
 
 
 def test_listing_length_must_match_sequence():
-    def edit(records, stream):
-        records[0][1] -= 1
-        return records, stream
+    def edit(sizes, stream):
+        sizes[0] -= 1
+        return sizes, stream
     with pytest.raises(FormatError, match="level 0 holds 2999 bits, expected 3000"):
         IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
 
@@ -530,7 +544,7 @@ def test_listing_length_must_match_sequence():
 def test_listing_block_minima_count_checked():
     # the stream must hold exactly the words the level header implies
     for cut in (lambda s: s[:-8], lambda s: s + bytes(8)):
-        blob = edited_levels(level_bundle(), lambda records, stream: (records, cut(stream)))
+        blob = edited_levels(level_bundle(), lambda sizes, stream: (sizes, cut(stream)))
         with pytest.raises(FormatError, match="truncated|trailing bytes after the sequence"):
             IndexBundle.from_bytes(blob)
 
@@ -553,14 +567,13 @@ def test_listing_block_must_match_trade():
     # is refused before a word is allocated
     bundle = level_bundle()
     head, body = sections(bundle.to_bytes())
-    huge = struct.pack("<Q", 2**64 - 1)
-    prefix, records, stream = level_parts(body, bundle.seq.depth, table_len(bundle.seq))
-    prefix = huge + prefix[8:]
-    records[0][1] = 2**64 - 1
+    prefix, sizes, stream = split_sequence(body, bundle.seq.depth)
+    prefix = struct.pack("<Q", 2**64 - 1) + prefix[8:]
+    sizes[0] = 2**64 - 1
     tracemalloc.start()
     try:
         with pytest.raises(FormatError, match="truncated"):
-            IndexBundle.from_bytes(sealed(head, joined(prefix, records, stream)))
+            IndexBundle.from_bytes(sealed(head, joined_sequence(prefix, sizes, stream)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -573,14 +586,14 @@ def test_family_length_must_match_sequence(side):
     distinct: levels of the sizes the code lengths promise whose bits do
     not split into those leaves."""
     if side == "candidate":
-        def edit(records, stream):
-            records[2][1] = records[1][1] + 1
-            return records, stream
+        def edit(sizes, stream):
+            sizes[2] = sizes[1] + 1
+            return sizes, stream
         with pytest.raises(FormatError, match="level 2 holds"):
             IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
     else:
-        def edit(records, stream):
-            return records, bytes(len(stream))  # every bit zero
+        def edit(sizes, stream):
+            return sizes, bytes(len(stream))  # every bit zero
         with pytest.raises(FormatError, match="does not fit its code lengths"):
             IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
 
@@ -602,55 +615,57 @@ def test_family_keys_must_rise(side):
 @pytest.mark.parametrize("side", ["majority", "minority"])
 @pytest.mark.parametrize("grow", [(1, 0), (0, 1)], ids=["tier", "scale"])
 def test_family_key_within_bounds(side, grow):
-    """Level kinds: plain (majority) sequences hold plain levels only, and
-    compressed (minority) ones plain or sparse levels; a kind past the
-    bound (tier) is refused, and so is a compressed flag the header does
-    not echo (scale)."""
+    """Files built plain (majority) and with the inert compressed option
+    (minority).  tier: a set bit past level 0's declared length, in its
+    last word, is refused.  scale: the header's compressed echo, flipped
+    and resealed, loads into the same sequence and the same answers, since
+    the option selects nothing (format 7 refused a flag that the sequence
+    section did not repeat; format 8 has no such flag)."""
     compressed = side == "minority"
     bundle = level_bundle(compressed)
     if grow == (1, 0):
-        def edit(records, stream):
-            records[0][0] = 1 + compressed
-            records[0][2] = 0
-            return records, stream
-        with pytest.raises(FormatError, match="level 0 has kind"):
+        n = bundle.seq.n
+        assert n % 64
+
+        def edit(sizes, stream):
+            last = (n + 63) // 64 - 1
+            word = array("Q", stream[8 * last:8 * last + 8])
+            word[0] |= 1 << 63  # past bit n
+            return sizes, stream[:8 * last] + word.tobytes() + stream[8 * last + 8:]
+        with pytest.raises(FormatError, match="stray bits"):
             IndexBundle.from_bytes(edited_levels(bundle, edit))
     else:
         head, body = sections(bundle.to_bytes())
         flipped = head[:_COMPRESSED_AT] + bytes([not compressed]) + head[_COMPRESSED_AT + 1:]
-        with pytest.raises(FormatError, match="disagree on the compressed flag"):
-            IndexBundle.from_bytes(sealed(flipped, body))
+        back = IndexBundle.from_bytes(sealed(flipped, body))
+        assert back.config.compressed is not compressed
+        assert back.seq.to_bytes() == bundle.seq.to_bytes()
+        assert_same_answers(bundle, back, queries_for(bundle.seq.n, random.Random(9), count=10))
 
 
 @pytest.mark.parametrize("side", ["candidate", "distinct"])
 def test_family_denser_than_possible_rejected(side):
-    """A sparse level whose header declares more ones than bits
-    (candidate), or whose upper part holds one fewer one than its header
-    declares (distinct)."""
-    bundle = level_bundle(compressed=True)
-    lvl = next(i for i, s in enumerate(bundle.seq._levels) if isinstance(s, SparseBitVector))
+    """candidate: every bit of every level set (within the declared
+    lengths), more ones than the code trie's one-children can hold;
+    distinct: a level header one level short, so the first word of the
+    stream is read as the last level's length."""
+    bundle = level_bundle()
 
-    def edit(records, stream):
-        kind, n_bits, ones = records[lvl]
-        if side == "candidate":
-            records[lvl][2] = n_bits + 1
-            return records, stream
-        before = sum(sum(record_words(*r)) for r in records[:lvl])
-        low, upper = record_words(kind, n_bits, ones)
-        words = array("Q", stream[8 * (before + low):8 * (before + low + upper)])
-        last = max(i for i, w in enumerate(words) if w)
-        words[last] &= words[last] - 1  # clear its lowest set bit
-        at = 8 * (before + low)
-        return records, stream[:at] + words.tobytes() + stream[at + 8 * upper:]
-    message = "ones in" if side == "candidate" else "upper part holds"
+    def edit(sizes, stream):
+        if side == "distinct":
+            return sizes[:-1], stream
+        ones = b"".join(BitVector.from_bits([1] * size).words.tobytes() for size in sizes)
+        return sizes, ones
+    message = "does not fit its code lengths" if side == "candidate" else "holds"
     with pytest.raises(FormatError, match=message):
         IndexBundle.from_bytes(edited_levels(bundle, edit))
 
 
 def test_level_stream_framing():
-    """One level header and one word stream: each plain level costs its
-    kind byte and its u64 bit length on top of its words, where a
-    standalone bitvector blob costs about 280 bits of framing."""
+    """One level header and one word stream: each level costs its u64 bit
+    length on top of its words, where a standalone bitvector blob cost
+    about 280 bits of framing, and the code lengths are packed at the
+    longest length's bit width."""
     rng = random.Random(257)
     n, sigma = 800, 257
     data = [1 if rng.random() < 0.9 else rng.randint(1, sigma) for _ in range(n)]
@@ -658,8 +673,9 @@ def test_level_stream_framing():
         data[k] = a
     seq = WaveletSequence.build(np.asarray(data))
     words = sum(len(s.words) for s in seq._levels)
+    table = 8 + 8 * ((sigma * seq.depth.bit_length() + 7) // 8)
     assert seq.size_bits() == 8 * len(seq.to_bytes())
-    assert seq.size_bits() == 8 * (13 + sigma) + seq.depth * (8 + 64) + 64 * words
+    assert seq.size_bits() == 8 * 12 + table + seq.depth * 64 + 64 * words
 
 
 def test_save_load(tmp_path):
