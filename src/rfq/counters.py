@@ -1,9 +1,9 @@
 """Operation tallies and per-query diagnostics.
 
 The range walks count their rank1 calls on the sequence they run
-against, two per node they split.  Query code snapshots the tally before
-working and publishes the difference, so the test suite can assert the
-advertised work bounds instead of trusting asymptotic hand-waving.
+against, two per node they split.  Query code publishes each query's
+calls in its diagnostics, so the test suite can assert the advertised
+work bounds instead of trusting asymptotic hand-waving.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class QueryDiagnostics:
     tau: float = 0.0
     path: str = ""
     candidates: int = 0
-    iterations: int = 0
     elapsed_ns: int = 0
     ops: OpTally = field(default_factory=OpTally)
 
@@ -49,7 +48,6 @@ class QueryDiagnostics:
             "tau": self.tau,
             "path": self.path,
             "candidates": self.candidates,
-            "iterations": self.iterations,
             "elapsed_ns": self.elapsed_ns,
             "ranks": self.ops.ranks,
             "sequence_ops": self.ops.sequence_ops,

@@ -17,9 +17,16 @@ Dispatch has two paths:
   every tau, including tau < 1/sigma, where it reaches every present
   symbol.
 
-Mode runs the walk at tau = 1/2, 1/4, ... over one range until a round
-reports, and takes the most frequent reported symbol, the lowest on a
-tie.  The round that reports is at most ceil(lg(len / occ)) + 1.
+Mode takes one path, the best-first walk behind
+`WaveletSequence.range_mode`, over the same trie (the greedy traversal of
+Culpepper, Navarro, Puglisi and Turpin, ESA 2010).  It pops the node with
+the highest bound, the smaller of its range size and its largest count,
+and prunes by the best count found so far, so ties go to the lowest
+symbol.  Every node it expands holds at least the mode's count occ of
+positions, so it makes at most 2 * depth * floor(len / occ) rank1 calls
+(the split-walk mode bound of Gagie, Navarro and Puglisi, TCS 2012).  It
+replaced halving rounds, majority walks at tau = 1/2, 1/4, ... until one
+reported, which restarted from the root each round.
 
 The candidate flag families, the listing engine and the chunked range
 scan that earlier versions dispatched between are retired: on the
@@ -35,11 +42,9 @@ import numbers
 import time
 
 from .config import IndexConfig
-from .counters import QueryDiagnostics
-from .errors import DomainError, LogicError
+from .counters import OpTally, QueryDiagnostics
+from .errors import DomainError
 from .sequence import WaveletSequence, check_range
-
-_MODE_ITER_GUARD = 80
 
 
 def threshold_count(tau: float, length: int) -> int:
@@ -54,7 +59,10 @@ def threshold_count(tau: float, length: int) -> int:
 
 def check_tau(tau) -> float:
     """tau as a float; DomainError unless it is a real number in (0, 1]."""
-    if isinstance(tau, numbers.Real) and 0.0 < float(tau) <= 1.0:
+    if type(tau) is float:  # the common case, without the ABC check below
+        if 0.0 < tau <= 1.0:
+            return tau
+    elif isinstance(tau, numbers.Real) and 0.0 < float(tau) <= 1.0:
         return float(tau)
     raise DomainError(f"tau must be in (0, 1], got {tau!r}")
 
@@ -73,10 +81,21 @@ class MajorityIndex:
         lo, hi = check_range(lo, hi, seq.n)
         tau = check_tau(tau)
         t0 = time.perf_counter_ns()
-        snap = seq.tally.snapshot()
+        ranks = seq.tally.ranks
         diag = QueryDiagnostics(kind="majority", lo=lo, hi=hi, tau=tau)
-        out = self._majorities(lo, hi, tau, diag)
-        diag.ops = seq.tally.since(snap)
+        length = hi - lo + 1
+        thr = threshold_count(tau, length)
+        out = []
+        if thr >= length:
+            diag.path = "empty"
+        else:
+            diag.path = "walk"
+            # the public walk checks the range again, but it is the sequence
+            # call that perfbench's tracer counts and times for majority
+            heavy = seq.range_counts(lo, hi, thr)
+            diag.candidates = len(heavy)
+            out = sorted(heavy.items())
+        diag.ops = OpTally(ranks=seq.tally.ranks - ranks)
         diag.elapsed_ns = time.perf_counter_ns() - t0
         self.diagnostics = diag
         return out
@@ -84,38 +103,15 @@ class MajorityIndex:
     def query_mode(self, lo: int, hi: int) -> tuple[int, int]:
         """Most frequent symbol in [lo..hi] with its count; ties break low.
 
-        Runs majority rounds at tau = 1/2, 1/4, ... until one reports.
-        Cost adapts to the mode's actual frequency.
+        One best-first walk; its cost adapts to the mode's frequency.
         """
         seq = self.seq
         lo, hi = check_range(lo, hi, seq.n)
         t0 = time.perf_counter_ns()
-        snap = seq.tally.snapshot()
-        diag = QueryDiagnostics(kind="mode", lo=lo, hi=hi)
-        s = 0
-        while True:
-            s += 1
-            if s > _MODE_ITER_GUARD:
-                raise LogicError("mode search failed to terminate")
-            tau = 2.0 ** -s
-            res = self._majorities(lo, hi, tau, diag)
-            if res:
-                break
-        best = max(res, key=lambda sc: (sc[1], -sc[0]))
-        diag.tau, diag.path, diag.iterations = tau, "halving", s
-        diag.ops = seq.tally.since(snap)
+        diag = QueryDiagnostics(kind="mode", lo=lo, hi=hi, path="walk", candidates=1)
+        best, ranks = seq._mode_walk(lo - 1, hi)
+        seq.tally.ranks += ranks
+        diag.ops = OpTally(ranks=ranks)
         diag.elapsed_ns = time.perf_counter_ns() - t0
         self.diagnostics = diag
         return best
-
-    def _majorities(self, lo, hi, tau, diag):
-        """One majority round; sorted (symbol, count) pairs."""
-        length = hi - lo + 1
-        thr = threshold_count(tau, length)
-        if thr >= length:
-            diag.path = "empty"
-            return []
-        diag.path = "walk"
-        heavy = self.seq.range_counts(lo, hi, thr)
-        diag.candidates += len(heavy)
-        return sorted(heavy.items())

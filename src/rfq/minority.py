@@ -6,7 +6,8 @@ every present symbol exceeds the threshold.  Unlike the majority problem the
 answer is a single witness.  Dispatch has two paths:
 
 * empty: the threshold is 0, so every present symbol is frequent.
-* walk: `WaveletSequence.range_minority(lo, hi, thr)`.  The walk expands
+* walk: the walk behind `WaveletSequence.range_minority(lo, hi, thr)`,
+  called directly on the range checked once here.  The walk expands
   the code-trie nodes that the majority walk keeps, those holding more
   than thr of the range's positions over symbols that occur more than thr
   times in the whole sequence.  At the first nonempty child that is not
@@ -21,7 +22,7 @@ from __future__ import annotations
 import time
 
 from .config import IndexConfig
-from .counters import QueryDiagnostics
+from .counters import OpTally, QueryDiagnostics
 from .majority import check_tau, threshold_count
 from .sequence import WaveletSequence, check_range
 
@@ -40,17 +41,17 @@ class MinorityIndex:
         lo, hi = check_range(lo, hi, seq.n)
         tau = check_tau(tau)
         t0 = time.perf_counter_ns()
-        snap = seq.tally.snapshot()
         diag = QueryDiagnostics(kind="minority", lo=lo, hi=hi, tau=tau)
         thr = threshold_count(tau, hi - lo + 1)
-        found = None
+        found, ranks = None, 0
         if thr == 0:
             diag.path = "empty"  # every present symbol is automatically frequent
         else:
             diag.path = "walk"
-            found = seq.range_minority(lo, hi, thr)
+            found, ranks = seq._minority_walk(lo - 1, hi, thr)
+            seq.tally.ranks += ranks
             diag.candidates = int(found is not None)
-        diag.ops = seq.tally.since(snap)
+        diag.ops = OpTally(ranks=ranks)
         diag.elapsed_ns = time.perf_counter_ns() - t0
         self.diagnostics = diag
         return found

@@ -28,7 +28,8 @@ form one run in text order.
 The range queries are top-down split walks over the code trie: a node's
 positions inside a range map to its children's with two ranks.  Each
 child slot carries the largest whole-sequence count of the symbols below
-it, derived in O(sigma) from the counts and the code lengths and never
+it and the smallest of those symbols (a leaf slot's own symbol), both
+derived in O(sigma) from the counts and the code lengths and never
 stored.  A range count never exceeds the whole-sequence count, so a node
 whose range holds at most thr positions, or whose largest count is at
 most thr, holds no symbol occurring more than thr times.
@@ -39,7 +40,13 @@ descends along any nonempty child to a leaf, whose size is a count of at
 most thr.  The walk is complete: a minority's leaf is nonempty and light,
 and the highest light node on its root path has a heavy parent, which
 the walk expands.  Both cost O(lg sigma / tau) level steps, where the
-paper's O(1/tau) assumes constant-time access and rank.
+paper's O(1/tau) assumes constant-time access and rank.  `range_mode` is
+best-first: it expands the node whose bound, the smaller of its range
+size and its largest count, is highest, the one with the lowest symbol
+below among equals, and drops a node whose bound is below the best count
+found, or equal to it over higher symbols only.  Each node it expands
+holds at least the mode's count occ of positions, so it makes at most
+2 * depth * floor(len / occ) rank1 calls.
 
 The file stores n, sigma, the code-length table packed at the longest
 length's bit width, one header for all levels (each level's bit length)
@@ -52,6 +59,7 @@ level-by-level split walk at load.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from array import array
 
@@ -219,12 +227,12 @@ class WaveletSequence:
         self.counts: np.ndarray | None = None  # per-symbol totals
         self.tally = OpTally()
         self._levels: list[BitVector] = []  # top first
-        self._code = array("q")  # per symbol: code bits
+        self._code = array("H")  # per symbol: code bits
         self._len = array("B")  # per symbol: code length
-        self._leaf_sym = array("q")  # symbol codes in leaf order
         self._top = 0  # the largest symbol count
-        # per level: (words, cum, zeros - ends, ends, inner, leaves, first
-        # leaf, largest count below each child slot)
+        # per level: (words, cum, zeros - ends, ends, inner, leaves, smallest
+        # symbol below each child slot, largest count below each child slot);
+        # a leaf slot's smallest symbol is its own (0-based)
         self._steps: list[tuple] = []
 
     # -- construction ------------------------------------------------------------
@@ -269,14 +277,14 @@ class WaveletSequence:
         self._levels = levels
         self.counts = counts
         ends = _ends(lens, counts)
-        self._code = _typed(shape.code, "q")
+        self._code = _typed(shape.code, _typecode((1 << shape.depth) - 1))
         self._len = _typed(lens, "B")
-        self._leaf_sym = _typed(shape.leaf_sym, "q")
         self._top = int(counts.max())
         self._steps = [
             (store.words, store.cum, store.n_bits - store.ones - ends[lvl], ends[lvl],
-             shape.inner[lvl], shape.leaves[lvl], shape.first[lvl], top)
-            for lvl, (store, top) in enumerate(zip(levels, _slot_max(shape, counts)))
+             shape.inner[lvl], shape.leaves[lvl], least, top)
+            for lvl, (store, least, top) in enumerate(
+                zip(levels, _slot_least(shape), _slot_max(shape, counts)))
         ]
 
     # -- basic properties ----------------------------------------------------------
@@ -319,13 +327,13 @@ class WaveletSequence:
             return out, 0
         if not self._steps:
             return {1: cr - cl}, 0
-        steps, leaf_sym = self._steps, self._leaf_sym
+        steps = self._steps
         ranks = 0
         stack = [(0, 0, cl, cr)]
         while stack:
             lvl, node, s, e = stack.pop()
-            words, cum, z1, ends, inner, leaves, first, top = steps[lvl]
-            # _rank_pair, inlined on the path every majority and mode takes
+            words, cum, z1, ends, inner, leaves, least, top = steps[lvl]
+            # _rank_pair, inlined on the path every majority takes
             off = s & 63
             r1s = cum[s >> 6] + (words[s >> 6] & ((1 << off) - 1)).bit_count() if off else cum[s >> 6]
             off = e & 63
@@ -334,17 +342,60 @@ class WaveletSequence:
             cs, ce = s - r1s - ends, e - r1e - ends
             if ce - cs > thr and top[node] > thr:
                 if node < leaves:
-                    out[leaf_sym[first + node] + 1] = ce - cs
+                    out[least[node] + 1] = ce - cs
                 else:
                     stack.append((lvl + 1, node - leaves, cs, ce))
             child = node + inner
             cs, ce = z1 + r1s, z1 + r1e
             if ce - cs > thr and top[child] > thr:
                 if child < leaves:
-                    out[leaf_sym[first + child] + 1] = ce - cs
+                    out[least[child] + 1] = ce - cs
                 else:
                     stack.append((lvl + 1, child - leaves, cs, ce))
         return out, ranks
+
+    def _mode_walk(self, cl: int, cr: int) -> tuple[tuple[int, int], int]:
+        """The most frequent symbol at top-level positions cl+1..cr (a
+        nonempty range), the lowest on a tie, with its count, and the
+        number of rank1 calls made.
+
+        Best-first: a node's bound, the smaller of its range size and its
+        largest count, caps the count of every symbol below it, and the
+        heap yields the highest bound first, the lowest symbol below among
+        equals.  A child is dropped when its bound is below the best count
+        so far, or equal to it with every symbol below higher than the
+        best symbol; the walk stops at the first node it would drop.
+        Every node expanded holds at least the mode's count occ of
+        positions, and the nodes of a level are disjoint, so at most
+        2 * depth * floor(len / occ) rank1 calls are made.
+        """
+        if not self._steps:
+            return (1, cr - cl), 0
+        steps = self._steps
+        push, pop = heapq.heappush, heapq.heappop
+        ranks = best = best_sym = 0
+        heap = [(-min(cr - cl, self._top), 0, 0, 0, cl, cr)]
+        while heap:
+            neg, low, lvl, node, s, e = pop(heap)
+            if -neg < best or (-neg == best and low > best_sym):
+                break
+            words, cum, z1, ends, inner, leaves, least, top = steps[lvl]
+            r1s, r1e = _rank_pair(words, cum, s, e)
+            ranks += 2
+            for child, cs, ce in (
+                (node, s - r1s - ends, e - r1e - ends),
+                (node + inner, z1 + r1s, z1 + r1e),
+            ):
+                bound = ce - cs
+                if top[child] < bound:
+                    bound = top[child]
+                if not bound or bound < best or (bound == best and least[child] > best_sym):
+                    continue
+                if child < leaves:  # a leaf's bound is its exact count
+                    best, best_sym = bound, least[child]
+                else:
+                    push(heap, (-bound, least[child], lvl + 1, child - leaves, cs, ce))
+        return (best_sym + 1, best), ranks
 
     def _minority_walk(self, cl: int, cr: int, thr: int) -> tuple[tuple[int, int] | None, int]:
         """Some symbol occurring 1..thr times at top-level positions
@@ -362,7 +413,7 @@ class WaveletSequence:
         stack = [(0, 0, cl, cr)]
         while stack:
             lvl, node, s, e = stack.pop()
-            words, cum, z1, ends, inner, leaves, first, top = steps[lvl]
+            words, cum, z1, ends, inner, leaves, least, top = steps[lvl]
             r1s, r1e = _rank_pair(words, cum, s, e)
             ranks += 2
             for child, cs, ce in (
@@ -373,7 +424,7 @@ class WaveletSequence:
                     continue
                 if ce - cs <= thr or top[child] <= thr:
                     if child < leaves:
-                        return (self._leaf_sym[first + child] + 1, ce - cs), ranks
+                        return (least[child] + 1, ce - cs), ranks
                     found, more = self._leaf_below(lvl + 1, child - leaves, cs, ce)
                     return found, ranks + more
                 if child >= leaves:  # a heavy leaf is no minority
@@ -388,14 +439,14 @@ class WaveletSequence:
             return (1, e - s), 0
         steps, ranks = self._steps, 0
         while True:
-            words, cum, z1, ends, inner, leaves, first, _ = steps[lvl]
+            words, cum, z1, ends, inner, leaves, least, _ = steps[lvl]
             r1s, r1e = _rank_pair(words, cum, s, e)
             ranks += 2
             child, cs, ce = node, s - r1s - ends, e - r1e - ends
             if ce == cs:
                 child, cs, ce = node + inner, z1 + r1s, z1 + r1e
             if child < leaves:
-                return (self._leaf_sym[first + child] + 1, ce - cs), ranks
+                return (least[child] + 1, ce - cs), ranks
             lvl, node, s, e = lvl + 1, child - leaves, cs, ce
 
     # -- public operations (tallied) --------------------------------------------------
@@ -408,6 +459,14 @@ class WaveletSequence:
         out, ranks = self._split_walk(lo - 1, hi, thr)
         self.tally.ranks += ranks
         return out
+
+    def range_mode(self, lo: int, hi: int) -> tuple[int, int]:
+        """The most frequent symbol in S[lo..hi], the lowest on a tie, with
+        its count, from one best-first walk."""
+        lo, hi = check_range(lo, hi, self.n)
+        found, ranks = self._mode_walk(lo - 1, hi)
+        self.tally.ranks += ranks
+        return found
 
     def range_minority(self, lo: int, hi: int, thr: int) -> tuple[int, int] | None:
         """Some (symbol, count) with 1 <= count <= thr in S[lo..hi], or None
@@ -427,16 +486,15 @@ class WaveletSequence:
         """
         if not self._levels:
             return np.ones(self.n, dtype=np.int64)
-        leaf_sym = np.frombuffer(self._leaf_sym, dtype=np.int64)
         # two buffers take turns: a level decodes its positions straight
         # behind the ending runs of the level above, the order that level
         # partitioned them into, and level 0 decodes into the whole of bufs[1]
         bufs = np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64)
         for lvl in range(self.depth - 1, -1, -1):
             store = self._levels[lvl]
-            _, _, z1, ends, _, leaves, first, _ = self._steps[lvl]
+            _, _, z1, ends, _, leaves, least, _ = self._steps[lvl]
             part = bufs[lvl & 1][: store.n_bits]
-            syms = leaf_sym[first : first + leaves]
+            syms = np.asarray(least[:leaves], dtype=np.int64)
             part[:ends] = np.repeat(syms + 1, self.counts[syms])
             above = self._steps[lvl - 1][3] if lvl else 0
             up = bufs[(lvl + 1) & 1][above : above + store.n_bits]
@@ -505,22 +563,39 @@ def _rank_pair(words, cum, s: int, e: int) -> tuple[int, int]:
     return r1s, r1e
 
 
-def _slot_max(shape: _Shape, counts: np.ndarray) -> list[array]:
-    """Per level, the largest symbol count below each child slot: a leaf
-    slot's own count, an internal one's the larger of its children's.
+def _typecode(top: int) -> str:
+    """The narrowest of array('H'), ('I') and ('Q') that holds 0..top."""
+    return "H" if top < 1 << 16 else "I" if top < 1 << 32 else "Q"
+
+
+def _fold_slots(shape: _Shape, by_leaf: np.ndarray, fold, code: str) -> list[array]:
+    """Per level, a value for each child slot as array(code): a leaf slot's
+    own, from by_leaf (one value per symbol in leaf order), an internal
+    one's the fold of its two children's.
 
     At each depth the slots are the leaves, then the internal nodes in
     order, and internal node j of level l has slots j and inner[l] + j one
     level down, so the levels fill bottom-up in O(sigma).
     """
     out = []
-    below = np.zeros(0, dtype=np.int64)  # per internal node of the level below
+    below = by_leaf[:0]  # per internal node of the level below
     for lvl in range(shape.depth - 1, -1, -1):
         first, leaves, inner = shape.first[lvl], shape.leaves[lvl], shape.inner[lvl]
-        slots = np.concatenate((counts[shape.leaf_sym[first : first + leaves]], below))
-        out.append(_typed(slots, "q"))
-        below = np.maximum(slots[:inner], slots[inner:])
+        slots = np.concatenate((by_leaf[first : first + leaves], below))
+        out.append(_typed(slots, code))
+        below = fold(slots[:inner], slots[inner:])
     return out[::-1]
+
+
+def _slot_max(shape: _Shape, counts: np.ndarray) -> list[array]:
+    """Per level, the largest symbol count below each child slot."""
+    return _fold_slots(shape, counts[shape.leaf_sym], np.maximum, _typecode(int(counts.max())))
+
+
+def _slot_least(shape: _Shape) -> list[array]:
+    """Per level, the smallest symbol (0-based) below each child slot; at a
+    leaf slot, the leaf's own symbol."""
+    return _fold_slots(shape, shape.leaf_sym, np.minimum, _typecode(shape.leaf_sym.size - 1))
 
 
 def _leaf_counts(levels: list, shape: _Shape, n: int) -> np.ndarray:

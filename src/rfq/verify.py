@@ -4,7 +4,7 @@ The verifier replays random queries (majority, minority, mode) through
 the index's own dispatch and compares against recomputation from the raw
 sequence.  The tau pool deliberately includes exact fraction boundaries
 k/len, where a symbol's count can land exactly on tau times the range
-length, and dyadic taus, the thresholds of mode's halving rounds.
+length, and dyadic taus, the thresholds of the benchmark query grids.
 """
 
 from __future__ import annotations

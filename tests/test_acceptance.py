@@ -155,24 +155,23 @@ def test_work_scales_with_inverse_tau(corpus):
     assert 0.85 <= slope <= 1.15
 
 
-def test_mode_matches_oracle_with_doubling_bound(corpus):
-    """Mode equals brute force; iterations within ceil(lg(len/occ)) + 1."""
+def test_mode_matches_oracle_within_walk_bound(corpus):
+    """Mode equals brute force, and its one best-first walk makes at most
+    2 * depth * floor(len / occ) rank1 calls."""
     rng = random.Random(3)
     cases = 0
     for ent in corpus:
         n = len(ent.ref)
+        maj = ent.bundle.majority
         for lo, hi in ranges_for(rng, n, 12):
             got = ent.bundle.query_mode(lo, hi)
             want = oracle.oracle_mode(ent.ref, lo, hi)
             assert got == want, (n, lo, hi, got, want)
-            length = hi - lo + 1
-            occ = got[1]
-            k = 0  # smallest k with occ * 2^k >= length, i.e. ceil(lg(len/occ))
-            while occ << k < length:
-                k += 1
-            assert ent.bundle.majority.diagnostics.iterations <= k + 1
+            cap = 2 * maj.seq.depth * ((hi - lo + 1) // got[1])
+            ranks = maj.diagnostics.ops.ranks
+            assert ranks <= cap, (n, lo, hi, ranks, cap)
             cases += 1
-    print(f"\nmode: {cases} queries exact, doubling bound held")
+    print(f"\nmode: {cases} queries exact, walk bound held")
 
 
 def test_full_and_sparsified_listing_agree():

@@ -406,32 +406,36 @@ def test_bitvector_bytes_bad_magic():
 # -- the largest counts the walks prune by (RmqIndex retired) --------------------------
 
 
-def slot_max_by_code(seq) -> list[tuple[int, int, int]]:
-    """(symbol, level, stored largest count) for every slot a symbol's code
-    passes, found by following the code down the matrix: at each level the
-    bit picks the child slot, which is a leaf among the first `leaves`."""
+def slot_max_by_code(seq) -> list[tuple[int, int, int, int]]:
+    """(symbol, level, stored largest count, stored smallest symbol) for
+    every slot a symbol's code passes, found by following the code down
+    the matrix: at each level the bit picks the child slot, which is a
+    leaf among the first `leaves`."""
     out = []
     for a in range(1, seq.sigma + 1):
         node = 0
         for lvl, bit in enumerate(seq.code(a)):
-            _, _, _, _, inner, leaves, _, top = seq._steps[lvl]
+            _, _, _, _, inner, leaves, least, top = seq._steps[lvl]
             child = node + inner * int(bit)
-            out.append((a, lvl, top[child]))
+            out.append((a, lvl, top[child], least[child]))
             node = child - leaves
     return out
 
 
 def check_slot_max(counts: list[int]) -> WaveletSequence:
-    """Every slot on every code's path stores the largest count among the
-    symbols whose codes share its prefix, and the pruned walk over the
-    whole sequence returns exactly the symbols above every threshold."""
+    """Every slot on every code's path stores the largest count and the
+    smallest symbol (0-based) among the symbols whose codes share its
+    prefix, and the pruned walk over the whole sequence returns exactly
+    the symbols above every threshold."""
     data = np.repeat(np.arange(1, len(counts) + 1), counts)
     np.random.default_rng(len(counts)).shuffle(data)
     seq = WaveletSequence.build(data)
     codes = {a: seq.code(a) for a in range(1, seq.sigma + 1)}
-    for a, lvl, top in slot_max_by_code(seq):
+    for a, lvl, top, least in slot_max_by_code(seq):
         prefix = codes[a][:lvl + 1]
-        assert top == max(counts[b - 1] for b, c in codes.items() if c.startswith(prefix))
+        below = [b for b, c in codes.items() if c.startswith(prefix)]
+        assert top == max(counts[b - 1] for b in below)
+        assert least == min(below) - 1
     for thr in range(max(counts) + 1):
         want = {a: c for a, c in enumerate(counts, 1) if c > thr}
         assert seq.range_counts(1, data.size, thr) == want, thr
@@ -444,6 +448,7 @@ def test_rmq_frozen(canon_seq):
     # 2's the leaves 100, 110, 101 and 111
     assert [canon_seq.code(a) for a in range(1, 6)] == ["0", "100", "110", "101", "111"]
     assert [step[7].tolist() for step in canon_seq._steps] == [[5, 2], [2, 2], [2, 2, 1, 1]]
+    assert [step[6].tolist() for step in canon_seq._steps] == [[0, 1], [1, 2], [1, 2, 3, 4]]
     check_slot_max([5, 2, 2, 1, 1])
 
 
@@ -463,8 +468,9 @@ def test_rmq_every_range_with_ties(n):
 
 
 def test_rmq_space_is_linear():
-    """The largest counts take one 8-byte cell per child slot, 2 (sigma - 1)
-    of them, and are derived in O(sigma) words of working space."""
+    """The largest counts take one cell per child slot, 2 (sigma - 1) of
+    them, each as narrow as the largest count allows (4 bytes for counts
+    below 2**32), and are derived in O(sigma) words of working space."""
     sigma = 1 << 17
     counts = np.random.default_rng(9).integers(1, 1 << 20, size=sigma)
     shape = _Shape(code_lengths(counts))
@@ -475,5 +481,6 @@ def test_rmq_space_is_linear():
     finally:
         tracemalloc.stop()
     assert sum(len(t) for t in tops) == 2 * (sigma - 1)
-    assert held <= 18 * sigma, held / sigma  # 16 bytes of cells a symbol, and array slack
+    assert {t.itemsize for t in tops} == {4}
+    assert held <= 10 * sigma, held / sigma  # 8 bytes of cells a symbol, and array slack
     assert peak <= 64 * sigma, peak / sigma

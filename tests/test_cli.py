@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -178,11 +180,19 @@ def test_corrupt_index_exits_three(tmp_path):
 
 
 def test_corrupt_header_field_exits_three(abra_index, capsys):
+    # the header section's payload starts at offset 14, after the magic,
+    # the version and its u64 length; its byte 4, the compressed code,
+    # becomes 7 and the section's CRC32 is recomputed, so the load gets
+    # past the checksum to the field check
     with open(abra_index, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(fh.read())
+    (length,) = struct.unpack_from("<Q", blob, 6)
+    blob[18] = 7
+    struct.pack_into("<I", blob, 14 + length, zlib.crc32(blob[14:14 + length]))
     with open(abra_index, "wb") as fh:
-        fh.write(blob[:10] + b"\x07" + blob[11:])  # compressed code other than 0 or 1
+        fh.write(blob)
     assert main(["info", abra_index]) == 3
+    assert "compressed code 7" in capsys.readouterr().err
 
 
 def test_impossibly_dense_family_exits_three(tmp_path, capsys):

@@ -153,7 +153,7 @@ def test_build_families_matches_slow(n, trade, seed):
 @pytest.mark.parametrize("trade", [1, 4])
 def test_candidate_families_nest_by_tier(trade):
     """The answers of tier t lie inside those of tier t + 1, with the same
-    counts: each halving round of mode reports a superset of the last."""
+    counts: halving tau reports a superset of the answers before."""
     arr = zipf_string(3000, 40, skew=1.1, seed=trade)
     maj = IndexBundle.from_values(arr, IndexConfig(trade=trade)).majority
     rng = random.Random(trade)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import numbers
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from rfq import IndexConfig, oracle, threshold_count
 from rfq.corpus import uniform_string, zipf_string
 from rfq.errors import DomainError, RangeError
 from rfq.indexfile import IndexBundle
+from rfq.majority import check_tau
 
 CANON = [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
@@ -337,16 +339,17 @@ def test_max_count_pruning_cuts_rank_calls():
 # -- mode ---------------------------------------------------------------------------
 
 
-def iter_bound(length: int, occ: int) -> int:
-    k = 0
-    while occ << k < length:
-        k += 1
-    return k + 1
+def mode_cap(depth: int, length: int, occ: int) -> int:
+    """rank1 calls of one best-first mode walk: two per expanded node, and
+    each expanded node holds at least occ of the range's positions."""
+    return 2 * depth * (length // occ)
 
 
 def test_mode_frozen(canon_idx):
+    # canon codes 0, 100, 110, 101, 111: symbol 1's leaf hangs off the
+    # root, whose other child's largest count 2 is below 5
     assert canon_idx.query_mode(1, 11) == (1, 5)
-    assert canon_idx.diagnostics.iterations == 2
+    assert canon_idx.diagnostics.ops.ranks == 2
     assert canon_idx.query_mode(2, 3) == (2, 1)
     assert canon_idx.query_mode(5, 5) == (4, 1)
 
@@ -358,20 +361,21 @@ def test_mode_random_vs_oracle():
         sigma = min(n, rng.choice([2, 6, 30]))
         data = zipf_string(n, sigma, skew=1.2, seed=trial)
         bundle = IndexBundle.from_values(data, IndexConfig())
+        depth = bundle.seq.depth
         ref = data.tolist()
         for _ in range(30):
             lo = rng.randint(1, n)
             hi = rng.randint(lo, n)
             got = bundle.query_mode(lo, hi)
             assert got == oracle.oracle_mode(ref, lo, hi)
-            assert bundle.majority.diagnostics.iterations <= iter_bound(hi - lo + 1, got[1])
+            d = bundle.majority.diagnostics
+            assert d.ops.ranks <= mode_cap(depth, hi - lo + 1, got[1])
 
 
 @pytest.mark.parametrize("trade", [1, 4])
-def test_mode_rounds_share_flag_work(trade):
-    """Mode's halving rounds are walks: no access or select, and round s
-    makes at most walk_cap(2**-s) rank1 calls, so the whole query stays
-    within the sum over its rounds."""
+def test_mode_walk_rank_bound(trade):
+    """Mode is one walk making only rank1 calls, at most
+    2 * depth * floor(len / occ) of them."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
     maj = IndexBundle.from_values(data, IndexConfig(trade=trade)).majority
     depth = maj.seq.depth
@@ -384,9 +388,113 @@ def test_mode_rounds_share_flag_work(trade):
         d = maj.diagnostics
         counts = np.bincount(data[lo - 1:hi])
         assert got == (int(counts.argmax()), int(counts.max()))
-        assert d.iterations <= iter_bound(length, got[1])
         assert d.ops.sequence_ops == d.ops.ranks  # rank1 is the only operation
-        assert d.ops.ranks <= sum(walk_cap(2.0 ** -s, depth) for s in range(1, d.iterations + 1))
+        assert d.ops.ranks <= mode_cap(depth, length, got[1])
+
+
+def mode_by_counting(labels, lo, hi):
+    """(label, count) of the most frequent label in labels[lo-1:hi], the
+    smallest label on a tie."""
+    counts = {}
+    for a in labels[lo - 1:hi]:
+        counts[a] = counts.get(a, 0) + 1
+    top = max(counts.values())
+    return min(a for a, c in counts.items() if c == top), top
+
+
+@pytest.mark.parametrize("remap", ["identity", "ints", "tokens"])
+def test_mode_ties_go_to_the_lowest_symbol(remap):
+    """Forty labels, each once in a shuffled prefix, then label j of the
+    draw order repeated j + 1 times, so the whole-sequence counts (and the
+    code lengths) disagree with the label order.  Within the prefix every
+    range is all ties, and its mode is its lowest label, in the bundle's
+    label order: numeric for integers, lexicographic for tokens."""
+    rng = np.random.default_rng(40)
+    if remap == "identity":
+        labels = [int(a) for a in rng.permutation(np.arange(1, 41))]
+    elif remap == "ints":
+        labels = [int(a) for a in rng.choice(10**12, size=40, replace=False) - 10**11]
+    else:
+        labels = ["".join(rng.choice(list("abcxyz"), size=4)) + str(j) for j in range(40)]
+    seq = [labels[j] for j in rng.permutation(40)]
+    seq += [a for j, a in enumerate(labels) for _ in range(j + 1)]
+    if remap == "tokens":
+        bundle = IndexBundle.from_tokens(seq)
+    else:
+        bundle = IndexBundle.from_values(np.asarray(seq))
+        assert (bundle.originals is None) == (remap == "identity")
+    for lo in range(1, 41):
+        for hi in range(lo, 41):
+            assert bundle.query_mode(lo, hi) == (min(seq[lo - 1:hi]), 1)
+    for lo, hi in [(1, len(seq)), (30, 200), (41, 90), (1, 120)]:
+        assert bundle.query_mode(lo, hi) == mode_by_counting(seq, lo, hi)
+
+
+def test_mode_tie_prune_cuts_rank_calls():
+    """Every symbol twice (sigma 4096): over the whole range every leaf
+    ties at 2, and once the lowest symbol's leaf is reached every other
+    node's bound equals the best count with only higher symbols below it.
+    So the walk makes under a quarter of the rank1 calls of the histogram
+    walk, which splits every internal node."""
+    sigma = 1 << 12
+    data = np.repeat(np.arange(1, sigma + 1), 2)
+    np.random.default_rng(2).shuffle(data)
+    maj = majority_index(data, IndexConfig())
+    seq = maj.seq
+    r0 = seq.tally.ranks
+    assert len(seq.range_counts(1, data.size, 1)) == sigma
+    histogram = seq.tally.ranks - r0
+    assert maj.query_mode(1, data.size) == (1, 2)
+    assert maj.diagnostics.ops.ranks * 4 < histogram, (maj.diagnostics.ops.ranks, histogram)
+
+
+# An index over PARENT_DATA written by the format-8 code that answered mode
+# with halving rounds of split walks; each of its answers equalled the oracle.
+PARENT_DATA = [1 + (i * 37 % 101) % 9 for i in range(160)]
+PARENT_FILE = bytes.fromhex(
+    "524651490800060000000000000001000000000006729e7a8100000000000000"
+    "a0000000000000000900000003dcb66d04a000000000000000a0000000000000"
+    "00a0000000000000002000000000000000555555bdaaaaaafa555555d5abaaaa"
+    "aa57555555000000003c1e1e0e8787c7c3c3e3e10f877f78fce3e10f87000000"
+    "001c1e1e0e8f8787e3e1e1e1787878f8e31ffee18f00000000162b178b000000"
+    "0063f1fce1"
+)
+
+
+def test_parent_written_index_answers_mode_alike():
+    """The file loads, writes back byte for byte, and answers mode on every
+    range as the oracle (and the code that wrote it) does."""
+    bundle = IndexBundle.from_bytes(PARENT_FILE)
+    assert bundle.to_bytes() == PARENT_FILE
+    assert bundle.seq.to_array().tolist() == PARENT_DATA
+    n = len(PARENT_DATA)
+    for lo in range(1, n + 1):
+        counts, best = [0] * 10, (0, 0)
+        for hi in range(lo, n + 1):
+            a = PARENT_DATA[hi - 1]
+            counts[a] += 1
+            if counts[a] > best[1] or (counts[a] == best[1] and a < best[0]):
+                best = (a, counts[a])
+            assert bundle.query_mode(lo, hi) == best, (lo, hi)
+
+
+def test_check_tau_fast_path_matches_the_general_rule():
+    """A float tau skips the numbers.Real check; every value is accepted or
+    refused exactly as that check alone would."""
+    class Sub(float):
+        pass
+
+    values = [0.5, 1.0, 0.0, -0.0, -0.5, 1.0000000000000002, 5e-324, float("nan"),
+              float("inf"), -float("inf"), Sub(0.25), Sub(2.0), 1, 0, 2, True, False,
+              np.float32(0.4), np.float64(1.5), np.int64(1), "0.5", None, 1j]
+    for v in values:
+        general = isinstance(v, numbers.Real) and 0.0 < float(v) <= 1.0
+        if general:
+            got = check_tau(v)
+            assert type(got) is float and got == float(v), v
+        else:
+            with pytest.raises(DomainError):
+                check_tau(v)
 
 
 # -- diagnostics -----------------------------------------------------------------------
@@ -405,4 +513,4 @@ def test_diagnostics_shape(canon_idx):
 
     canon_idx.query_mode(1, 11)
     assert canon_idx.diagnostics.kind == "mode"
-    assert canon_idx.diagnostics.path == "halving"
+    assert canon_idx.diagnostics.path == "walk"

@@ -1,7 +1,7 @@
 """Huffman-shaped wavelet matrix: its codes, its levels and its walks.
 
-The matrix answers range queries only, through `range_counts` and
-`range_minority`, and `to_array` decodes it.  The sequence operations
+The matrix answers range queries only, through `range_counts`,
+`range_minority` and `range_mode`, and `to_array` decodes it.  The sequence operations
 access, rank, select, partial rank, locate and previous occurrence were
 retired with format version 8, since no query read them; the tests that
 checked them keep their names and check the same facts (a position's
@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from rfq import IndexBundle, IndexConfig
 from rfq.corpus import zipf_string
 from rfq.errors import DomainError, RangeError
-from rfq.sequence import WaveletSequence, code_lengths, length_cap
+from rfq.sequence import WaveletSequence, _typecode, code_lengths, length_cap
 from rfq.serial import ByteReader
 
 
@@ -60,6 +60,9 @@ def test_frozen_ops(canon_seq):
     assert s.range_minority(1, 4, 1) in ((2, 1), (3, 1))
     assert s.range_minority(1, 1, 1) == (1, 1)
     assert s.range_minority(6, 6, 0) is None
+    assert s.range_mode(1, 11) == (1, 5)
+    assert s.range_mode(2, 3) == (2, 1)  # a tie goes to the lower symbol
+    assert s.range_mode(9, 10) == (2, 1)
     assert s.to_array().tolist() == [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
 
@@ -116,6 +119,8 @@ def test_random_vs_brute(pow2, compressed):
             got = seq.range_minority(lo, hi, thr)
             light = {(b, c) for b, c in want.items() if c <= thr}
             assert got in light if light else got is None
+            top = max(want.values())
+            assert seq.range_mode(lo, hi) == (min(b for b, c in want.items() if c == top), top)
         lo = rng.randint(1, n)
         hi = rng.randint(lo, n)
         assert seq.range_counts(lo, hi) == dict(Counter(data[lo - 1:hi]))
@@ -131,6 +136,7 @@ def test_single_symbol_alphabet():
     assert seq.range_counts(2, 5, 4) == {}
     assert seq.range_minority(2, 5, 4) == (1, 4)
     assert seq.range_minority(2, 5, 3) is None
+    assert seq.range_mode(2, 5) == (1, 4)
     assert seq.size_bits() < 4000
 
 
@@ -233,6 +239,27 @@ def test_tally_policy(canon_seq):
     snap = s.tally.snapshot()
     s.range_minority(1, 11, 2)
     assert 2 <= s.tally.since(snap).ranks <= 2 * s.depth * 2
+
+    snap = s.tally.snapshot()
+    s.range_mode(1, 11)  # symbol 1's leaf hangs off the root
+    assert s.tally.since(snap).ranks == 2
+
+
+@pytest.mark.parametrize("sigma", [5, 300, 70_000])
+def test_tables_are_narrow(sigma):
+    """The codes and the per-slot tables take the narrowest array type that
+    holds every value they may hold, built and loaded: 'H' below 2**16,
+    'I' below 2**32."""
+    data = np.concatenate((np.arange(1, sigma + 1), np.ones(50, dtype=np.int64)))
+    built = build(data)
+    for seq in (built, WaveletSequence.read_from(ByteReader(built.to_bytes()))):
+        assert seq._code.typecode == ("H" if seq.depth <= 16 else "I")
+        for *_, least, top in seq._steps:
+            assert least.typecode == ("H" if sigma <= 1 << 16 else "I")
+            assert top.typecode == "H"
+        assert np.array_equal(seq.to_array(), data)
+        assert seq.range_mode(1, data.size) == (1, 51)
+    assert [_typecode(v) for v in (0, 2**16 - 1, 2**16, 2**32 - 1, 2**32)] == ["H", "H", "I", "I", "Q"]
 
 
 # -- serialization and size ---------------------------------------------------------

@@ -30,11 +30,12 @@ def test_tau_pool_domain():
 
 
 def test_fault_injection_produces_witness(monkeypatch):
-    # a walk that miscounts symbol 1 by one: verification reports witness
+    # walks that miscount symbol 1 by one: verification reports witness
     # queries, each with the index's answer and the oracle's
     data = np.asarray([(i // 8) % 8 + 1 for i in range(512)])
     bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
-    walk = type(bundle.seq).range_counts
+    seq_type = type(bundle.seq)
+    walk, mode_walk = seq_type.range_counts, seq_type._mode_walk
 
     def faulty(seq, lo, hi, thr=0):
         out = walk(seq, lo, hi, thr)
@@ -42,16 +43,23 @@ def test_fault_injection_produces_witness(monkeypatch):
             out[1] += 1
         return out
 
-    monkeypatch.setattr(type(bundle.seq), "range_counts", faulty)
+    def faulty_mode(seq, cl, cr):
+        (a, occ), ranks = mode_walk(seq, cl, cr)
+        return (a, occ + (a == 1)), ranks
+
+    monkeypatch.setattr(seq_type, "range_counts", faulty)
+    monkeypatch.setattr(seq_type, "_mode_walk", faulty_mode)
     rep = verify_index(bundle, queries=300, seed=0)
     assert not rep.ok
     kinds = {mm["kind"] for mm in rep.mismatches}
-    assert kinds == {"majority", "mode"}  # minority walks do not go through range_counts
+    assert kinds == {"majority", "mode"}  # minority walks go through neither
     for mm in rep.mismatches:
         if mm["kind"] == "majority":
             lo, hi, tau = mm["lo"], mm["hi"], mm["tau"]
             assert mm["want"] == oracle.oracle_majorities(data.tolist(), lo, hi, tau)
-            assert mm["got"] != mm["want"]
+        else:
+            assert mm["want"] == oracle.oracle_mode(data.tolist(), mm["lo"], mm["hi"])
+        assert mm["got"] != mm["want"]
 
 
 def test_fault_injection_honest_none():
