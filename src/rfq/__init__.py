@@ -4,16 +4,8 @@ split walk over a Huffman-shaped wavelet matrix."""
 
 from .bits import BitVector
 from .config import IndexConfig, space_preset
-from .counters import OpTally, QueryDiagnostics
-from .errors import (
-    ConfigError,
-    DomainError,
-    FormatError,
-    LogicError,
-    NotFoundError,
-    RangeError,
-    RfqError,
-)
+from .counters import QueryTrace
+from .errors import ConfigError, DomainError, FormatError, RangeError, RfqError
 from .indexfile import IndexBundle
 from .majority import MajorityIndex, threshold_count
 from .minority import MinorityIndex
@@ -29,12 +21,9 @@ __all__ = [
     "FormatError",
     "IndexBundle",
     "IndexConfig",
-    "LogicError",
     "MajorityIndex",
     "MinorityIndex",
-    "NotFoundError",
-    "OpTally",
-    "QueryDiagnostics",
+    "QueryTrace",
     "RangeError",
     "RfqError",
     "VerifyReport",

@@ -94,24 +94,14 @@ def _cmd_build(args) -> int:
 
 def _cmd_query(args) -> int:
     bundle = IndexBundle.load(args.index)
-    if args.kind in ("majority", "minority") and args.tau is None:
+    if args.kind != "mode" and args.tau is None:
         raise DomainError(f"{args.kind} queries need --tau")
-    if args.kind == "majority":
-        pairs = bundle.query_majorities(args.lo, args.hi, args.tau)
-        diag = bundle.majority.diagnostics
-    elif args.kind == "minority":
-        hit = bundle.query_minority(args.lo, args.hi, args.tau)
-        pairs = [] if hit is None else [hit]
-        diag = bundle.minority.diagnostics
-    elif args.kind == "mode":
-        pairs = [bundle.query_mode(args.lo, args.hi)]
-        diag = bundle.majority.diagnostics
-    else:
-        raise DomainError(f"unknown query kind {args.kind!r}")
+    answer, trace = bundle.explain(args.kind, args.lo, args.hi, args.tau)
+    pairs = answer if args.kind == "majority" else [] if answer is None else [answer]
     if args.json:
         print(json.dumps({
             "result": [[sym, occ] for sym, occ in pairs],
-            "diagnostics": diag.as_dict(),
+            "diagnostics": trace.as_dict(),
         }))
     else:
         for sym, occ in pairs:

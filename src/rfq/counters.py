@@ -1,54 +1,32 @@
-"""Operation tallies and per-query diagnostics.
+"""The trace of one query, made only when a caller asks for it.
 
-The range walks count their rank1 calls on the sequence they run
-against, two per node they split.  Query code publishes each query's
-calls in its diagnostics, so the test suite can assert the advertised
-work bounds instead of trusting asymptotic hand-waving.
+The range walks return their rank1 calls, two per trie node they split.
+`IndexBundle.explain` runs a query through the same helper as the plain
+query, times it and returns its answer with a `QueryTrace`.  Nothing is
+stored on the index, so interleaved callers cannot clobber each other's
+numbers, and the test suite asserts the advertised work bounds on the
+traces instead of trusting asymptotic hand-waving.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 
-@dataclass
-class OpTally:
-    ranks: int = 0
+@dataclass(frozen=True)
+class QueryTrace:
+    """What one query did: the path it took ("empty" or "walk"), the
+    symbols it reported, its rank1 calls and its time.  tau is None for
+    mode."""
 
-    def snapshot(self) -> "OpTally":
-        return replace(self)
-
-    def since(self, snap: "OpTally") -> "OpTally":
-        return OpTally(ranks=self.ranks - snap.ranks)
-
-    @property
-    def sequence_ops(self) -> int:
-        """The rank1 calls: the unit the documented work bounds count."""
-        return self.ranks
-
-
-@dataclass
-class QueryDiagnostics:
-    """What a single query cost.  Stored on the index after each query."""
-
-    kind: str = ""
-    lo: int = 0
-    hi: int = 0
-    tau: float = 0.0
-    path: str = ""
-    candidates: int = 0
-    elapsed_ns: int = 0
-    ops: OpTally = field(default_factory=OpTally)
+    kind: str
+    lo: int
+    hi: int
+    tau: float | None
+    path: str
+    candidates: int
+    ranks: int
+    elapsed_ns: int
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lo": self.lo,
-            "hi": self.hi,
-            "tau": self.tau,
-            "path": self.path,
-            "candidates": self.candidates,
-            "elapsed_ns": self.elapsed_ns,
-            "ranks": self.ops.ranks,
-            "sequence_ops": self.ops.sequence_ops,
-        }
+        return asdict(self)

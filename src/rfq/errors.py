@@ -17,17 +17,9 @@ class DomainError(RfqError, ValueError):
     """A value argument (symbol, threshold, fraction) is invalid."""
 
 
-class NotFoundError(RfqError, LookupError):
-    """A requested occurrence does not exist (distinct from RangeError)."""
-
-
 class ConfigError(RfqError, ValueError):
     """A layout or configuration constraint is violated at construction."""
 
 
 class FormatError(RfqError, IOError):
     """A serialized payload is malformed or has an unsupported version."""
-
-
-class LogicError(RfqError, AssertionError):
-    """An internal invariant was violated; indicates a bug, not bad input."""

@@ -32,12 +32,15 @@ only what the space accounting counts.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .config import IndexConfig
+from .counters import QueryTrace
 from .errors import ConfigError, DomainError, FormatError
-from .majority import MajorityIndex
-from .minority import MinorityIndex
+from .majority import MajorityIndex, _majorities, _mode
+from .minority import MinorityIndex, _minority
 from .sequence import WaveletSequence
 from .serial import FORMAT_VERSION, MAGIC_INDEX, ByteReader, ByteWriter
 
@@ -108,6 +111,9 @@ class IndexBundle:
     def _map_pairs(self, pairs):
         return [(self.to_original(a), occ) for a, occ in pairs]
 
+    def _map_hit(self, hit):
+        return None if hit is None else (self.to_original(hit[0]), hit[1])
+
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -122,12 +128,32 @@ class IndexBundle:
         return self._map_pairs(self.majority.query_majorities(lo, hi, tau))
 
     def query_minority(self, lo: int, hi: int, tau: float):
-        hit = self.minority.query_minority(lo, hi, tau)
-        return None if hit is None else (self.to_original(hit[0]), hit[1])
+        return self._map_hit(self.minority.query_minority(lo, hi, tau))
 
     def query_mode(self, lo: int, hi: int):
-        a, occ = self.majority.query_mode(lo, hi)
-        return self.to_original(a), occ
+        return self._map_hit(self.majority.query_mode(lo, hi))
+
+    def explain(self, kind: str, lo: int, hi: int, tau: float | None = None):
+        """(answer, QueryTrace) of one "majority", "minority" or "mode"
+        query, answered as query_majorities, query_minority or query_mode
+        answers it, by the same helper; mode ignores tau."""
+        if kind == "majority":
+            run, args = _majorities, (lo, hi, tau)
+        elif kind == "minority":
+            run, args = _minority, (lo, hi, tau)
+        elif kind == "mode":
+            run, args, tau = _mode, (lo, hi), None
+        else:
+            raise DomainError(f"unknown query kind {kind!r}")
+        t0 = time.perf_counter_ns()
+        dense, ranks, path = run(self.seq, *args)
+        elapsed_ns = time.perf_counter_ns() - t0
+        if kind == "majority":
+            answer, candidates = self._map_pairs(dense), len(dense)
+        else:
+            answer, candidates = self._map_hit(dense), int(dense is not None)
+        tau = None if tau is None else float(tau)
+        return answer, QueryTrace(kind, int(lo), int(hi), tau, path, candidates, ranks, elapsed_ns)
 
     # -- space ------------------------------------------------------------------
 

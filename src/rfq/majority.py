@@ -4,11 +4,12 @@ The index answers, for any range [lo..hi] and any fraction tau in (0, 1],
 the full set of symbols occurring more than floor(tau * (hi - lo + 1))
 times in the range, together with their exact counts.
 
-Dispatch has two paths:
+A query takes one of two paths, which its trace names:
 
 * empty: the threshold already meets or exceeds the range length, so no
-  symbol can clear it.
-* walk: `WaveletSequence.range_counts(lo, hi, thr)`, one top-down split
+  symbol can clear it, and the walk returns before any rank1 call.
+* walk: the walk behind `WaveletSequence.range_counts(lo, hi, thr)`,
+  called directly on the range checked once here: one top-down split
   walk over the code trie that drops every node holding at most thr of
   the range's positions and every node whose symbols all occur at most
   thr times in the whole sequence.  The nodes of a level are disjoint,
@@ -33,16 +34,19 @@ scan that earlier versions dispatched between are retired: on the
 Huffman-shaped wavelet matrix every access and rank walks a whole code,
 so they paid the walk's O(lg sigma / tau) level steps with larger
 constants.
+
+Each query kind has one helper that checks the range and tau once and
+returns the answer with the walk's rank1 calls and the path taken.  The
+public methods return the answer alone and build nothing;
+`IndexBundle.explain` times the same helper and returns a `QueryTrace`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import time
 
 from .config import IndexConfig
-from .counters import OpTally, QueryDiagnostics
 from .errors import DomainError
 from .sequence import WaveletSequence, check_range
 
@@ -67,51 +71,36 @@ def check_tau(tau) -> float:
     raise DomainError(f"tau must be in (0, 1], got {tau!r}")
 
 
+def _majorities(seq: WaveletSequence, lo, hi, tau):
+    """(sorted (symbol, count) majorities, rank1 calls, path) of one query."""
+    lo, hi = check_range(lo, hi, seq.n)
+    length = hi - lo + 1
+    thr = threshold_count(check_tau(tau), length)
+    heavy, ranks = seq._split_walk(lo - 1, hi, thr)  # no rank1 call if thr >= length
+    return sorted(heavy.items()), ranks, "walk" if thr < length else "empty"
+
+
+def _mode(seq: WaveletSequence, lo, hi):
+    """((symbol, count) of the mode, rank1 calls, path) of one query."""
+    lo, hi = check_range(lo, hi, seq.n)
+    best, ranks = seq._mode_walk(lo - 1, hi)
+    return best, ranks, "walk"
+
+
 class MajorityIndex:
     """Query-time-threshold range majority and mode over a fixed sequence."""
 
     def __init__(self, seq: WaveletSequence, config: IndexConfig):
         self.seq = seq
         self.config = config
-        self.diagnostics: QueryDiagnostics | None = None
 
     def query_majorities(self, lo: int, hi: int, tau: float):
         """All (symbol, count) with count > floor(tau * range length), sorted."""
-        seq = self.seq
-        lo, hi = check_range(lo, hi, seq.n)
-        tau = check_tau(tau)
-        t0 = time.perf_counter_ns()
-        ranks = seq.tally.ranks
-        diag = QueryDiagnostics(kind="majority", lo=lo, hi=hi, tau=tau)
-        length = hi - lo + 1
-        thr = threshold_count(tau, length)
-        out = []
-        if thr >= length:
-            diag.path = "empty"
-        else:
-            diag.path = "walk"
-            # the public walk checks the range again, but it is the sequence
-            # call that perfbench's tracer counts and times for majority
-            heavy = seq.range_counts(lo, hi, thr)
-            diag.candidates = len(heavy)
-            out = sorted(heavy.items())
-        diag.ops = OpTally(ranks=seq.tally.ranks - ranks)
-        diag.elapsed_ns = time.perf_counter_ns() - t0
-        self.diagnostics = diag
-        return out
+        return _majorities(self.seq, lo, hi, tau)[0]
 
     def query_mode(self, lo: int, hi: int) -> tuple[int, int]:
         """Most frequent symbol in [lo..hi] with its count; ties break low.
 
         One best-first walk; its cost adapts to the mode's frequency.
         """
-        seq = self.seq
-        lo, hi = check_range(lo, hi, seq.n)
-        t0 = time.perf_counter_ns()
-        diag = QueryDiagnostics(kind="mode", lo=lo, hi=hi, path="walk", candidates=1)
-        best, ranks = seq._mode_walk(lo - 1, hi)
-        seq.tally.ranks += ranks
-        diag.ops = OpTally(ranks=ranks)
-        diag.elapsed_ns = time.perf_counter_ns() - t0
-        self.diagnostics = diag
-        return best
+        return _mode(self.seq, lo, hi)[0]

@@ -66,7 +66,6 @@ from array import array
 import numpy as np
 
 from .bits import BitVector, _typed
-from .counters import OpTally
 from .errors import DomainError, FormatError, RangeError
 from .serial import ByteReader, ByteWriter
 
@@ -225,7 +224,6 @@ class WaveletSequence:
         self.n = 0
         self.sigma = 0
         self.counts: np.ndarray | None = None  # per-symbol totals
-        self.tally = OpTally()
         self._levels: list[BitVector] = []  # top first
         self._code = array("H")  # per symbol: code bits
         self._len = array("B")  # per symbol: code length
@@ -312,7 +310,7 @@ class WaveletSequence:
         if not (1 <= a <= self.sigma):
             raise DomainError(f"symbol {a} outside alphabet [1, {self.sigma}]")
 
-    # -- the walks (untallied internals) ---------------------------------------------
+    # -- the walks: each returns its answer and its rank1 calls ----------------------
 
     def _split_walk(self, cl: int, cr: int, thr: int) -> tuple[dict[int, int], int]:
         """Symbols occurring more than thr times at top-level positions
@@ -402,8 +400,11 @@ class WaveletSequence:
         cl+1..cr with its count, or None, and the number of rank1 calls.
 
         Heavy nodes, those the majority walk keeps, are expanded; the first
-        nonempty child that is not heavy leads down to a witness.
+        nonempty child that is not heavy leads down to a witness.  Below
+        thr 1 no symbol qualifies, and no rank1 call is made.
         """
+        if thr < 1:
+            return None, 0
         if cr - cl <= thr or self._top <= thr:  # every symbol present qualifies
             return self._leaf_below(0, 0, cl, cr)
         if not self._steps:  # the one symbol occurs more than thr times
@@ -449,34 +450,26 @@ class WaveletSequence:
                 return (least[child] + 1, ce - cs), ranks
             lvl, node, s, e = lvl + 1, child - leaves, cs, ce
 
-    # -- public operations (tallied) --------------------------------------------------
+    # -- public operations: checked ranges, answers only ------------------------------
 
     def range_counts(self, lo: int, hi: int, thr: int = 0) -> dict[int, int]:
         """Counts of the symbols occurring more than thr times in S[lo..hi],
         from one pruned top-down split walk (thr = 0 gives the whole
         histogram)."""
         lo, hi = check_range(lo, hi, self.n)
-        out, ranks = self._split_walk(lo - 1, hi, thr)
-        self.tally.ranks += ranks
-        return out
+        return self._split_walk(lo - 1, hi, thr)[0]
 
     def range_mode(self, lo: int, hi: int) -> tuple[int, int]:
         """The most frequent symbol in S[lo..hi], the lowest on a tie, with
         its count, from one best-first walk."""
         lo, hi = check_range(lo, hi, self.n)
-        found, ranks = self._mode_walk(lo - 1, hi)
-        self.tally.ranks += ranks
-        return found
+        return self._mode_walk(lo - 1, hi)[0]
 
     def range_minority(self, lo: int, hi: int, thr: int) -> tuple[int, int] | None:
         """Some (symbol, count) with 1 <= count <= thr in S[lo..hi], or None
         when every symbol there occurs more than thr times."""
         lo, hi = check_range(lo, hi, self.n)
-        if thr < 1:
-            return None
-        found, ranks = self._minority_walk(lo - 1, hi, thr)
-        self.tally.ranks += ranks
-        return found
+        return self._minority_walk(lo - 1, hi, thr)[0]
 
     def to_array(self) -> np.ndarray:
         """Rebuild the raw sequence (1-based symbols), bottom level first.

@@ -26,9 +26,8 @@ Entry = namedtuple("Entry", "data ref sigma_drawn sigma_eff trade bundle")
 RECORDS = []
 
 
-def record(diag, sigma_eff):
-    RECORDS.append((diag.tau, sigma_eff, diag.candidates,
-                    diag.ops.sequence_ops))
+def record(trace, sigma_eff):
+    RECORDS.append((trace.tau, sigma_eff, trace.candidates, trace.ranks))
 
 
 def candidate_cap(tau, sigma_eff):
@@ -83,11 +82,10 @@ def test_majorities_match_oracle_everywhere(corpus):
         for lo, hi in ranges_for(rng, n, 8):
             for tau in tau_pool(ent.sigma_drawn):
                 want = oracle.oracle_majorities(ent.ref, lo, hi, tau)
-                got = ent.bundle.query_majorities(lo, hi, tau)
+                got, d = ent.bundle.explain("majority", lo, hi, tau)
                 assert got == want, (n, lo, hi, tau, got, want)
-                d = ent.bundle.majority.diagnostics
                 assert d.candidates <= candidate_cap(tau, ent.sigma_eff)
-                assert d.ops.sequence_ops <= ops_cap(tau)
+                assert d.ranks <= ops_cap(tau)
                 record(d, ent.sigma_eff)
                 cases += 1
     elapsed = time.perf_counter() - t0
@@ -106,13 +104,12 @@ def test_minorities_valid_and_presence_agrees(corpus):
         for lo, hi in ranges_for(rng, n, 8):
             for tau in tau_pool(ent.sigma_drawn):
                 want = oracle.oracle_minorities(ent.ref, lo, hi, tau)
-                got = ent.bundle.query_minority(lo, hi, tau)
+                got, d = ent.bundle.explain("minority", lo, hi, tau)
                 if want:
                     assert got in want, (n, lo, hi, tau, got)
                 else:
                     assert got is None, (n, lo, hi, tau, got)
-                d = ent.bundle.minority.diagnostics
-                assert d.ops.sequence_ops <= ops_cap(tau)
+                assert d.ranks <= ops_cap(tau)
                 record(d, ent.sigma_eff)
                 paths[d.path] = paths.get(d.path, 0) + 1
                 cases += 1
@@ -136,8 +133,8 @@ def test_work_scales_with_inverse_tau(corpus):
     print(f"\nwork bounds: {len(RECORDS)} recorded queries within caps")
 
     data = zipf_string(10**6, 256, skew=1.1, seed=7)
-    idx = IndexBundle.from_values(data, IndexConfig(trade=8)).majority
-    assert idx.seq.sigma == int(data.max())  # dense symbols are the data's own
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=8))
+    assert bundle.seq.sigma == int(data.max())  # dense symbols are the data's own
     rng = np.random.default_rng(123)
     lens = (2 ** rng.uniform(15.0, 19.0, size=60)).astype(np.int64)
     starts = rng.integers(1, 10**6 - lens + 1)
@@ -146,8 +143,7 @@ def test_work_scales_with_inverse_tau(corpus):
         tau = 2.0 ** -s
         total = 0
         for lo, ln in zip(starts, lens):
-            idx.query_majorities(int(lo), int(lo + ln - 1), tau)
-            total += idx.diagnostics.ops.sequence_ops
+            total += bundle.explain("majority", int(lo), int(lo + ln - 1), tau)[1].ranks
         xs.append(math.log(2.0 ** s))
         ys.append(math.log(max(total / len(lens), 1e-9)))
     slope = float(np.polyfit(xs, ys, 1)[0])
@@ -162,13 +158,12 @@ def test_mode_matches_oracle_within_walk_bound(corpus):
     cases = 0
     for ent in corpus:
         n = len(ent.ref)
-        maj = ent.bundle.majority
         for lo, hi in ranges_for(rng, n, 12):
-            got = ent.bundle.query_mode(lo, hi)
+            got, trace = ent.bundle.explain("mode", lo, hi)
             want = oracle.oracle_mode(ent.ref, lo, hi)
             assert got == want, (n, lo, hi, got, want)
-            cap = 2 * maj.seq.depth * ((hi - lo + 1) // got[1])
-            ranks = maj.diagnostics.ops.ranks
+            cap = 2 * ent.bundle.seq.depth * ((hi - lo + 1) // got[1])
+            ranks = trace.ranks
             assert ranks <= cap, (n, lo, hi, ranks, cap)
             cases += 1
     print(f"\nmode: {cases} queries exact, walk bound held")
@@ -194,11 +189,11 @@ def test_full_and_sparsified_listing_agree():
             want = oracle.oracle_distinct_with_leftmost(data, lo, hi)
             counts = oracle.oracle_counts(data, lo, hi)
             for seq in seqs:
-                snap = seq.tally.snapshot()
-                got = seq.range_counts(lo, hi, 0)
+                got, ranks = seq._split_walk(lo - 1, hi, 0)
+                assert got == seq.range_counts(lo, hi, 0)
                 assert set(got) == {a for a, _ in want}
                 assert got == counts
-                assert seq.tally.since(snap).ranks <= 2 * (sigma - 1)
+                assert ranks <= 2 * (sigma - 1)
             checked += 1
     print(f"\ndistinct listing: {checked} ranges exact, plain and compressed options")
 
@@ -272,12 +267,11 @@ def test_exact_boundary_counts_are_never_majorities():
         bundle = IndexBundle.from_values(
             np.asarray(data),
             IndexConfig(trade=1 if case % 2 else 2))
-        got = bundle.query_majorities(lo, hi, tau)
+        got, d = bundle.explain("majority", lo, hi, tau)
         assert all(sym != 1 for sym, _ in got), (case, got)
         assert got == oracle.oracle_majorities(data, lo, hi, tau)
-        d = bundle.majority.diagnostics
         assert d.candidates <= candidate_cap(tau, int(max(data)))
-        assert d.ops.sequence_ops <= ops_cap(tau)
+        assert d.ranks <= ops_cap(tau)
         minors = oracle.oracle_minorities(data, lo, hi, tau)
         assert (1, occ) in minors
         hit = bundle.query_minority(lo, hi, tau)

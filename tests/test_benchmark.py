@@ -4,7 +4,9 @@
 compressed=...)`, both inert options it still passes, and prints one JSON
 line last.  A short run of each gated workload must exit 0, check every
 answer right, and report every end-to-end metric `BENCHMARK.json` gates,
-each finite and positive.  Nothing under `perfbench/` is changed here.
+each finite and positive.  A short traced run must find the query
+classes the tracer wraps by name.  Nothing under `perfbench/` is changed
+here.
 """
 
 import json
@@ -33,3 +35,21 @@ def test_benchmark_workload_runs_clean(workload):
     for spec in gated:
         value = last["metrics"][spec["name"]]["value"]
         assert math.isfinite(value) and value > 0, (spec["name"], value)
+
+
+def test_tracer_sees_the_query_classes():
+    """A traced query-plain run finds the classes the tracer wraps by name:
+    the query methods of `majority.MajorityIndex` and
+    `minority.MinorityIndex` each record calls."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "query-plain",
+         "--seed", "1", "--seconds", "0.5", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    last = json.loads(done.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0
+    for name in ("majority.MajorityIndex.query_majorities",
+                 "majority.MajorityIndex.query_mode",
+                 "minority.MinorityIndex.query_minority"):
+        assert last["metrics"][f"{name}.calls"]["value"] > 0, name

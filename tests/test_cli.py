@@ -65,7 +65,7 @@ def test_query_json_diagnostics(abra_index, capsys):
     assert payload["result"] == [[97, 5]]
     diag = payload["diagnostics"]
     assert diag["kind"] == "majority"
-    assert diag["sequence_ops"] >= 1
+    assert diag["ranks"] >= 1
     assert diag["path"]
 
 

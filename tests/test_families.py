@@ -225,9 +225,8 @@ def test_candidate_families_lie_inside_half_block_ones(trade):
         thr = threshold_count(2.0 ** -rng.randint(1, 6), hi - lo + 1)
         counts = np.bincount(arr[lo - 1:hi], minlength=seq.sigma + 1)
         sized = sum(int(counts[s].sum()) > thr for s, _ in nodes)
-        snap = seq.tally.snapshot()
-        seq.range_counts(lo, hi, thr)
-        ranks = seq.tally.since(snap).ranks
+        heavy_found, ranks = seq._split_walk(lo - 1, hi, thr)
+        assert heavy_found == seq.range_counts(lo, hi, thr)
         assert ranks <= 2 * sized
         pruned_total += ranks
         sized_total += 2 * sized
@@ -251,13 +250,13 @@ def test_ones_stay_under_cap():
     for _ in range(30):
         n = rng.randint(1, 400)
         arr = [rng.randint(1, 8) for _ in range(n)] + list(range(1, 9))
-        maj = IndexBundle.from_values(np.asarray(arr)).majority
+        bundle = IndexBundle.from_values(np.asarray(arr))
         for _ in range(10):
             lo = rng.randint(1, len(arr))
             hi = rng.randint(lo, len(arr))
             tier = rng.randint(0, 3)
-            maj.query_majorities(lo, hi, 2.0 ** -tier)
-            assert maj.diagnostics.ops.ranks <= 2 * maj.seq.depth * max(2**tier - 1, 0)
+            trace = bundle.explain("majority", lo, hi, 2.0 ** -tier)[1]
+            assert trace.ranks <= 2 * bundle.seq.depth * max(2**tier - 1, 0)
 
 
 def test_flags_from_bits():

@@ -26,6 +26,11 @@ def distinct(seq, lo, hi):
     return set(seq.range_counts(lo, hi, 0))
 
 
+def listing_ranks(seq, lo, hi):
+    """rank1 calls of the whole-histogram walk over [lo, hi]."""
+    return seq._split_walk(lo - 1, hi, 0)[1]
+
+
 def test_query_frozen(canon, canon_seq):
     assert canon_seq.range_counts(4, 8, 0) == {1: 3, 4: 1, 5: 1}
     assert distinct(canon_seq, 4, 8) == \
@@ -34,12 +39,11 @@ def test_query_frozen(canon, canon_seq):
 
 def test_limit_stops_early(canon_seq):
     # a caller that needs one light symbol stops at it instead of listing all
-    snap = canon_seq.tally.snapshot()
-    canon_seq.range_counts(1, 11, 0)
-    listing = canon_seq.tally.since(snap).ranks
-    snap = canon_seq.tally.snapshot()
-    assert canon_seq.range_minority(1, 11, 2) in {(2, 2), (3, 2), (4, 1), (5, 1)}
-    assert canon_seq.tally.since(snap).ranks < listing
+    listing = listing_ranks(canon_seq, 1, 11)
+    found, ranks = canon_seq._minority_walk(0, 11, 2)
+    assert found in {(2, 2), (3, 2), (4, 1), (5, 1)}
+    assert found == canon_seq.range_minority(1, 11, 2)
+    assert ranks < listing
     assert canon_seq.range_minority(1, 11, 0) is None
 
 
@@ -68,21 +72,17 @@ def test_sparsified_equivalence(block):
         for _ in range(20):
             lo = rng.randint(1, n)
             hi = rng.randint(lo, n)
-            snap = seq.tally.snapshot()
             got = distinct(seq, lo, hi)
             want = oracle.oracle_distinct_with_leftmost(data, lo, hi)
             assert got == {a for a, _ in want}
-            assert seq.tally.since(snap).ranks <= 2 * (sigma - 1)
+            assert listing_ranks(seq, lo, hi) <= 2 * (sigma - 1)
 
 
 def test_probe_accounting_routes_through_sequence(canon_seq):
-    # every rank1 call of a walk is tallied on the sequence it walks
-    snap = canon_seq.tally.snapshot()
-    canon_seq.range_counts(4, 8, 0)
-    assert canon_seq.tally.since(snap).sequence_ops > 0
-    snap = canon_seq.tally.snapshot()
-    assert canon_seq.range_counts(4, 8, 5) == {}  # thr >= length: no walk at all
-    assert canon_seq.tally.since(snap).sequence_ops == 0
+    # every walk returns the rank1 calls it made on the sequence it walks
+    assert listing_ranks(canon_seq, 4, 8) > 0
+    assert canon_seq.range_counts(4, 8, 5) == {}
+    assert canon_seq._split_walk(3, 8, 5) == ({}, 0)  # thr >= length: no walk at all
 
 
 def test_build_from_values_matches_for_sequence(canon, canon_seq):
@@ -117,12 +117,10 @@ def test_lazy_listing_matches_eager(block):
             lo = rng.randint(1, n)
             hi = rng.randint(lo, n)
             thr = threshold_count(1 / block, hi - lo + 1)
-            snap = seq.tally.snapshot()
-            eager = seq.range_counts(lo, hi, 0)
-            listing = seq.tally.since(snap).ranks
-            snap = seq.tally.snapshot()
-            lazy = seq.range_minority(lo, hi, thr)
-            assert seq.tally.since(snap).ranks <= listing + 2 * seq.depth
+            eager, listing = seq._split_walk(lo - 1, hi, 0)
+            lazy, ranks = seq._minority_walk(lo - 1, hi, thr)
+            assert lazy == seq.range_minority(lo, hi, thr)
+            assert ranks <= listing + 2 * seq.depth
             light = {a: c for a, c in eager.items() if c <= thr}
             if lazy is None:
                 assert not light
@@ -130,11 +128,20 @@ def test_lazy_listing_matches_eager(block):
                 assert light[lazy[0]] == lazy[1]
 
 
-def test_range_checked_before_the_walk(canon_seq):
-    snap = canon_seq.tally.snapshot()
+def test_range_checked_before_the_walk(canon_seq, monkeypatch):
+    ranks = []
+    walk = WaveletSequence._minority_walk
+
+    def counted(seq, cl, cr, thr):
+        found, more = walk(seq, cl, cr, thr)
+        ranks.append(more)
+        return found, more
+
+    monkeypatch.setattr(WaveletSequence, "_minority_walk", counted)
     with pytest.raises(RangeError):
         canon_seq.range_minority(0, 5, 1)
-    assert canon_seq.tally.since(snap).ranks == 0
+    assert sum(ranks) == 0
+    assert canon_seq.range_minority(1, 5, 1) is not None and sum(ranks) > 0
 
 
 def test_minority_stops_at_first_certified_position():
@@ -144,7 +151,7 @@ def test_minority_stops_at_first_certified_position():
     calls per heavy internal node plus two a level."""
     data = zipf_string(3000, 40, skew=1.1, seed=4)
     bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
-    seq, mino = bundle.seq, bundle.minority
+    seq = bundle.seq
     prefixes = {}
     for a in range(1, seq.sigma + 1):
         code = seq.code(a)
@@ -159,16 +166,16 @@ def test_minority_stops_at_first_certified_position():
         hi = rng.randint(lo, seq.n)
         tau = rng.choice([1.0, 0.5, 0.2, 0.05, 1 / 64])
         thr = threshold_count(tau, hi - lo + 1)
-        got = mino.query_minority(lo, hi, tau)
+        got, trace = bundle.explain("minority", lo, hi, tau)
         counts = np.bincount(data[lo - 1:hi], minlength=seq.sigma + 1)
         if got is None:
             assert not ((counts >= 1) & (counts <= thr)).any()
         else:
             assert 1 <= counts[got[0]] == got[1] <= thr
-        if mino.diagnostics.path != "walk":
+        if trace.path != "walk":
             continue
         walked += 1
         heavy = sum(int(counts[syms].sum()) > thr and top > thr for syms, top in nodes)
-        assert mino.diagnostics.ops.ranks <= 2 * heavy + 2 * seq.depth
-        assert mino.diagnostics.candidates == (got is not None)
+        assert trace.ranks <= 2 * heavy + 2 * seq.depth
+        assert trace.candidates == (got is not None)
     assert walked > 200

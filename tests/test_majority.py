@@ -18,16 +18,26 @@ from rfq.majority import check_tau
 CANON = [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
 
-def majority_index(data, cfg):
-    """The majority side of a bundle over data holding every symbol 1..max,
-    where the bundle's dense symbols are the data's own."""
+def dense_bundle(data, cfg):
+    """A bundle over data holding every symbol 1..max, whose dense symbols
+    are the data's own."""
     assert np.array_equal(np.unique(data), np.arange(1, max(data) + 1))
-    return IndexBundle.from_values(data, cfg).majority
+    return IndexBundle.from_values(data, cfg)
+
+
+def majority_index(data, cfg):
+    """The majority side of dense_bundle(data, cfg)."""
+    return dense_bundle(data, cfg).majority
 
 
 @pytest.fixture(scope="module")
-def canon_idx():
-    return majority_index(CANON, IndexConfig(trade=1))
+def canon_bundle():
+    return dense_bundle(CANON, IndexConfig(trade=1))
+
+
+@pytest.fixture(scope="module")
+def canon_idx(canon_bundle):
+    return canon_bundle.majority
 
 
 def ops_cap(tau: float, trade: int) -> int:
@@ -117,28 +127,24 @@ def test_one_range_check_for_every_kind():
 # -- dispatch paths ----------------------------------------------------------------
 
 
-def test_paths_small_index(canon_idx):
-    canon_idx.query_majorities(4, 8, 1.0)
-    assert canon_idx.diagnostics.path == "empty"
-    canon_idx.query_majorities(1, 11, 0.05)
-    assert canon_idx.diagnostics.path == "walk"
-    canon_idx.query_majorities(1, 11, 0.5)
-    assert canon_idx.diagnostics.path == "walk"
+def test_paths_small_index(canon_bundle):
+    assert canon_bundle.explain("majority", 4, 8, 1.0)[1].path == "empty"
+    assert canon_bundle.explain("majority", 1, 11, 0.05)[1].path == "walk"
+    assert canon_bundle.explain("majority", 1, 11, 0.5)[1].path == "walk"
 
 
 def test_flagged_and_segmented_paths():
     """Ranges that took the flagged path (trade 1, covered scale) and the
     segmented scan (trade 4, short input) now take the walk."""
     data = uniform_string(256, 4, seed=3)
-    flagged = majority_index(data, IndexConfig(trade=1))
-    assert flagged.query_majorities(65, 128, 0.5) == \
-        oracle.oracle_majorities(data.tolist(), 65, 128, 0.5)
-    assert flagged.diagnostics.path == "walk"
+    flagged = dense_bundle(data, IndexConfig(trade=1))
+    got, trace = flagged.explain("majority", 65, 128, 0.5)
+    assert got == oracle.oracle_majorities(data.tolist(), 65, 128, 0.5)
+    assert trace.path == "walk"
 
     small = uniform_string(40, 4, seed=3)
-    seg = majority_index(small, IndexConfig(trade=4))
-    seg.query_majorities(1, 40, 0.5)
-    assert seg.diagnostics.path == "walk"
+    seg = dense_bundle(small, IndexConfig(trade=4))
+    assert seg.explain("majority", 1, 40, 0.5)[1].path == "walk"
     ref = small.tolist()
     for lo, hi, tau in [(1, 40, 0.5), (3, 30, 0.25), (10, 17, 0.13)]:
         assert seg.query_majorities(lo, hi, tau) == \
@@ -179,14 +185,13 @@ def test_random_vs_oracle(cfg, seed):
             hi = rng.randint(lo, n)
             tau = rng.choice([1.0, 0.9, 0.5, 0.2, 0.05,
                               1.0 / sigma_eff, 0.5 / sigma_eff])
-            got = bundle.query_majorities(lo, hi, tau)
+            got, d = bundle.explain("majority", lo, hi, tau)
             assert got == oracle.oracle_majorities(ref, lo, hi, tau)
-            d = bundle.majority.diagnostics
             cap = 64 * math.ceil(1.0 / tau)
             if tau < 1.0 / sigma_eff:
                 cap += sigma_eff
             assert d.candidates <= cap
-            assert d.ops.sequence_ops <= ops_cap(tau, cfg.trade)
+            assert d.ranks <= ops_cap(tau, cfg.trade)
 
 
 def test_exact_boundary_exclusion():
@@ -223,12 +228,12 @@ def test_leftmost_far_before_first_flag(trade):
     n = 3 << 13
     data = np.where(rng.random(n) < 0.7, 1, rng.integers(2, 6, size=n))
     data[::512] = 1  # every block of 512 or more opens with symbol 1
-    maj = majority_index(data, IndexConfig(trade=trade))
+    bundle = dense_bundle(data, IndexConfig(trade=trade))
     ref = data.tolist()
     for scale, lo, hi in far_leftmost_ranges(n):
         for tau in (0.5, 0.3, 0.26):
-            got = maj.query_majorities(lo, hi, tau)
-            assert maj.diagnostics.path == "walk"
+            got, trace = bundle.explain("majority", lo, hi, tau)
+            assert trace.path == "walk"
             assert got == oracle.oracle_majorities(ref, lo, hi, tau)
             assert got[0][0] == 1
 
@@ -239,8 +244,8 @@ def test_flagged_path_ops_per_candidate(trade):
     calls only, two per kept internal node and fewer than ceil(1/tau) kept
     a level; no access or select, and each kept leaf is an answer."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
-    maj = IndexBundle.from_values(data, IndexConfig(trade=trade)).majority
-    depth = maj.seq.depth
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
+    depth = bundle.seq.depth
     rng = random.Random(trade)
     walked = 0
     for _ in range(400):
@@ -248,16 +253,14 @@ def test_flagged_path_ops_per_candidate(trade):
         lo = rng.randint(1, data.size - length + 1)
         hi = lo + length - 1
         tau = rng.choice([0.5, 0.3, 0.1, 0.02, 0.005])
-        got = maj.query_majorities(lo, hi, tau)
-        d = maj.diagnostics
+        got, d = bundle.explain("majority", lo, hi, tau)
         counts = np.bincount(data[lo - 1:hi])
         want = [(a, int(c)) for a, c in enumerate(counts) if c > threshold_count(tau, length)]
         assert got == want
         assert d.path == "walk"
         walked += 1
         assert d.candidates == len(got)
-        assert d.ops.sequence_ops == d.ops.ranks  # rank1 is the only operation
-        assert d.ops.ranks <= walk_cap(tau, depth)
+        assert d.ranks <= walk_cap(tau, depth)
     assert walked == 400
 
 
@@ -265,8 +268,8 @@ def test_sequential_path_is_one_pruned_split_walk():
     """Short trade-1 ranges: two ranks per kept node, fewer than
     ceil(1/tau) kept nodes a level, and no access or select."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
-    maj = IndexBundle.from_values(data, IndexConfig(trade=1)).majority
-    depth = maj.seq.depth
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
+    depth = bundle.seq.depth
     rng = random.Random(5)
     seen = 0
     for _ in range(600):
@@ -274,8 +277,7 @@ def test_sequential_path_is_one_pruned_split_walk():
         length = rng.randint(2, 400)
         lo = rng.randint(1, data.size - length + 1)
         hi = lo + length - 1
-        got = maj.query_majorities(lo, hi, tau)
-        d = maj.diagnostics
+        got, d = bundle.explain("majority", lo, hi, tau)
         if d.path != "walk":
             continue
         seen += 1
@@ -283,8 +285,7 @@ def test_sequential_path_is_one_pruned_split_walk():
         want = [(a, int(c)) for a, c in enumerate(counts) if c > threshold_count(tau, length)]
         assert got == want
         assert d.candidates == len(got)
-        assert d.ops.sequence_ops == d.ops.ranks  # rank1 is the only operation
-        assert d.ops.ranks <= walk_cap(tau, depth)
+        assert d.ranks <= walk_cap(tau, depth)
     assert seen >= 100
 
 
@@ -315,8 +316,8 @@ def test_max_count_pruning_cuts_rank_calls():
     sigma = 1 << 16
     data = np.concatenate((np.arange(1, sigma + 1), rng.integers(1, sigma + 1, size=sigma // 2)))
     rng.shuffle(data)
-    maj = majority_index(data, IndexConfig())
-    node_of, sym_of, top = trie_nodes(maj.seq)
+    bundle = dense_bundle(data, IndexConfig())
+    node_of, sym_of, top = trie_nodes(bundle.seq)
     pruned_total = unpruned_total = 0
     for _ in range(40):
         length = int(2 ** rng.uniform(8, 16))
@@ -324,13 +325,13 @@ def test_max_count_pruning_cuts_rank_calls():
         hi = lo + length - 1
         tau = float(2.0 ** -rng.integers(1, 9))
         thr = threshold_count(tau, length)
-        assert maj.query_majorities(lo, hi, tau) == [
-            (a, int(c)) for a, c in enumerate(np.bincount(data[lo - 1:hi])) if c > thr]
+        got, trace = bundle.explain("majority", lo, hi, tau)
+        assert got == [(a, int(c)) for a, c in enumerate(np.bincount(data[lo - 1:hi])) if c > thr]
         in_range = np.bincount(data[lo - 1:hi], minlength=sigma + 1)
         size = np.bincount(node_of, weights=in_range[sym_of], minlength=top.size)
         unpruned = int((size > thr).sum())
         pruned = int(((size > thr) & (top > thr)).sum())
-        assert maj.diagnostics.ops.ranks == 2 * pruned
+        assert trace.ranks == 2 * pruned
         pruned_total += 2 * pruned
         unpruned_total += 2 * unpruned
     assert pruned_total * 2 < unpruned_total, (pruned_total, unpruned_total)
@@ -345,11 +346,11 @@ def mode_cap(depth: int, length: int, occ: int) -> int:
     return 2 * depth * (length // occ)
 
 
-def test_mode_frozen(canon_idx):
+def test_mode_frozen(canon_idx, canon_bundle):
     # canon codes 0, 100, 110, 101, 111: symbol 1's leaf hangs off the
     # root, whose other child's largest count 2 is below 5
     assert canon_idx.query_mode(1, 11) == (1, 5)
-    assert canon_idx.diagnostics.ops.ranks == 2
+    assert canon_bundle.explain("mode", 1, 11)[1].ranks == 2
     assert canon_idx.query_mode(2, 3) == (2, 1)
     assert canon_idx.query_mode(5, 5) == (4, 1)
 
@@ -366,10 +367,9 @@ def test_mode_random_vs_oracle():
         for _ in range(30):
             lo = rng.randint(1, n)
             hi = rng.randint(lo, n)
-            got = bundle.query_mode(lo, hi)
+            got, d = bundle.explain("mode", lo, hi)
             assert got == oracle.oracle_mode(ref, lo, hi)
-            d = bundle.majority.diagnostics
-            assert d.ops.ranks <= mode_cap(depth, hi - lo + 1, got[1])
+            assert d.ranks <= mode_cap(depth, hi - lo + 1, got[1])
 
 
 @pytest.mark.parametrize("trade", [1, 4])
@@ -377,19 +377,17 @@ def test_mode_walk_rank_bound(trade):
     """Mode is one walk making only rank1 calls, at most
     2 * depth * floor(len / occ) of them."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
-    maj = IndexBundle.from_values(data, IndexConfig(trade=trade)).majority
-    depth = maj.seq.depth
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
+    depth = bundle.seq.depth
     rng = random.Random(trade)
     for _ in range(200):
         length = min(data.size, int(2 ** rng.uniform(6, math.log2(data.size))))
         lo = rng.randint(1, data.size - length + 1)
         hi = lo + length - 1
-        got = maj.query_mode(lo, hi)
-        d = maj.diagnostics
+        got, d = bundle.explain("mode", lo, hi)
         counts = np.bincount(data[lo - 1:hi])
         assert got == (int(counts.argmax()), int(counts.max()))
-        assert d.ops.sequence_ops == d.ops.ranks  # rank1 is the only operation
-        assert d.ops.ranks <= mode_cap(depth, length, got[1])
+        assert d.ranks <= mode_cap(depth, length, got[1])
 
 
 def mode_by_counting(labels, lo, hi):
@@ -439,13 +437,12 @@ def test_mode_tie_prune_cuts_rank_calls():
     sigma = 1 << 12
     data = np.repeat(np.arange(1, sigma + 1), 2)
     np.random.default_rng(2).shuffle(data)
-    maj = majority_index(data, IndexConfig())
-    seq = maj.seq
-    r0 = seq.tally.ranks
-    assert len(seq.range_counts(1, data.size, 1)) == sigma
-    histogram = seq.tally.ranks - r0
-    assert maj.query_mode(1, data.size) == (1, 2)
-    assert maj.diagnostics.ops.ranks * 4 < histogram, (maj.diagnostics.ops.ranks, histogram)
+    bundle = dense_bundle(data, IndexConfig())
+    heavy, histogram = bundle.seq._split_walk(0, data.size, 1)
+    assert len(heavy) == sigma
+    got, trace = bundle.explain("mode", 1, data.size)
+    assert got == (1, 2)
+    assert trace.ranks * 4 < histogram, (trace.ranks, histogram)
 
 
 # An index over PARENT_DATA written by the format-8 code that answered mode
@@ -497,20 +494,23 @@ def test_check_tau_fast_path_matches_the_general_rule():
                 check_tau(v)
 
 
-# -- diagnostics -----------------------------------------------------------------------
+# -- traces ----------------------------------------------------------------------------
 
 
-def test_diagnostics_shape(canon_idx):
-    out = canon_idx.query_majorities(4, 8, 0.5)
-    d = canon_idx.diagnostics
+def test_diagnostics_shape(canon_bundle):
+    out, d = canon_bundle.explain("majority", 4, 8, 0.5)
+    assert out == canon_bundle.query_majorities(4, 8, 0.5)
     assert d.kind == "majority"
     assert (d.lo, d.hi, d.tau) == (4, 8, 0.5)
     assert d.candidates >= len(out)
     assert d.elapsed_ns > 0
     flat = d.as_dict()
     assert flat["path"] == d.path
-    assert flat["sequence_ops"] == d.ops.sequence_ops
+    assert flat["ranks"] == d.ranks
+    assert set(flat) == {"kind", "lo", "hi", "tau", "path", "candidates", "ranks", "elapsed_ns"}
 
-    canon_idx.query_mode(1, 11)
-    assert canon_idx.diagnostics.kind == "mode"
-    assert canon_idx.diagnostics.path == "walk"
+    out, d = canon_bundle.explain("mode", 1, 11, 0.5)
+    assert out == canon_bundle.query_mode(1, 11)
+    assert (d.kind, d.path, d.tau) == ("mode", "walk", None)
+    with pytest.raises(DomainError):
+        canon_bundle.explain("median", 1, 11)

@@ -14,16 +14,26 @@ from rfq.indexfile import IndexBundle
 CANON = [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
 
-def minority_index(data, cfg):
-    """The minority side of a bundle over data holding every symbol 1..max,
-    where the bundle's dense symbols are the data's own."""
+def dense_bundle(data, cfg):
+    """A bundle over data holding every symbol 1..max, whose dense symbols
+    are the data's own."""
     assert np.array_equal(np.unique(data), np.arange(1, max(data) + 1))
-    return IndexBundle.from_values(data, cfg).minority
+    return IndexBundle.from_values(data, cfg)
+
+
+def minority_index(data, cfg):
+    """The minority side of dense_bundle(data, cfg)."""
+    return dense_bundle(data, cfg).minority
 
 
 @pytest.fixture(scope="module")
-def canon_min():
-    return minority_index(CANON, IndexConfig(trade=1))
+def canon_bundle():
+    return dense_bundle(CANON, IndexConfig(trade=1))
+
+
+@pytest.fixture(scope="module")
+def canon_min(canon_bundle):
+    return canon_bundle.minority
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +49,12 @@ def walk_cap(tau: float, depth: int) -> int:
     return 2 * depth * math.ceil(1 / tau)
 
 
-def test_frozen(canon_min):
+def test_frozen(canon_min, canon_bundle):
     assert canon_min.query_minority(4, 8, 0.5) in ((4, 1), (5, 1))
     # threshold 0 admits nothing
     assert canon_min.query_minority(1, 11, 0.05) is None
-    assert canon_min.diagnostics.path == "empty"
+    got, trace = canon_bundle.explain("minority", 1, 11, 0.05)
+    assert got is None and trace.path == "empty"
     # at tau = 1 every element is a minority; some element comes back
     got = canon_min.query_minority(1, 11, 1.0)
     assert got in oracle.oracle_minorities(CANON, 1, 11, 1.0)
@@ -75,22 +86,22 @@ def test_validation(canon_min):
         canon_min.query_minority(1, 4, 2.0)
 
 
-def test_small_index_has_no_families(canon_g2):
+def test_small_index_has_no_families():
     # the index is the sequence alone at every trade, however short the input
-    canon_g2.query_minority(4, 8, 0.5)
-    assert canon_g2.diagnostics.path == "walk"
-    assert not hasattr(canon_g2, "distinct_flags")
+    bundle = dense_bundle(CANON, IndexConfig(trade=2))
+    assert bundle.explain("minority", 4, 8, 0.5)[1].path == "walk"
+    assert not hasattr(bundle.minority, "distinct_flags")
 
 
 def test_flagged_path_serves_tier_zero():
     # tau = 1.0 makes every present symbol a minority: the walk goes
     # straight down from the root, two rank1 calls a level
     data = uniform_string(256, 4, seed=3)
-    idx = minority_index(data, IndexConfig(trade=2))
-    got = idx.query_minority(65, 128, 1.0)
-    assert idx.diagnostics.path == "walk"
+    bundle = dense_bundle(data, IndexConfig(trade=2))
+    got, trace = bundle.explain("minority", 65, 128, 1.0)
+    assert trace.path == "walk"
     assert got in oracle.oracle_minorities(data.tolist(), 65, 128, 1.0)
-    assert idx.diagnostics.ops.ranks <= 2 * idx.seq.depth
+    assert trace.ranks <= 2 * bundle.seq.depth
 
 
 @pytest.mark.parametrize("trade, lo, hi, tau, old_path", [
@@ -103,8 +114,8 @@ def test_dispatch_path_per_config(trade, lo, hi, tau, old_path):
     """Every config and range that took old_path now takes the walk."""
     data = uniform_string(256, 4, seed=3)
     bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
-    got = bundle.query_minority(lo, hi, tau)
-    assert bundle.minority.diagnostics.path == "walk"
+    got, trace = bundle.explain("minority", lo, hi, tau)
+    assert trace.path == "walk"
     want = oracle.oracle_minorities(data.tolist(), lo, hi, tau)
     assert got in want if want else got is None
 
@@ -141,14 +152,13 @@ def test_random_vs_oracle(cfg, seed):
                               1.0 / sigma_eff, 0.5 / sigma_eff,
                               rng.randint(1, hi - lo + 1) / (hi - lo + 1)])
             want = oracle.oracle_minorities(ref, lo, hi, tau)
-            got = bundle.query_minority(lo, hi, tau)
+            got, d = bundle.explain("minority", lo, hi, tau)
             if want:
                 assert got in want, (n, lo, hi, tau)
             else:
                 assert got is None, (n, lo, hi, tau)
-            d = bundle.minority.diagnostics
             cap = 64 * math.ceil(1.0 / tau) * cfg.trade * cfg.trade
-            assert d.ops.sequence_ops <= cap
+            assert d.ranks <= cap
             # returned-or-verified candidates stay near the majority count
             assert d.candidates <= 64 * math.ceil(1.0 / tau) + sigma_eff
 
@@ -157,8 +167,8 @@ def test_listing_path_ops_per_candidate():
     """A minority query is one walk: rank1 calls only, within walk_cap,
     and the witness's count is exact."""
     data = zipf_string(200_000, 256, skew=1.1, seed=1)
-    mino = IndexBundle.from_values(data, IndexConfig(trade=1)).minority
-    depth = mino.seq.depth
+    bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
+    depth = bundle.seq.depth
     rng = random.Random(1)
     walked = 0
     for _ in range(400):
@@ -166,8 +176,7 @@ def test_listing_path_ops_per_candidate():
         lo = rng.randint(1, data.size - length + 1)
         hi = lo + length - 1
         tau = rng.choice([0.5, 0.3, 0.1, 0.02, 0.005])
-        got = mino.query_minority(lo, hi, tau)
-        d = mino.diagnostics
+        got, d = bundle.explain("minority", lo, hi, tau)
         counts = np.bincount(data[lo - 1:hi])
         thr = threshold_count(tau, length)
         if got is None:
@@ -177,8 +186,7 @@ def test_listing_path_ops_per_candidate():
         if d.path != "walk":
             continue
         walked += 1
-        assert d.ops.sequence_ops == d.ops.ranks  # rank1 is the only operation
-        assert d.ops.ranks <= walk_cap(tau, depth)
+        assert d.ranks <= walk_cap(tau, depth)
     assert walked >= 300
 
 
@@ -191,9 +199,9 @@ def test_boundary_exact_count_is_minority():
     assert bundle.query_majorities(1, 4, 0.5) == []
 
 
-def test_diagnostics_kind(canon_min):
-    canon_min.query_minority(1, 11, 0.5)
-    d = canon_min.diagnostics
+def test_diagnostics_kind(canon_bundle):
+    got, d = canon_bundle.explain("minority", 1, 11, 0.5)
+    assert got == canon_bundle.query_minority(1, 11, 0.5)
     assert d.kind == "minority"
     assert (d.lo, d.hi, d.tau) == (1, 11, 0.5)
     assert d.as_dict()["kind"] == "minority"

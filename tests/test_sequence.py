@@ -222,27 +222,17 @@ def test_zipf_sequence_within_fixed_width_and_entropy(n, sigma, skew):
 
 
 def test_tally_policy(canon_seq):
-    # each walk counts its rank1 calls, two per trie node it splits; rank1
-    # is the only sequence operation, so sequence_ops is the same number
+    # each walk returns its rank1 calls, two per trie node it splits; rank1
+    # is the only sequence operation
     s = canon_seq
-    snap = s.tally.snapshot()
-    s.range_counts(1, 11)
-    d = s.tally.since(snap)
-    assert d.ranks == 2 * (s.sigma - 1)  # every internal node of the trie
-    assert d.sequence_ops == d.ranks
-
-    snap = s.tally.snapshot()
-    s.range_counts(1, 11, 11)  # no node can hold a symbol above 11: no rank
-    s.range_minority(1, 11, 0)  # threshold 0: no symbol qualifies, no rank
-    assert s.tally.since(snap).ranks == 0
-
-    snap = s.tally.snapshot()
-    s.range_minority(1, 11, 2)
-    assert 2 <= s.tally.since(snap).ranks <= 2 * s.depth * 2
-
-    snap = s.tally.snapshot()
-    s.range_mode(1, 11)  # symbol 1's leaf hangs off the root
-    assert s.tally.since(snap).ranks == 2
+    assert s._split_walk(0, 11, 0)[1] == 2 * (s.sigma - 1)  # every internal node
+    assert s._split_walk(0, 11, 11) == ({}, 0)  # no node can hold a symbol above 11
+    assert s._minority_walk(0, 11, 0) == (None, 0)  # threshold 0: no symbol qualifies
+    found, ranks = s._minority_walk(0, 11, 2)
+    assert found == s.range_minority(1, 11, 2)
+    assert 2 <= ranks <= 2 * s.depth * 2
+    # symbol 1's leaf hangs off the root
+    assert s._mode_walk(0, 11) == (s.range_mode(1, 11), 2)
 
 
 @pytest.mark.parametrize("sigma", [5, 300, 70_000])

@@ -35,19 +35,19 @@ def test_fault_injection_produces_witness(monkeypatch):
     data = np.asarray([(i // 8) % 8 + 1 for i in range(512)])
     bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
     seq_type = type(bundle.seq)
-    walk, mode_walk = seq_type.range_counts, seq_type._mode_walk
+    walk, mode_walk = seq_type._split_walk, seq_type._mode_walk
 
-    def faulty(seq, lo, hi, thr=0):
-        out = walk(seq, lo, hi, thr)
+    def faulty(seq, cl, cr, thr):
+        out, ranks = walk(seq, cl, cr, thr)
         if 1 in out:
             out[1] += 1
-        return out
+        return out, ranks
 
     def faulty_mode(seq, cl, cr):
         (a, occ), ranks = mode_walk(seq, cl, cr)
         return (a, occ + (a == 1)), ranks
 
-    monkeypatch.setattr(seq_type, "range_counts", faulty)
+    monkeypatch.setattr(seq_type, "_split_walk", faulty)
     monkeypatch.setattr(seq_type, "_mode_walk", faulty_mode)
     rep = verify_index(bundle, queries=300, seed=0)
     assert not rep.ok
