@@ -3,7 +3,7 @@ queries whose frequency threshold is chosen per query, each by one pruned
 split walk over a Huffman-shaped wavelet matrix."""
 
 from .bits import BitVector
-from .config import IndexConfig, space_preset
+from .config import IndexConfig
 from .counters import QueryTrace
 from .errors import ConfigError, DomainError, FormatError, RangeError, RfqError
 from .indexfile import IndexBundle
@@ -28,7 +28,6 @@ __all__ = [
     "RfqError",
     "VerifyReport",
     "WaveletSequence",
-    "space_preset",
     "threshold_count",
     "verify_index",
     "__version__",

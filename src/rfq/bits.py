@@ -1,14 +1,14 @@
 """Plain bitvectors with constant-time rank, the one level kind of the sequence.
 
-Positions are 1-based throughout the public API: rank1(p) counts set bits
-among the first p positions.  Every bitvector, built or loaded, holds its
-64-bit words in one typed buffer, array('Q'), plus one rank count per
-word, cum[w] = ones before word w, in array('I') (array('Q') from 2**32
-bits on), so the directory costs half a bit per bit and rank1 is one
-count read plus a popcount.  The wavelet matrix reads the words and the
-counts directly on its hot path; `rank1_array` ranks a whole array of
-prefixes at once for the loader's level-by-level split walk, and
-`to_numpy_bool` unpacks the bits for `WaveletSequence.to_array`.
+rank1(p) counts the set bits among the first p positions.  Every
+bitvector, built or loaded, holds its 64-bit words in one typed buffer,
+array('Q'), plus one rank count per word, cum[w] = ones before word w, in
+array('I') (array('Q') from 2**32 bits on), so the directory costs half a
+bit per bit and rank1 is one count read plus a popcount.  The wavelet
+matrix's walks read the words and the counts directly, one rank1 at a
+time; `rank1_array` ranks a whole array of prefixes at once for the
+loader's level-by-level split walk, and `to_numpy_bool` unpacks the bits
+for `WaveletSequence.to_array`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from array import array
 
 import numpy as np
 
-from .errors import FormatError, RangeError
+from .errors import FormatError
 from .serial import words_from_bytes
 
 
@@ -62,31 +62,8 @@ class BitVector:
         self.cum, self.ones = _rank_directory(words, n_bits)
 
     @classmethod
-    def from_bits(cls, bits) -> "BitVector":
-        return cls.from_numpy_bool(np.asarray(bits, dtype=bool))
-
-    @classmethod
     def from_numpy_bool(cls, arr: np.ndarray) -> "BitVector":
         return cls(_pack_bits(arr), int(arr.shape[0]))
-
-    @classmethod
-    def from_ones(cls, positions, n_bits: int) -> "BitVector":
-        arr = np.zeros(n_bits, dtype=bool)
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.size:
-            if pos.min() < 1 or pos.max() > n_bits:
-                raise RangeError("set position out of range")
-            arr[pos - 1] = True
-        return cls.from_numpy_bool(arr)
-
-    def rank1(self, p: int) -> int:
-        if p < 0 or p > self.n_bits:
-            raise RangeError(f"prefix length {p} out of [0, {self.n_bits}]")
-        off = p & 63
-        if off:
-            wi = p >> 6
-            return self.cum[wi] + (self.words[wi] & ((1 << off) - 1)).bit_count()
-        return self.cum[p >> 6]
 
     def rank1_array(self, positions: np.ndarray) -> np.ndarray:
         """rank1 at each prefix length of an int64 array, all within [0, n_bits]."""

@@ -15,8 +15,7 @@ import time
 
 import numpy as np
 
-from .config import IndexConfig, space_preset
-from .errors import ConfigError, DomainError, FormatError, RangeError, RfqError
+from .errors import DomainError, FormatError, RangeError, RfqError
 from .indexfile import IndexBundle
 from .verify import verify_index
 
@@ -36,16 +35,6 @@ def _read_input(path: str, fmt: str):
             raise DomainError(f"u32le input length {len(data)} not a multiple of 4")
         return np.frombuffer(data, dtype="<u4").astype(np.int64).tolist(), None
     raise DomainError(f"unknown input format {fmt!r}")
-
-
-def _assemble_config(args) -> IndexConfig:
-    cfg = space_preset() if args.space_preset else IndexConfig()
-    overrides = {}
-    if args.trade is not None:
-        overrides["trade"] = args.trade
-    if args.compressed:
-        overrides["compressed"] = True
-    return cfg.with_(**overrides) if overrides else cfg
 
 
 def _seed_of(args) -> int:
@@ -70,12 +59,11 @@ def _space_lines(rep: dict) -> list[str]:
 
 def _cmd_build(args) -> int:
     values, tokens = _read_input(args.input, args.format)
-    cfg = _assemble_config(args)
     t0 = time.perf_counter()
     if tokens is not None:
-        bundle = IndexBundle.from_tokens(tokens, cfg)
+        bundle = IndexBundle.from_tokens(tokens)
     else:
-        bundle = IndexBundle.from_values(values, cfg)
+        bundle = IndexBundle.from_values(values)
     build_s = time.perf_counter() - t0
     out = args.output or args.input + ".rfq"
     bundle.save(out)
@@ -131,18 +119,15 @@ def _cmd_verify(args) -> int:
 def _cmd_info(args) -> int:
     bundle = IndexBundle.load(args.index)
     rep = bundle.size_report()
-    cfg = bundle.config
-    rep["config"] = {"trade": cfg.trade, "compressed": cfg.compressed}
-    domain = "tokens" if bundle.tokens is not None else (
-        "ints" if bundle.originals is not None else "dense")
-    rep["symbol_domain"] = domain
+    labels = bundle.labels
+    rep["symbol_domain"] = (
+        "dense" if labels is None else "tokens" if isinstance(labels, list) else "ints")
     if args.json:
         print(json.dumps(rep))
     else:
         for line in _space_lines(rep):
             print(line)
         print(f"symbol_domain {rep['symbol_domain']}")
-        print(f"config {rep['config']}")
     return 0
 
 
@@ -158,14 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("input")
     b.add_argument("-o", "--output", default=None)
     b.add_argument("--format", choices=("bytes", "u32le", "tokens"), default="bytes")
-    b.add_argument("--trade", type=int, default=None,
-                   help="accepted and echoed in the file header, but inert: "
-                        "no structure is sparsified any more")
-    b.add_argument("--compressed", action="store_true",
-                   help="accepted and echoed in the file header, but inert: "
-                        "every level is stored plain")
-    b.add_argument("--space-preset", action="store_true",
-                   help="start from space_preset() (trade 256, inert like --trade)")
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=_cmd_build)
 
@@ -199,7 +176,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RangeError, DomainError, ConfigError, FileNotFoundError) as exc:
+    except (RangeError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RfqError as exc:

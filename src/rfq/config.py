@@ -1,20 +1,21 @@
-"""Build-time configuration for the query indexes."""
+"""The build option a caller may still pass: accepted, validated, unused."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
 
-_U32_MAX = 2**32 - 1  # trade is a u32 field of the file header
+_U32_MAX = 2**32 - 1  # the range trade had as a u32 field of the format-8 header
 
 
 @dataclass
 class IndexConfig:
-    """Build options of an index, both accepted, validated and echoed in
-    the file header, and both inert: every index is the same
-    Huffman-shaped wavelet matrix of plain levels.
+    """Build options that `IndexBundle.from_values` and `from_tokens`
+    accept and ignore: every index is the same Huffman-shaped wavelet
+    matrix of plain levels, so nothing is stored, written or echoed.
+    Each field is still checked when the config is made.
 
     trade, an int in [1, 2**32 - 1], was the sparsification factor g of
     the listing engine and the flag families, which retired with format
@@ -34,14 +35,3 @@ class IndexConfig:
             raise ConfigError(f"trade must be an int in [1, 2**32 - 1], got {v!r}")
         if not isinstance(self.compressed, bool):
             raise ConfigError(f"compressed must be a bool, got {self.compressed!r}")
-
-    def with_(self, **kw) -> "IndexConfig":
-        return replace(self, **kw)
-
-
-def space_preset() -> IndexConfig:
-    """The configuration once tuned for a small footprint (trade 256).
-
-    trade is inert now, so this builds the same index as IndexConfig().
-    """
-    return IndexConfig(trade=256)

@@ -1,20 +1,22 @@
 """A whole index in one file: the symbol remapping and the sequence.
 
-The bundle owns the symbol remapping.  Builders accept arbitrary integers
-(or token strings) and translate them onto the dense 1..sigma domain the
-core structures require; query results are translated back, so callers
-only ever see their own symbols.  Ties and orderings follow the sorted
-order of the original symbols (lexicographic for tokens).
+A bundle is the sequence and one label table.  Builders accept arbitrary
+integers (or token strings) and translate them onto the dense 1..sigma
+domain the sequence requires, keeping the sorted distinct originals as
+the labels; query results are translated back, so callers only ever see
+their own symbols.  Ties and orderings follow the sorted order of the
+original symbols (lexicographic for tokens).
 
 A build makes the Huffman-shaped wavelet matrix and nothing else: every
 query is a split walk over it (see `majority` and `minority`).
 
-File layout (magic ``RFQI``, format version 8), after the magic and the
+File layout (magic ``RFQI``, format version 9), after the magic and the
 version, two checked sections, each a u64 length, its payload and the
 payload's CRC32:
 
-1. header: the config echo (trade as u32, compressed as a u8 of 0 or 1,
-   both inert), then the remap kind and its table;
+1. header: the remap kind (a u8) and its table: nothing for the identity,
+   a counted word array of the original ints, or the tokens as one
+   counted UTF-8 blob, one token per line;
 2. sequence: n, sigma, the packed code-length table, the level header
    (each level's bit length) and the level word stream (see `sequence`).
 
@@ -33,12 +35,13 @@ only what the space accounting counts.
 from __future__ import annotations
 
 import time
+from array import array
 
 import numpy as np
 
 from .config import IndexConfig
 from .counters import QueryTrace
-from .errors import ConfigError, DomainError, FormatError
+from .errors import DomainError, FormatError
 from .majority import MajorityIndex, _majorities, _mode
 from .minority import MinorityIndex, _minority
 from .sequence import WaveletSequence
@@ -48,24 +51,24 @@ _REMAP_IDENTITY, _REMAP_INTS, _REMAP_TOKENS = 0, 1, 2
 
 
 class IndexBundle:
-    def __init__(
-        self,
-        majority: MajorityIndex,
-        minority: MinorityIndex,
-        originals: np.ndarray | None = None,
-        tokens: list[str] | None = None,
-    ):
-        if majority.seq is not minority.seq:
-            raise DomainError("majority and minority sides must share one sequence")
-        self.majority = majority
-        self.minority = minority
-        self.originals = originals  # sorted original ints; None means identity
-        self.tokens = tokens  # sorted token strings, exclusive with originals
+    """The sequence over dense symbols 1..sigma and its label table: None
+    (the symbols are their own labels), an array('q') of the sorted
+    original ints, or a list of the sorted tokens; dense symbol a answers
+    as labels[a - 1]."""
+
+    def __init__(self, seq: WaveletSequence, labels: array | list[str] | None = None):
+        self.seq = seq
+        self.labels = labels
+        # the query classes perfbench's tracer times queries through
+        self.majority = MajorityIndex(seq)
+        self.minority = MinorityIndex(seq)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_values(cls, values, config: IndexConfig | None = None) -> "IndexBundle":
+        """The index of a 1-d integer sequence; config is accepted and
+        ignored (see `IndexConfig`)."""
         arr = np.asarray(values)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("input must be a non-empty 1-d integer sequence")
@@ -73,40 +76,30 @@ class IndexBundle:
         # are refused (Python ints beyond int64 arrive as an object array)
         if arr.dtype.kind not in "iu" or (arr.dtype.kind == "u" and arr.max() >= 2**63):
             raise DomainError(f"input must hold integers within int64, got {arr.dtype} values")
-        arr = arr.astype(np.int64, copy=False)
-        originals, dense0 = np.unique(arr, return_inverse=True)
-        dense = dense0.astype(np.int64) + 1
+        originals, dense0 = np.unique(arr.astype(np.int64, copy=False), return_inverse=True)
         sigma = int(originals.size)
         identity = bool(originals[0] == 1 and originals[-1] == sigma)
-        return cls._build(dense, config, None if identity else originals, None)
+        labels = None if identity else array("q", originals.tobytes())
+        return cls(WaveletSequence.build(dense0.astype(np.int64) + 1), labels)
 
     @classmethod
     def from_tokens(cls, tokens, config: IndexConfig | None = None) -> "IndexBundle":
+        """The index of a sequence of strings; config is accepted and
+        ignored (see `IndexConfig`)."""
         toks = list(tokens)
         if not toks:
             raise DomainError("token sequence is empty")
         vocab, dense0 = np.unique(np.asarray(toks, dtype=object), return_inverse=True)
-        table = [str(t) for t in vocab]
-        if any("\n" in t for t in table):
+        labels = [str(t) for t in vocab]
+        if any("\n" in t for t in labels):
             # the file stores the token table one token per line
             raise DomainError("tokens must not contain a newline")
-        dense = dense0.astype(np.int64) + 1
-        return cls._build(dense, config, None, table)
-
-    @classmethod
-    def _build(cls, dense, config, originals, tokens) -> "IndexBundle":
-        config = config or IndexConfig()
-        seq = WaveletSequence.build(dense)
-        return cls(MajorityIndex(seq, config), MinorityIndex(seq, config), originals, tokens)
+        return cls(WaveletSequence.build(dense0.astype(np.int64) + 1), labels)
 
     # -- symbol translation ---------------------------------------------------
 
     def to_original(self, dense_symbol: int):
-        if self.tokens is not None:
-            return self.tokens[dense_symbol - 1]
-        if self.originals is not None:
-            return int(self.originals[dense_symbol - 1])
-        return dense_symbol
+        return dense_symbol if self.labels is None else self.labels[dense_symbol - 1]
 
     def _map_pairs(self, pairs):
         return [(self.to_original(a), occ) for a, occ in pairs]
@@ -115,14 +108,6 @@ class IndexBundle:
         return None if hit is None else (self.to_original(hit[0]), hit[1])
 
     # -- queries ---------------------------------------------------------------
-
-    @property
-    def seq(self) -> WaveletSequence:
-        return self.majority.seq
-
-    @property
-    def config(self) -> IndexConfig:
-        return self.majority.config
 
     def query_majorities(self, lo: int, hi: int, tau: float):
         return self._map_pairs(self.majority.query_majorities(lo, hi, tau))
@@ -159,7 +144,7 @@ class IndexBundle:
 
     def size_report(self) -> dict:
         return {
-            "sequence_bits": self.seq.size_bits(),
+            "sequence_bits": 8 * len(self.seq.to_bytes()),
             "total_bits": 8 * len(self.to_bytes()),
             "n": self.seq.n,
             "sigma": self.seq.sigma,
@@ -170,15 +155,12 @@ class IndexBundle:
 
     def to_bytes(self) -> bytes:
         head = ByteWriter()
-        cfg = self.config
-        head.u32(cfg.trade)
-        head.u8(int(cfg.compressed))
-        if self.tokens is not None:
+        if isinstance(self.labels, list):
             head.u8(_REMAP_TOKENS)
-            head.blob("\n".join(self.tokens).encode("utf-8"))
-        elif self.originals is not None:
+            head.blob("\n".join(self.labels).encode("utf-8"))
+        elif self.labels is not None:
             head.u8(_REMAP_INTS)
-            head.words([int(v) & 0xFFFFFFFFFFFFFFFF for v in self.originals])
+            head.words(array("Q", self.labels.tobytes()))  # two's complement
         else:
             head.u8(_REMAP_IDENTITY)
         w = ByteWriter()
@@ -194,22 +176,15 @@ class IndexBundle:
         r.expect_magic(MAGIC_INDEX)
         r.expect_version()
         head = ByteReader(r.checked())
-        trade, compressed = head.u32(), head.u8()
-        if compressed > 1:
-            raise FormatError(f"corrupt index header: compressed code {compressed}")
-        try:
-            cfg = IndexConfig(trade=trade, compressed=bool(compressed))
-        except ConfigError as exc:
-            raise FormatError(f"corrupt index header: {exc}") from exc
         kind = head.u8()
-        table = None
+        labels = None
         if kind == _REMAP_TOKENS:
             try:
-                table = head.blob().decode("utf-8").split("\n")
+                labels = head.blob().decode("utf-8").split("\n")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"token table is not UTF-8: {exc}") from exc
         elif kind == _REMAP_INTS:
-            table = np.frombuffer(head.words(), dtype=np.int64).tolist()  # two's complement
+            labels = array("q", head.words().tobytes())  # two's complement
         elif kind != _REMAP_IDENTITY:
             raise FormatError(f"unknown remap kind {kind}")
         if not head.done():
@@ -220,15 +195,13 @@ class IndexBundle:
         seq = WaveletSequence.read_from(body)
         if not body.done():
             raise FormatError("trailing bytes after the sequence")
-        if table is not None:
+        if labels is not None:
             # answers index the table by dense symbol, and ties follow its order
-            if len(table) != seq.sigma:
-                raise FormatError(f"remap table has {len(table)} entries, sigma is {seq.sigma}")
-            if any(a >= b for a, b in zip(table, table[1:])):
+            if len(labels) != seq.sigma:
+                raise FormatError(f"remap table has {len(labels)} entries, sigma is {seq.sigma}")
+            if any(a >= b for a, b in zip(labels, labels[1:])):
                 raise FormatError("remap table is not strictly increasing")
-        originals = np.array(table, dtype=np.int64) if kind == _REMAP_INTS else None
-        return cls(MajorityIndex(seq, cfg), MinorityIndex(seq, cfg), originals,
-                   table if kind == _REMAP_TOKENS else None)
+        return cls(seq, labels)
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:

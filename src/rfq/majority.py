@@ -8,18 +8,18 @@ A query takes one of two paths, which its trace names:
 
 * empty: the threshold already meets or exceeds the range length, so no
   symbol can clear it, and the walk returns before any rank1 call.
-* walk: the walk behind `WaveletSequence.range_counts(lo, hi, thr)`,
-  called directly on the range checked once here: one top-down split
-  walk over the code trie that drops every node holding at most thr of
-  the range's positions and every node whose symbols all occur at most
-  thr times in the whole sequence.  The nodes of a level are disjoint,
+* walk: `WaveletSequence._split_walk`, called on the range checked once
+  here with thr = floor(tau * length): one top-down split walk over the
+  code trie that drops every node holding at most thr of the range's
+  positions and every node whose symbols all occur at most thr times in
+  the whole sequence.  The nodes of a level are disjoint,
   so fewer than ceil(1/tau) survive per level, at two rank1 calls each,
   and each kept leaf ends in its symbol's exact count.  The walk serves
   every tau, including tau < 1/sigma, where it reaches every present
   symbol.
 
-Mode takes one path, the best-first walk behind
-`WaveletSequence.range_mode`, over the same trie (the greedy traversal of
+Mode takes one path, the best-first `WaveletSequence._mode_walk`, over
+the same trie (the greedy traversal of
 Culpepper, Navarro, Puglisi and Turpin, ESA 2010).  It pops the node with
 the highest bound, the smaller of its range size and its largest count,
 and prunes by the best count found so far, so ties go to the lowest
@@ -39,6 +39,7 @@ Each query kind has one helper that checks the range and tau once and
 returns the answer with the walk's rank1 calls and the path taken.  The
 public methods return the answer alone and build nothing;
 `IndexBundle.explain` times the same helper and returns a `QueryTrace`.
+`MajorityIndex` holds the sequence and nothing else.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from __future__ import annotations
 import math
 import numbers
 
-from .config import IndexConfig
 from .errors import DomainError
 from .sequence import WaveletSequence, check_range
 
@@ -90,9 +90,8 @@ def _mode(seq: WaveletSequence, lo, hi):
 class MajorityIndex:
     """Query-time-threshold range majority and mode over a fixed sequence."""
 
-    def __init__(self, seq: WaveletSequence, config: IndexConfig):
+    def __init__(self, seq: WaveletSequence):
         self.seq = seq
-        self.config = config
 
     def query_majorities(self, lo: int, hi: int, tau: float):
         """All (symbol, count) with count > floor(tau * range length), sorted."""

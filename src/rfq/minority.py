@@ -8,8 +8,8 @@ trace names:
 
 * empty: the threshold is 0, so every present symbol is frequent, and the
   walk returns None before any rank1 call.
-* walk: the walk behind `WaveletSequence.range_minority(lo, hi, thr)`,
-  called directly on the range checked once here.  The walk expands
+* walk: `WaveletSequence._minority_walk`, called on the range checked
+  once here with thr = floor(tau * length).  The walk expands
   the code-trie nodes that the majority walk keeps, those holding more
   than thr of the range's positions over symbols that occur more than thr
   times in the whole sequence.  At the first nonempty child that is not
@@ -21,7 +21,6 @@ trace names:
 
 from __future__ import annotations
 
-from .config import IndexConfig
 from .majority import check_tau, threshold_count
 from .sequence import WaveletSequence, check_range
 
@@ -38,9 +37,8 @@ def _minority(seq: WaveletSequence, lo, hi, tau):
 class MinorityIndex:
     """Query-time-threshold range minority index over a fixed sequence."""
 
-    def __init__(self, seq: WaveletSequence, config: IndexConfig):
+    def __init__(self, seq: WaveletSequence):
         self.seq = seq
-        self.config = config
 
     def query_minority(self, lo: int, hi: int, tau: float):
         """Some (symbol, count) with 1 <= count <= floor(tau * length), or None."""

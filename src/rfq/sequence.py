@@ -33,28 +33,31 @@ derived in O(sigma) from the counts and the code lengths and never
 stored.  A range count never exceeds the whole-sequence count, so a node
 whose range holds at most thr positions, or whose largest count is at
 most thr, holds no symbol occurring more than thr times.
-`range_counts` keeps only the other nodes, fewer than ceil(1/tau) per
-level for thr = floor(tau * length); `range_minority` expands those same
+`_split_walk` keeps only the other nodes, fewer than ceil(1/tau) per
+level for thr = floor(tau * length); `_minority_walk` expands those same
 heavy nodes until one of their children is nonempty and light, then
 descends along any nonempty child to a leaf, whose size is a count of at
 most thr.  The walk is complete: a minority's leaf is nonempty and light,
 and the highest light node on its root path has a heavy parent, which
 the walk expands.  Both cost O(lg sigma / tau) level steps, where the
-paper's O(1/tau) assumes constant-time access and rank.  `range_mode` is
+paper's O(1/tau) assumes constant-time access and rank.  `_mode_walk` is
 best-first: it expands the node whose bound, the smaller of its range
 size and its largest count, is highest, the one with the lowest symbol
 below among equals, and drops a node whose bound is below the best count
 found, or equal to it over higher symbols only.  Each node it expands
 holds at least the mode's count occ of positions, so it makes at most
-2 * depth * floor(len / occ) rank1 calls.
+2 * depth * floor(len / occ) rank1 calls.  Each walk takes its range
+as top-level positions cl+1..cr, checked once by the query helper in
+`majority` or `minority` that calls it (`check_range`), and returns its
+answer with its rank1 calls.
 
-The file stores n, sigma, the code-length table packed at the longest
-length's bit width, one header for all levels (each level's bit length)
-and then every level's words as one stream, whose word counts follow
-from that header.  The lengths are checked in O(sigma) before any level
-is read, each level's size against the code trie before any word is
-read; the codes follow from the lengths, and the counts from one
-level-by-level split walk at load.
+The file stores n (below 2**63), sigma, the code-length table packed at
+the longest length's bit width, one header for all levels (each level's
+bit length) and then every level's words as one stream, whose word
+counts follow from that header.  The lengths are checked in O(sigma)
+before any level is read, each level's size against the code trie before
+any word is read; the codes follow from the lengths, and the counts from
+one level-by-level split walk at load.
 """
 
 from __future__ import annotations
@@ -170,10 +173,6 @@ def _read_lengths(r: ByteReader, sigma: int) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").reshape(sigma)
 
 
-def _lengths_bits(sigma: int, width: int) -> int:
-    return 8 + 8 * ((sigma * width + 7) // 8)
-
-
 def _ends(lens: np.ndarray, counts: np.ndarray) -> list[int]:
     """Per level, the number of positions whose code ends there."""
     per = np.zeros(int(lens.max()) + 1, dtype=np.int64)
@@ -225,7 +224,6 @@ class WaveletSequence:
         self.sigma = 0
         self.counts: np.ndarray | None = None  # per-symbol totals
         self._levels: list[BitVector] = []  # top first
-        self._code = array("H")  # per symbol: code bits
         self._len = array("B")  # per symbol: code length
         self._top = 0  # the largest symbol count
         # per level: (words, cum, zeros - ends, ends, inner, leaves, smallest
@@ -275,7 +273,6 @@ class WaveletSequence:
         self._levels = levels
         self.counts = counts
         ends = _ends(lens, counts)
-        self._code = _typed(shape.code, _typecode((1 << shape.depth) - 1))
         self._len = _typed(lens, "B")
         self._top = int(counts.max())
         self._steps = [
@@ -292,23 +289,9 @@ class WaveletSequence:
         """Number of levels: the longest code's length."""
         return len(self._levels)
 
-    def code(self, a: int) -> str:
-        """Symbol a's code as a string of bits, the top level's first."""
-        self._check_symbol(a)
-        length = self._len[a - 1]
-        return format(self._code[a - 1], f"0{length}b") if length else ""
-
-    def symbol_count(self, a: int) -> int:
-        self._check_symbol(a)
-        return int(self.counts[a - 1])
-
     def entropy_h0(self) -> float:
         p = self.counts / self.n
         return float(-(p * np.log2(p)).sum())
-
-    def _check_symbol(self, a: int) -> None:
-        if not (1 <= a <= self.sigma):
-            raise DomainError(f"symbol {a} outside alphabet [1, {self.sigma}]")
 
     # -- the walks: each returns its answer and its rank1 calls ----------------------
 
@@ -450,26 +433,7 @@ class WaveletSequence:
                 return (least[child] + 1, ce - cs), ranks
             lvl, node, s, e = lvl + 1, child - leaves, cs, ce
 
-    # -- public operations: checked ranges, answers only ------------------------------
-
-    def range_counts(self, lo: int, hi: int, thr: int = 0) -> dict[int, int]:
-        """Counts of the symbols occurring more than thr times in S[lo..hi],
-        from one pruned top-down split walk (thr = 0 gives the whole
-        histogram)."""
-        lo, hi = check_range(lo, hi, self.n)
-        return self._split_walk(lo - 1, hi, thr)[0]
-
-    def range_mode(self, lo: int, hi: int) -> tuple[int, int]:
-        """The most frequent symbol in S[lo..hi], the lowest on a tie, with
-        its count, from one best-first walk."""
-        lo, hi = check_range(lo, hi, self.n)
-        return self._mode_walk(lo - 1, hi)[0]
-
-    def range_minority(self, lo: int, hi: int, thr: int) -> tuple[int, int] | None:
-        """Some (symbol, count) with 1 <= count <= thr in S[lo..hi], or None
-        when every symbol there occurs more than thr times."""
-        lo, hi = check_range(lo, hi, self.n)
-        return self._minority_walk(lo - 1, hi, thr)[0]
+    # -- decoding ------------------------------------------------------------------
 
     def to_array(self) -> np.ndarray:
         """Rebuild the raw sequence (1-based symbols), bottom level first.
@@ -512,6 +476,8 @@ class WaveletSequence:
         seq = cls()
         seq.n = r.u64()
         seq.sigma = r.u32()
+        if seq.n >= 1 << 63:  # the counts are int64, and with one symbol no level bounds n
+            raise FormatError(f"sequence length {seq.n} at or above 2**63")
         if not 1 <= seq.sigma <= seq.n:
             raise FormatError(f"alphabet size {seq.sigma} outside [1, n = {seq.n}]")
         lens = _read_lengths(r, seq.sigma)
@@ -537,13 +503,6 @@ class WaveletSequence:
         w = ByteWriter()
         self.write_to(w)
         return w.getvalue()
-
-    def size_bits(self) -> int:
-        # n, sigma and the packed code lengths; per level its bit length;
-        # then the words
-        table = _lengths_bits(self.sigma, self.depth.bit_length())
-        words = sum(len(store.words) for store in self._levels)
-        return 8 * (8 + 4) + table + 64 * self.depth + 64 * words
 
 
 def _rank_pair(words, cum, s: int, e: int) -> tuple[int, int]:

@@ -25,7 +25,7 @@ from array import array
 from .errors import FormatError
 
 MAGIC_INDEX = b"RFQI"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 _SWAP = sys.byteorder == "big"  # the file is little-endian, array('Q') native
 

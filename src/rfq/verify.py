@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from .errors import DomainError
 from .indexfile import IndexBundle
 from .oracle import oracle_majorities, oracle_minorities, oracle_mode
 
@@ -46,7 +47,11 @@ def _tau_pool(rng: random.Random, length: int) -> float:
 
 
 def verify_index(bundle: IndexBundle, queries: int = 1000, seed: int = 0) -> VerifyReport:
-    """Replay random queries; collect any disagreements with the oracle."""
+    """Replay random queries; collect any disagreements with the oracle.
+    DomainError unless at least one query is asked for, since a run that
+    checks nothing proves nothing."""
+    if queries < 1:
+        raise DomainError(f"queries must be at least 1, got {queries}")
     t0 = time.perf_counter()
     data = bundle.seq.to_array().tolist()
     n = len(data)

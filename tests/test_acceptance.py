@@ -15,7 +15,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from rfq import IndexConfig, oracle, space_preset
+from rfq import IndexConfig, oracle
 from rfq.corpus import uniform_string, zipf_string
 from rfq.indexfile import IndexBundle
 
@@ -170,10 +170,11 @@ def test_mode_matches_oracle_within_walk_bound(corpus):
 
 
 def test_full_and_sparsified_listing_agree():
-    """The whole-histogram walk, range_counts(lo, hi, 0), lists exactly the
-    range's distinct symbols with their exact counts, in bundles built
-    plain and with the inert compressed option (byte-identical
-    sequences), within two rank1 calls per internal trie node."""
+    """A majority query whose threshold floor(tau * len) is 0 returns the
+    whole histogram: exactly the range's distinct symbols with their exact
+    counts, in bundles built plain and with the inert compressed option
+    (byte-identical files), within two rank1 calls per internal trie
+    node."""
     rng = random.Random(5)
     checked = 0
     for _ in range(100):
@@ -182,39 +183,37 @@ def test_full_and_sparsified_listing_agree():
         data = [rng.randint(1, sigma) for _ in range(n)]
         for a, k in zip(range(1, sigma + 1), rng.sample(range(n), sigma)):
             data[k] = a
-        seqs = [IndexBundle.from_values(np.asarray(data), IndexConfig(compressed=c)).seq
-                for c in (False, True)]
-        assert seqs[0].to_bytes() == seqs[1].to_bytes()
+        bundles = [IndexBundle.from_values(np.asarray(data), IndexConfig(compressed=c))
+                   for c in (False, True)]
+        assert bundles[0].to_bytes() == bundles[1].to_bytes()
         for lo, hi in ranges_for(rng, n, 12):
             want = oracle.oracle_distinct_with_leftmost(data, lo, hi)
             counts = oracle.oracle_counts(data, lo, hi)
-            for seq in seqs:
-                got, ranks = seq._split_walk(lo - 1, hi, 0)
-                assert got == seq.range_counts(lo, hi, 0)
-                assert set(got) == {a for a, _ in want}
-                assert got == counts
-                assert ranks <= 2 * (sigma - 1)
+            tau = 1 / (hi - lo + 2)  # floor(tau * len) = 0
+            for bundle in bundles:
+                got, trace = bundle.explain("majority", lo, hi, tau)
+                assert got == bundle.query_majorities(lo, hi, tau)
+                assert {a for a, _ in got} == {a for a, _ in want}
+                assert dict(got) == counts
+                assert trace.ranks <= 2 * (sigma - 1)
             checked += 1
     print(f"\ndistinct listing: {checked} ranges exact, plain and compressed options")
 
 
 def test_space_stays_within_envelopes():
-    """Serialized size within 3.0 n H0 + 2^20 bits compressed and
-    1.5 n ceil(lg sigma) + 2^20 bits plain, on a skewed million-symbol corpus."""
+    """Serialized size within the compressed budget, 3.0 n H0 + 2^20 bits,
+    and the plain one, 1.5 n ceil(lg sigma) + 2^20 bits, on a skewed
+    million-symbol corpus: every config builds the one index, so one
+    index meets both."""
     data = zipf_string(10**6, 256, skew=1.3, seed=42)
     n = 10**6
+    rep = IndexBundle.from_values(data).size_report()
+    total = rep["total_bits"]
     ratios = {}
-    for compressed in (False, True):
-        cfg = space_preset().with_(compressed=compressed)
-        bundle = IndexBundle.from_values(data, cfg)
-        rep = bundle.size_report()
-        if compressed:
-            cap = 3.0 * n * rep["entropy_h0"] + 2**20
-        else:
-            cap = 1.5 * n * math.ceil(math.log2(rep["sigma"])) + 2**20
-        total = rep["total_bits"]
-        ratios["compressed" if compressed else "plain"] = total / cap
-        assert total <= cap, (compressed, total, cap)
+    for name, cap in (("compressed", 3.0 * n * rep["entropy_h0"] + 2**20),
+                      ("plain", 1.5 * n * math.ceil(math.log2(rep["sigma"])) + 2**20)):
+        ratios[name] = total / cap
+        assert total <= cap, (name, total, cap)
     print(f"\nspace: plain {ratios['plain']:.3f} of budget, "
           f"compressed {ratios['compressed']:.3f} of budget")
 

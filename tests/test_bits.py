@@ -13,7 +13,8 @@ the fact it pinned on the structure that carries it now:
 * a sparse level's ranks and ranges are a plain level's, reached through
   the sequence built with the inert compressed option (`test_sparse_*`);
 * a standalone blob's round trip is a level's trip through the word
-  stream (`test_bitvector_bytes_*`, `test_*_size_bits_is_serialized_size`);
+  stream (`test_bitvector_bytes_*`, `test_*_size_bits_is_serialized_size`,
+  which now read the serialized size, since `size_bits` retired);
 * the range-minimum index's leftmost answers with ties are the largest
   counts the split walks prune by, kept per code-trie node with ties
   (`test_rmq_*`).
@@ -26,10 +27,11 @@ from array import array
 import numpy as np
 import pytest
 
+from conftest import codes, from_bits, from_ones, range_counts, rank1
 from rfq import IndexBundle, IndexConfig
 from rfq.bits import BitVector
 from rfq.corpus import densify
-from rfq.errors import FormatError, RangeError
+from rfq.errors import FormatError
 from rfq.sequence import WaveletSequence, _Shape, _slot_max, code_lengths
 from rfq.serial import ByteReader, ByteWriter
 
@@ -76,7 +78,7 @@ def test_packed_array_round_trip(width):
     assert [stream >> (i * width) & ((1 << width) - 1) for i in range(137)] == vals
     assert bv.to_numpy_bool().tolist() == bits.tolist()
     running = np.concatenate(([0], np.cumsum([v.bit_count() for v in vals])))
-    assert [bv.rank1(i * width) for i in range(138)] == running.tolist()
+    assert [rank1(bv, i * width) for i in range(138)] == running.tolist()
 
 
 def test_packed_array_width_zero_is_free():
@@ -85,7 +87,6 @@ def test_packed_array_width_zero_is_free():
     seq = WaveletSequence.build(np.ones(1000, dtype=np.int64))
     blob = seq.to_bytes()
     assert len(blob) == 8 + 4 + 1 and blob[-1] == 0
-    assert seq.size_bits() == 8 * len(blob)
     assert WaveletSequence.read_from(ByteReader(blob)).to_array().tolist() == [1] * 1000
     assert not BitVector.from_numpy_bool(np.zeros(0, dtype=bool)).words
 
@@ -96,10 +97,10 @@ def test_packed_array_width_zero_is_free():
 def test_bitvector_exhaustive_bytes():
     for pattern in range(256):
         bits = [(pattern >> i) & 1 for i in range(8)]
-        bv = BitVector.from_bits(bits)
+        bv = from_bits(bits)
         assert bv.to_numpy_bool().tolist() == [bool(b) for b in bits]
         want = [brute_rank(bits, p) for p in range(9)]
-        assert [bv.rank1(p) for p in range(9)] == want
+        assert [rank1(bv, p) for p in range(9)] == want
         assert bv.rank1_array(np.arange(9)).tolist() == want
 
 
@@ -107,11 +108,11 @@ def test_bitvector_exhaustive_bytes():
 def test_bitvector_block_boundaries(n):
     rng = random.Random(n)
     bits = [rng.randint(0, 1) for _ in range(n)]
-    bv = BitVector.from_bits(bits)
+    bv = from_bits(bits)
     assert bv.n_bits == n
     assert bv.ones == sum(bits)
     for p in [0, 1, n // 2, n - 1, n]:
-        assert bv.rank1(p) == brute_rank(bits, p)
+        assert rank1(bv, p) == brute_rank(bits, p)
     assert bv.to_numpy_bool().tolist() == [bool(b) for b in bits]
 
 
@@ -130,8 +131,6 @@ def test_select_every_rank(n, density):
         got = r1 if bit else where - r1
         assert got.tolist() == list(range(1, where.size + 1))
         assert (bv.rank1_array(where - 1) == r1 - bit).all()
-    with pytest.raises(RangeError):
-        bv.rank1(n + 1)
 
 
 @pytest.mark.parametrize("density", [0, 0.01, 0.5, 0.99, 1])
@@ -140,28 +139,21 @@ def test_rank_every_prefix(n, density):
     arr = np.random.default_rng(n).random(n) < density
     bv = BitVector.from_numpy_bool(arr)
     want = [0] + np.cumsum(arr).tolist()
-    assert [bv.rank1(p) for p in range(n + 1)] == want
-    with pytest.raises(RangeError):
-        bv.rank1(n + 1)
+    assert [rank1(bv, p) for p in range(n + 1)] == want
 
 
 def test_bitvector_select_rank_inverse():
     rng = random.Random(7)
     bits = [rng.random() < 0.3 for _ in range(2000)]
-    bv = BitVector.from_bits(bits)
+    bv = from_bits(bits)
     where = [i + 1 for i, b in enumerate(bits) if b]
     assert len(where) == bv.ones
     for r, p in enumerate(where, 1):
-        assert bv.rank1(p) == r
-        assert bv.rank1(p - 1) == r - 1
+        assert rank1(bv, p) == r
+        assert rank1(bv, p - 1) == r - 1
 
 
 def test_bitvector_errors():
-    bv = BitVector.from_bits([1, 0, 1])
-    with pytest.raises(RangeError):
-        bv.rank1(4)
-    with pytest.raises(RangeError):
-        bv.rank1(-1)
     with pytest.raises(FormatError, match="word count"):
         BitVector(array("Q", [5]), 65)
     with pytest.raises(FormatError, match="word count"):
@@ -171,13 +163,13 @@ def test_bitvector_errors():
 
 
 def test_bitvector_from_ones_and_numpy():
-    bv = BitVector.from_ones([2, 5, 6], 8)
+    bv = from_ones([2, 5, 6], 8)
     assert bv.to_numpy_bool().tolist() == [
         False, True, False, False, True, True, False, False]
     arr = np.zeros(100, dtype=bool)
     arr[[0, 42, 99]] = True
     bv = BitVector.from_numpy_bool(arr)
-    assert (bv.rank1(42), bv.rank1(43)) == (1, 2)  # the second one is at 43
+    assert (rank1(bv, 42), rank1(bv, 43)) == (1, 2)  # the second one is at 43
 
 
 # -- what sparse levels held, on plain levels -------------------------------------------
@@ -196,24 +188,24 @@ def test_sparse_matches_plain(n, density):
     data, _ = densify(1 + bits)
     for p in range(1, n + 1, max(1, n // 97)):
         want = dict(zip(*np.unique(data[:p], return_counts=True)))
-        assert comp.range_counts(1, p) == {int(a): int(c) for a, c in want.items()}
+        assert range_counts(comp, 1, p) == {int(a): int(c) for a, c in want.items()}
     assert comp.to_array().tolist() == data.tolist()
 
 
 def test_sparse_empty_and_full():
-    empty = BitVector.from_ones([], 1000)
-    assert empty.ones == 0 and empty.rank1(1000) == 0
+    empty = from_ones([], 1000)
+    assert empty.ones == 0 and rank1(empty, 1000) == 0
     assert not empty.to_numpy_bool().any()
-    full = BitVector.from_ones(list(range(1, 9)), 8)
-    assert full.rank1(8) == 8 and full.to_numpy_bool().all()
+    full = from_ones(list(range(1, 9)), 8)
+    assert rank1(full, 8) == 8 and full.to_numpy_bool().all()
     # in the matrix an all-equal level does not exist: one symbol, no level
     for bits in (np.zeros(1000, dtype=bool), np.ones(8, dtype=bool)):
         seq = two_symbol_seq(bits)
-        assert seq.depth == 0 and seq.range_counts(1, bits.size) == {1: bits.size}
+        assert seq.depth == 0 and range_counts(seq, 1, bits.size) == {1: bits.size}
 
 
 def test_sparse_ones_in_range():
-    bv = BitVector.from_ones([3, 9, 10, 40, 41, 900], 1000)
+    bv = from_ones([3, 9, 10, 40, 41, 900], 1000)
     bits = bv.to_numpy_bool()
 
     def ones_in_range(lo, hi):
@@ -221,7 +213,7 @@ def test_sparse_ones_in_range():
     for (lo, hi), want in (((9, 41), [9, 10, 40, 41]), ((1, 1000), [3, 9, 10, 40, 41, 900]),
                            ((42, 899), []), ((900, 900), [900])):
         assert ones_in_range(lo, hi) == want
-        assert bv.rank1(hi) - bv.rank1(lo - 1) == len(want)
+        assert rank1(bv, hi) - rank1(bv, lo - 1) == len(want)
 
 
 def sparse_cases():
@@ -258,7 +250,7 @@ def test_sparse_ones_in_range_every_range(n, density, bits, loaded_):
         his = range(lo, n + 1) if n <= 130 else [*range(lo, min(lo + 65, n + 1)), n]
         for hi in his:
             want = {a: int(prefix[a, hi] - prefix[a, lo - 1]) for a in range(1, sigma + 1)}
-            assert seq.range_counts(lo, hi) == {a: c for a, c in want.items() if c}, (lo, hi)
+            assert range_counts(seq, lo, hi) == {a: c for a, c in want.items() if c}, (lo, hi)
 
 
 def bucket_bits():
@@ -280,7 +272,7 @@ def test_sparse_rank_every_prefix_across_buckets(loaded_):
         bv = loaded(bv)
     assert bv.ones == 330
     want = np.concatenate(([0], np.cumsum(bits)))
-    got = [bv.rank1(p) for p in range(bits.size + 1)]
+    got = [rank1(bv, p) for p in range(bits.size + 1)]
     assert got == want.tolist()
     assert bv.rank1_array(np.arange(0, bits.size + 1, 97)).tolist() == want[::97].tolist()
 
@@ -293,35 +285,11 @@ def test_plain_rank_array_every_prefix(n):
     assert bv.rank1_array(np.arange(n + 1)).tolist() == want.tolist()
 
 
-def test_sparse_from_ones_validation():
-    with pytest.raises(RangeError):
-        BitVector.from_ones([0], 5)
-    with pytest.raises(RangeError):
-        BitVector.from_ones([6], 5)
-    # a repeated position sets its bit once
-    assert BitVector.from_ones([2, 2], 5).to_numpy_bool().tolist() == [
-        False, True, False, False, False]
-
-
-def test_sparse_from_ones_unsorted_array():
-    rng = np.random.default_rng(5)
-    ones = rng.choice(np.arange(1, 5001), size=300, replace=False)
-    given = ones.copy()
-    got = BitVector.from_ones(ones, 5000)
-    assert same(got, BitVector.from_ones(sorted(ones.tolist()), 5000))
-    assert (ones == given).all()  # the caller's array is left as it was
-    assert got.ones == 300
-    with pytest.raises(RangeError):
-        BitVector.from_ones(np.append(ones, 0), 5000)
-    with pytest.raises(RangeError):
-        BitVector.from_ones(np.append(ones, 5001), 5000)
-
-
 def test_sparse_select0():
     bits = [0, 1, 1, 0, 0, 1, 0]
-    bv = BitVector.from_ones([2, 3, 6], 7)
+    bv = from_ones([2, 3, 6], 7)
     zeros = [p for p in range(1, 8) if not bits[p - 1]]
-    assert [p - bv.rank1(p) for p in zeros] == list(range(1, len(zeros) + 1))
+    assert [p - rank1(bv, p) for p in zeros] == list(range(1, len(zeros) + 1))
 
 
 # -- levels through the word stream ---------------------------------------------------
@@ -335,7 +303,7 @@ def test_bitvector_bytes_round_trip(kind):
     for byte."""
     rng = random.Random(99)
     ones = sorted(rng.sample(range(1, 5001), 180))
-    orig = BitVector.from_ones(ones, 5000)
+    orig = from_ones(ones, 5000)
     if kind == "BitVector":
         assert same(loaded(orig), orig)
         return
@@ -350,7 +318,7 @@ def test_words_are_one_typed_buffer():
     words as array('Q') and agree."""
     arr = np.random.default_rng(3).random(5000) < 0.05
     ones = np.flatnonzero(arr) + 1
-    plain = [BitVector.from_numpy_bool(arr), BitVector.from_ones(ones, arr.size)]
+    plain = [BitVector.from_numpy_bool(arr), from_ones(ones, arr.size)]
     plain.append(BitVector(list(plain[0].words), arr.size))  # words given as ints
     for bv in plain + [loaded(plain[0])]:
         assert type(bv.words) is array and bv.words.typecode == "Q"
@@ -372,9 +340,18 @@ def test_plain_size_bits_is_serialized_size(n):
 
 @pytest.mark.parametrize("density", [0, 0.01, 0.5, 1])
 def test_sparse_size_bits_is_serialized_size(density):
+    """The serialized sequence, which the size report counts, is its
+    layout and nothing more: n and sigma, the code-length table (a width
+    byte, then one bit a symbol), and per level its u64 bit length and
+    its words."""
     for n in (1, 64, 70001):
-        seq = two_symbol_seq(np.random.default_rng(n).random(n) < density)
-        assert seq.size_bits() == 8 * len(seq.to_bytes()), n
+        bits = np.random.default_rng(n).random(n) < density
+        bundle = IndexBundle.from_values(1 + bits.astype(np.int64))
+        seq = bundle.seq
+        words = sum(len(level.words) for level in seq._levels)
+        table = 1 + (seq.sigma * seq.depth.bit_length() + 7) // 8
+        layout = 8 + 4 + table + 8 * seq.depth + 8 * words
+        assert bundle.size_report()["sequence_bits"] == 8 * layout, n
 
 
 def test_sparse_bytes_rejects_inconsistent_fields():
@@ -412,9 +389,9 @@ def slot_max_by_code(seq) -> list[tuple[int, int, int, int]]:
     the matrix: at each level the bit picks the child slot, which is a
     leaf among the first `leaves`."""
     out = []
-    for a in range(1, seq.sigma + 1):
+    for a, code in enumerate(codes(seq), 1):
         node = 0
-        for lvl, bit in enumerate(seq.code(a)):
+        for lvl, bit in enumerate(code):
             _, _, _, _, inner, leaves, least, top = seq._steps[lvl]
             child = node + inner * int(bit)
             out.append((a, lvl, top[child], least[child]))
@@ -430,15 +407,15 @@ def check_slot_max(counts: list[int]) -> WaveletSequence:
     data = np.repeat(np.arange(1, len(counts) + 1), counts)
     np.random.default_rng(len(counts)).shuffle(data)
     seq = WaveletSequence.build(data)
-    codes = {a: seq.code(a) for a in range(1, seq.sigma + 1)}
+    by_symbol = dict(enumerate(codes(seq), 1))
     for a, lvl, top, least in slot_max_by_code(seq):
-        prefix = codes[a][:lvl + 1]
-        below = [b for b, c in codes.items() if c.startswith(prefix)]
+        prefix = by_symbol[a][:lvl + 1]
+        below = [b for b, c in by_symbol.items() if c.startswith(prefix)]
         assert top == max(counts[b - 1] for b in below)
         assert least == min(below) - 1
     for thr in range(max(counts) + 1):
         want = {a: c for a, c in enumerate(counts, 1) if c > thr}
-        assert seq.range_counts(1, data.size, thr) == want, thr
+        assert range_counts(seq, 1, data.size, thr) == want, thr
     return seq
 
 
@@ -446,7 +423,7 @@ def test_rmq_frozen(canon_seq):
     # canon counts 5, 2, 2, 1, 1: level 0's slots are symbol 1's leaf and
     # the node above the other four; level 1's the nodes 10 and 11; level
     # 2's the leaves 100, 110, 101 and 111
-    assert [canon_seq.code(a) for a in range(1, 6)] == ["0", "100", "110", "101", "111"]
+    assert codes(canon_seq) == ["0", "100", "110", "101", "111"]
     assert [step[7].tolist() for step in canon_seq._steps] == [[5, 2], [2, 2], [2, 2, 1, 1]]
     assert [step[6].tolist() for step in canon_seq._steps] == [[0, 1], [1, 2], [1, 2, 3, 4]]
     check_slot_max([5, 2, 2, 1, 1])

@@ -102,6 +102,13 @@ def test_verify_clean(abra_index, capsys):
     assert out.strip().endswith("ok")
 
 
+def test_verify_checks_at_least_one_query(abra_index, capsys):
+    # a run that checks nothing must not report ok
+    for count in ("0", "-5"):
+        assert main(["verify", abra_index, "--queries", count]) == 2
+        assert "queries must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_seed_from_environment(abra_index, capsys, monkeypatch):
     monkeypatch.setenv("RFQ_SEED", "17")
     assert main(["verify", abra_index, "--queries", "50", "--json"]) == 0
@@ -142,7 +149,8 @@ def test_info(abra_index, capsys):
     assert rep["n"] == 11
     assert rep["sigma"] == 5
     assert rep["symbol_domain"] == "ints"
-    assert rep["config"] == {"trade": 1, "compressed": False}
+    assert "config" not in rep  # format 9 stores no config to echo
+    assert rep["sequence_bits"] < rep["total_bits"] == 8 * os.path.getsize(abra_index)
 
 
 def test_usage_errors(abra_index, tmp_path):
@@ -151,7 +159,8 @@ def test_usage_errors(abra_index, tmp_path):
     assert main(["query", abra_index, "majority", "0", "11", "--tau", ".5"]) == 2
     assert main(["build", str(tmp_path / "missing.bin")]) == 2
     for removed in (["--arity", "4"], ["--full-family-range"], ["--verify-mode", "rank"],
-                    ["--family-min-n", "4"], ["--build-check", "always"], ["--chunk-len", "16"]):
+                    ["--family-min-n", "4"], ["--build-check", "always"], ["--chunk-len", "16"],
+                    ["--trade", "2"], ["--compressed"], ["--space-preset"]):
         with pytest.raises(SystemExit) as exc:
             main(["build", str(tmp_path / "missing.bin"), *removed])
         assert exc.value.code == 2  # unknown argument
@@ -165,14 +174,6 @@ def test_usage_errors(abra_index, tmp_path):
     assert exc.value.code == 2  # unknown verb
 
 
-def test_config_out_of_range_exits_two(tmp_path, capsys):
-    src = tmp_path / "abra.bin"
-    src.write_bytes(b"abracadabra")
-    for value in ("0", str(2**32)):
-        assert main(["build", str(src), "--trade", value]) == 2
-        assert "must be an int in [1, 2**32 - 1]" in capsys.readouterr().err
-
-
 def test_corrupt_index_exits_three(tmp_path):
     bad = tmp_path / "junk.rfq"
     bad.write_bytes(b"JUNKJUNKJUNK")
@@ -181,18 +182,18 @@ def test_corrupt_index_exits_three(tmp_path):
 
 def test_corrupt_header_field_exits_three(abra_index, capsys):
     # the header section's payload starts at offset 14, after the magic,
-    # the version and its u64 length; its byte 4, the compressed code,
-    # becomes 7 and the section's CRC32 is recomputed, so the load gets
-    # past the checksum to the field check
+    # the version and its u64 length; its byte 0, the remap kind, becomes
+    # 7 and the section's CRC32 is recomputed, so the load gets past the
+    # checksum to the field check
     with open(abra_index, "rb") as fh:
         blob = bytearray(fh.read())
     (length,) = struct.unpack_from("<Q", blob, 6)
-    blob[18] = 7
+    blob[14] = 7
     struct.pack_into("<I", blob, 14 + length, zlib.crc32(blob[14:14 + length]))
     with open(abra_index, "wb") as fh:
         fh.write(blob)
     assert main(["info", abra_index]) == 3
-    assert "compressed code 7" in capsys.readouterr().err
+    assert "unknown remap kind 7" in capsys.readouterr().err
 
 
 def test_impossibly_dense_family_exits_three(tmp_path, capsys):
@@ -201,8 +202,6 @@ def test_impossibly_dense_family_exits_three(tmp_path, capsys):
     prefix, sizes, stream = split_sequence(bundle.seq.to_bytes(), bundle.seq.depth)
     bad = joined_sequence(prefix, [2999] + sizes[1:], stream)
     head = ByteWriter()
-    head.u32(1)
-    head.u8(0)
     head.u8(0)  # identity remap
     w = ByteWriter()
     w.raw(b"RFQI")
@@ -250,7 +249,7 @@ def run_session(tmp_path, optimize: bool) -> tuple[str, bytes]:
            "PYTHONDONTWRITEBYTECODE": "1"}
     out = []
     for args in (
-        ["build", str(src), "-o", str(index), "--trade", "2"],
+        ["build", str(src), "-o", str(index)],
         ["info", str(index)],
         ["query", str(index), "majority", "1", "3000", "--tau", "0.1"],
         ["query", str(index), "minority", "100", "2500", "--tau", "0.05"],

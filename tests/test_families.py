@@ -14,6 +14,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import codes, range_counts, range_minority, rank1
 from rfq import BitVector, IndexConfig, oracle, threshold_count
 from rfq.corpus import uniform_string, zipf_string
 from rfq.indexfile import IndexBundle
@@ -32,18 +33,18 @@ def heavy(arr, lo, hi, thr):
 
 def test_distinct_bits_frozen():
     s = seq_of([1, 2, 3, 1])
-    assert s.range_minority(1, 4, 1) in ((2, 1), (3, 1))
-    assert s.range_minority(1, 4, 2) in ((1, 2), (2, 1), (3, 1))
-    assert s.range_minority(1, 1, 1) == (1, 1)
-    assert s.range_minority(1, 4, 0) is None
+    assert range_minority(s, 1, 4, 1) in ((2, 1), (3, 1))
+    assert range_minority(s, 1, 4, 2) in ((1, 2), (2, 1), (3, 1))
+    assert range_minority(s, 1, 1, 1) == (1, 1)
+    assert range_minority(s, 1, 4, 0) is None
 
 
 def test_candidate_bits_frozen():
     s = seq_of([1, 2, 1, 2, 3, 3, 3, 3])
-    assert s.range_counts(1, 8, 3) == {3: 4}
-    assert s.range_counts(1, 8, 1) == {1: 2, 2: 2, 3: 4}
-    assert s.range_counts(1, 4, 1) == {1: 2, 2: 2}
-    assert s.range_counts(5, 8, 4) == {}
+    assert range_counts(s, 1, 8, 3) == {3: 4}
+    assert range_counts(s, 1, 8, 1) == {1: 2, 2: 2, 3: 4}
+    assert range_counts(s, 1, 4, 1) == {1: 2, 2: 2}
+    assert range_counts(s, 5, 8, 4) == {}
 
 
 def test_window_counts_with_wide_symbols():
@@ -80,7 +81,7 @@ def test_window_qualifies_matches_slow():
             lo = rng.randint(1, len(arr))
             hi = rng.randint(lo, len(arr))
             thr = rng.choice([0, 1, 2, 3, 8])
-            assert s.range_counts(lo, hi, thr) == heavy(arr, lo, hi, thr)
+            assert range_counts(s, lo, hi, thr) == heavy(arr, lo, hi, thr)
 
 
 @pytest.mark.parametrize("sigma", [2, 17, 300])
@@ -96,7 +97,7 @@ def test_window_counts_at_real_size(sigma):
             length = int(rng.integers(1 << scale, min(2 << scale, n + 1)))
             lo = int(rng.integers(1, n - length + 2))
             hi = lo + length - 1
-            assert s.range_counts(lo, hi, 0) == heavy(arr, lo, hi, 0), scale
+            assert range_counts(s, lo, hi, 0) == heavy(arr, lo, hi, 0), scale
 
 
 @pytest.mark.parametrize("kind", ["candidate", "distinct"])
@@ -199,7 +200,7 @@ def test_every_majority_has_a_flag_in_range(kind, trade, n):
                 row = counts[hi - lo]
                 thr = threshold_count(2.0 ** -t, hi - lo + 1)
                 want = {a: int(c) for a, c in enumerate(row) if c > thr}
-                assert seq.range_counts(lo, hi, thr) == want, (t, lo, hi)
+                assert range_counts(seq, lo, hi, thr) == want, (t, lo, hi)
                 found += len(want)
     assert found
 
@@ -212,8 +213,7 @@ def test_candidate_families_lie_inside_half_block_ones(trade):
     arr = zipf_string(3000, 40, skew=1.1, seed=trade)
     seq = IndexBundle.from_values(arr, IndexConfig(trade=trade)).seq
     prefixes = {}
-    for a in range(1, seq.sigma + 1):
-        code = seq.code(a)
+    for a, code in enumerate(codes(seq), 1):
         for d in range(len(code)):
             prefixes.setdefault(code[:d], []).append(a)
     nodes = [(np.asarray(s), int(seq.counts[np.asarray(s) - 1].max())) for s in prefixes.values()]
@@ -226,7 +226,7 @@ def test_candidate_families_lie_inside_half_block_ones(trade):
         counts = np.bincount(arr[lo - 1:hi], minlength=seq.sigma + 1)
         sized = sum(int(counts[s].sum()) > thr for s, _ in nodes)
         heavy_found, ranks = seq._split_walk(lo - 1, hi, thr)
-        assert heavy_found == seq.range_counts(lo, hi, thr)
+        assert heavy_found == range_counts(seq, lo, hi, thr)
         assert ranks <= 2 * sized
         pruned_total += ranks
         sized_total += 2 * sized
@@ -268,4 +268,4 @@ def test_flags_from_bits():
     assert bv.n_bits == 100
     ones = (np.flatnonzero(bv.to_numpy_bool()) + 1).tolist()
     assert ones == [1, 18, 100]
-    assert [bv.rank1(p) for p in ones] == [1, 2, 3]
+    assert [rank1(bv, p) for p in ones] == [1, 2, 3]

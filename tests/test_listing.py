@@ -2,8 +2,9 @@
 
 The listing engine (`ListingIndex`, over the previous-occurrence array
 and a range-minimum index on its block minima) retired with format
-version 7.  A range's distinct symbols are listed by
-`WaveletSequence.range_counts(lo, hi, 0)`, and minority queries stop at
+version 7.  A range's distinct symbols are listed by the whole-histogram
+split walk (`range_counts(seq, lo, hi, 0)` here), which a majority query
+runs when floor(tau * length) is 0, and minority queries stop at
 their first witness inside their own walk.  Each test here keeps the
 name it had and checks the guarantee it pinned on the structure that
 carries it now.
@@ -14,16 +15,19 @@ import random
 import numpy as np
 import pytest
 
+from conftest import codes, range_counts, range_minority
 from rfq import IndexConfig, oracle, threshold_count
 from rfq.corpus import zipf_string
 from rfq.errors import RangeError
 from rfq.indexfile import IndexBundle
+from rfq.majority import _majorities
+from rfq.minority import _minority
 from rfq.sequence import WaveletSequence
 from rfq.serial import ByteReader
 
 
 def distinct(seq, lo, hi):
-    return set(seq.range_counts(lo, hi, 0))
+    return set(range_counts(seq, lo, hi, 0))
 
 
 def listing_ranks(seq, lo, hi):
@@ -32,7 +36,7 @@ def listing_ranks(seq, lo, hi):
 
 
 def test_query_frozen(canon, canon_seq):
-    assert canon_seq.range_counts(4, 8, 0) == {1: 3, 4: 1, 5: 1}
+    assert range_counts(canon_seq, 4, 8, 0) == {1: 3, 4: 1, 5: 1}
     assert distinct(canon_seq, 4, 8) == \
         {a for a, _ in oracle.oracle_distinct_with_leftmost(canon, 4, 8)}
 
@@ -42,19 +46,20 @@ def test_limit_stops_early(canon_seq):
     listing = listing_ranks(canon_seq, 1, 11)
     found, ranks = canon_seq._minority_walk(0, 11, 2)
     assert found in {(2, 2), (3, 2), (4, 1), (5, 1)}
-    assert found == canon_seq.range_minority(1, 11, 2)
+    assert found == range_minority(canon_seq, 1, 11, 2)
     assert ranks < listing
-    assert canon_seq.range_minority(1, 11, 0) is None
+    assert range_minority(canon_seq, 1, 11, 0) is None
 
 
 def test_range_validation(canon_seq):
-    for walk in (canon_seq.range_counts, canon_seq.range_minority):
+    # the query helpers check the range once, before their walk
+    for query in (_majorities, _minority):
         with pytest.raises(RangeError):
-            walk(0, 5, 1)
+            query(canon_seq, 0, 5, 0.5)
         with pytest.raises(RangeError):
-            walk(1, 12, 1)
+            query(canon_seq, 1, 12, 0.5)
         with pytest.raises(RangeError):
-            walk(5, 4, 1)
+            query(canon_seq, 5, 4, 0.5)
 
 
 @pytest.mark.parametrize("block", [1, 2, 8, 64])
@@ -81,7 +86,7 @@ def test_sparsified_equivalence(block):
 def test_probe_accounting_routes_through_sequence(canon_seq):
     # every walk returns the rank1 calls it made on the sequence it walks
     assert listing_ranks(canon_seq, 4, 8) > 0
-    assert canon_seq.range_counts(4, 8, 5) == {}
+    assert range_counts(canon_seq, 4, 8, 5) == {}
     assert canon_seq._split_walk(3, 8, 5) == ({}, 0)  # thr >= length: no walk at all
 
 
@@ -90,8 +95,8 @@ def test_build_from_values_matches_for_sequence(canon, canon_seq):
     back = WaveletSequence.read_from(ByteReader(canon_seq.to_bytes()))
     for lo in range(1, 12):
         for hi in range(lo, 12):
-            assert back.range_counts(lo, hi, 0) == canon_seq.range_counts(lo, hi, 0)
-            assert back.range_counts(lo, hi, 0) == oracle.oracle_counts(canon, lo, hi)
+            assert range_counts(back, lo, hi, 0) == range_counts(canon_seq, lo, hi, 0)
+            assert range_counts(back, lo, hi, 0) == oracle.oracle_counts(canon, lo, hi)
 
 
 @pytest.mark.parametrize("block", [1, 8])
@@ -101,7 +106,7 @@ def test_serialization_round_trip(block, canon):
     back = IndexBundle.from_bytes(blob)
     assert back.to_bytes() == blob
     for lo, hi in [(1, 11), (4, 8), (2, 2)]:
-        assert back.seq.range_counts(lo, hi, 0) == bundle.seq.range_counts(lo, hi, 0)
+        assert range_counts(back.seq, lo, hi, 0) == range_counts(bundle.seq, lo, hi, 0)
 
 
 @pytest.mark.parametrize("block", [1, 2, 8, 64])
@@ -119,7 +124,7 @@ def test_lazy_listing_matches_eager(block):
             thr = threshold_count(1 / block, hi - lo + 1)
             eager, listing = seq._split_walk(lo - 1, hi, 0)
             lazy, ranks = seq._minority_walk(lo - 1, hi, thr)
-            assert lazy == seq.range_minority(lo, hi, thr)
+            assert lazy == range_minority(seq, lo, hi, thr)
             assert ranks <= listing + 2 * seq.depth
             light = {a: c for a, c in eager.items() if c <= thr}
             if lazy is None:
@@ -139,9 +144,9 @@ def test_range_checked_before_the_walk(canon_seq, monkeypatch):
 
     monkeypatch.setattr(WaveletSequence, "_minority_walk", counted)
     with pytest.raises(RangeError):
-        canon_seq.range_minority(0, 5, 1)
+        _minority(canon_seq, 0, 5, 0.5)
     assert sum(ranks) == 0
-    assert canon_seq.range_minority(1, 5, 1) is not None and sum(ranks) > 0
+    assert _minority(canon_seq, 1, 5, 0.5)[0] is not None and sum(ranks) > 0
 
 
 def test_minority_stops_at_first_certified_position():
@@ -153,8 +158,7 @@ def test_minority_stops_at_first_certified_position():
     bundle = IndexBundle.from_values(data, IndexConfig(trade=1))
     seq = bundle.seq
     prefixes = {}
-    for a in range(1, seq.sigma + 1):
-        code = seq.code(a)
+    for a, code in enumerate(codes(seq), 1):
         for d in range(len(code)):
             prefixes.setdefault(code[:d], []).append(a)
     nodes = [(np.asarray(syms), int(seq.counts[np.asarray(syms) - 1].max()))

@@ -9,23 +9,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import codes
 from rfq import IndexConfig, oracle, threshold_count
 from rfq.corpus import uniform_string, zipf_string
-from rfq.errors import DomainError, RangeError
+from rfq.errors import DomainError, FormatError, RangeError
 from rfq.indexfile import IndexBundle
 from rfq.majority import check_tau
+from rfq.serial import ByteReader, ByteWriter
 
 CANON = [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
 
-def dense_bundle(data, cfg):
+def dense_bundle(data, cfg=None):
     """A bundle over data holding every symbol 1..max, whose dense symbols
     are the data's own."""
     assert np.array_equal(np.unique(data), np.arange(1, max(data) + 1))
     return IndexBundle.from_values(data, cfg)
 
 
-def majority_index(data, cfg):
+def majority_index(data, cfg=None):
     """The majority side of dense_bundle(data, cfg)."""
     return dense_bundle(data, cfg).majority
 
@@ -197,7 +199,7 @@ def test_random_vs_oracle(cfg, seed):
 def test_exact_boundary_exclusion():
     # count == tau * len exactly: strictly-more-than keeps the element out
     data = np.asarray([1, 2, 1, 3])
-    idx = majority_index(data, IndexConfig())
+    idx = majority_index(data)
     assert idx.query_majorities(1, 4, 0.5) == []
     # one epsilon below the boundary flips it
     assert idx.query_majorities(1, 4, 0.49) == [(1, 2)]
@@ -294,8 +296,7 @@ def trie_nodes(seq):
     pair, the node's number and the symbol, and per node the largest
     whole-sequence count among its symbols."""
     ids, node_of, sym_of = {}, [], []
-    for a in range(1, seq.sigma + 1):
-        code = seq.code(a)
+    for a, code in enumerate(codes(seq), 1):
         for d in range(len(code)):
             node_of.append(ids.setdefault(code[:d], len(ids)))
             sym_of.append(a)
@@ -316,7 +317,7 @@ def test_max_count_pruning_cuts_rank_calls():
     sigma = 1 << 16
     data = np.concatenate((np.arange(1, sigma + 1), rng.integers(1, sigma + 1, size=sigma // 2)))
     rng.shuffle(data)
-    bundle = dense_bundle(data, IndexConfig())
+    bundle = dense_bundle(data)
     node_of, sym_of, top = trie_nodes(bundle.seq)
     pruned_total = unpruned_total = 0
     for _ in range(40):
@@ -361,7 +362,7 @@ def test_mode_random_vs_oracle():
         n = rng.choice([5, 64, 300])
         sigma = min(n, rng.choice([2, 6, 30]))
         data = zipf_string(n, sigma, skew=1.2, seed=trial)
-        bundle = IndexBundle.from_values(data, IndexConfig())
+        bundle = IndexBundle.from_values(data)
         depth = bundle.seq.depth
         ref = data.tolist()
         for _ in range(30):
@@ -420,7 +421,7 @@ def test_mode_ties_go_to_the_lowest_symbol(remap):
         bundle = IndexBundle.from_tokens(seq)
     else:
         bundle = IndexBundle.from_values(np.asarray(seq))
-        assert (bundle.originals is None) == (remap == "identity")
+        assert (bundle.labels is None) == (remap == "identity")
     for lo in range(1, 41):
         for hi in range(lo, 41):
             assert bundle.query_mode(lo, hi) == (min(seq[lo - 1:hi]), 1)
@@ -437,7 +438,7 @@ def test_mode_tie_prune_cuts_rank_calls():
     sigma = 1 << 12
     data = np.repeat(np.arange(1, sigma + 1), 2)
     np.random.default_rng(2).shuffle(data)
-    bundle = dense_bundle(data, IndexConfig())
+    bundle = dense_bundle(data)
     heavy, histogram = bundle.seq._split_walk(0, data.size, 1)
     assert len(heavy) == sigma
     got, trace = bundle.explain("mode", 1, data.size)
@@ -458,11 +459,29 @@ PARENT_FILE = bytes.fromhex(
 )
 
 
+def as_format_9(blob: bytes) -> bytes:
+    """A format-8 file under the format-9 layout: the version field 9 and
+    the header section without the config echo (trade as a u32, compressed
+    as a u8) in front of the remap kind; the sequence section unchanged."""
+    r = ByteReader(blob)
+    r.raw(6)  # magic and version
+    head, body = r.checked(), r.checked()
+    w = ByteWriter()
+    w.raw(blob[:4])
+    w.u16(9)
+    w.checked(head[5:])
+    w.checked(body)
+    return w.getvalue()
+
+
 def test_parent_written_index_answers_mode_alike():
-    """The file loads, writes back byte for byte, and answers mode on every
-    range as the oracle (and the code that wrote it) does."""
-    bundle = IndexBundle.from_bytes(PARENT_FILE)
-    assert bundle.to_bytes() == PARENT_FILE
+    """Format 9 refuses the file itself.  Its sequence section, behind a
+    format-9 header, loads, writes back byte for byte, and answers mode on
+    every range as the oracle (and the code that wrote it) does."""
+    with pytest.raises(FormatError, match="unsupported format version 8"):
+        IndexBundle.from_bytes(PARENT_FILE)
+    bundle = IndexBundle.from_bytes(as_format_9(PARENT_FILE))
+    assert bundle.to_bytes() == as_format_9(PARENT_FILE)
     assert bundle.seq.to_array().tolist() == PARENT_DATA
     n = len(PARENT_DATA)
     for lo in range(1, n + 1):

@@ -70,9 +70,9 @@ def test_canon_agrees_with_oracle(canon_min, canon_g2):
                 for idx in (canon_min, canon_g2):
                     got = idx.query_minority(lo, hi, tau)
                     if want:
-                        assert got in want, (lo, hi, tau, idx.config.trade, got)
+                        assert got in want, (lo, hi, tau, got)
                     else:
-                        assert got is None, (lo, hi, tau, idx.config.trade, got)
+                        assert got is None, (lo, hi, tau, got)
 
 
 def test_validation(canon_min):
@@ -121,12 +121,12 @@ def test_dispatch_path_per_config(trade, lo, hi, tau, old_path):
 
 
 def test_distinct_families_only_above_trade_one():
-    # no trade builds families: the files differ only in the trade echo
+    # no trade builds families, and none is stored: the files are the same
     data = uniform_string(256, 4, seed=3)
     one = IndexBundle.from_values(data, IndexConfig(trade=1))
     two = IndexBundle.from_values(data, IndexConfig(trade=2))
     assert one.size_report() == two.size_report()
-    assert one.seq.to_bytes() == two.seq.to_bytes()
+    assert one.to_bytes() == two.to_bytes()
 
 
 @pytest.mark.parametrize("cfg, seed", [
@@ -193,7 +193,7 @@ def test_listing_path_ops_per_candidate():
 def test_boundary_exact_count_is_minority():
     # count == tau * len exactly makes the element a minority, not a majority
     data = np.asarray([1, 2, 1, 3])
-    bundle = IndexBundle.from_values(data, IndexConfig())
+    bundle = IndexBundle.from_values(data)
     got = bundle.query_minority(1, 4, 0.5)
     assert got in [(1, 2), (2, 1), (3, 1)]
     assert bundle.query_majorities(1, 4, 0.5) == []

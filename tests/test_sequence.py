@@ -1,12 +1,14 @@
 """Huffman-shaped wavelet matrix: its codes, its levels and its walks.
 
-The matrix answers range queries only, through `range_counts`,
-`range_minority` and `range_mode`, and `to_array` decodes it.  The sequence operations
-access, rank, select, partial rank, locate and previous occurrence were
-retired with format version 8, since no query read them; the tests that
-checked them keep their names and check the same facts (a position's
-symbol, a prefix's count, an occurrence's position) through the walks
-against brute force.
+The matrix answers range queries only, through its three walks
+(`_split_walk`, `_minority_walk` and `_mode_walk`, read here over 1-based
+ranges by the `conftest` helpers of the same names as the retired
+`range_counts`, `range_minority` and `range_mode`), and `to_array`
+decodes it.  The sequence operations access, rank, select, partial
+rank, locate and previous occurrence were retired with format version 8,
+since no query read them; the tests that checked them keep their names
+and check the same facts (a position's symbol, a prefix's count, an
+occurrence's position) through the walks against brute force.
 """
 
 import itertools
@@ -18,9 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import codes, range_counts, range_minority, range_mode
 from rfq import IndexBundle, IndexConfig
 from rfq.corpus import zipf_string
 from rfq.errors import DomainError, RangeError
+from rfq.majority import _majorities, _mode
+from rfq.minority import _minority
 from rfq.sequence import WaveletSequence, _typecode, code_lengths, length_cap
 from rfq.serial import ByteReader
 
@@ -37,7 +42,7 @@ def bundle_seq(values, compressed):
 
 def prefix_count(seq, a: int, k: int) -> int:
     """Occurrences of a among the first k positions, from one walk."""
-    return seq.range_counts(1, k).get(a, 0) if k else 0
+    return range_counts(seq, 1, k).get(a, 0) if k else 0
 
 
 # -- frozen behavior on the canonical string -------------------------------------
@@ -46,41 +51,38 @@ def prefix_count(seq, a: int, k: int) -> int:
 def test_frozen_ops(canon_seq):
     s = canon_seq
     assert s.n == 11 and s.sigma == 5
-    assert s.range_counts(5, 5) == {4: 1}  # the symbol at position 5
+    assert range_counts(s, 5, 5) == {4: 1}  # the symbol at position 5
     assert prefix_count(s, 1, 5) == 2
     assert prefix_count(s, 3, 11) == 2
     # the third 1 is at position 6, and 5 has no second occurrence
     assert (prefix_count(s, 1, 5), prefix_count(s, 1, 6)) == (2, 3)
-    assert s.symbol_count(5) == 1
-    assert s.range_counts(4, 8) == {1: 3, 4: 1, 5: 1}
-    assert s.range_counts(1, 11) == {1: 5, 2: 2, 3: 2, 4: 1, 5: 1}
-    assert s.range_counts(1, 11, 2) == {1: 5}
-    assert s.range_minority(4, 8, 1) in ((4, 1), (5, 1))
-    assert s.range_minority(1, 11, 2) in ((2, 2), (3, 2), (4, 1), (5, 1))
-    assert s.range_minority(1, 4, 1) in ((2, 1), (3, 1))
-    assert s.range_minority(1, 1, 1) == (1, 1)
-    assert s.range_minority(6, 6, 0) is None
-    assert s.range_mode(1, 11) == (1, 5)
-    assert s.range_mode(2, 3) == (2, 1)  # a tie goes to the lower symbol
-    assert s.range_mode(9, 10) == (2, 1)
+    assert s.counts[4] == 1  # symbol 5 occurs once
+    assert range_counts(s, 4, 8) == {1: 3, 4: 1, 5: 1}
+    assert range_counts(s, 1, 11) == {1: 5, 2: 2, 3: 2, 4: 1, 5: 1}
+    assert range_counts(s, 1, 11, 2) == {1: 5}
+    assert range_minority(s, 4, 8, 1) in ((4, 1), (5, 1))
+    assert range_minority(s, 1, 11, 2) in ((2, 2), (3, 2), (4, 1), (5, 1))
+    assert range_minority(s, 1, 4, 1) in ((2, 1), (3, 1))
+    assert range_minority(s, 1, 1, 1) == (1, 1)
+    assert range_minority(s, 6, 6, 0) is None
+    assert range_mode(s, 1, 11) == (1, 5)
+    assert range_mode(s, 2, 3) == (2, 1)  # a tie goes to the lower symbol
+    assert range_mode(s, 9, 10) == (2, 1)
     assert s.to_array().tolist() == [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
 
 def test_symbol_counts_and_entropy(canon_seq):
-    assert [canon_seq.symbol_count(a) for a in range(1, 6)] == [5, 2, 2, 1, 1]
+    assert canon_seq.counts.tolist() == [5, 2, 2, 1, 1]
     want = sum((c / 11) * math.log2(11 / c) for c in (5, 2, 2, 1, 1))
     assert canon_seq.entropy_h0() == pytest.approx(want)
 
 
 def test_validation(canon_seq):
-    for walk in (canon_seq.range_counts, canon_seq.range_minority):
-        for lo, hi in ((0, 5), (1, 12), (5, 4), (1.0, 4), (1, "4")):
+    # every walk's range is checked once, by the query helper that calls it
+    for lo, hi in ((0, 5), (1, 12), (5, 4), (1.0, 4), (1, "4")):
+        for query, args in ((_majorities, (0.5,)), (_minority, (0.5,)), (_mode, ())):
             with pytest.raises(RangeError):
-                walk(lo, hi, 1)
-    with pytest.raises(DomainError):
-        canon_seq.symbol_count(6)
-    with pytest.raises(DomainError):
-        canon_seq.code(0)
+                query(canon_seq, lo, hi, *args)
 
 
 def test_rejects_sparse_alphabet():
@@ -109,21 +111,21 @@ def test_random_vs_brute(pow2, compressed):
         for _ in range(60):
             k = rng.randint(1, n)
             a = rng.randint(1, sigma)
-            assert seq.range_counts(k, k) == {data[k - 1]: 1}
+            assert range_counts(seq, k, k) == {data[k - 1]: 1}
             assert prefix_count(seq, a, k) == data[:k].count(a)
             lo = rng.randint(1, n)
             hi = rng.randint(lo, n)
             want = Counter(data[lo - 1:hi])
             thr = rng.randint(0, hi - lo + 1)
-            assert seq.range_counts(lo, hi, thr) == {b: c for b, c in want.items() if c > thr}
-            got = seq.range_minority(lo, hi, thr)
+            assert range_counts(seq, lo, hi, thr) == {b: c for b, c in want.items() if c > thr}
+            got = range_minority(seq, lo, hi, thr)
             light = {(b, c) for b, c in want.items() if c <= thr}
             assert got in light if light else got is None
             top = max(want.values())
-            assert seq.range_mode(lo, hi) == (min(b for b, c in want.items() if c == top), top)
+            assert range_mode(seq, lo, hi) == (min(b for b, c in want.items() if c == top), top)
         lo = rng.randint(1, n)
         hi = rng.randint(lo, n)
-        assert seq.range_counts(lo, hi) == dict(Counter(data[lo - 1:hi]))
+        assert range_counts(seq, lo, hi) == dict(Counter(data[lo - 1:hi]))
 
 
 def test_single_symbol_alphabet():
@@ -131,13 +133,13 @@ def test_single_symbol_alphabet():
     assert seq.sigma == 1 and seq.depth == 0
     assert seq.to_array().tolist() == [1] * 9
     assert prefix_count(seq, 1, 9) == 9
-    assert seq.range_counts(7, 7) == {1: 1}
-    assert seq.range_counts(2, 5) == {1: 4}
-    assert seq.range_counts(2, 5, 4) == {}
-    assert seq.range_minority(2, 5, 4) == (1, 4)
-    assert seq.range_minority(2, 5, 3) is None
-    assert seq.range_mode(2, 5) == (1, 4)
-    assert seq.size_bits() < 4000
+    assert range_counts(seq, 7, 7) == {1: 1}
+    assert range_counts(seq, 2, 5) == {1: 4}
+    assert range_counts(seq, 2, 5, 4) == {}
+    assert range_minority(seq, 2, 5, 4) == (1, 4)
+    assert range_minority(seq, 2, 5, 3) is None
+    assert range_mode(seq, 2, 5) == (1, 4)
+    assert len(seq.to_bytes()) == 8 + 4 + 1  # n, sigma and a zero width byte
 
 
 # -- code shape ----------------------------------------------------------------------
@@ -145,7 +147,7 @@ def test_single_symbol_alphabet():
 
 def code_bits(seq) -> int:
     """Bits the levels hold: each occurrence walks its symbol's code."""
-    return sum(int(seq.counts[a - 1]) * len(seq.code(a)) for a in range(1, seq.sigma + 1))
+    return sum(int(c) * len(code) for c, code in zip(seq.counts, codes(seq)))
 
 
 @pytest.mark.parametrize("sigma", [3, 8, 12])
@@ -156,14 +158,14 @@ def test_geometric_counts_stay_within_cap(sigma):
     seq = build(data)
     cap = math.ceil(math.log2(sigma)) + 1
     assert length_cap(sigma) == cap
-    longest = max(len(seq.code(a)) for a in range(1, sigma + 1))
+    longest = max(len(code) for code in codes(seq))
     assert longest <= cap and seq.depth == longest
     if sigma - 1 > cap:
         assert longest == cap  # the cap binds
     assert seq.to_array().tolist() == data.tolist()
     for k in range(1, data.size + 1, 7):
         a = int(data[k - 1])
-        assert seq.range_counts(k, k) == {a: 1}
+        assert range_counts(seq, k, k) == {a: 1}
         assert prefix_count(seq, a, k) == int((data[:k] == a).sum())
 
 
@@ -187,13 +189,13 @@ def test_codes_are_complete_and_end_in_blocks(sigma, skew):
     data = zipf_string(3000, sigma, skew=skew, seed=sigma).tolist()
     seq = build(data)
     sigma = seq.sigma
-    codes = [seq.code(a) for a in range(1, sigma + 1)]
+    by_symbol = codes(seq)
     cap = length_cap(sigma)
-    assert all(1 <= len(c) <= cap for c in codes)
-    assert sum(2 ** (cap - len(c)) for c in codes) == 2**cap  # Kraft equality
+    assert all(1 <= len(c) <= cap for c in by_symbol)
+    assert sum(2 ** (cap - len(c)) for c in by_symbol) == 2**cap  # Kraft equality
     # replay the matrix order: at every level the positions whose code ends
     # there lead the stable partition by the level's bit
-    order = [codes[v - 1] for v in data]
+    order = [by_symbol[v - 1] for v in data]
     for lvl in range(seq.depth):
         part = [c for c in order if c[lvl] == "0"] + [c for c in order if c[lvl] == "1"]
         ended = [len(c) == lvl + 1 for c in part]
@@ -202,8 +204,8 @@ def test_codes_are_complete_and_end_in_blocks(sigma, skew):
     assert order == []
     # ending codes take the zero children first
     top = int(np.argmax(seq.counts)) + 1
-    if len(seq.code(top)) == 1:
-        assert seq.code(top) == "0"
+    if len(by_symbol[top - 1]) == 1:
+        assert by_symbol[top - 1] == "0"
 
 
 @pytest.mark.parametrize("n, sigma, skew", [(5000, 40, 1.1), (20000, 256, 1.1),
@@ -215,7 +217,7 @@ def test_zipf_sequence_within_fixed_width_and_entropy(n, sigma, skew):
     assert bits <= n * (seq.entropy_h0() + 1)
     # headers: n, sigma, a width byte and at most a byte per code length;
     # per level its u64 bit length and at most one partly filled word
-    assert seq.size_bits() <= bits + 8 * (13 + seq.sigma) + seq.depth * (64 + 64)
+    assert 8 * len(seq.to_bytes()) <= bits + 8 * (13 + seq.sigma) + seq.depth * (64 + 64)
 
 
 # -- operation accounting ----------------------------------------------------------
@@ -229,26 +231,25 @@ def test_tally_policy(canon_seq):
     assert s._split_walk(0, 11, 11) == ({}, 0)  # no node can hold a symbol above 11
     assert s._minority_walk(0, 11, 0) == (None, 0)  # threshold 0: no symbol qualifies
     found, ranks = s._minority_walk(0, 11, 2)
-    assert found == s.range_minority(1, 11, 2)
+    assert found == range_minority(s, 1, 11, 2)
     assert 2 <= ranks <= 2 * s.depth * 2
     # symbol 1's leaf hangs off the root
-    assert s._mode_walk(0, 11) == (s.range_mode(1, 11), 2)
+    assert s._mode_walk(0, 11) == (range_mode(s, 1, 11), 2)
 
 
 @pytest.mark.parametrize("sigma", [5, 300, 70_000])
 def test_tables_are_narrow(sigma):
-    """The codes and the per-slot tables take the narrowest array type that
-    holds every value they may hold, built and loaded: 'H' below 2**16,
-    'I' below 2**32."""
+    """The per-slot tables take the narrowest array type that holds every
+    value they may hold, built and loaded: 'H' below 2**16, 'I' below
+    2**32."""
     data = np.concatenate((np.arange(1, sigma + 1), np.ones(50, dtype=np.int64)))
     built = build(data)
     for seq in (built, WaveletSequence.read_from(ByteReader(built.to_bytes()))):
-        assert seq._code.typecode == ("H" if seq.depth <= 16 else "I")
         for *_, least, top in seq._steps:
             assert least.typecode == ("H" if sigma <= 1 << 16 else "I")
             assert top.typecode == "H"
         assert np.array_equal(seq.to_array(), data)
-        assert seq.range_mode(1, data.size) == (1, 51)
+        assert range_mode(seq, 1, data.size) == (1, 51)
     assert [_typecode(v) for v in (0, 2**16 - 1, 2**16, 2**32 - 1, 2**32)] == ["H", "H", "I", "I", "Q"]
 
 
@@ -273,7 +274,6 @@ def test_bytes_round_trip(sigma, compressed):
     decoded[:] = 0
     assert seq.to_array().tolist() == data
     blob = seq.to_bytes()
-    assert seq.size_bits() == 8 * len(blob)
     back = WaveletSequence.read_from(ByteReader(blob))
     assert back.to_bytes() == blob
     assert back.n == seq.n and back.sigma == seq.sigma
@@ -282,9 +282,9 @@ def test_bytes_round_trip(sigma, compressed):
     for k in range(1, n + 1, 17):
         lo = rng.randint(1, k)
         thr = rng.randint(0, k - lo + 1)
-        assert back.range_counts(lo, k) == seq.range_counts(lo, k)
-        assert back.range_counts(lo, k, thr) == seq.range_counts(lo, k, thr)
-        assert back.range_minority(lo, k, thr) == seq.range_minority(lo, k, thr)
+        assert range_counts(back, lo, k) == range_counts(seq, lo, k)
+        assert range_counts(back, lo, k, thr) == range_counts(seq, lo, k, thr)
+        assert range_minority(back, lo, k, thr) == range_minority(seq, lo, k, thr)
 
 
 @pytest.mark.parametrize("n,sigma", [(5000, 657), (20000, 953)])
@@ -295,14 +295,14 @@ def test_plain_size_envelope(n, sigma):
         data[k] = a
     seq = build(data)
     cap = 1.25 * n * math.ceil(math.log2(sigma)) + 8192
-    assert seq.size_bits() <= cap
+    assert 8 * len(seq.to_bytes()) <= cap
 
 
 def test_compressed_no_larger_on_skewed_data():
     """The compressed option is inert: on input where it once stored sparse
     levels (3,000 of 3,200 symbols equal; format 7 held 2,952 sequence
     bits compressed against 4,816 plain), it builds a sequence
-    byte-identical to the plain one, 4,696 bits in format 8."""
+    byte-identical to the plain one, 4,696 bits since format 8."""
     rng = random.Random(3)
     data = [1] * 3000 + [rng.randint(2, 16) for _ in range(200)]
     rng.shuffle(data)
@@ -311,7 +311,7 @@ def test_compressed_no_larger_on_skewed_data():
     plain = bundle_seq(data, False)
     comp = bundle_seq(data, True)
     assert comp.to_bytes() == plain.to_bytes()
-    assert comp.size_bits() == plain.size_bits() == 4696
+    assert 8 * len(comp.to_bytes()) == 8 * len(plain.to_bytes()) == 4696
     assert comp.to_array().tolist() == data
 
 
@@ -331,7 +331,7 @@ def test_rank_select_inverse(values, data):
     p = where[r - 1]
     assert prefix_count(seq, a, p) == r
     assert prefix_count(seq, a, p - 1) == r - 1
-    assert seq.range_counts(p, p) == {a: 1}
+    assert range_counts(seq, p, p) == {a: 1}
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,5 +342,5 @@ def test_partial_rank_matches_rank(values):
     seq = build(values)
     for k in range(1, len(values) + 1):
         a = values[k - 1]
-        assert seq.range_counts(k, k) == {a: 1}
+        assert range_counts(seq, k, k) == {a: 1}
         assert prefix_count(seq, a, k) == values[:k].count(a)

@@ -9,8 +9,8 @@ from array import array
 import numpy as np
 import pytest
 
-from conftest import joined_sequence, split_sequence
-from rfq import BitVector, IndexConfig, oracle
+from conftest import codes, from_bits, joined_sequence, split_sequence
+from rfq import IndexConfig, oracle
 from rfq.cli import main as cli_main
 from rfq.corpus import zipf_string
 from rfq.errors import ConfigError, DomainError, FormatError
@@ -102,15 +102,15 @@ def test_bundle_bit_exact_round_trip(cfg):
     data = zipf_string(500, 20, skew=1.2, seed=5)
     bundle = IndexBundle.from_values(data, cfg)
     blob = bundle.to_bytes()
+    assert blob == IndexBundle.from_values(data).to_bytes()  # the config is not stored
     back = IndexBundle.from_bytes(blob)
     assert back.to_bytes() == blob
-    assert back.config == cfg
     assert_same_answers(bundle, back, queries_for(500, rng))
 
 
 def test_remap_identity():
     data = np.asarray([1, 2, 3, 2, 1, 3, 3])
-    bundle = IndexBundle.from_values(data, IndexConfig())
+    bundle = IndexBundle.from_values(data)
     assert bundle.to_original(2) == 2
     back = IndexBundle.from_bytes(bundle.to_bytes())
     assert back.query_mode(1, 7) == (3, 3)
@@ -118,7 +118,7 @@ def test_remap_identity():
 
 def test_remap_arbitrary_ints():
     data = [1000, -5, 1000, 7, -5, 1000, 7, -5, 1000]
-    bundle = IndexBundle.from_values(np.asarray(data), IndexConfig())
+    bundle = IndexBundle.from_values(np.asarray(data))
     assert bundle.query_mode(1, 9) == (1000, 4)
     assert bundle.query_majorities(1, 9, 0.4) == [(1000, 4)]
     want = oracle.oracle_minorities(data, 1, 9, 0.4)
@@ -131,7 +131,7 @@ def test_remap_arbitrary_ints():
 
 def test_remap_tokens():
     tokens = "the cat sat on the mat the end".split()
-    bundle = IndexBundle.from_tokens(tokens, IndexConfig())
+    bundle = IndexBundle.from_tokens(tokens)
     assert bundle.query_mode(1, 8) == ("the", 3)
     assert bundle.query_majorities(1, 8, 0.3) == [("the", 3)]
     back = IndexBundle.from_bytes(bundle.to_bytes())
@@ -163,21 +163,20 @@ def test_from_values_takes_every_integer_dtype():
 
 def test_tokens_with_newline_are_rejected():
     with pytest.raises(DomainError):
-        IndexBundle.from_tokens(["a\nb", "c", "c"], IndexConfig())
+        IndexBundle.from_tokens(["a\nb", "c", "c"])
 
 
 def test_mode_tie_breaks_to_lexicographic_smallest_token():
-    bundle = IndexBundle.from_tokens(["b", "a", "b", "a"],
-                                     IndexConfig())
+    bundle = IndexBundle.from_tokens(["b", "a", "b", "a"])
     assert bundle.query_mode(1, 4) == ("a", 2)
 
 
-# -- the v8 file: two checked sections ------------------------------------------------
+# -- the v9 file: two checked sections ------------------------------------------------
 
 
 def sections(blob: bytes) -> tuple[bytes, bytes]:
-    """A bundle file's two checked payloads: the header (config echo and
-    remap table) and the sequence."""
+    """A bundle file's two checked payloads: the header (the remap kind
+    and its table) and the sequence."""
     r = ByteReader(blob)
     r.raw(len(MAGIC_INDEX) + 2)  # magic and version
     return r.checked(), r.checked()
@@ -214,7 +213,7 @@ def sequence_at(blob: bytes) -> int:
 
 def test_format_errors():
     data = zipf_string(100, 5, seed=1)
-    bundle = IndexBundle.from_values(data, IndexConfig())
+    bundle = IndexBundle.from_values(data)
     blob = bundle.to_bytes()
     with pytest.raises(FormatError):
         IndexBundle.from_bytes(b"WRNG" + blob[4:])
@@ -241,7 +240,7 @@ def test_format_errors():
         sizes = [first_len] + held[1:]
         w = ByteWriter()
         for size in sizes:
-            w.words(BitVector.from_bits([0] * size).words, counted=False)
+            w.words(from_bits([0] * size).words, counted=False)
         with pytest.raises(FormatError):
             IndexBundle.from_bytes(sealed(head, joined_sequence(prefix, sizes, w.getvalue())))
 
@@ -273,7 +272,7 @@ def with_lengths(lens) -> bytes:
 
 def hostile_lengths(case: str) -> list[int]:
     _, _, _, seq = sequence_parts()
-    lens = [len(seq.code(a)) for a in range(1, seq.sigma + 1)]
+    lens = [len(code) for code in codes(seq)]
     cap = math.ceil(math.log2(seq.sigma)) + 1
     longest = lens.index(max(lens))
     if case == "zero":
@@ -316,7 +315,7 @@ def test_truncated_code_lengths_rejected():
 
 
 def test_hostile_code_lengths_in_a_bundle():
-    bundle = IndexBundle.from_values(zipf_string(400, 12, skew=1.2, seed=4), IndexConfig())
+    bundle = IndexBundle.from_values(zipf_string(400, 12, skew=1.2, seed=4))
     blob = bundle.to_bytes()
     at = sequence_at(blob) + 13  # the first symbols' code lengths, past the width byte
     with pytest.raises(FormatError, match="checksum"):  # damaged in place
@@ -329,10 +328,9 @@ def test_hostile_code_lengths_in_a_bundle():
 def test_packed_code_lengths_checked():
     # the table is packed: a width byte, then the lengths
     head, table, levels, seq = sequence_parts()
-    assert table == packed_lengths([len(seq.code(a)) for a in range(1, seq.sigma + 1)])
+    assert table == packed_lengths([len(code) for code in codes(seq)])
     back = WaveletSequence.read_from(ByteReader(head + table + levels))
-    assert [back.code(a) for a in range(1, seq.sigma + 1)] == \
-        [seq.code(a) for a in range(1, seq.sigma + 1)]
+    assert codes(back) == codes(seq)
     with pytest.raises(FormatError, match="wide"):
         WaveletSequence.read_from(ByteReader(head + b"\x09" + table[1:]))
     packed = bytearray(table)
@@ -341,23 +339,19 @@ def test_packed_code_lengths_checked():
         WaveletSequence.read_from(ByteReader(head + bytes(packed)))
 
 
-# the header section's payload: trade (u32), compressed code (u8), then the
-# remap kind (u8) and its table
-_TRADE_AT, _COMPRESSED_AT, _REMAP_AT = 0, 4, 5
+# the header section's payload: the remap kind (u8), then its table; format
+# 9 dropped format 8's config echo, trade (u32) and compressed (u8), in front
+_REMAP_AT = 0
 
 
-@pytest.mark.parametrize("at,value", [
-    (_COMPRESSED_AT, b"\x07"),  # compressed code other than 0 or 1
-    (_TRADE_AT, struct.pack("<I", 0)),  # trade 0
-], ids=["compressed-code", "trade-0"])
-def test_corrupt_header_fields(at, value):
-    blob = IndexBundle.from_values(zipf_string(100, 5, seed=1),
-                                   IndexConfig()).to_bytes()
+def test_unknown_remap_kind_rejected():
+    blob = IndexBundle.from_values(zipf_string(100, 5, seed=1)).to_bytes()
+    at = _HEAD_AT + _REMAP_AT
     with pytest.raises(FormatError, match="checksum"):  # damaged in place
-        IndexBundle.from_bytes(blob[:_HEAD_AT + at] + value + blob[_HEAD_AT + at + len(value):])
+        IndexBundle.from_bytes(blob[:at] + b"\x07" + blob[at + 1:])
     head, body = sections(blob)
-    with pytest.raises(FormatError, match="corrupt index header"):  # crafted
-        IndexBundle.from_bytes(sealed(head[:at] + value + head[at + len(value):], body))
+    with pytest.raises(FormatError, match="unknown remap kind 7"):  # crafted
+        IndexBundle.from_bytes(sealed(b"\x07" + head[1:], body))
 
 
 # A version-6 file, as the version-6 writer left it for
@@ -402,6 +396,30 @@ def test_version_7_file_rejected(tmp_path, capsys):
     path.write_bytes(V7_CANON)
     assert cli_main(["info", str(path)]) == 3
     assert "unsupported format version 7" in capsys.readouterr().err
+
+
+# A version-8 file, as the version-8 writer left it for the same input: the
+# header section opens with the config echo (trade 1 as a u32, compressed 0
+# as a u8) before the remap kind; the sequence section is format 9's.
+V8_CANON = bytes.fromhex(
+    "524651490800060000000000000001000000000006729e7a3f00000000000000"
+    "0b000000000000000500000002fd030b00000000000000060000000000000006"
+    "0000000000000056030000000000002a0000000000000012000000000000002a"
+    "cf9313"
+)
+
+
+def test_version_8_file_rejected(tmp_path, capsys):
+    with pytest.raises(FormatError, match="unsupported format version 8"):
+        IndexBundle.from_bytes(V8_CANON)
+    # the sequence section is unchanged: only the header went
+    current = IndexBundle.from_values([1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]).to_bytes()
+    assert sections(V8_CANON)[1] == sections(current)[1]
+    assert sections(V8_CANON)[0] == b"\x01\x00\x00\x00\x00\x00"
+    path = tmp_path / "v8.rfq"
+    path.write_bytes(V8_CANON)
+    assert cli_main(["info", str(path)]) == 3
+    assert "unsupported format version 8" in capsys.readouterr().err
 
 
 def test_version_2_file_rejected():
@@ -471,16 +489,18 @@ def test_compressed_must_be_a_bool(value):
 
 
 def test_largest_u32_config_round_trips():
+    # the largest trade is accepted and, like every config, builds the
+    # file the default builds
     cfg = IndexConfig(trade=2**32 - 1)
-    bundle = IndexBundle.from_values(zipf_string(300, 9, seed=2), cfg)
+    data = zipf_string(300, 9, seed=2)
+    bundle = IndexBundle.from_values(data, cfg)
+    assert bundle.to_bytes() == IndexBundle.from_values(data).to_bytes()
     back = IndexBundle.from_bytes(bundle.to_bytes())
-    assert back.config == cfg
     assert_same_answers(bundle, back, queries_for(300, random.Random(4), count=10))
 
 
 def token_table(raw: bytes) -> bytes:
-    bundle = IndexBundle.from_tokens("the cat sat on the mat the end".split(),
-                                     IndexConfig())
+    bundle = IndexBundle.from_tokens("the cat sat on the mat the end".split())
     head, body = sections(bundle.to_bytes())
     w = ByteWriter()
     w.blob(raw)
@@ -488,8 +508,7 @@ def token_table(raw: bytes) -> bytes:
 
 
 def int_table(values) -> bytes:
-    bundle = IndexBundle.from_values(np.asarray([1000, -5, 1000, 7, -5, 1000, 7]),
-                                     IndexConfig())
+    bundle = IndexBundle.from_values(np.asarray([1000, -5, 1000, 7, -5, 1000, 7]))
     head, body = sections(bundle.to_bytes())
     w = ByteWriter()
     w.words([v & 0xFFFFFFFFFFFFFFFF for v in values])
@@ -563,21 +582,40 @@ def test_listing_block_minima_values_checked():
 
 
 def test_listing_block_must_match_trade():
-    # a level declaring 2**64 - 1 bits (and n as large, so the sizes agree)
-    # is refused before a word is allocated
+    # a level declaring a huge size (and n as large, so the sizes agree) is
+    # refused before a word is allocated: 2**64 - 1 by the bound on n, and
+    # 2**63 - 1, within it, by the words the stream lacks
     bundle = level_bundle()
     head, body = sections(bundle.to_bytes())
     prefix, sizes, stream = split_sequence(body, bundle.seq.depth)
-    prefix = struct.pack("<Q", 2**64 - 1) + prefix[8:]
-    sizes[0] = 2**64 - 1
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError, match="truncated"):
-            IndexBundle.from_bytes(sealed(head, joined_sequence(prefix, sizes, stream)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 << 20, peak
+    for n, message in ((2**64 - 1, "at or above 2\\*\\*63"), (2**63 - 1, "truncated")):
+        sizes[0] = n
+        huge = struct.pack("<Q", n) + prefix[8:]
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=message):
+                IndexBundle.from_bytes(sealed(head, joined_sequence(huge, sizes, stream)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak
+
+
+@pytest.mark.parametrize("n", [2**63, 2**64 - 1])
+def test_single_symbol_length_past_int64_rejected(n, tmp_path, capsys):
+    """A one-symbol sequence has no level to bound n by, so a resealed
+    file claiming n >= 2**63 reached the int64 counts and raised a raw
+    OverflowError; the loader refuses it instead."""
+    blob = IndexBundle.from_values([1, 1, 1]).to_bytes()
+    head, body = sections(blob)
+    assert len(blob) == 6 + 12 + len(head) + 12 + len(body) and len(body) == 13
+    bad = sealed(head, struct.pack("<Q", n) + body[8:])
+    with pytest.raises(FormatError, match=r"sequence length \d+ at or above 2\*\*63"):
+        IndexBundle.from_bytes(bad)
+    path = tmp_path / "huge.rfq"
+    path.write_bytes(bad)
+    assert cli_main(["info", str(path)]) == 3
+    assert "at or above 2**63" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("side", ["candidate", "distinct"])
@@ -617,10 +655,11 @@ def test_family_keys_must_rise(side):
 def test_family_key_within_bounds(side, grow):
     """Files built plain (majority) and with the inert compressed option
     (minority).  tier: a set bit past level 0's declared length, in its
-    last word, is refused.  scale: the header's compressed echo, flipped
-    and resealed, loads into the same sequence and the same answers, since
-    the option selects nothing (format 7 refused a flag that the sequence
-    section did not repeat; format 8 has no such flag)."""
+    last word, is refused.  scale: the file is the one the other option
+    builds, byte for byte, and reloads to the same answers, since the
+    option selects nothing (format 7 refused a flag that the sequence
+    section did not repeat; format 8 echoed the option in its header, and
+    format 9 stores no config at all)."""
     compressed = side == "minority"
     bundle = level_bundle(compressed)
     if grow == (1, 0):
@@ -635,11 +674,9 @@ def test_family_key_within_bounds(side, grow):
         with pytest.raises(FormatError, match="stray bits"):
             IndexBundle.from_bytes(edited_levels(bundle, edit))
     else:
-        head, body = sections(bundle.to_bytes())
-        flipped = head[:_COMPRESSED_AT] + bytes([not compressed]) + head[_COMPRESSED_AT + 1:]
-        back = IndexBundle.from_bytes(sealed(flipped, body))
-        assert back.config.compressed is not compressed
-        assert back.seq.to_bytes() == bundle.seq.to_bytes()
+        blob = bundle.to_bytes()
+        assert blob == level_bundle(not compressed).to_bytes()
+        back = IndexBundle.from_bytes(blob)
         assert_same_answers(bundle, back, queries_for(bundle.seq.n, random.Random(9), count=10))
 
 
@@ -654,7 +691,7 @@ def test_family_denser_than_possible_rejected(side):
     def edit(sizes, stream):
         if side == "distinct":
             return sizes[:-1], stream
-        ones = b"".join(BitVector.from_bits([1] * size).words.tobytes() for size in sizes)
+        ones = b"".join(from_bits([1] * size).words.tobytes() for size in sizes)
         return sizes, ones
     message = "does not fit its code lengths" if side == "candidate" else "holds"
     with pytest.raises(FormatError, match=message):
@@ -674,13 +711,12 @@ def test_level_stream_framing():
     seq = WaveletSequence.build(np.asarray(data))
     words = sum(len(s.words) for s in seq._levels)
     table = 8 + 8 * ((sigma * seq.depth.bit_length() + 7) // 8)
-    assert seq.size_bits() == 8 * len(seq.to_bytes())
-    assert seq.size_bits() == 8 * 12 + table + seq.depth * 64 + 64 * words
+    assert 8 * len(seq.to_bytes()) == 8 * 12 + table + seq.depth * 64 + 64 * words
 
 
 def test_save_load(tmp_path):
     data = zipf_string(300, 9, seed=8)
-    bundle = IndexBundle.from_values(data, IndexConfig())
+    bundle = IndexBundle.from_values(data)
     path = tmp_path / "seq.rfq"
     bundle.save(path)
     back = IndexBundle.load(path)
@@ -693,7 +729,6 @@ def test_counts_rebuilt_not_stored():
     # symbol counts are derivable, so the payload should not shrink when the
     # alphabet collapses to one heavy symbol plus noise
     data = zipf_string(400, 12, skew=2.0, seed=3)
-    bundle = IndexBundle.from_values(data, IndexConfig())
+    bundle = IndexBundle.from_values(data)
     back = IndexBundle.from_bytes(bundle.to_bytes())
-    for a in range(1, back.seq.sigma + 1):
-        assert back.seq.symbol_count(a) == bundle.seq.symbol_count(a)
+    assert back.seq.counts.tolist() == bundle.seq.counts.tolist()

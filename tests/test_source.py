@@ -33,3 +33,39 @@ def test_traced_modules_stay_importable():
     assert modules
     for mod in modules:
         importlib.import_module(f"rfq.{mod}")
+
+
+# Entry points a caller outside the package uses, each documented in
+# README: the bundle API and the query methods of the classes the
+# benchmark's tracer times queries through.  oracle.py and corpus.py
+# serve the tests and the benchmark as a whole.
+ENTRY_POINTS = {
+    "from_values", "from_tokens", "from_bytes", "to_bytes", "save", "load",
+    "to_original", "query_majorities", "query_minority", "query_mode", "explain",
+    "size_report",
+}
+ENTRY_MODULES = {"oracle.py", "corpus.py"}
+
+
+def test_public_defs_have_a_caller():
+    """Every public function or method in the package is referenced, by
+    name, somewhere in the package, or is a documented entry point, so
+    API that only tests call does not creep back in."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(rfq.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = sorted(
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items() if name not in ENTRY_MODULES
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in used and node.name not in ENTRY_POINTS
+    )
+    assert uncalled == []

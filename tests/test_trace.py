@@ -5,7 +5,9 @@ import pickle
 import sys
 import threading
 
-from rfq import IndexBundle
+import pytest
+
+from rfq import DomainError, IndexBundle
 from rfq.corpus import zipf_string
 
 QUERIES = [
@@ -76,3 +78,22 @@ def test_interleaved_explains_report_their_own_ranks():
     assert not any(t.is_alive() for t in threads)
     assert all(len(s) == 40 * len(QUERIES) // 2 for s in seen)
     assert all(ranks == alone[j] for s in seen for j, ranks in s)
+
+
+def test_explain_refuses_an_unknown_kind():
+    with pytest.raises(DomainError, match="unknown query kind 'median'"):
+        bundle_of().explain("median", 1, 10, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["majority", "minority"])
+def test_explain_needs_tau_for_thresholded_kinds(kind):
+    with pytest.raises(DomainError, match="tau must be in"):
+        bundle_of().explain(kind, 1, 10)
+
+
+def test_explain_mode_ignores_tau():
+    bundle = bundle_of()
+    for tau in (None, 0.5, 7.0):  # even a tau no threshold query takes
+        answer, trace = bundle.explain("mode", 17, 2500, tau)
+        assert answer == bundle.query_mode(17, 2500)
+        assert trace.tau is None and trace.kind == "mode"

@@ -3,8 +3,9 @@
 import random
 
 import numpy as np
+import pytest
 
-from rfq import IndexConfig, oracle, verify_index
+from rfq import DomainError, IndexConfig, oracle, verify_index
 from rfq.corpus import zipf_string
 from rfq.indexfile import IndexBundle
 from rfq.verify import _tau_pool
@@ -20,6 +21,14 @@ def test_clean_bundle_verifies():
     assert rep.elapsed_s > 0
     assert rep.summary().endswith("ok")
     assert "800 queries" in rep.summary()
+
+
+def test_verify_needs_a_query():
+    # zero or fewer queries check nothing, so there is no "ok" to report
+    bundle = IndexBundle.from_values([1, 2, 1])
+    for count in (0, -5):
+        with pytest.raises(DomainError, match="at least 1"):
+            verify_index(bundle, queries=count)
 
 
 def test_tau_pool_domain():
@@ -75,7 +84,7 @@ def test_fault_injection_honest_none():
 
 def test_verify_reports_seeded_and_reproducible():
     data = zipf_string(200, 6, seed=2)
-    bundle = IndexBundle.from_values(data, IndexConfig())
+    bundle = IndexBundle.from_values(data)
     a = verify_index(bundle, queries=150, seed=42)
     b = verify_index(bundle, queries=150, seed=42)
     assert a.seed == b.seed == 42
