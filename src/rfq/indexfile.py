@@ -1,7 +1,7 @@
 """A whole index in one file: the symbol remapping and the sequence.
 
 A bundle is the sequence and one label table.  Builders accept arbitrary
-integers (or token strings) and translate them onto the dense 1..sigma
+int64 integers (or strings) and translate them onto the dense 1..sigma
 domain the sequence requires, keeping the sorted distinct originals as
 the labels; query results are translated back, so callers only ever see
 their own symbols.  Ties and orderings follow the sorted order of the
@@ -10,26 +10,24 @@ original symbols (lexicographic for tokens).
 A build makes the Huffman-shaped wavelet matrix and nothing else: every
 query is a split walk over it (see `majority` and `minority`).
 
-File layout (magic ``RFQI``, format version 9), after the magic and the
-version, two checked sections, each a u64 length, its payload and the
-payload's CRC32:
+File layout (magic ``RFQI``, format version 10): after the magic and the
+version, one payload and its CRC32; the payload's length is what the
+file's size leaves for it.  The payload is the sequence (n, sigma, the
+packed code-length table and every level's words, see `sequence`), then
+the remap kind (a u8) and its table, which runs to the end of the
+payload: nothing for the identity, sigma int64 words for ints, or the
+UTF-8 tokens joined by newlines.  No table stores its count.
 
-1. header: the remap kind (a u8) and its table: nothing for the identity,
-   a counted word array of the original ints, or the tokens as one
-   counted UTF-8 blob, one token per line;
-2. sequence: n, sigma, the packed code-length table, the level header
-   (each level's bit length) and the level word stream (see `sequence`).
-
-Each section's CRC32 is compared before the section is decoded, so a
-damaged file fails with `FormatError` instead of decoding to a different
-sequence.  A CRC catches damage, not a crafted consistent file, so the
-structural checks stay: the code lengths must form a complete prefix
-code within the length cap before any level is read, each level's size
-must fit the code trie before its words are read, the levels must split
-into the leaves the code lengths promise, and the remap table must hold
-exactly sigma entries in strictly increasing order.  Rank directories
-and the per-node largest counts are rebuilt at load, so the file stores
-only what the space accounting counts.
+The CRC32 is compared before the payload is decoded, so a damaged file
+fails with `FormatError` instead of decoding to a different sequence.  A
+CRC catches damage, not a crafted consistent file, so the structural
+checks stay: the code lengths must form a complete prefix code within
+the length cap before any level is read, the words must last for each
+level at the size the level above leaves it, every child slot of the
+code trie must hold a position, and the remap table must hold exactly
+sigma entries in strictly increasing order, with no byte after it.
+Rank directories and the per-node largest counts are rebuilt at load,
+so the file stores only what the space accounting counts.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from .errors import DomainError, FormatError
 from .majority import MajorityIndex, _majorities, _mode
 from .minority import MinorityIndex, _minority
 from .sequence import WaveletSequence
-from .serial import FORMAT_VERSION, MAGIC_INDEX, ByteReader, ByteWriter
+from .serial import ByteReader, ByteWriter, seal, unseal
 
 _REMAP_IDENTITY, _REMAP_INTS, _REMAP_TOKENS = 0, 1, 2
 
@@ -84,16 +82,24 @@ class IndexBundle:
 
     @classmethod
     def from_tokens(cls, tokens, config: IndexConfig | None = None) -> "IndexBundle":
-        """The index of a sequence of strings; config is accepted and
-        ignored (see `IndexConfig`)."""
+        """The index of a sequence of strings (numpy's included), each one
+        UTF-8 without a newline; config is accepted and ignored (see
+        `IndexConfig`)."""
         toks = list(tokens)
         if not toks:
             raise DomainError("token sequence is empty")
+        # other objects would sort here otherwise than in the file's table
+        if not all(issubclass(t, str) for t in set(map(type, toks))):
+            raise DomainError("tokens must be strings")
         vocab, dense0 = np.unique(np.asarray(toks, dtype=object), return_inverse=True)
         labels = [str(t) for t in vocab]
+        # the file stores the token table as UTF-8, one token per line
         if any("\n" in t for t in labels):
-            # the file stores the token table one token per line
             raise DomainError("tokens must not contain a newline")
+        try:
+            "".join(labels).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DomainError(f"tokens must encode as UTF-8: {exc}") from None
         return cls(WaveletSequence.build(dense0.astype(np.int64) + 1), labels)
 
     # -- symbol translation ---------------------------------------------------
@@ -154,47 +160,35 @@ class IndexBundle:
     # -- serialization ------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        head = ByteWriter()
-        if isinstance(self.labels, list):
-            head.u8(_REMAP_TOKENS)
-            head.blob("\n".join(self.labels).encode("utf-8"))
-        elif self.labels is not None:
-            head.u8(_REMAP_INTS)
-            head.words(array("Q", self.labels.tobytes()))  # two's complement
-        else:
-            head.u8(_REMAP_IDENTITY)
         w = ByteWriter()
-        w.raw(MAGIC_INDEX)
-        w.u16(FORMAT_VERSION)
-        w.checked(head.getvalue())
-        w.checked(self.seq.to_bytes())
-        return w.getvalue()
+        self.seq.write_to(w)
+        if isinstance(self.labels, list):
+            w.u8(_REMAP_TOKENS)
+            w.raw("\n".join(self.labels).encode("utf-8"))
+        elif self.labels is not None:
+            w.u8(_REMAP_INTS)
+            w.words(array("Q", self.labels.tobytes()))  # two's complement
+        else:
+            w.u8(_REMAP_IDENTITY)
+        return seal(w.getvalue())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IndexBundle":
-        r = ByteReader(data)
-        r.expect_magic(MAGIC_INDEX)
-        r.expect_version()
-        head = ByteReader(r.checked())
-        kind = head.u8()
+        r = ByteReader(unseal(data))
+        seq = WaveletSequence.read_from(r)
+        kind = r.u8()
         labels = None
         if kind == _REMAP_TOKENS:
             try:
-                labels = head.blob().decode("utf-8").split("\n")
+                labels = str(r.rest(), "utf-8").split("\n")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"token table is not UTF-8: {exc}") from exc
         elif kind == _REMAP_INTS:
-            labels = array("q", head.words().tobytes())  # two's complement
+            labels = array("q", r.words(seq.sigma).tobytes())  # two's complement
         elif kind != _REMAP_IDENTITY:
             raise FormatError(f"unknown remap kind {kind}")
-        if not head.done():
-            raise FormatError("trailing bytes after the remap table")
-        body = ByteReader(r.checked())
         if not r.done():
-            raise FormatError("trailing bytes after index payload")
-        seq = WaveletSequence.read_from(body)
-        if not body.done():
-            raise FormatError("trailing bytes after the sequence")
+            raise FormatError("trailing bytes after the remap table")
         if labels is not None:
             # answers index the table by dense symbol, and ties follow its order
             if len(labels) != seq.sigma:

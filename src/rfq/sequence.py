@@ -52,12 +52,13 @@ as top-level positions cl+1..cr, checked once by the query helper in
 answer with its rank1 calls.
 
 The file stores n (below 2**63), sigma, the code-length table packed at
-the longest length's bit width, one header for all levels (each level's
-bit length) and then every level's words as one stream, whose word
-counts follow from that header.  The lengths are checked in O(sigma)
-before any level is read, each level's size against the code trie before
-any word is read; the codes follow from the lengths, and the counts from
-one level-by-level split walk at load.
+the longest length's bit width, and then every level's words as one
+stream.  No level size is stored: level 0 holds n bits, and each level
+below holds the positions the level above leaves to its internal nodes.
+The lengths are checked in O(sigma) before any level is read; one
+level-by-level split walk at load then reads each level at its size,
+checks that every child slot holds a position and collects the counts.
+Only the build works out the codes themselves.
 """
 
 from __future__ import annotations
@@ -186,12 +187,10 @@ class _Shape:
     leaf_sym lists the symbols (0-based) by (length, symbol): the leaves of
     each depth in matrix order.  For level l, inner[l] internal nodes sit at
     depth l, leaves[l] codes end at depth l + 1, and the first of them is
-    leaf_sym[first[l]].  code holds each symbol's bits, the first level's
-    most significant.
+    leaf_sym[first[l]].
     """
 
     def __init__(self, lens: np.ndarray):
-        sigma = int(lens.size)
         depth = int(lens.max())
         per = np.bincount(lens, minlength=depth + 1)
         starts = (np.cumsum(per) - per).tolist()
@@ -203,19 +202,25 @@ class _Shape:
         self.inner = [1]
         for d in range(1, depth):
             self.inner.append(2 * self.inner[-1] - per[d])
+
+    def codes(self, lens: np.ndarray) -> np.ndarray:
+        """Each symbol's code bits, the first level's most significant, for
+        the lengths this trie was made from."""
         # walk each leaf up from its slot at its depth; at depth d the slots
         # are the zero children of inner[d - 1] nodes, then their one children
+        sigma = int(lens.size)
         d = lens[self.leaf_sym].astype(np.int64)
-        slot = np.arange(sigma) - np.asarray(starts, dtype=np.int64)[d]
+        slot = np.arange(sigma) - np.asarray([0] + self.first, dtype=np.int64)[d]
         code = np.zeros(sigma, dtype=np.int64)
-        for lvl in range(depth - 1, -1, -1):
+        for lvl in range(self.depth - 1, -1, -1):
             live = d > lvl
             s = slot[live]
             bit = s >= self.inner[lvl]
-            slot[live] = s - bit * self.inner[lvl] + per[lvl]
+            slot[live] = s - bit * self.inner[lvl] + (self.leaves[lvl - 1] if lvl else 0)
             code[live] |= bit.astype(np.int64) << (d[live] - 1 - lvl)
-        self.code = np.empty(sigma, dtype=np.int64)
-        self.code[self.leaf_sym] = code
+        out = np.empty(sigma, dtype=np.int64)
+        out[self.leaf_sym] = code
+        return out
 
 
 class WaveletSequence:
@@ -234,16 +239,13 @@ class WaveletSequence:
     # -- construction ------------------------------------------------------------
 
     @classmethod
-    def build(cls, data, sigma: int | None = None) -> "WaveletSequence":
+    def build(cls, data) -> "WaveletSequence":
         arr = np.asarray(data, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("sequence must be a non-empty 1-d array")
         if arr.min() < 1:
             raise DomainError("symbols must be positive integers")
-        amax = int(arr.max())
-        sigma = amax if sigma is None else int(sigma)
-        if amax > sigma:
-            raise DomainError(f"symbol {amax} exceeds declared alphabet {sigma}")
+        sigma = int(arr.max())
         counts = np.bincount(arr, minlength=sigma + 1)[1:].astype(np.int64)
         _check_dense(counts)
 
@@ -256,7 +258,7 @@ class WaveletSequence:
         ends = _ends(lens, counts)
         # each position's code, left-aligned to the depth so every level
         # reads its bit with one shift
-        aligned = shape.code << (depth - lens.astype(np.int64))
+        aligned = shape.codes(lens) << (depth - lens.astype(np.int64))
         codes = aligned.astype(np.min_scalar_type((1 << depth) - 1))[arr - 1]
         levels = []
         for lvl in range(depth):
@@ -441,12 +443,19 @@ class WaveletSequence:
         Below each level the order is the ending block, each symbol's run
         in leaf order, then the next level's positions.
         """
+        try:
+            out = np.empty(self.n, dtype=np.int64)
+        except (ValueError, MemoryError) as exc:
+            # only a sigma-1 file can claim such an n, as no level bounds
+            # it, and no input that long could have been built
+            raise FormatError(f"cannot decode n = {self.n} symbols: {exc}") from None
         if not self._levels:
-            return np.ones(self.n, dtype=np.int64)
+            out.fill(1)
+            return out
         # two buffers take turns: a level decodes its positions straight
         # behind the ending runs of the level above, the order that level
-        # partitioned them into, and level 0 decodes into the whole of bufs[1]
-        bufs = np.empty(self.n, dtype=np.int64), np.empty(self.n, dtype=np.int64)
+        # partitioned them into, and level 0 decodes into the whole of out
+        bufs = np.empty(self.n, dtype=np.int64), out
         for lvl in range(self.depth - 1, -1, -1):
             store = self._levels[lvl]
             _, _, z1, ends, _, leaves, least, _ = self._steps[lvl]
@@ -466,10 +475,8 @@ class WaveletSequence:
         w.u64(self.n)
         w.u32(self.sigma)
         _write_lengths(w, np.frombuffer(self._len, dtype=np.uint8))
-        for store in self._levels:  # the level header
-            w.u64(store.n_bits)
-        for store in self._levels:  # the word stream
-            w.words(store.words, counted=False)
+        for store in self._levels:
+            w.words(store.words)
 
     @classmethod
     def read_from(cls, r: ByteReader) -> "WaveletSequence":
@@ -483,19 +490,7 @@ class WaveletSequence:
         lens = _read_lengths(r, seq.sigma)
         _check_lengths(lens)
         shape = _Shape(lens)
-        sizes = []
-        held = seq.n
-        for lvl in range(shape.depth):
-            n_bits = r.u64()
-            if lvl == 0 and n_bits != seq.n:
-                raise FormatError(f"level 0 holds {n_bits} bits, expected {seq.n}")
-            if not 2 * shape.inner[lvl] <= n_bits <= held:
-                raise FormatError(f"level {lvl} holds {n_bits} bits, outside "
-                                  f"[{2 * shape.inner[lvl]}, {held}]")
-            held = n_bits
-            sizes.append(n_bits)
-        levels = [BitVector(r.words((n_bits + 63) // 64), n_bits) for n_bits in sizes]
-        counts = _leaf_counts(levels, shape, seq.n)
+        levels, counts = _read_levels(r, shape, seq.n)
         seq._assemble(lens, shape, levels, counts)
         return seq
 
@@ -550,30 +545,35 @@ def _slot_least(shape: _Shape) -> list[array]:
     return _fold_slots(shape, shape.leaf_sym, np.minimum, _typecode(shape.leaf_sym.size - 1))
 
 
-def _leaf_counts(levels: list, shape: _Shape, n: int) -> np.ndarray:
-    """Each symbol's count, from a split walk over the whole sequence that
-    handles all nodes of one depth at once; FormatError where the levels
-    do not fit the code trie.
+def _read_levels(r: ByteReader, shape: _Shape, n: int) -> tuple[list, np.ndarray]:
+    """The levels, level 0 n bits long and each one below as long as the
+    level above leaves it, and each symbol's count, from a split walk over
+    the whole sequence that handles all nodes of one depth at once;
+    FormatError where a level does not fit the code trie.
 
     The internal nodes of a level tile it in order, given by their
     boundaries; one rank at each boundary splits them into the next
-    depth's slots, whose leading leaves must cover exactly the positions
-    that end there, each leaf at least one.
+    depth's slots.  Every slot must hold a position; the leading slots
+    are leaves, whose sizes are their symbols' counts, and the positions
+    past them make the next level.
     """
-    if not levels:
-        return np.array([n], dtype=np.int64)  # one symbol, the empty code
+    if not shape.depth:
+        return [], np.array([n], dtype=np.int64)  # one symbol, the empty code
+    levels = []
     counts = np.zeros(shape.leaf_sym.size, dtype=np.int64)
     bounds = np.array([0, n], dtype=np.int64)
-    for lvl, store in enumerate(levels):
-        below = levels[lvl + 1].n_bits if lvl + 1 < len(levels) else 0
-        ends = store.n_bits - below
+    n_bits = n
+    for lvl in range(shape.depth):
+        store = BitVector(r.words((n_bits + 63) // 64), n_bits)
+        levels.append(store)
         r1 = store.rank1_array(bounds)
-        zeros = store.n_bits - store.ones
-        slots = np.concatenate((bounds - r1, zeros + r1[1:]))
-        leaves, first = shape.leaves[lvl], shape.first[lvl]
-        runs = np.diff(slots[: leaves + 1])
-        if slots[leaves] != ends or (runs <= 0).any():
+        slots = np.concatenate((bounds - r1, n_bits - store.ones + r1[1:]))
+        runs = np.diff(slots)
+        if (runs <= 0).any():
             raise FormatError(f"sequence level {lvl} does not fit its code lengths")
-        counts[shape.leaf_sym[first : first + leaves]] = runs
+        leaves, first = shape.leaves[lvl], shape.first[lvl]
+        counts[shape.leaf_sym[first : first + leaves]] = runs[:leaves]
+        ends = int(slots[leaves])
         bounds = slots[leaves:] - ends
-    return counts
+        n_bits -= ends
+    return levels, counts

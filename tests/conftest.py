@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rfq.bits import BitVector
-from rfq.sequence import WaveletSequence, _rank_pair, _Shape
+from rfq.sequence import WaveletSequence, _rank_pair, _read_lengths, _Shape
+from rfq.serial import ByteReader
 
 # Small sequence with one heavy element; most frozen expectations use it.
 CANON = [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
@@ -43,7 +44,7 @@ def codes(seq) -> list[str]:
     """Each symbol's code as a string of bits, the top level's first, from
     the code lengths the sequence keeps."""
     lens = np.frombuffer(seq._len, dtype=np.uint8)
-    bits = _Shape(lens).code.tolist()
+    bits = _Shape(lens).codes(lens).tolist()
     return [format(c, f"0{n}b") if n else "" for c, n in zip(bits, lens.tolist())]
 
 
@@ -64,17 +65,31 @@ def from_ones(positions, n_bits: int) -> BitVector:
     return BitVector.from_numpy_bool(arr)
 
 
-def split_sequence(payload: bytes, depth: int) -> tuple[bytes, list[int], bytes]:
-    """A format-9 sequence payload split into its prefix (n as u64, sigma
-    as u32, then the code lengths: a width byte and sigma lengths of that
-    many bits), its level header (each level's bit length, a u64) and its
-    word stream."""
+def split_sequence(payload: bytes) -> tuple[bytes, bytes]:
+    """A format-10 sequence, or a payload that starts with one, split into
+    its prefix (n as u64, sigma as u32, then the code lengths: a width
+    byte and sigma lengths of that many bits) and the rest, which starts
+    with the level words."""
     sigma, width = struct.unpack_from("<IB", payload, 8)
     at = 13 + (sigma * width + 7) // 8
-    sizes = list(struct.unpack_from(f"<{depth}Q", payload, at))
-    return payload[:at], sizes, payload[at + 8 * depth:]
+    return payload[:at], payload[at:]
 
 
-def joined_sequence(prefix: bytes, sizes, stream: bytes) -> bytes:
-    """The inverse of split_sequence, for sizes and streams edited or not."""
-    return prefix + struct.pack(f"<{len(sizes)}Q", *sizes) + stream
+def legacy_sections(blob: bytes) -> tuple[bytes, bytes]:
+    """The two checked sections of a format-8 or format-9 file, the header
+    and the sequence: after the magic and the version, each is a u64
+    length, that many payload bytes and their CRC32."""
+    out, at = [], 6
+    for _ in range(2):
+        (length,) = struct.unpack_from("<Q", blob, at)
+        out.append(blob[at + 8:at + 8 + length])
+        at += 8 + length + 4
+    return out[0], out[1]
+
+
+def without_level_header(body: bytes) -> bytes:
+    """A format-8 or format-9 sequence section less its level header, one
+    u64 bit length a level after the code lengths: format 10's sequence."""
+    prefix, rest = split_sequence(body)
+    lens = _read_lengths(ByteReader(prefix[12:]), struct.unpack_from("<I", body, 8)[0])
+    return prefix + rest[8 * int(lens.max()):]

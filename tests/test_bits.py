@@ -43,7 +43,7 @@ def brute_rank(bits, p):
 def loaded(bv: BitVector) -> BitVector:
     """The vector after a trip through the level word stream."""
     w = ByteWriter()
-    w.words(bv.words, counted=False)
+    w.words(bv.words)
     return BitVector(ByteReader(w.getvalue()).words(len(bv.words)), bv.n_bits)
 
 
@@ -333,7 +333,7 @@ def test_plain_size_bits_is_serialized_size(n):
     # a level of n bits puts ceil(n / 64) words in the stream, and no more
     bv = BitVector.from_numpy_bool(np.random.default_rng(n).random(n) < 0.5)
     w = ByteWriter()
-    w.words(bv.words, counted=False)
+    w.words(bv.words)
     assert len(w.getvalue()) == 8 * ((n + 63) // 64)
     assert same(loaded(bv), bv)
 
@@ -342,28 +342,26 @@ def test_plain_size_bits_is_serialized_size(n):
 def test_sparse_size_bits_is_serialized_size(density):
     """The serialized sequence, which the size report counts, is its
     layout and nothing more: n and sigma, the code-length table (a width
-    byte, then one bit a symbol), and per level its u64 bit length and
-    its words."""
+    byte, then one bit a symbol), and each level's words."""
     for n in (1, 64, 70001):
         bits = np.random.default_rng(n).random(n) < density
         bundle = IndexBundle.from_values(1 + bits.astype(np.int64))
         seq = bundle.seq
         words = sum(len(level.words) for level in seq._levels)
         table = 1 + (seq.sigma * seq.depth.bit_length() + 7) // 8
-        layout = 8 + 4 + table + 8 * seq.depth + 8 * words
+        layout = 8 + 4 + table + 8 * words
         assert bundle.size_report()["sequence_bits"] == 8 * layout, n
 
 
 def test_sparse_bytes_rejects_inconsistent_fields():
-    """A two-symbol sequence's one level: a declared length other than n, a
-    stream one word short, and a set bit past the declared length are each
-    refused by the loader."""
+    """A two-symbol sequence's one level, read as n bits: an n needing a
+    word more than the stream holds, a stream one word short, and a set
+    bit past n are each refused by the loader."""
     bits = np.random.default_rng(4).random(1000) < 0.1
     blob = two_symbol_seq(bits).to_bytes()
-    at = len(blob) - 8 * 16 - 8  # the level's u64 length, then 16 words
-    assert int.from_bytes(blob[at:at + 8], "little") == 1000
-    with pytest.raises(FormatError, match="level 0 holds 999 bits"):
-        WaveletSequence.read_from(ByteReader(blob[:at] + (999).to_bytes(8, "little") + blob[at + 8:]))
+    assert len(blob) == 8 + 4 + 1 + 1 + 8 * 16  # n, sigma, the code lengths, 16 words
+    with pytest.raises(FormatError, match="truncated"):
+        WaveletSequence.read_from(ByteReader((1025).to_bytes(8, "little") + blob[8:]))
     with pytest.raises(FormatError, match="truncated"):
         WaveletSequence.read_from(ByteReader(blob[:-8]))
     last = bytearray(blob)

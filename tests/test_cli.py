@@ -6,16 +6,15 @@ import re
 import struct
 import subprocess
 import sys
-import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rfq
-from conftest import joined_sequence, split_sequence
+from conftest import split_sequence
 from rfq.cli import main
-from rfq.serial import FORMAT_VERSION, ByteReader, ByteWriter
+from rfq.serial import seal, unseal
 
 
 @pytest.fixture
@@ -118,7 +117,7 @@ def test_verify_seed_from_environment(abra_index, capsys, monkeypatch):
 
 
 def test_inject_fault_witness(tmp_path, capsys):
-    # a fault in a file, one flipped bit of the sequence section, is
+    # a fault in a file, one flipped bit of the level words, is
     # noticed by its checksum before any query runs
     src = tmp_path / "runs.bin"
     src.write_bytes(bytes((i // 8) % 8 + 1 for i in range(512)))
@@ -181,37 +180,31 @@ def test_corrupt_index_exits_three(tmp_path):
 
 
 def test_corrupt_header_field_exits_three(abra_index, capsys):
-    # the header section's payload starts at offset 14, after the magic,
-    # the version and its u64 length; its byte 0, the remap kind, becomes
-    # 7 and the section's CRC32 is recomputed, so the load gets past the
-    # checksum to the field check
+    # the remap kind follows the sequence in the payload, which starts at
+    # offset 6, after the magic and the version; it becomes 7 and the
+    # payload's CRC32 is recomputed, so the load gets past the checksum
+    # to the field check
+    at = len(rfq.IndexBundle.load(abra_index).seq.to_bytes())
     with open(abra_index, "rb") as fh:
-        blob = bytearray(fh.read())
-    (length,) = struct.unpack_from("<Q", blob, 6)
-    blob[14] = 7
-    struct.pack_into("<I", blob, 14 + length, zlib.crc32(blob[14:14 + length]))
+        body = bytearray(unseal(fh.read()))
+    body[at] = 7
     with open(abra_index, "wb") as fh:
-        fh.write(blob)
+        fh.write(seal(bytes(body)))
     assert main(["info", abra_index]) == 3
     assert "unknown remap kind 7" in capsys.readouterr().err
 
 
 def test_impossibly_dense_family_exits_three(tmp_path, capsys):
-    # a crafted file, checksums intact, whose top level is one bit short
+    # a crafted file, checksum intact, that claims one symbol fewer than
+    # its top level holds: level 0 is read as n bits, and the bit left
+    # over is set
     bundle = rfq.IndexBundle.from_values(np.resize(np.arange(1, 9), 3000))
-    prefix, sizes, stream = split_sequence(bundle.seq.to_bytes(), bundle.seq.depth)
-    bad = joined_sequence(prefix, [2999] + sizes[1:], stream)
-    head = ByteWriter()
-    head.u8(0)  # identity remap
-    w = ByteWriter()
-    w.raw(b"RFQI")
-    w.u16(FORMAT_VERSION)
-    w.checked(head.getvalue())
-    w.checked(bad)
+    prefix, rest = split_sequence(bytes(unseal(bundle.to_bytes())))
+    assert bundle.seq.to_array()[-1] == 8  # a code starting 1
     idx = tmp_path / "short.rfq"
-    idx.write_bytes(w.getvalue())
+    idx.write_bytes(seal(struct.pack("<Q", 2999) + prefix[8:] + rest))
     assert main(["info", str(idx)]) == 3
-    assert "level 0 holds 2999 bits" in capsys.readouterr().err
+    assert "stray bits beyond declared length" in capsys.readouterr().err
 
 
 def test_corrupt_token_table_exits_three(tmp_path, capsys):
@@ -225,15 +218,9 @@ def test_corrupt_token_table_exits_three(tmp_path, capsys):
     capsys.readouterr()
     assert main(["info", str(idx)]) == 3
     assert "checksum" in capsys.readouterr().err  # damaged in place
-    r = ByteReader(blob)
-    r.raw(6)  # magic and version
-    head, seq = r.checked(), r.checked()
-    w = ByteWriter()
-    w.raw(blob[:6])
-    at = head.index(b"cat")
-    w.checked(head[:at] + b"\xff" + head[at + 1:])
-    w.checked(seq)
-    idx.write_bytes(w.getvalue())  # crafted, with fresh checksums
+    body = bytes(unseal(blob))
+    at = body.index(b"cat")
+    idx.write_bytes(seal(body[:at] + b"\xff" + body[at + 1:]))  # crafted, with a fresh checksum
     assert main(["info", str(idx)]) == 3
     assert "not UTF-8" in capsys.readouterr().err
 

@@ -5,9 +5,9 @@ rounds of majority, minority and mode queries exactly as `bincount`
 over the original input does.  A raw exception or a wrong answer fails
 the test.  Run with -s to see how the mutations split.
 
-The CRC32 of each section refuses nearly every such mutation, so the
-resealed mutations recompute it after changing a section's payload and
-reach the structural checks behind it.  A file that passes them must
+The payload's CRC32 refuses nearly every such mutation, so the resealed
+mutations recompute it after changing the payload and reach the
+structural checks behind it.  A file that passes them must
 be a valid index of some sequence: it answers exactly as `bincount`
 over its own decoded sequence (`to_array`) does, and its load allocates
 at most a fixed multiple of the file's size.
@@ -23,7 +23,7 @@ from rfq import IndexConfig, threshold_count
 from rfq.corpus import zipf_string
 from rfq.errors import FormatError
 from rfq.indexfile import IndexBundle
-from rfq.serial import ByteReader, ByteWriter
+from rfq.serial import seal, unseal
 
 MUTATIONS = 400
 ROUNDS = 8
@@ -95,13 +95,10 @@ def test_mutated_files_are_refused_or_answer_right(compressed):
 
 
 def resealed(blob: bytes, rng: random.Random, i: int) -> bytes:
-    """The i-th resealed mutation: in one section's payload, a bit flip, a
+    """The i-th resealed mutation: in the file's payload, a bit flip, a
     byte written among its first 64 bytes or an 8-byte overwrite, with
-    the section's CRC32 recomputed."""
-    r = ByteReader(blob)
-    head = r.raw(6)  # magic and version
-    payloads = [bytearray(r.checked()), bytearray(r.checked())]
-    out = rng.choice(payloads)
+    the payload's CRC32 recomputed."""
+    out = bytearray(unseal(blob))
     kind = i % 3
     if kind == 0:
         bit = rng.randrange(8 * len(out))
@@ -112,11 +109,7 @@ def resealed(blob: bytes, rng: random.Random, i: int) -> bytes:
         at = rng.randrange(max(len(out) - 7, 1))
         width = min(8, len(out) - at)
         out[at:at + width] = rng.randbytes(width)
-    w = ByteWriter()
-    w.raw(head)
-    for payload in payloads:
-        w.checked(bytes(payload))
-    return w.getvalue()
+    return seal(bytes(out))
 
 
 def fuzz_input(kind: str) -> IndexBundle:

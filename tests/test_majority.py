@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import codes
+from conftest import codes, legacy_sections, without_level_header
 from rfq import IndexConfig, oracle, threshold_count
 from rfq.corpus import uniform_string, zipf_string
 from rfq.errors import DomainError, FormatError, RangeError
 from rfq.indexfile import IndexBundle
 from rfq.majority import check_tau
-from rfq.serial import ByteReader, ByteWriter
+from rfq.serial import seal
 
 CANON = [1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]
 
@@ -459,29 +459,23 @@ PARENT_FILE = bytes.fromhex(
 )
 
 
-def as_format_9(blob: bytes) -> bytes:
-    """A format-8 file under the format-9 layout: the version field 9 and
-    the header section without the config echo (trade as a u32, compressed
-    as a u8) in front of the remap kind; the sequence section unchanged."""
-    r = ByteReader(blob)
-    r.raw(6)  # magic and version
-    head, body = r.checked(), r.checked()
-    w = ByteWriter()
-    w.raw(blob[:4])
-    w.u16(9)
-    w.checked(head[5:])
-    w.checked(body)
-    return w.getvalue()
+def as_format_10(blob: bytes) -> bytes:
+    """A format-8 file under the format-10 layout: one payload, the
+    sequence section less its level header, then the header section less
+    the config echo (trade as a u32, compressed as a u8) in front of the
+    remap kind."""
+    head, body = legacy_sections(blob)
+    return seal(without_level_header(body) + head[5:])
 
 
 def test_parent_written_index_answers_mode_alike():
-    """Format 9 refuses the file itself.  Its sequence section, behind a
-    format-9 header, loads, writes back byte for byte, and answers mode on
-    every range as the oracle (and the code that wrote it) does."""
+    """Format 10 refuses the file itself.  Its sequence, in a format-10
+    payload, loads, writes back byte for byte, and answers mode on every
+    range as the oracle (and the code that wrote it) does."""
     with pytest.raises(FormatError, match="unsupported format version 8"):
         IndexBundle.from_bytes(PARENT_FILE)
-    bundle = IndexBundle.from_bytes(as_format_9(PARENT_FILE))
-    assert bundle.to_bytes() == as_format_9(PARENT_FILE)
+    bundle = IndexBundle.from_bytes(as_format_10(PARENT_FILE))
+    assert bundle.to_bytes() == as_format_10(PARENT_FILE)
     assert bundle.seq.to_array().tolist() == PARENT_DATA
     n = len(PARENT_DATA)
     for lo in range(1, n + 1):

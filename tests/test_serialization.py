@@ -9,14 +9,15 @@ from array import array
 import numpy as np
 import pytest
 
-from conftest import codes, from_bits, joined_sequence, split_sequence
+from conftest import codes, from_bits, legacy_sections, split_sequence, without_level_header
 from rfq import IndexConfig, oracle
 from rfq.cli import main as cli_main
 from rfq.corpus import zipf_string
 from rfq.errors import ConfigError, DomainError, FormatError
 from rfq.indexfile import IndexBundle
 from rfq.sequence import WaveletSequence
-from rfq.serial import FORMAT_VERSION, MAGIC_INDEX, ByteReader, ByteWriter
+from rfq.serial import ByteReader, ByteWriter, seal, unseal
+from test_fuzz import fuzz_input
 
 
 # -- writer/reader primitives -------------------------------------------------------
@@ -25,20 +26,20 @@ from rfq.serial import FORMAT_VERSION, MAGIC_INDEX, ByteReader, ByteWriter
 def test_primitive_round_trip():
     w = ByteWriter()
     w.u8(200)
-    w.u16(40_000)
     w.u32(3_000_000_000)
     w.u64(2**63 + 5)
-    w.blob(b"payload")
+    w.raw(b"payload")
     w.words([0, 1, 2**64 - 1])
-    w.words([7, 2**63], counted=False)
+    w.words([7, 2**63])
+    w.raw(b"rest")
     r = ByteReader(w.getvalue())
     assert r.u8() == 200
-    assert r.u16() == 40_000
     assert r.u32() == 3_000_000_000
     assert r.u64() == 2**63 + 5
-    assert r.blob() == b"payload"
-    assert list(r.words()) == [0, 1, 2**64 - 1]
+    assert r.raw(7) == b"payload"
+    assert list(r.words(3)) == [0, 1, 2**64 - 1]
     assert list(r.words(2)) == [7, 2**63]
+    assert r.rest() == b"rest"
     assert r.done()
 
 
@@ -50,7 +51,7 @@ def test_reader_words_checks_count_before_allocating():
     try:
         for count in (2**61, 4):  # 2**61 words are 2**64 bytes; 4 is one too many
             with pytest.raises(FormatError, match="truncated"):
-                ByteReader(struct.pack("<Q", count) + blob[8:]).words()
+                ByteReader(blob).words(count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -61,17 +62,17 @@ def test_reader_truncation_and_magic():
     w = ByteWriter()
     w.raw(b"RFQI")
     w.u32(99)
-    data = w.getvalue()
-    r = ByteReader(data)
-    r.expect_magic(b"RFQI")
-    with pytest.raises(FormatError):
+    r = ByteReader(w.getvalue())
+    assert r.raw(4) == b"RFQI"
+    with pytest.raises(FormatError, match="truncated"):
         r.u64()  # only 4 bytes remain
-    with pytest.raises(FormatError):
-        ByteReader(data).expect_magic(b"NOPE")
-    w = ByteWriter()
-    w.blob(b"abc")  # a blob one byte short of its declared length
-    with pytest.raises(FormatError):
-        ByteReader(w.getvalue()[:-1]).blob()
+    data = seal(b"abc")
+    assert unseal(data) == b"abc" and len(data) == 4 + 2 + 3 + 4
+    with pytest.raises(FormatError, match="bad magic"):
+        unseal(b"NOPE" + data[4:])
+    for cut in (1, 3, 4):  # into the CRC32, the payload gone, the frame short
+        with pytest.raises(FormatError, match="checksum|truncated"):
+            unseal(data[:-cut])
 
 
 # -- bundle round trips ---------------------------------------------------------------
@@ -166,49 +167,50 @@ def test_tokens_with_newline_are_rejected():
         IndexBundle.from_tokens(["a\nb", "c", "c"])
 
 
+@pytest.mark.parametrize("tokens, message", [
+    # ints sorted as numbers in the build but as text in the file's table,
+    # so the saved file failed to load as "not strictly increasing"
+    ([1, 2, 10, 10], "must be strings"),
+    (["a", 1], "must be strings"),  # a raw TypeError from the sort
+    (["\ud800", "a"], "UTF-8"),  # built, then a raw UnicodeEncodeError in to_bytes
+], ids=["ints", "mixed", "surrogate"])
+def test_tokens_the_file_cannot_hold_are_rejected(tokens, message):
+    with pytest.raises(DomainError, match=message):
+        IndexBundle.from_tokens(tokens)
+
+
+def test_numpy_string_tokens_are_strings():
+    bundle = IndexBundle.from_tokens(np.asarray(["b", "a", "b"]))
+    assert IndexBundle.from_bytes(bundle.to_bytes()).query_mode(1, 3) == ("b", 2)
+
+
 def test_mode_tie_breaks_to_lexicographic_smallest_token():
     bundle = IndexBundle.from_tokens(["b", "a", "b", "a"])
     assert bundle.query_mode(1, 4) == ("a", 2)
 
 
-# -- the v9 file: two checked sections ------------------------------------------------
+# -- the v10 file: one checked payload ----------------------------------------------
 
 
-def sections(blob: bytes) -> tuple[bytes, bytes]:
-    """A bundle file's two checked payloads: the header (the remap kind
-    and its table) and the sequence."""
-    r = ByteReader(blob)
-    r.raw(len(MAGIC_INDEX) + 2)  # magic and version
-    return r.checked(), r.checked()
+def payload(blob: bytes) -> bytes:
+    """A bundle file's payload: the sequence, then the remap kind and its
+    table."""
+    return bytes(unseal(blob))
 
 
-def sealed(head: bytes, seq: bytes) -> bytes:
-    """A current-version file around these payloads, each with its own
-    CRC32, so that the loader's structural checks are what a test reaches."""
-    w = ByteWriter()
-    w.raw(MAGIC_INDEX)
-    w.u16(FORMAT_VERSION)
-    w.checked(head)
-    w.checked(seq)
-    return w.getvalue()
+def remap_at(bundle) -> int:
+    """Where the remap kind sits in the bundle's payload: right after the
+    sequence."""
+    return len(bundle.seq.to_bytes())
 
 
 def edited_levels(bundle, edit) -> bytes:
-    """The bundle's file with edit(sizes, stream) -> (sizes, stream)
-    applied to its level header (each level's bit length) and word
-    stream, resealed."""
-    head, body = sections(bundle.to_bytes())
-    prefix, sizes, stream = split_sequence(body, bundle.seq.depth)
-    sizes, stream = edit(sizes, stream)
-    return sealed(head, joined_sequence(prefix, sizes, stream))
-
-
-_HEAD_AT = 6 + 8  # the header payload, past magic, version and its length
-
-
-def sequence_at(blob: bytes) -> int:
-    """Where a bundle file's sequence payload starts."""
-    return len(blob) - 4 - len(sections(blob)[1])
+    """The bundle's file with edit(stream) -> stream applied to its level
+    words, resealed."""
+    body = payload(bundle.to_bytes())
+    at = remap_at(bundle)
+    prefix, stream = split_sequence(body[:at])
+    return seal(prefix + edit(stream) + body[at:])
 
 
 def test_format_errors():
@@ -226,33 +228,24 @@ def test_format_errors():
     with pytest.raises(FormatError):
         IndexBundle.from_bytes(blob[:-3])  # truncated
 
-    # the sequence section is n (u64), sigma (u32), the packed code
-    # lengths, the level header and the word stream
-    head, body = sections(blob)
-    seq = bundle.seq
-    n, sigma = seq.n, seq.sigma
+    # the payload is n (u64), sigma (u32), the packed code lengths, the
+    # level words, then the remap kind and its table
+    body = payload(blob)
+    n = bundle.seq.n
     with pytest.raises(FormatError, match="alphabet size"):  # sigma = n + 1
-        IndexBundle.from_bytes(sealed(head, body[:8] + struct.pack("<I", n + 1) + body[12:]))
-    # all-zero levels of the right sizes (the first one bit short, then
-    # whole), which send every position to the first leaf
-    prefix, held, _ = split_sequence(body, seq.depth)
-    for first_len in (n - 1, n):
-        sizes = [first_len] + held[1:]
-        w = ByteWriter()
-        for size in sizes:
-            w.words(from_bits([0] * size).words, counted=False)
-        with pytest.raises(FormatError):
-            IndexBundle.from_bytes(sealed(head, joined_sequence(prefix, sizes, w.getvalue())))
+        IndexBundle.from_bytes(seal(body[:8] + struct.pack("<I", n + 1) + body[12:]))
+    # all-zero levels of the right sizes, which send every position to
+    # the first leaf
+    with pytest.raises(FormatError):
+        IndexBundle.from_bytes(edited_levels(bundle, lambda stream: bytes(len(stream))))
 
 
 def sequence_parts():
     """A sequence's bytes split into its fixed header (n, sigma), its
-    packed code-length table and its levels (level header and word
-    stream)."""
+    packed code-length table and its level words."""
     seq = WaveletSequence.build(zipf_string(400, 12, skew=1.2, seed=4))
-    blob = seq.to_bytes()
-    prefix, sizes, stream = split_sequence(blob, seq.depth)
-    return blob[:12], prefix[12:], joined_sequence(b"", sizes, stream), seq
+    prefix, stream = split_sequence(seq.to_bytes())
+    return prefix[:12], prefix[12:], stream, seq
 
 
 def packed_lengths(lens) -> bytes:
@@ -317,12 +310,12 @@ def test_truncated_code_lengths_rejected():
 def test_hostile_code_lengths_in_a_bundle():
     bundle = IndexBundle.from_values(zipf_string(400, 12, skew=1.2, seed=4))
     blob = bundle.to_bytes()
-    at = sequence_at(blob) + 13  # the first symbols' code lengths, past the width byte
+    at = 6 + 13  # the first symbols' code lengths, past the width byte
     with pytest.raises(FormatError, match="checksum"):  # damaged in place
         IndexBundle.from_bytes(blob[:at] + b"\x00" + blob[at + 1:])
-    head, body = sections(blob)
+    body = payload(blob)
     with pytest.raises(FormatError, match="code length 0"):  # crafted, with a fresh CRC
-        IndexBundle.from_bytes(sealed(head, body[:13] + b"\x00" + body[14:]))
+        IndexBundle.from_bytes(seal(body[:13] + b"\x00" + body[14:]))
 
 
 def test_packed_code_lengths_checked():
@@ -339,19 +332,15 @@ def test_packed_code_lengths_checked():
         WaveletSequence.read_from(ByteReader(head + bytes(packed)))
 
 
-# the header section's payload: the remap kind (u8), then its table; format
-# 9 dropped format 8's config echo, trade (u32) and compressed (u8), in front
-_REMAP_AT = 0
-
-
 def test_unknown_remap_kind_rejected():
-    blob = IndexBundle.from_values(zipf_string(100, 5, seed=1)).to_bytes()
-    at = _HEAD_AT + _REMAP_AT
+    bundle = IndexBundle.from_values(zipf_string(100, 5, seed=1))
+    blob = bundle.to_bytes()
+    at = remap_at(bundle)
     with pytest.raises(FormatError, match="checksum"):  # damaged in place
-        IndexBundle.from_bytes(blob[:at] + b"\x07" + blob[at + 1:])
-    head, body = sections(blob)
+        IndexBundle.from_bytes(blob[:6 + at] + b"\x07" + blob[6 + at + 1:])
+    body = payload(blob)
     with pytest.raises(FormatError, match="unknown remap kind 7"):  # crafted
-        IndexBundle.from_bytes(sealed(b"\x07" + head[1:], body))
+        IndexBundle.from_bytes(seal(body[:at] + b"\x07" + body[at + 1:]))
 
 
 # A version-6 file, as the version-6 writer left it for
@@ -398,28 +387,30 @@ def test_version_7_file_rejected(tmp_path, capsys):
     assert "unsupported format version 7" in capsys.readouterr().err
 
 
-# A version-8 file, as the version-8 writer left it for the same input: the
-# header section opens with the config echo (trade 1 as a u32, compressed 0
-# as a u8) before the remap kind; the sequence section is format 9's.
-V8_CANON = bytes.fromhex(
-    "524651490800060000000000000001000000000006729e7a3f00000000000000"
-    "0b000000000000000500000002fd030b00000000000000060000000000000006"
-    "0000000000000056030000000000002a0000000000000012000000000000002a"
-    "cf9313"
+# A version-9 file, as the version-9 writer left it for the same input: two
+# checked sections, the header (the remap kind) and the sequence, whose
+# level header stores each level's bit length in front of the words.
+V9_CANON = bytes.fromhex(
+    "5246514909000100000000000000008def02d23f000000000000000b00000000"
+    "0000000500000002fd030b000000000000000600000000000000060000000000"
+    "000056030000000000002a0000000000000012000000000000002acf9313"
 )
 
 
-def test_version_8_file_rejected(tmp_path, capsys):
-    with pytest.raises(FormatError, match="unsupported format version 8"):
-        IndexBundle.from_bytes(V8_CANON)
-    # the sequence section is unchanged: only the header went
+def test_version_9_file_rejected(tmp_path, capsys):
+    with pytest.raises(FormatError, match="unsupported format version 9"):
+        IndexBundle.from_bytes(V9_CANON)
+    # format 10's payload is the sequence section less its level header,
+    # then the header section, under one CRC32
+    head, body = legacy_sections(V9_CANON)
+    assert head == b"\x00"
     current = IndexBundle.from_values([1, 2, 3, 1, 4, 1, 5, 1, 2, 3, 1]).to_bytes()
-    assert sections(V8_CANON)[1] == sections(current)[1]
-    assert sections(V8_CANON)[0] == b"\x01\x00\x00\x00\x00\x00"
-    path = tmp_path / "v8.rfq"
-    path.write_bytes(V8_CANON)
+    assert payload(current) == without_level_header(body) + head
+    assert len(V9_CANON) - len(current) == 20 + 8 * 3  # depth 3
+    path = tmp_path / "v9.rfq"
+    path.write_bytes(V9_CANON)
     assert cli_main(["info", str(path)]) == 3
-    assert "unsupported format version 8" in capsys.readouterr().err
+    assert "unsupported format version 9" in capsys.readouterr().err
 
 
 def test_version_2_file_rejected():
@@ -500,19 +491,20 @@ def test_largest_u32_config_round_trips():
 
 
 def token_table(raw: bytes) -> bytes:
+    """The token bundle's file with this token table, which runs to the
+    end of the payload."""
     bundle = IndexBundle.from_tokens("the cat sat on the mat the end".split())
-    head, body = sections(bundle.to_bytes())
-    w = ByteWriter()
-    w.blob(raw)
-    return sealed(head[:_REMAP_AT + 1] + w.getvalue(), body)
+    at = remap_at(bundle) + 1  # past the remap kind
+    return seal(payload(bundle.to_bytes())[:at] + raw)
 
 
 def int_table(values) -> bytes:
+    """The int bundle's file with this table of int64 words."""
     bundle = IndexBundle.from_values(np.asarray([1000, -5, 1000, 7, -5, 1000, 7]))
-    head, body = sections(bundle.to_bytes())
+    at = remap_at(bundle) + 1
     w = ByteWriter()
     w.words([v & 0xFFFFFFFFFFFFFFFF for v in values])
-    return sealed(head[:_REMAP_AT + 1] + w.getvalue(), body)
+    return seal(payload(bundle.to_bytes())[:at] + w.getvalue())
 
 
 @pytest.mark.parametrize("blob,message", [
@@ -520,22 +512,24 @@ def int_table(values) -> bytes:
     (lambda: token_table(b"cat\nend_mat\non\nsat\nthe"), "5 entries, sigma is 6"),
     (lambda: token_table(b"cat\nend\nmat\non\nsat\nthe\nzoo"), "7 entries, sigma is 6"),
     (lambda: token_table(b"cat\nend\nzat\non\nsat\nthe"), "not strictly increasing"),
-    (lambda: int_table([-5, 7]), "2 entries, sigma is 3"),
+    (lambda: int_table([-5, 7]), "truncated payload: 3 words expected"),
+    (lambda: int_table([-5, 7, 1000, 1001]), "trailing bytes after the remap table"),
     (lambda: int_table([-5, 7, 7]), "not strictly increasing"),
 ], ids=["tokens-not-utf8", "tokens-short", "tokens-long", "tokens-unsorted",
-        "ints-short", "ints-unsorted"])
+        "ints-short", "ints-long", "ints-unsorted"])
 def test_corrupt_remap_table(blob, message):
     with pytest.raises(FormatError, match=message):
         IndexBundle.from_bytes(blob())
 
 
-# -- the level header and the word stream ---------------------------------------------
+# -- the level words ------------------------------------------------------------------
 #
 # Version 7 dropped the listing and flag-family sections, whose load checks
-# the tests below were first written for, and version 8 the sparse level
-# kind.  Each keeps its name and checks the level-header or section check
-# that now guards the same kind of damage: a wrong size, a missing or extra
-# word, a hostile length, an out-of-range field or a changed payload.
+# the tests below were first written for, version 8 the sparse level kind
+# and version 10 the level header.  Each keeps its name and checks the
+# check that now guards the same kind of damage: a missing or extra word, a
+# hostile length, an out-of-range field or a changed payload.  Each level's
+# size is what the level above leaves it, so none is stored to be wrong.
 
 
 def level_bundle(compressed=False):
@@ -543,58 +537,62 @@ def level_bundle(compressed=False):
                                    IndexConfig(compressed=compressed))
 
 
+def level_words(bundle) -> list[int]:
+    """Each level's word count."""
+    return [len(level.words) for level in bundle.seq._levels]
+
+
 def test_listing_block_zero_rejected():
-    # a level below the top one declared empty, though internal nodes sit there
-    def edit(sizes, stream):
-        sizes[1] = 0
-        return sizes, stream
-    with pytest.raises(FormatError, match=r"level 1 holds 0 bits, outside \[[1-9]"):
-        IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
+    # the stream holds level 0 and nothing below it, though internal
+    # nodes sit there
+    bundle = level_bundle()
+    top = 8 * level_words(bundle)[0]
+    with pytest.raises(FormatError, match="truncated"):
+        IndexBundle.from_bytes(edited_levels(bundle, lambda stream: stream[:top]))
 
 
 def test_listing_length_must_match_sequence():
-    def edit(sizes, stream):
-        sizes[0] -= 1
-        return sizes, stream
-    with pytest.raises(FormatError, match="level 0 holds 2999 bits, expected 3000"):
-        IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
+    # level 0 is read as n bits: a file claiming ten symbols fewer leaves
+    # set bits past n in level 0's last word
+    bundle = level_bundle()
+    body = payload(bundle.to_bytes())
+    top = bundle.seq._levels[0]
+    assert top.words[-1] >> (2990 % 64)  # a set bit among positions 2991..3000
+    with pytest.raises(FormatError, match="stray bits"):
+        IndexBundle.from_bytes(seal(struct.pack("<Q", 2990) + body[8:]))
 
 
 def test_listing_block_minima_count_checked():
-    # the stream must hold exactly the words the level header implies
+    # the stream must hold exactly the words the level sizes imply
     for cut in (lambda s: s[:-8], lambda s: s + bytes(8)):
-        blob = edited_levels(level_bundle(), lambda sizes, stream: (sizes, cut(stream)))
-        with pytest.raises(FormatError, match="truncated|trailing bytes after the sequence"):
+        blob = edited_levels(level_bundle(), cut)
+        with pytest.raises(FormatError, match="truncated|trailing bytes after the remap table"):
             IndexBundle.from_bytes(blob)
 
 
 def test_listing_block_minima_values_checked():
     """The stored block minima were what caught a damaged sequence at
-    trade > 1; the sequence section's CRC32 catches it now, at any trade."""
+    trade > 1; the payload's CRC32 catches it now, at any trade."""
     data = zipf_string(2000, 50, seed=3)
     for trade in (1, 4):
-        blob = IndexBundle.from_values(data, IndexConfig(trade=trade)).to_bytes()
-        head, body = sections(blob)
-        at = len(blob) - 4 - len(body) // 2  # a word in the middle of the stream
+        bundle = IndexBundle.from_values(data, IndexConfig(trade=trade))
+        blob = bundle.to_bytes()
+        at = 6 + remap_at(bundle) // 2  # a word in the middle of the stream
         bad = blob[:at] + bytes(8) + blob[at + 8:]
-        with pytest.raises(FormatError, match="section checksum mismatch"):
+        with pytest.raises(FormatError, match="payload checksum mismatch"):
             IndexBundle.from_bytes(bad)
 
 
 def test_listing_block_must_match_trade():
-    # a level declaring a huge size (and n as large, so the sizes agree) is
-    # refused before a word is allocated: 2**64 - 1 by the bound on n, and
-    # 2**63 - 1, within it, by the words the stream lacks
-    bundle = level_bundle()
-    head, body = sections(bundle.to_bytes())
-    prefix, sizes, stream = split_sequence(body, bundle.seq.depth)
+    # a file claiming a huge n is refused before a word is allocated:
+    # 2**64 - 1 by the bound on n, and 2**63 - 1, within it, by the words
+    # the stream lacks for level 0
+    body = payload(level_bundle().to_bytes())
     for n, message in ((2**64 - 1, "at or above 2\\*\\*63"), (2**63 - 1, "truncated")):
-        sizes[0] = n
-        huge = struct.pack("<Q", n) + prefix[8:]
         tracemalloc.start()
         try:
             with pytest.raises(FormatError, match=message):
-                IndexBundle.from_bytes(sealed(head, joined_sequence(huge, sizes, stream)))
+                IndexBundle.from_bytes(seal(struct.pack("<Q", n) + body[8:]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -607,9 +605,9 @@ def test_single_symbol_length_past_int64_rejected(n, tmp_path, capsys):
     file claiming n >= 2**63 reached the int64 counts and raised a raw
     OverflowError; the loader refuses it instead."""
     blob = IndexBundle.from_values([1, 1, 1]).to_bytes()
-    head, body = sections(blob)
-    assert len(blob) == 6 + 12 + len(head) + 12 + len(body) and len(body) == 13
-    bad = sealed(head, struct.pack("<Q", n) + body[8:])
+    body = payload(blob)
+    assert len(blob) == 6 + len(body) + 4 and len(body) == 13 + 1  # the sequence, the remap kind
+    bad = seal(struct.pack("<Q", n) + body[8:])
     with pytest.raises(FormatError, match=r"sequence length \d+ at or above 2\*\*63"):
         IndexBundle.from_bytes(bad)
     path = tmp_path / "huge.rfq"
@@ -618,35 +616,52 @@ def test_single_symbol_length_past_int64_rejected(n, tmp_path, capsys):
     assert "at or above 2**63" in capsys.readouterr().err
 
 
+def test_single_symbol_length_numpy_refuses(tmp_path, capsys):
+    """A one-symbol file claiming n = 2**60 cannot be told from an index of
+    2**60 ones, so it loads; decoding it asks numpy for an array it
+    refuses without allocating, and that is a FormatError naming n, since
+    no input that long could have been built."""
+    body = payload(IndexBundle.from_values([1, 1, 1]).to_bytes())
+    bad = seal(struct.pack("<Q", 2**60) + body[8:])
+    bundle = IndexBundle.from_bytes(bad)
+    assert bundle.query_mode(1, 2**60) == (1, 2**60)
+    with pytest.raises(FormatError, match=f"n = {2**60}"):
+        bundle.seq.to_array()
+    path = tmp_path / "huge.rfq"
+    path.write_bytes(bad)
+    assert cli_main(["verify", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(2**60) in err
+
+
 @pytest.mark.parametrize("side", ["candidate", "distinct"])
 def test_family_length_must_match_sequence(side):
-    """candidate: a level holding more bits than the level above it;
-    distinct: levels of the sizes the code lengths promise whose bits do
-    not split into those leaves."""
+    """candidate: a level written one word longer than the level above
+    leaves it, which shifts every level below; distinct: levels of the
+    sizes the code lengths promise whose bits do not split into those
+    leaves."""
+    bundle = level_bundle()
     if side == "candidate":
-        def edit(sizes, stream):
-            sizes[2] = sizes[1] + 1
-            return sizes, stream
-        with pytest.raises(FormatError, match="level 2 holds"):
-            IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
+        cut = 8 * sum(level_words(bundle)[:2])  # the end of level 1
+
+        def edit(stream):
+            return stream[:cut] + bytes(8) + stream[cut:]
+        with pytest.raises(FormatError):
+            IndexBundle.from_bytes(edited_levels(bundle, edit))
     else:
-        def edit(sizes, stream):
-            return sizes, bytes(len(stream))  # every bit zero
         with pytest.raises(FormatError, match="does not fit its code lengths"):
-            IndexBundle.from_bytes(edited_levels(level_bundle(), edit))
+            IndexBundle.from_bytes(edited_levels(bundle, lambda stream: bytes(len(stream))))
 
 
 @pytest.mark.parametrize("side", ["majority", "minority"])
 def test_family_keys_must_rise(side):
-    """Each section must end where its payload ends: majority, the header
-    section with a byte after the remap table; minority, the sequence
-    section with a byte after the word stream."""
-    head, body = sections(level_bundle().to_bytes())
-    if side == "majority":
-        blob, message = sealed(head + b"\x00", body), "after the remap table"
-    else:
-        blob, message = sealed(head, body + b"\x00"), "after the sequence"
-    with pytest.raises(FormatError, match=message):
+    """The payload must end where the remap table ends: majority, a byte
+    after the remap table; minority, a byte after the level words, which
+    is read as the remap kind and leaves the real one over."""
+    bundle = level_bundle()
+    body, at = payload(bundle.to_bytes()), remap_at(bundle)
+    blob = seal(body + b"\x00") if side == "majority" else seal(body[:at] + b"\x00" + body[at:])
+    with pytest.raises(FormatError, match="after the remap table"):
         IndexBundle.from_bytes(blob)
 
 
@@ -654,23 +669,23 @@ def test_family_keys_must_rise(side):
 @pytest.mark.parametrize("grow", [(1, 0), (0, 1)], ids=["tier", "scale"])
 def test_family_key_within_bounds(side, grow):
     """Files built plain (majority) and with the inert compressed option
-    (minority).  tier: a set bit past level 0's declared length, in its
-    last word, is refused.  scale: the file is the one the other option
-    builds, byte for byte, and reloads to the same answers, since the
-    option selects nothing (format 7 refused a flag that the sequence
-    section did not repeat; format 8 echoed the option in its header, and
-    format 9 stores no config at all)."""
+    (minority).  tier: a set bit past level 0's n bits, in its last word,
+    is refused.  scale: the file is the one the other option builds, byte
+    for byte, and reloads to the same answers, since the option selects
+    nothing (format 7 refused a flag that the sequence section did not
+    repeat; format 8 echoed the option in its header, and format 9 stored
+    no config at all, nor does format 10)."""
     compressed = side == "minority"
     bundle = level_bundle(compressed)
     if grow == (1, 0):
         n = bundle.seq.n
         assert n % 64
 
-        def edit(sizes, stream):
+        def edit(stream):
             last = (n + 63) // 64 - 1
             word = array("Q", stream[8 * last:8 * last + 8])
             word[0] |= 1 << 63  # past bit n
-            return sizes, stream[:8 * last] + word.tobytes() + stream[8 * last + 8:]
+            return stream[:8 * last] + word.tobytes() + stream[8 * last + 8:]
         with pytest.raises(FormatError, match="stray bits"):
             IndexBundle.from_bytes(edited_levels(bundle, edit))
     else:
@@ -682,27 +697,42 @@ def test_family_key_within_bounds(side, grow):
 
 @pytest.mark.parametrize("side", ["candidate", "distinct"])
 def test_family_denser_than_possible_rejected(side):
-    """candidate: every bit of every level set (within the declared
-    lengths), more ones than the code trie's one-children can hold;
-    distinct: a level header one level short, so the first word of the
-    stream is read as the last level's length."""
+    """candidate: every bit of every level set (within each level's size),
+    more ones than the code trie's one-children can hold; distinct: the
+    stream one level short, so the remap kind and its table are read as
+    the last level's words."""
     bundle = level_bundle()
+    sizes = [level.n_bits for level in bundle.seq._levels]
 
-    def edit(sizes, stream):
+    def edit(stream):
         if side == "distinct":
-            return sizes[:-1], stream
-        ones = b"".join(from_bits([1] * size).words.tobytes() for size in sizes)
-        return sizes, ones
-    message = "does not fit its code lengths" if side == "candidate" else "holds"
+            return stream[:-8 * level_words(bundle)[-1]]
+        return b"".join(from_bits([1] * size).words.tobytes() for size in sizes)
+    message = "does not fit its code lengths" if side == "candidate" else "truncated"
     with pytest.raises(FormatError, match=message):
         IndexBundle.from_bytes(edited_levels(bundle, edit))
 
 
+def file_bytes(bundle) -> int:
+    """A bundle file's size from its layout: the magic and the version, n
+    and sigma, the code lengths (a width byte, then each length at the
+    longest one's bit width), each level's words, the remap kind and its
+    table (nothing, sigma int64 words, or the tokens joined by newlines)
+    and the CRC32."""
+    seq, labels = bundle.seq, bundle.labels
+    table = 1 + (seq.sigma * seq.depth.bit_length() + 7) // 8
+    words = sum(len(level.words) for level in seq._levels)
+    remap = (0 if labels is None else len("\n".join(labels).encode()) if isinstance(labels, list)
+             else 8 * seq.sigma)
+    return 6 + 12 + table + 8 * words + 1 + remap + 4
+
+
 def test_level_stream_framing():
-    """One level header and one word stream: each level costs its u64 bit
-    length on top of its words, where a standalone bitvector blob cost
-    about 280 bits of framing, and the code lengths are packed at the
-    longest length's bit width."""
+    """One word stream and no level header: a level costs its words alone,
+    where a standalone bitvector blob cost about 280 bits of framing and a
+    level header 64 bits, and the code lengths are packed at the longest
+    length's bit width.  So a file is its layout, on a sigma-257 input and
+    on each resealed-fuzz input."""
     rng = random.Random(257)
     n, sigma = 800, 257
     data = [1 if rng.random() < 0.9 else rng.randint(1, sigma) for _ in range(n)]
@@ -711,7 +741,10 @@ def test_level_stream_framing():
     seq = WaveletSequence.build(np.asarray(data))
     words = sum(len(s.words) for s in seq._levels)
     table = 8 + 8 * ((sigma * seq.depth.bit_length() + 7) // 8)
-    assert 8 * len(seq.to_bytes()) == 8 * 12 + table + seq.depth * 64 + 64 * words
+    assert 8 * len(seq.to_bytes()) == 8 * 12 + table + 64 * words
+    for kind in ("dense", "ints", "tokens", "deep"):
+        bundle = fuzz_input(kind)
+        assert len(bundle.to_bytes()) == file_bytes(bundle), kind
 
 
 def test_save_load(tmp_path):
